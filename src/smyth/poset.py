@@ -374,19 +374,6 @@ def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-def _down_sets_by_filter(poset: FinitePoset, limit: int) -> list[int]:
-    """Scan every subset mask and keep the down-sets.  The slow oracle."""
-    found = []
-    for mask in range(1 << poset.n):
-        if is_down_set(poset, mask):
-            found.append(mask)
-            if len(found) > limit + 1:
-                raise CapacityError(
-                    f"more than {limit} down-sets on {poset.n} elements"
-                )
-    return found
-
-
 def _down_sets_by_extension(poset: FinitePoset, limit: int) -> list[int]:
     """Grow down-sets one new maximal element at a time.
 
@@ -412,17 +399,13 @@ def enumerate_down_sets(
 ) -> tuple[int, ...]:
     """All down-set masks of ``poset`` in canonical order.
 
-    Two strategies: for n <= 12 every mask is scanned and filtered,
-    which doubles as the correctness oracle; beyond that only genuine
-    down-sets are generated, one new maximal element at a time along a
-    linear extension, so the cost tracks the output size instead of
-    2**n.  CapacityError fires as soon as the count passes the budget.
+    Only genuine down-sets are generated, one new maximal element at a
+    time along a linear extension, so the cost tracks the output size
+    instead of 2**n.  CapacityError fires as soon as the count passes
+    the budget.
     """
     limit = resolve_capacity(capacity)
-    if poset.n <= 12:
-        found = _down_sets_by_filter(poset, limit)
-    else:
-        found = _down_sets_by_extension(poset, limit)
+    found = _down_sets_by_extension(poset, limit)
     if not include_empty:
         found.remove(0)
     if len(found) > limit:

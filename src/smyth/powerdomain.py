@@ -16,7 +16,6 @@ from functools import lru_cache
 from .errors import CapacityError, NotOpenError, RangeError
 from .poset import (
     FinitePoset,
-    canonical_sort,
     check_subset,
     dimension,
     down_closure,
@@ -58,21 +57,37 @@ class PowerdomainSpace:
         return "{" + ",".join(names) + "}"
 
 
-def _assemble(base: FinitePoset, masks: tuple[int, ...]) -> PowerdomainSpace:
-    points = canonical_sort(masks)
+def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
+    """Inclusion order on ``points``, read off per-element point columns.
+
+    ``column[x]`` holds the indices of the points that contain ``x``.
+    Point ``i`` lies below exactly the points that contain all of its
+    members, and point ``j`` above exactly the points that avoid every
+    element outside it, so each row is a fold of ``base.n`` columns.
+    ``points`` must be in canonical order (size, then mask value), as
+    ``enumerate_down_sets`` returns them: a proper subset then always
+    comes before its superset, so the down row of ``j`` lies within the
+    first ``j + 1`` indices and is cut to that width.
+    """
     count = len(points)
     point_index = {mask: i for i, mask in enumerate(points)}
-    up = [0] * count
-    for i, small in enumerate(points):
-        row = 0
-        for j, big in enumerate(points):
-            if small & ~big == 0:
-                row |= 1 << j
-        up[i] = row
-    down = [0] * count
-    for i in range(count):
-        for j in iter_bits(up[i]):
-            down[j] |= 1 << i
+    column = [0] * base.n
+    for i, mask in enumerate(points):
+        bit = 1 << i
+        for x in iter_bits(mask):
+            column[x] |= bit
+    every = (1 << count) - 1
+    up = []
+    down = []
+    for j, mask in enumerate(points):
+        row = every
+        for x in iter_bits(mask):
+            row &= column[x]
+        up.append(row)
+        outside = 0
+        for x in iter_bits(base.full & ~mask):
+            outside |= column[x]
+        down.append(((1 << (j + 1)) - 1) & ~outside)
     order = FinitePoset(count, tuple(up), tuple(down))
     phi = tuple(point_index[down_closure(base, 1 << x)] for x in range(base.n))
     return PowerdomainSpace(base, points, order, phi, point_index)

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import strategies as st
 
-from smyth import FinitePoset
+from smyth import FinitePoset, is_down_set
 from smyth.generators import random_poset
 
 
@@ -28,6 +28,11 @@ def diamond_poset() -> FinitePoset:
 def boolean_lattice(k: int) -> FinitePoset:
     covers = [(a, a | (1 << i)) for a in range(1 << k) for i in range(k) if not a & (1 << i)]
     return FinitePoset.from_cover_relations(1 << k, covers)
+
+
+def down_sets_by_filter(poset: FinitePoset) -> list[int]:
+    """Scan every subset mask and keep the down-sets.  The slow oracle."""
+    return [mask for mask in range(1 << poset.n) if is_down_set(poset, mask)]
 
 
 @pytest.fixture

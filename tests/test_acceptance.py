@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from itertools import chain as chain_iterable
 from pathlib import Path
 
-from conftest import assert_valid_dot, vee_poset
+from conftest import assert_valid_dot, down_sets_by_filter, vee_poset
 
 from smyth.completion import (
     SupExtensionProblem,
@@ -48,7 +48,6 @@ from smyth.maps import (
 from smyth.poset import (
     FinitePoset,
     _down_sets_by_extension,
-    _down_sets_by_filter,
     find_isomorphism,
     is_chain,
     resolve_capacity,
@@ -320,7 +319,7 @@ def test_criterion_7_fast_enumeration_and_oracles():
         grid_space = build(grid)
         grid_elapsed = time.perf_counter() - start
         assert len(grid_space.points) == math.comb(8, 4) - 1 == 69
-        assert len(_down_sets_by_filter(grid, limit)) - 1 == 69
+        assert len(down_sets_by_filter(grid)) - 1 == 69
         assert grid_elapsed < 0.1, f"grid build took {grid_elapsed:.3f}s"
 
         cube = FinitePoset.from_cover_relations(
@@ -331,14 +330,14 @@ def test_criterion_7_fast_enumeration_and_oracles():
         start = time.perf_counter()
         cube_space = build(cube)
         cube_elapsed = time.perf_counter() - start
-        oracle = len(_down_sets_by_filter(cube, limit)) - 1
+        oracle = len(down_sets_by_filter(cube)) - 1
         assert len(cube_space.points) == oracle == 167
         assert cube_elapsed < 5.0, f"cube build took {cube_elapsed:.3f}s"
 
         for seed in range(50):
             poset = random_poset(12, seed)
             fast = sorted(_down_sets_by_extension(poset, limit))
-            slow = sorted(_down_sets_by_filter(poset, limit))
+            slow = sorted(down_sets_by_filter(poset))
             assert fast == slow, f"strategies disagree at seed {seed}"
         print(
             f"  grid {1000 * grid_elapsed:.1f}ms < 100ms,"

@@ -23,6 +23,8 @@ from smyth import (
     powerdomain_dimension,
     vietoris_open,
 )
+from smyth.generators import random_poset
+from smyth.poset import iter_bits
 
 from conftest import antichain, boolean_lattice, chain, posets, vee_poset
 
@@ -45,11 +47,43 @@ def test_point_labels(vee):
     ]
 
 
-def test_order_is_inclusion(vee):
-    space = build(vee)
-    for i, ci in enumerate(space.points):
-        for j, cj in enumerate(space.points):
-            assert space.order.leq(i, j) == (ci & ~cj == 0)
+def containment_rows(points):
+    """Up rows of mask containment by the N^2 pair scan.  The slow oracle."""
+    rows = [0] * len(points)
+    for i, small in enumerate(points):
+        for j, big in enumerate(points):
+            if small & ~big == 0:
+                rows[i] |= 1 << j
+    return rows
+
+
+def assert_assembled_order(space):
+    """Rows against the containment scan; down rows as their transpose."""
+    assert list(space.order.up) == containment_rows(space.points)
+    transpose = [0] * len(space.points)
+    for i, row in enumerate(space.order.up):
+        for j in iter_bits(row):
+            transpose[j] |= 1 << i
+    assert list(space.order.down) == transpose
+    for x in range(space.base.n):
+        assert space.points[space.phi_index[x]] == space.base.down[x]
+
+
+@given(posets())
+def test_order_is_inclusion(poset):
+    for builder in (build, hat_powerdomain, inverse_powerdomain):
+        space = builder(poset)
+        assert_assembled_order(space)
+        for i, small in enumerate(space.points):
+            for j, big in enumerate(space.points):
+                assert space.order.leq(i, j) == (small & ~big == 0)
+
+
+def test_order_is_inclusion_on_large_base():
+    poset = random_poset(13, 28)
+    space = build(poset)
+    assert len(space.points) >= 1000
+    assert_assembled_order(space)
 
 
 def test_phi_points(vee):
