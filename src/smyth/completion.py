@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError, RangeError, SigmaUndefinedError
-from .maps import MonotoneMap, anchored_extensions
+from .maps import MonotoneMap, _serialize_pair, anchored_extensions
 from .poset import (
     FinitePoset,
     binary_sup,
@@ -155,13 +155,7 @@ class SupExtensionProblem:
         return self.base_map.target
 
     def serialize(self) -> dict:
-        return {
-            "source_n": self.base_map.source.n,
-            "source_covers": [list(p) for p in self.base_map.source.cover_pairs()],
-            "target_n": self.target.n,
-            "target_covers": [list(p) for p in self.target.cover_pairs()],
-            "image": list(self.base_map.image),
-        }
+        return _serialize_pair(self.base_map)
 
 
 def lambda_sharp(problem: SupExtensionProblem, capacity: int | None = None) -> MonotoneMap:
@@ -191,24 +185,29 @@ def lambda_sharp(problem: SupExtensionProblem, capacity: int | None = None) -> M
 
 
 def _antichains(poset: FinitePoset, limit: int):
-    """Nonempty antichain masks, by backtracking over eligible elements."""
+    """Nonempty antichain masks, depth first over eligible elements.
+
+    Each stack entry is a chosen antichain, the next index to try adding
+    and the elements it blocks; a branch's children come out before its
+    later siblings, as a backtracking search would order them.
+    """
     n = poset.n
     count = 0
-
-    def extend(mask: int, start: int, blocked: int):
-        nonlocal count
-        for i in range(start, n):
-            bit = 1 << i
-            if blocked & bit:
-                continue
-            chosen = mask | bit
-            count += 1
-            if count > limit:
-                raise CapacityError(f"more than {limit} antichains")
-            yield chosen
-            yield from extend(chosen, i + 1, blocked | poset.up[i] | poset.down[i])
-
-    yield from extend(0, 0, 0)
+    stack = [(0, 0, 0)]
+    while stack:
+        mask, start, blocked = stack.pop()
+        i = start
+        while i < n and blocked >> i & 1:
+            i += 1
+        if i == n:
+            continue
+        stack.append((mask, i + 1, blocked))
+        chosen = mask | 1 << i
+        count += 1
+        if count > limit:
+            raise CapacityError(f"more than {limit} antichains")
+        yield chosen
+        stack.append((chosen, i + 1, blocked | poset.up[i] | poset.down[i]))
 
 
 def is_sup_preserving(f: MonotoneMap, capacity: int | None = None) -> bool:
@@ -271,7 +270,7 @@ def check_sigma_theorem(
                 return failed(prop, instance, law="pointwise-least",
                               candidate=list(candidate), point=point)
         preserving = is_sup_preserving(
-            MonotoneMap(problem.space.order, target, candidate), capacity
+            MonotoneMap.unchecked(problem.space.order, target, candidate), capacity
         )
         if preserving != (candidate == sharp.image):
             return failed(prop, instance, law="unique-sup-preserving",

@@ -139,10 +139,6 @@ def powerdomain_to_dot(space: PowerdomainSpace, name: str = "powerdomain") -> st
     return "\n".join(lines) + "\n"
 
 
-def brace_notation(space: PowerdomainSpace, index: int) -> str:
-    return space.point_label(index)
-
-
 def point_lists(space: PowerdomainSpace) -> list[list[int]]:
     """Each point's member set as a sorted index list."""
     return [list(iter_bits(mask)) for mask in space.points]

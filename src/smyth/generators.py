@@ -7,8 +7,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import CapacityError, RangeError
-from .poset import FinitePoset, iter_bits, linear_extension
-from .maps import MonotoneMap
+from .poset import FinitePoset, iter_bits
+from .maps import MonotoneMap, MonotoneRule, anchored_extensions
 
 MAX_EXHAUSTIVE_N = 5
 
@@ -105,38 +105,11 @@ def random_poset(n: int, seed: int) -> FinitePoset:
 def all_monotone_images(
     source: FinitePoset, target: FinitePoset
 ) -> tuple[tuple[int, ...], ...]:
-    """Image tuples of every monotone map ``source -> target``.
+    """Image tuples of every monotone map ``source -> target``, sorted.
 
-    Elements are assigned along a linear extension, so only constraints
-    from below need checking at each step; output is sorted by image
-    tuple.
+    The extension search with no anchors, so the capacity bounds it too.
     """
-    order = linear_extension(source)
-    found: list[tuple[int, ...]] = []
-    image = [-1] * source.n
-
-    def assign(k: int) -> None:
-        if k == source.n:
-            found.append(tuple(image))
-            return
-        x = order[k]
-        below = source.down[x] & ~(1 << x)
-        for value in range(target.n):
-            up_value_holds = True
-            rest = below
-            while rest:
-                low = rest & -rest
-                if not target.up[image[low.bit_length() - 1]] >> value & 1:
-                    up_value_holds = False
-                    break
-                rest ^= low
-            if up_value_holds:
-                image[x] = value
-                assign(k + 1)
-                image[x] = -1
-
-    assign(0)
-    return tuple(sorted(found))
+    return anchored_extensions(source, {}, target)
 
 
 def random_monotone_map(
@@ -144,19 +117,14 @@ def random_monotone_map(
 ) -> MonotoneMap | None:
     """A random monotone map, or None when the draw strands itself.
 
-    Assigns along a linear extension, drawing uniformly from the values
-    consistent with what is already placed; a dead end returns None so
-    the caller can redraw.
+    Assigns along the search's linear extension, drawing uniformly from
+    the values its rule allows given what is already placed; a dead end
+    returns None so the caller can redraw.
     """
-    order = linear_extension(source)
-    image = [-1] * source.n
-    for x in order:
-        below = source.down[x] & ~(1 << x)
-        candidates = [
-            v
-            for v in range(target.n)
-            if all(target.up[image[y]] >> v & 1 for y in iter_bits(below))
-        ]
+    rule = MonotoneRule(source, {}, target)
+    image = [0] * source.n
+    for x in rule.order:
+        candidates = list(iter_bits(rule.allowed(x, image)))
         if not candidates:
             return None
         image[x] = rng.choice(candidates)

@@ -26,6 +26,7 @@ from .poset import (
     enumerate_down_sets,
     is_down_set,
     iter_bits,
+    linear_extension,
     mask_of,
     resolve_capacity,
 )
@@ -37,8 +38,9 @@ from .report import CheckReport, failed, passed
 class MonotoneMap:
     """A map ``source -> target`` given by its image tuple.
 
-    Monotonicity is validated eagerly; use ``unchecked`` to carry a raw
-    assignment (for example to feed is_spectral a bad one).
+    Monotonicity is validated eagerly; use ``unchecked`` for an image
+    that is monotone by construction, or to carry a raw assignment (for
+    example to feed is_spectral a bad one).
     """
 
     source: FinitePoset
@@ -163,61 +165,73 @@ def check_functor_laws(
     return passed(prop, instance)
 
 
+class MonotoneRule:
+    """The consistency rule of the monotone-map search.
+
+    Points of the source are placed along a linear extension, so when a
+    point comes up every element below it already has its image.  Its
+    allowed values are those above the images of its lower covers and
+    below the value of every anchor at or above it; an anchor itself
+    allows only its own value.  Inconsistent anchors leave some point
+    with nothing allowed.
+    """
+
+    def __init__(
+        self, source: FinitePoset, anchors: dict[int, int], target: FinitePoset
+    ) -> None:
+        self.order = linear_extension(source)
+        self.lower_covers: list[list[int]] = [[] for _ in range(source.n)]
+        for below, above in source.cover_pairs():
+            self.lower_covers[above].append(below)
+        self.ceiling = [target.full] * source.n
+        for anchor, value in anchors.items():
+            for x in iter_bits(source.down[anchor]):
+                self.ceiling[x] &= target.down[value]
+            self.ceiling[anchor] &= 1 << value
+        self.target_up = target.up
+
+    def allowed(self, x: int, image: list[int]) -> int:
+        """Mask of the values ``x`` may take given the images below it."""
+        mask = self.ceiling[x]
+        for c in self.lower_covers[x]:
+            mask &= self.target_up[image[c]]
+        return mask
+
+
 def anchored_extensions(
     source_order: FinitePoset,
     anchors: dict[int, int],
     target: FinitePoset,
     capacity: int | None = None,
-    assignment_order: tuple[int, ...] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """All monotone maps ``source_order -> target`` through given anchors.
 
-    Free points are assigned largest first (by the supplied order) with
-    forward checking against every already assigned comparable point.
-    Results come back sorted by image tuple, so the enumeration order is
-    canonical regardless of the search order.
+    A depth-first walk along the rule's linear extension, trying each
+    point's allowed values in ascending order; the stack holds the
+    values still untried at every depth, so the walk needs no recursion.
+    Results come back sorted by image tuple.
     """
     limit = resolve_capacity(capacity)
-    n = source_order.n
-    image = [-1] * n
-    for index, value in anchors.items():
-        image[index] = value
-    free = [i for i in range(n) if image[i] < 0]
-    if assignment_order is None:
-        free.sort(key=lambda i: -source_order.down[i].bit_count())
-    else:
-        free = [i for i in assignment_order if image[i] < 0]
+    rule = MonotoneRule(source_order, anchors, target)
+    order = rule.order
+    image = [0] * source_order.n
     found: list[tuple[int, ...]] = []
-
-    def consistent(i: int, value: int) -> bool:
-        up_v = target.up[value]
-        down_v = target.down[value]
-        for j in iter_bits(source_order.up[i]):
-            if image[j] >= 0 and not up_v >> image[j] & 1:
-                return False
-        for j in iter_bits(source_order.down[i]):
-            if image[j] >= 0 and not down_v >> image[j] & 1:
-                return False
-        return True
-
-    for index, value in anchors.items():
-        if not consistent(index, value):
-            return ()
-
-    def search(k: int) -> None:
-        if k == len(free):
-            found.append(tuple(image))
-            if len(found) > limit:
-                raise CapacityError(f"more than {limit} anchored extensions")
-            return
-        i = free[k]
-        for value in range(target.n):
-            if consistent(i, value):
-                image[i] = value
-                search(k + 1)
-                image[i] = -1
-
-    search(0)
+    untried = [rule.allowed(order[0], image)]
+    while untried:
+        mask = untried[-1]
+        if not mask:
+            untried.pop()
+            continue
+        low = mask & -mask
+        untried[-1] = mask ^ low
+        depth = len(untried)
+        image[order[depth - 1]] = low.bit_length() - 1
+        if depth < len(order):
+            untried.append(rule.allowed(order[depth], image))
+            continue
+        found.append(tuple(image))
+        if len(found) > limit:
+            raise CapacityError(f"more than {limit} anchored extensions")
     return tuple(sorted(found))
 
 
@@ -239,7 +253,8 @@ def enumerate_extensions(
         source_space.order, anchors, target_space.order, capacity
     )
     return tuple(
-        MonotoneMap(source_space.order, target_space.order, img) for img in images
+        MonotoneMap.unchecked(source_space.order, target_space.order, img)
+        for img in images
     )
 
 

@@ -280,7 +280,8 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
     Backtracking over elements with matching local invariants (down-set
     and up-set sizes, height, depth); the lexicographically first
     isomorphism in that search order is returned, so the result is
-    deterministic.
+    deterministic.  ``tried[k]`` counts the candidates already tried at
+    depth ``k``, so the search keeps its state without recursion.
     """
     if left.n != right.n:
         return None
@@ -294,34 +295,31 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
     variable_order = sorted(range(left.n), key=lambda i: len(candidates[i]))
     image = [-1] * left.n
     used = [False] * right.n
-
-    def assign(k: int) -> bool:
-        if k == left.n:
-            return True
+    tried = [0] * left.n
+    k = 0
+    while 0 <= k < left.n:
         i = variable_order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i0 in variable_order[:k]:
-                j0 = image[i0]
-                if left.leq(i, i0) != right.leq(j, j0) or left.leq(i0, i) != right.leq(
-                    j0, j
-                ):
-                    ok = False
-                    break
-            if ok:
+        if image[i] >= 0:
+            used[image[i]] = False
+            image[i] = -1
+        options = candidates[i]
+        while tried[k] < len(options):
+            j = options[tried[k]]
+            tried[k] += 1
+            if not used[j] and all(
+                left.leq(i, i0) == right.leq(j, image[i0])
+                and left.leq(i0, i) == right.leq(image[i0], j)
+                for i0 in variable_order[:k]
+            ):
                 image[i] = j
                 used[j] = True
-                if assign(k + 1):
-                    return True
-                image[i] = -1
-                used[j] = False
-        return False
-
-    if assign(0):
-        return tuple(image)
-    return None
+                break
+        if image[i] >= 0:
+            k += 1
+        else:
+            tried[k] = 0
+            k -= 1
+    return tuple(image) if k == left.n else None
 
 
 def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:

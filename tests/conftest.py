@@ -1,6 +1,7 @@
 """Shared fixtures, hypothesis strategies, and a strict DOT validator."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -33,6 +34,24 @@ def boolean_lattice(k: int) -> FinitePoset:
 def down_sets_by_filter(poset: FinitePoset) -> list[int]:
     """Scan every subset mask and keep the down-sets.  The slow oracle."""
     return [mask for mask in range(1 << poset.n) if is_down_set(poset, mask)]
+
+
+@pytest.fixture
+def shallow_recursion():
+    """Cap the interpreter stack a few hundred frames above the current depth.
+
+    A search that recurses once per element then fails on inputs of a
+    few hundred elements instead of a few thousand.
+    """
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 250)
+    yield
+    sys.setrecursionlimit(previous)
 
 
 @pytest.fixture

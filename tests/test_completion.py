@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smyth import (
+    CapacityError,
     FinitePoset,
     MonotoneMap,
     RangeError,
@@ -176,6 +177,11 @@ def test_sigma_theorem_random(source, target, seed):
     except SigmaUndefinedError:
         return
     assert report.ok
+
+
+def test_is_sup_preserving_capacity_on_a_wide_antichain(shallow_recursion):
+    with pytest.raises(CapacityError):
+        is_sup_preserving(identity(antichain(400)), capacity=1000)
 
 
 def test_retraction_on_chain():

@@ -9,7 +9,6 @@ from smyth import DocumentError, FinitePoset, build
 from smyth.docio import (
     EXPECT_KEYS,
     PosetDocument,
-    brace_notation,
     document_from_payload,
     document_of_poset,
     load_document,
@@ -107,12 +106,6 @@ def test_expect_keys_frozen():
 
 def test_point_lists(vee):
     assert point_lists(build(vee)) == [[0], [1], [0, 1], [0, 1, 2]]
-
-
-def test_brace_notation(vee):
-    space = build(vee)
-    assert brace_notation(space, 2) == "{a1,a2}"
-    assert brace_notation(space, 3) == "{a1,a2,b}"
 
 
 def test_poset_dot_exact(vee):

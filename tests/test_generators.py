@@ -15,7 +15,7 @@ from smyth.generators import (
     random_poset,
 )
 
-from conftest import antichain, chain, vee_poset
+from conftest import antichain, chain, diamond_poset, vee_poset
 
 
 def test_exhaustive_counts():
@@ -95,6 +95,11 @@ def test_monotone_images_against_filter():
         assert list(got) == sorted(expected)
 
 
+def test_monotone_images_of_a_long_chain(shallow_recursion):
+    images = all_monotone_images(chain(400), chain(2))
+    assert images == tuple((0,) * (400 - k) + (1,) * k for k in range(401))
+
+
 def test_monotone_image_count_identity_bound():
     # at least all constant maps, at most all functions
     images = all_monotone_images(vee_poset(), vee_poset())
@@ -109,6 +114,33 @@ def test_random_monotone_map_deterministic(chain2):
     assert (a is None) == (b is None)
     if a is not None:
         assert a.image == b.image
+
+
+PINNED_DRAWS = [
+    (
+        random_poset(5, 11), random_poset(4, 3), 2024,
+        [(3, 1, 2, 1, 3), (2, 1, 3, 3, 3), (1, 2, 2, 2, 2),
+         (3, 1, 1, 3, 3), (2, 3, 3, 3, 3), (2, 3, 2, 3, 3)],
+    ),
+    (
+        vee_poset(), diamond_poset(), 7,
+        [(2, 1, 3), (0, 0, 0), (2, 0, 2), (0, 0, 3), (3, 0, 3), (0, 3, 3)],
+    ),
+    (
+        diamond_poset(), vee_poset(), 5,
+        [(2, 2, 2, 2), (1, 1, 1, 1), (0, 2, 2, 2),
+         (1, 1, 1, 1), (2, 2, 2, 2), (0, 2, 0, 2)],
+    ),
+    (vee_poset(), antichain(2), 3, [(0, 0, 0), None, None, None, None, (1, 1, 1)]),
+]
+
+
+@pytest.mark.parametrize("source, target, seed, expected", PINNED_DRAWS)
+def test_random_monotone_map_pinned_draws(source, target, seed, expected):
+    # the sampled functor-laws pairs depend on these exact draws
+    rng = random.Random(seed)
+    draws = [random_monotone_map(source, target, rng) for _ in expected]
+    assert [None if f is None else f.image for f in draws] == expected
 
 
 def test_random_monotone_map_valid(chain2, vee):

@@ -22,12 +22,17 @@ from smyth import (
     powerdomain_map,
 )
 from smyth.generators import random_monotone_map, random_poset
-from smyth.maps import anchored_extensions, is_order_isomorphism
-from smyth.poset import induced, relabel
+from smyth.maps import (
+    _monotonicity_violation,
+    anchored_extensions,
+    is_order_isomorphism,
+)
+from smyth.poset import induced, iter_bits, relabel
 
 from conftest import antichain, chain, posets, subsets, vee_poset
 
 import random
+from itertools import product
 
 
 def worked_map():
@@ -173,6 +178,46 @@ def test_anchored_extensions_capacity(vee, chain2):
     f = worked_map()
     with pytest.raises(CapacityError):
         enumerate_extensions(f, capacity=1)
+
+
+def brute_force_extensions(source, anchors, target):
+    """Every image tuple, kept when anchored and monotone.  The slow oracle."""
+    return tuple(
+        image
+        for image in product(range(target.n), repeat=source.n)
+        if all(image[a] == v for a, v in anchors.items())
+        and all(
+            target.leq(image[x], image[y])
+            for x in range(source.n)
+            for y in iter_bits(source.up[x])
+        )
+    )
+
+
+@given(
+    posets(max_n=4), posets(max_n=3), st.integers(0, 2**31),
+    st.integers(0, 15), st.integers(0, 15),
+)
+def test_anchored_extensions_match_brute_force(source, target, seed, kept, wild):
+    rng = random.Random(seed)
+    f = random_monotone_map(source, target, rng)
+    consistent = {} if f is None else {
+        x: f.image[x] for x in iter_bits(kept & source.full)
+    }
+    arbitrary = {x: rng.randrange(target.n) for x in iter_bits(wild & source.full)}
+    for anchors in (consistent, arbitrary):
+        found = anchored_extensions(source, anchors, target)
+        assert found == brute_force_extensions(source, anchors, target)
+        for image in found:
+            raw = MonotoneMap.unchecked(source, target, image)
+            assert _monotonicity_violation(raw) is None
+
+
+def test_anchored_extensions_inconsistent_anchors(vee, chain2):
+    assert anchored_extensions(chain2, {0: 1, 1: 0}, chain2) == ()
+    # both minimal points sit below the top, which is anchored lower
+    assert anchored_extensions(vee, {0: 1, 2: 0}, chain2) == ()
+    assert anchored_extensions(vee, {0: 1}, chain2) == ((1, 0, 1), (1, 1, 1))
 
 
 def test_is_order_isomorphism(vee):

@@ -223,6 +223,10 @@ def test_relabel_and_isomorphism(vee):
     assert find_isomorphism(chain(2), chain(3)) is None
 
 
+def test_find_isomorphism_on_a_long_chain(shallow_recursion):
+    assert find_isomorphism(chain(400), chain(400)) == tuple(range(400))
+
+
 @given(posets(max_n=5), st.randoms(use_true_random=False))
 def test_relabel_round_trip(poset, rng):
     perm = list(range(poset.n))

@@ -12,6 +12,7 @@ from smyth.suite import (
     PROPERTIES,
     SUITE_GROUPS,
     check_payload,
+    prop_extension_minimality,
 )
 
 
@@ -154,3 +155,11 @@ def test_fixture_docs_shape():
     assert len(FIXTURE_DOCS) == 4
     assert [doc["n"] for doc in FIXTURE_DOCS] == [3, 2, 3, 16]
     assert FIXTURE_DOCS[3]["expect"]["point_count"] == 69
+
+
+def test_extension_minimality_skips_a_wide_antichain():
+    report = prop_extension_minimality({"n": 10, "covers": []})
+    assert report.verdict == SKIPPED
+    assert report.reason == (
+        "enumeration over budget: more than 4096 anchored extensions"
+    )
