@@ -63,6 +63,15 @@ class FinitePoset:
     ``up[i]`` is the mask of every ``j`` with ``i <= j`` and ``down[i]``
     the mask of every ``j`` with ``j <= i``.  Keeping both directions
     makes the two closure operators plain OR-folds over rows.
+
+    Construction accepts exactly the rows where ``up`` is a partial order
+    and ``down`` is its transpose: every row stays within ``range(n)``,
+    ``up`` is reflexive, ``up[i] & down[i]`` is ``{i}`` alone
+    (antisymmetry, else CycleError), and ``_check_rows`` rebuilds each
+    row from the rows of a few picked members (transitivity and the
+    transpose, else ValueError).  When indices follow a linear extension
+    or its reverse, the picks are exactly the covers, so the check costs
+    a few big-integer operations per cover edge, not per comparable pair.
     """
 
     n: int
@@ -90,11 +99,8 @@ class FinitePoset:
                     f"elements {i} and {next(iter_bits(meet ^ (1 << i)))} "
                     "are each below the other"
                 )
-            for j in iter_bits(self.up[i]):
-                if self.up[j] & ~self.up[i]:
-                    raise ValueError(f"relation is not transitive above {i}")
-                if not self.down[j] >> i & 1:
-                    raise ValueError("down rows are not the transpose of up rows")
+        _check_rows(self.up, self.down, "above")
+        _check_rows(self.down, self.up, "below")
 
     @classmethod
     def from_cover_relations(
@@ -107,7 +113,7 @@ class FinitePoset:
 
         The pairs may be covers or any generating relations; the
         reflexive-transitive closure is applied.  Cyclic input raises
-        CycleError.
+        CycleError from the constructor's antisymmetry check.
         """
         if n < 1:
             raise RangeError(f"a poset needs at least one element, got n={n}")
@@ -122,10 +128,6 @@ class FinitePoset:
             for i in range(n):
                 if up[i] & bit_k:
                     up[i] |= row_k
-        for i in range(n):
-            for j in iter_bits(up[i] & ~(1 << i)):
-                if up[j] >> i & 1:
-                    raise CycleError(f"elements {i} and {j} are each below the other")
         down = [0] * n
         for i in range(n):
             for j in iter_bits(up[i]):
@@ -157,6 +159,44 @@ class FinitePoset:
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
+
+
+_NOT_TRANSPOSE = "down rows are not the transpose of up rows"
+
+
+def _check_rows(rows: tuple[int, ...], other: tuple[int, ...], side: str) -> None:
+    """Rebuild each row as ``{i}`` plus the rows of picked members.
+
+    The member picked next is the remaining one nearest ``i``: the lowest
+    index above ``i``, else the highest below.  Each pick ``j`` must list
+    ``i`` in ``other[j]``, and the picked rows must not reach outside
+    ``rows[i]``.  The picks form a relation whose reflexive-transitive
+    closure is ``rows``; a cycle in it would put two elements into one
+    ``up[j] & down[j]``, which the constructor has already ruled out.  So
+    ``rows`` is a partial order, and run both ways round the check also
+    makes ``other`` its transpose.  Any pick would do; the nearest one is
+    a cover whenever indices follow a linear extension or its reverse.
+    """
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        below = row & (bit - 1)
+        above = row ^ below ^ bit
+        reached = bit
+        while above:
+            j = (above & -above).bit_length() - 1
+            if not other[j] & bit:
+                raise ValueError(_NOT_TRANSPOSE)
+            reached |= rows[j]
+            above &= ~rows[j]
+        below &= ~reached
+        while below:
+            j = below.bit_length() - 1
+            if not other[j] & bit:
+                raise ValueError(_NOT_TRANSPOSE)
+            reached |= rows[j]
+            below &= ~rows[j]
+        if reached != row:
+            raise ValueError(f"relation is not transitive {side} {i}")
 
 
 def check_subset(poset: FinitePoset, subset: int) -> int:

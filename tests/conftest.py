@@ -36,6 +36,25 @@ def down_sets_by_filter(poset: FinitePoset) -> list[int]:
     return [mask for mask in range(1 << poset.n) if is_down_set(poset, mask)]
 
 
+def order_transpose(n: int, up: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The transpose of ``up`` if it is a partial order on ``range(n)``, else None.
+
+    The definitional oracle for ``FinitePoset`` validation: the rows are
+    read as a set of pairs and checked for range, reflexivity,
+    antisymmetry and transitivity pair by pair.
+    """
+    if any(row >> n for row in up):
+        return None
+    leq = {(i, j) for i in range(n) for j in range(n) if up[i] >> j & 1}
+    if any((i, i) not in leq for i in range(n)):
+        return None
+    if any(i != j and (j, i) in leq for i, j in leq):
+        return None
+    if any((i, k) not in leq for i, j in leq for j2, k in leq if j == j2):
+        return None
+    return tuple(sum(1 << i for i in range(n) if (i, j) in leq) for j in range(n))
+
+
 @pytest.fixture
 def shallow_recursion():
     """Cap the interpreter stack a few hundred frames above the current depth.

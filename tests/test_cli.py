@@ -184,6 +184,12 @@ def test_iterate_truncated(tmp_path, capsys):
     assert "capacity" in captured.err
 
 
+def test_iterate_fourth_stage(tmp_path, capsys):
+    path = write_payload(tmp_path, FIXTURE_DOCS[2], "discrete3.json")
+    assert main(["iterate", path, "--k", "4"]) == 0
+    assert capsys.readouterr().out == "sizes: 3 7 18 81 8569\n"
+
+
 def test_stats(tmp_path, capsys):
     assert main(["stats", chain2_file(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,8 @@
 """Core order structure: construction, closures, sups, enumeration."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,8 @@ from smyth import (
     CycleError,
     FinitePoset,
     RangeError,
+    SmythError,
+    build,
     dimension,
     down_closure,
     enumerate_down_sets,
@@ -17,6 +22,7 @@ from smyth import (
     is_up_set,
     linear_extension,
     order_dual,
+    random_poset,
     sup,
     up_closure,
 )
@@ -40,6 +46,7 @@ from conftest import (
     chain,
     diamond_poset,
     down_sets_by_filter,
+    order_transpose,
     posets,
     subsets,
     vee_poset,
@@ -91,6 +98,45 @@ def test_direct_construction_validation():
             up=(0b011, 0b110, 0b100),
             down=(0b001, 0b011, 0b110),
         )
+    with pytest.raises(ValueError):
+        # up is the antichain but down says 0 <= 1
+        FinitePoset(2, up=(0b01, 0b10), down=(0b01, 0b11))
+
+
+def test_validation_matches_definition():
+    """Every pair of row tuples on up to 3 elements, against the oracle."""
+    for n in (1, 2, 3):
+        rows = list(product(range(1 << n), repeat=n))
+        for up in rows:
+            transpose = order_transpose(n, up)
+            for down in rows:
+                try:
+                    FinitePoset(n, up, down)
+                    accepted = True
+                except (ValueError, SmythError):
+                    accepted = False
+                assert accepted == (down == transpose), (n, up, down)
+
+
+def test_validation_on_large_relabeled_order():
+    """A 575-point powerdomain order renumbered off its linear extension."""
+    order = build(random_poset(12, 1)).order
+    rng = random.Random(5)
+    image = list(range(order.n))
+    rng.shuffle(image)
+    shuffled = relabel(order, tuple(image))
+    assert shuffled.n == 575
+    assert FinitePoset(shuffled.n, shuffled.up, shuffled.down) == shuffled
+    for _ in range(3):
+        i, j = rng.sample(range(shuffled.n), 2)
+        up = list(shuffled.up)
+        up[i] ^= 1 << j
+        with pytest.raises((ValueError, SmythError)):
+            FinitePoset(shuffled.n, tuple(up), shuffled.down)
+        down = list(shuffled.down)
+        down[i] ^= 1 << j
+        with pytest.raises((ValueError, SmythError)):
+            FinitePoset(shuffled.n, shuffled.up, tuple(down))
 
 
 def test_mask_helpers():
