@@ -38,9 +38,10 @@ from .report import CheckReport, failed, passed
 class MonotoneMap:
     """A map ``source -> target`` given by its image tuple.
 
-    Monotonicity is validated eagerly; use ``unchecked`` for an image
-    that is monotone by construction, or to carry a raw assignment (for
-    example to feed is_spectral a bad one).
+    Monotonicity is validated eagerly, on each cover edge of the source;
+    use ``unchecked`` for an image that is monotone by construction, or
+    to carry a raw assignment (for example to feed is_spectral a bad
+    one).
     """
 
     source: FinitePoset
@@ -77,11 +78,21 @@ class MonotoneMap:
 
 
 def _monotonicity_violation(f: MonotoneMap) -> tuple[int, int] | None:
-    for x in range(f.source.n):
-        fx_up = f.target.up[f.image[x]]
-        for y in iter_bits(f.source.up[x]):
-            if not fx_up >> f.image[y] & 1:
+    """A cover ``x < y`` of the source whose images are unordered, or None.
+
+    Covers suffice: every comparable pair is joined by a chain of covers,
+    and the target order is transitive.
+    """
+    target_up = f.target.up
+    image = f.image
+    for x, covers in enumerate(f.source.upper_covers):
+        fx_up = target_up[image[x]]
+        while covers:
+            low = covers & -covers
+            y = low.bit_length() - 1
+            if not fx_up >> image[y] & 1:
                 return x, y
+            covers ^= low
     return None
 
 
@@ -102,8 +113,8 @@ def is_spectral(f: MonotoneMap, capacity: int | None = None) -> bool:
     """Whether preimages of down-sets are down-sets.
 
     This is the direct topological reading; for finite posets it agrees
-    with monotonicity, which is the cheap pairwise test the constructor
-    applies.
+    with monotonicity, which the constructor tests cheaply on each cover
+    edge of the source.
     """
     for omega in enumerate_down_sets(f.target, True, capacity):
         preimage = mask_of(
@@ -143,28 +154,36 @@ def _serialize_pair(f: MonotoneMap) -> dict:
     return doc
 
 
-def check_functor_laws(
+def _functor_law_violation(
     f: MonotoneMap, g: MonotoneMap, capacity: int | None = None
-) -> CheckReport:
-    """Composition and identity laws of the powerdomain construction."""
-    prop = "functor-laws"
+) -> dict | None:
+    """The details of the first functor law that ``f``, ``g`` break, or None."""
     if f.target != g.source:
         raise CompositionMismatchError("maps do not compose")
-    instance = {"f": _serialize_pair(f), "g": _serialize_pair(g)}
     lifted_composite = powerdomain_map(compose(g, f), capacity)
     composite_lifted = compose(powerdomain_map(g, capacity),
                                powerdomain_map(f, capacity))
     if lifted_composite != composite_lifted:
-        return failed(prop, instance, law="composition",
-                      expected=list(lifted_composite.image),
-                      got=list(composite_lifted.image))
-    for poset in (f.source, f.target, g.target):
+        return {"law": "composition", "expected": list(lifted_composite.image),
+                "got": list(composite_lifted.image)}
+    for poset in dict.fromkeys((f.source, f.target, g.target)):
         lifted_identity = powerdomain_map(identity(poset), capacity)
         space = lifted_identity.source
         if (lifted_identity.target != space
                 or lifted_identity.image != tuple(range(space.n))):
-            return failed(prop, instance, law="identity", n=poset.n)
-    return passed(prop, instance)
+            return {"law": "identity", "n": poset.n}
+    return None
+
+
+def check_functor_laws(
+    f: MonotoneMap, g: MonotoneMap, capacity: int | None = None
+) -> CheckReport:
+    """Composition and identity laws of the powerdomain construction."""
+    violation = _functor_law_violation(f, g, capacity)
+    instance = {"f": _serialize_pair(f), "g": _serialize_pair(g)}
+    if violation is not None:
+        return failed("functor-laws", instance, **violation)
+    return passed("functor-laws", instance)
 
 
 class MonotoneRule:
@@ -281,14 +300,17 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport
 
 
 def is_order_isomorphism(f: MonotoneMap) -> bool:
-    """Bijective and order-reflecting in both directions."""
+    """Bijective and order-reflecting in both directions.
+
+    A bijection is an order-isomorphism exactly when it carries each up
+    row of the source onto the up row of the image.
+    """
     if f.source.n != f.target.n or len(set(f.image)) != f.source.n:
         return False
-    for x in range(f.source.n):
-        for y in range(f.source.n):
-            if f.source.leq(x, y) != f.target.leq(f.image[x], f.image[y]):
-                return False
-    return True
+    return all(
+        f.image_mask(row) == f.target.up[f.image[x]]
+        for x, row in enumerate(f.source.up)
+    )
 
 
 def lift_homeomorphism(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, CycleError, RangeError
@@ -112,26 +113,28 @@ class FinitePoset:
         """Poset generated by ``i <= j`` for each pair ``(i, j)``.
 
         The pairs may be covers or any generating relations; the
-        reflexive-transitive closure is applied.  Cyclic input raises
-        CycleError from the constructor's antisymmetry check.
+        reflexive-transitive closure is applied to them and, for the
+        ``down`` rows, to their converse: each element's row is folded
+        into every row whose column holds it, n**2 big-integer tests per
+        direction.  Cyclic input raises CycleError from the constructor's
+        antisymmetry check.
         """
         if n < 1:
             raise RangeError(f"a poset needs at least one element, got n={n}")
         up = [1 << i for i in range(n)]
+        down = list(up)
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise RangeError(f"relation ({i}, {j}) is out of range for n={n}")
             up[i] |= 1 << j
-        for k in range(n):
-            row_k = up[k]
-            bit_k = 1 << k
-            for i in range(n):
-                if up[i] & bit_k:
-                    up[i] |= row_k
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                down[j] |= 1 << i
+            down[j] |= 1 << i
+        for rows in (up, down):
+            for k in range(n):
+                row_k = rows[k]
+                bit_k = 1 << k
+                for i in range(n):
+                    if rows[i] & bit_k:
+                        rows[i] |= row_k
         label_tuple = None if labels is None else tuple(labels)
         return cls(n, tuple(up), tuple(down), label_tuple)
 
@@ -146,16 +149,44 @@ class FinitePoset:
             raise RangeError(f"({i}, {j}) is out of range for n={self.n}")
         return bool(self.up[i] >> j & 1)
 
+    @cached_property
+    def upper_covers(self) -> tuple[int, ...]:
+        """``upper_covers[i]`` is the mask of the elements covering ``i``.
+
+        Computed once per poset.  The covers of ``i`` are the minimal
+        members of ``up[i]`` minus ``i``: each round takes the lowest
+        remaining index, steps down to the highest remaining index below
+        it until nothing remaining lies below, records that cover and
+        drops everything above it.  Only up-sets are dropped, so every
+        member of ``up[i]`` below a remaining one remains, and a minimal
+        remaining member is a cover.  When indices follow a linear
+        extension or its reverse, each round takes at most one step
+        down, so the cost is a few big-integer operations per cover edge.
+        """
+        up, down = self.up, self.down
+        covers = []
+        for i, row in enumerate(up):
+            remaining = row ^ (1 << i)
+            found = 0
+            while remaining:
+                j = (remaining & -remaining).bit_length() - 1
+                below = down[j] & remaining
+                while below != 1 << j:
+                    j = (below ^ (1 << j)).bit_length() - 1
+                    below = down[j] & remaining
+                found |= 1 << j
+                remaining &= ~up[j]
+            covers.append(found)
+        return tuple(covers)
+
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The covering pairs ``(i, j)``: ``i < j`` with nothing between."""
-        pairs = []
-        for i in range(self.n):
-            strictly_above = self.up[i] & ~(1 << i)
-            for j in iter_bits(strictly_above):
-                between = strictly_above & self.down[j] & ~(1 << j)
-                if not between:
-                    pairs.append((i, j))
-        return tuple(pairs)
+        """The covering pairs ``(i, j)``: ``i < j`` with nothing between.
+
+        Sorted by ``i`` and then ``j``; read off ``upper_covers``.
+        """
+        return tuple(
+            (i, j) for i, mask in enumerate(self.upper_covers) for j in iter_bits(mask)
+        )
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
@@ -363,16 +394,28 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
 
 
 def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:
-    """Transport the order along a bijection ``i -> image[i]``."""
+    """Transport the order along a bijection ``i -> image[i]``.
+
+    The new rows are closed over the relabeled covers, one big-integer
+    OR per cover edge and direction.
+    """
     if sorted(image) != list(range(poset.n)):
         raise RangeError("relabeling is not a bijection on range(n)")
+    # Ascending down-row size is a linear extension: rows are closed over
+    # the covers, up rows from the top and down rows from the bottom.
+    order = sorted(range(poset.n), key=lambda i: poset.down[i].bit_count())
+    covers = poset.upper_covers
     up = [0] * poset.n
-    for i in range(poset.n):
-        up[image[i]] = mask_of(image[j] for j in iter_bits(poset.up[i]))
-    down = [0] * poset.n
-    for i in range(poset.n):
-        for j in iter_bits(up[i]):
-            down[j] |= 1 << i
+    for i in reversed(order):
+        row = 1 << image[i]
+        for j in iter_bits(covers[i]):
+            row |= up[image[j]]
+        up[image[i]] = row
+    down = [1 << k for k in range(poset.n)]
+    for i in order:
+        row = down[image[i]]
+        for j in iter_bits(covers[i]):
+            down[image[j]] |= row
     labels = None
     if poset.labels is not None:
         relabeled = [""] * poset.n

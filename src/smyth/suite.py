@@ -24,6 +24,7 @@ from .errors import CapacityError, RangeError, SigmaUndefinedError
 from .generators import all_monotone_images, all_posets, random_monotone_map, random_poset
 from .maps import (
     MonotoneMap,
+    _functor_law_violation,
     anchored_extensions,
     check_functor_laws,
     check_minimality,
@@ -147,10 +148,10 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
     return passed(prop, payload)
 
 
-def _endo_pairs(poset: FinitePoset, payload: dict) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _endo_images(poset: FinitePoset, payload: dict) -> list[tuple[int, ...]]:
+    """The distinct endomap images to pair up, in first-drawn order."""
     if poset.n <= 3:
-        images = all_monotone_images(poset, poset)
-        return [(f, g) for f in images for g in images]
+        return list(all_monotone_images(poset, poset))
     rng = random.Random(_instance_seed(payload))
     maps: list[tuple[int, ...]] = []
     attempts = 0
@@ -159,19 +160,22 @@ def _endo_pairs(poset: FinitePoset, payload: dict) -> list[tuple[tuple[int, ...]
         drawn = random_monotone_map(poset, poset, rng)
         if drawn is not None:
             maps.append(drawn.image)
-    return [(f, g) for f in maps for g in maps]
+    return list(dict.fromkeys(maps))
 
 
 def prop_functor_laws(payload: dict) -> CheckReport:
-    """Composition and identity survive the powerdomain construction."""
+    """Composition and identity survive the powerdomain construction.
+
+    Each image is validated once; only the first failing pair is
+    serialized, by ``check_functor_laws``.
+    """
     prop = "functor-laws"
     poset = _poset_of(payload)
-    for f_img, g_img in _endo_pairs(poset, payload):
-        f = MonotoneMap(poset, poset, f_img)
-        g = MonotoneMap(poset, poset, g_img)
-        report = check_functor_laws(f, g)
-        if not report.ok:
-            return _with_instance(report, payload)
+    maps = [MonotoneMap(poset, poset, image) for image in _endo_images(poset, payload)]
+    for f in maps:
+        for g in maps:
+            if _functor_law_violation(f, g) is not None:
+                return _with_instance(check_functor_laws(f, g), payload)
     return passed(prop, payload)
 
 

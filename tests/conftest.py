@@ -6,8 +6,9 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from smyth import FinitePoset, is_down_set
+from smyth import FinitePoset, MonotoneMap, is_down_set
 from smyth.generators import random_poset
+from smyth.poset import iter_bits, mask_of
 
 
 def vee_poset() -> FinitePoset:
@@ -53,6 +54,70 @@ def order_transpose(n: int, up: tuple[int, ...]) -> tuple[int, ...] | None:
     if any((i, k) not in leq for i, j in leq for j2, k in leq if j == j2):
         return None
     return tuple(sum(1 << i for i in range(n) if (i, j) in leq) for j in range(n))
+
+
+def cover_pairs_by_definition(poset: FinitePoset) -> tuple[tuple[int, int], ...]:
+    """Every comparable pair ``i < j`` with nothing strictly between.  The oracle."""
+    pairs = []
+    for i in range(poset.n):
+        strictly_above = poset.up[i] & ~(1 << i)
+        for j in iter_bits(strictly_above):
+            if not strictly_above & poset.down[j] & ~(1 << j):
+                pairs.append((i, j))
+    return tuple(pairs)
+
+
+def monotonicity_violation_by_pairs(f: MonotoneMap) -> tuple[int, int] | None:
+    """The first comparable pair whose images are unordered.  The pair-scan oracle."""
+    for x in range(f.source.n):
+        fx_up = f.target.up[f.image[x]]
+        for y in iter_bits(f.source.up[x]):
+            if not fx_up >> f.image[y] & 1:
+                return x, y
+    return None
+
+
+def is_order_isomorphism_by_pairs(f: MonotoneMap) -> bool:
+    """Bijective, and ``x <= y`` exactly when ``f(x) <= f(y)``.  The oracle."""
+    if f.source.n != f.target.n or len(set(f.image)) != f.source.n:
+        return False
+    return all(
+        f.source.leq(x, y) == f.target.leq(f.image[x], f.image[y])
+        for x in range(f.source.n)
+        for y in range(f.source.n)
+    )
+
+
+def relabeled_rows_by_pairs(
+    poset: FinitePoset, image: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``(up, down)`` rows of ``poset`` moved along ``image``, pair by pair."""
+    up = [0] * poset.n
+    for i in range(poset.n):
+        up[image[i]] = mask_of(image[j] for j in iter_bits(poset.up[i]))
+    down = [0] * poset.n
+    for i in range(poset.n):
+        for j in iter_bits(up[i]):
+            down[j] |= 1 << i
+    return tuple(up), tuple(down)
+
+
+def closed_rows_by_pairs(
+    n: int, pairs: list[tuple[int, int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The closure of ``pairs`` as up rows, and down rows by transposing them."""
+    up = [1 << i for i in range(n)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    down = [0] * n
+    for i in range(n):
+        for j in iter_bits(up[i]):
+            down[j] |= 1 << i
+    return tuple(up), tuple(down)
 
 
 @pytest.fixture

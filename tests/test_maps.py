@@ -21,18 +21,27 @@ from smyth import (
     lift_homeomorphism,
     powerdomain_map,
 )
-from smyth.generators import random_monotone_map, random_poset
+from smyth import maps
+from smyth.generators import all_posets, random_monotone_map, random_poset
 from smyth.maps import (
     _monotonicity_violation,
     anchored_extensions,
     is_order_isomorphism,
 )
-from smyth.poset import induced, iter_bits, relabel
+from smyth.poset import find_isomorphism, induced, iter_bits, relabel
 
-from conftest import antichain, chain, posets, subsets, vee_poset
+from conftest import (
+    antichain,
+    chain,
+    is_order_isomorphism_by_pairs,
+    monotonicity_violation_by_pairs,
+    posets,
+    subsets,
+    vee_poset,
+)
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 
 def worked_map():
@@ -143,6 +152,28 @@ def test_functor_laws_need_composability(vee, chain2):
         check_functor_laws(f, f)
 
 
+@pytest.mark.parametrize("broken", [0, 1, 2])
+def test_identity_law_covers_every_poset(monkeypatch, broken):
+    """The identity law is checked on the source, middle and target posets:
+    breaking the lifted identity of any one of them fails the law there."""
+    trio = (vee_poset(), chain(2), antichain(2))
+    f = MonotoneMap(trio[0], trio[1], (0, 0, 1))
+    g = MonotoneMap(trio[1], trio[2], (1, 1))
+    original = maps._powerdomain_map
+
+    def breaking(h, capacity):
+        lifted = original(h, capacity)
+        if h != identity(trio[broken]):
+            return lifted
+        return MonotoneMap.unchecked(lifted.source, lifted.target, lifted.image[::-1])
+
+    assert check_functor_laws(f, g).ok
+    monkeypatch.setattr(maps, "_powerdomain_map", breaking)
+    report = check_functor_laws(f, g)
+    assert report.witness["law"] == "identity"
+    assert report.witness["n"] == trio[broken].n
+
+
 def test_extensions_worked_example():
     f = worked_map()
     exts = enumerate_extensions(f)
@@ -226,6 +257,43 @@ def test_is_order_isomorphism(vee):
     assert is_order_isomorphism(f)
     assert not is_order_isomorphism(worked_map())
     assert is_order_isomorphism(identity(vee))
+
+
+def test_is_order_isomorphism_matches_pairwise():
+    """From one poset of each isomorphism class with up to 4 elements onto
+    every labeled poset of its size: every assignment for up to 3
+    elements, every bijection for 4."""
+    for n in range(1, 5):
+        classes: list = []
+        for poset in all_posets(n):
+            if all(find_isomorphism(rep, poset) is None for rep in classes):
+                classes.append(poset)
+        for source in classes:
+            for target in all_posets(n):
+                images = permutations(range(n)) if n == 4 else product(range(n), repeat=n)
+                for image in images:
+                    f = MonotoneMap.unchecked(source, target, image)
+                    assert is_order_isomorphism(f) == is_order_isomorphism_by_pairs(f)
+
+
+def test_cover_monotonicity_matches_pair_scan():
+    """Every assignment between posets with up to 3 elements: the per-cover
+    check accepts exactly what the pair scan accepts, and any pair it
+    returns is comparable in the source with unordered images."""
+    small = [p for n in range(1, 4) for p in all_posets(n)]
+    for source in small:
+        for target in small:
+            for image in product(range(target.n), repeat=source.n):
+                raw = MonotoneMap.unchecked(source, target, image)
+                violation = _monotonicity_violation(raw)
+                assert (violation is None) == (monotonicity_violation_by_pairs(raw) is None)
+                if violation is None:
+                    MonotoneMap(source, target, image)
+                    continue
+                x, y = violation
+                assert source.leq(x, y) and not target.leq(image[x], image[y])
+                with pytest.raises(NotSpectralError):
+                    MonotoneMap(source, target, image)
 
 
 def test_lift_homeomorphism_round_trip(vee):

@@ -4,16 +4,20 @@ import json
 
 import pytest
 
-from smyth import CheckReport, RangeError, replay, run_suite
+from smyth import CheckReport, MonotoneMap, RangeError, check_functor_laws, maps, replay, run_suite
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
     FIXTURE_DOCS,
     PER_POSET_PROPERTIES,
     PROPERTIES,
     SUITE_GROUPS,
+    _with_instance,
     check_payload,
     prop_extension_minimality,
+    prop_functor_laws,
 )
+
+from conftest import antichain
 
 
 def test_report_validation():
@@ -163,3 +167,30 @@ def test_extension_minimality_skips_a_wide_antichain():
     assert report.reason == (
         "enumeration over budget: more than 4096 anchored extensions"
     )
+
+
+@pytest.mark.parametrize("corrupted, f_image, g_image, law", [
+    ((0, 1, 2), (0, 0, 0), (0, 0, 0), "identity"),
+    ((2, 2, 2), (0, 0, 0), (2, 0, 0), "composition"),
+])
+def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, law):
+    """With the lifted map of one base map corrupted, the suite's report is
+    ``check_functor_laws`` on the first failing pair, rebound to the payload."""
+    original = maps._powerdomain_map
+
+    def corrupting(f, capacity):
+        lifted = original(f, capacity)
+        if f.image != corrupted:
+            return lifted
+        image = lifted.image[:-1] + (0,)
+        return MonotoneMap.unchecked(lifted.source, lifted.target, image)
+
+    monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
+    payload = {"n": 3, "covers": []}
+    report = prop_functor_laws(payload)
+    poset = antichain(3)
+    f = MonotoneMap(poset, poset, f_image)
+    g = MonotoneMap(poset, poset, g_image)
+    assert report == _with_instance(check_functor_laws(f, g), payload)
+    assert report.witness["law"] == law
+    assert report.witness["instance"] == payload

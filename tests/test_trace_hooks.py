@@ -1,0 +1,34 @@
+"""The names the benchmark's tracer rebinds exist with the shape it expects.
+
+``bench/tracing.py`` wraps functions and methods by name and reads lru
+cache statistics; a renamed or reshaped target breaks a traced run
+(``python3 bench/run.py --trace 1``) without failing any other test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import smyth.cli  # noqa: F401  (loads every submodule the tracer wraps)
+from smyth import generators, maps, powerdomain
+from smyth.poset import FinitePoset
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_traced_names_exist():
+    for cached in (maps._powerdomain_map, powerdomain._build, generators.all_posets):
+        assert callable(cached.cache_info)
+    assert callable(maps.check_functor_laws)
+    assert "cover_pairs" in FinitePoset.__dict__
+
+    spec = importlib.util.spec_from_file_location("trace_hooks_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attribute, *_ in tracing.SPANNED + tracing.COUNTED:
+        module = importlib.import_module(f"smyth.{module_name}")
+        owner, _, method = attribute.partition(".")
+        if method:
+            assert callable(vars(getattr(module, owner))[method]), attribute
+        else:
+            assert callable(getattr(module, attribute)), attribute
