@@ -22,7 +22,6 @@ from .errors import (
 )
 from .poset import (
     FinitePoset,
-    down_closure,
     enumerate_down_sets,
     is_down_set,
     iter_bits,
@@ -127,15 +126,29 @@ def is_spectral(f: MonotoneMap, capacity: int | None = None) -> bool:
 
 @lru_cache(maxsize=None)
 def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
+    """The induced map, folded over the rows of the target.
+
+    ``lift[x]`` is the down row of ``f(x)`` in the target, so the down
+    closure of the image of a point is the OR of ``lift`` over its
+    members: one big-integer OR per member and one ``point_index``
+    lookup per point.  The result is validated like any other map.
+    """
     if _monotonicity_violation(f) is not None:
         raise NotSpectralError("the assignment is not monotone")
     source_space = build(f.source, capacity)
     target_space = build(f.target, capacity)
-    image = tuple(
-        target_space.point_index[down_closure(f.target, f.image_mask(member))]
-        for member in source_space.points
-    )
-    return MonotoneMap(source_space.order, target_space.order, image)
+    target_down = f.target.down
+    lift = [target_down[value] for value in f.image]
+    point_index = target_space.point_index
+    image = []
+    for member in source_space.points:
+        closed = 0
+        while member:
+            low = member & -member
+            closed |= lift[low.bit_length() - 1]
+            member ^= low
+        image.append(point_index[closed])
+    return MonotoneMap(source_space.order, target_space.order, tuple(image))
 
 
 def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
@@ -154,24 +167,46 @@ def _serialize_pair(f: MonotoneMap) -> dict:
     return doc
 
 
-def _functor_law_violation(
-    f: MonotoneMap, g: MonotoneMap, capacity: int | None = None
+def _composition_violation(
+    f: MonotoneMap, g: MonotoneMap, capacity: int
 ) -> dict | None:
-    """The details of the first functor law that ``f``, ``g`` break, or None."""
-    if f.target != g.source:
-        raise CompositionMismatchError("maps do not compose")
+    """The details of the composition law if ``f``, ``g`` break it, or None."""
     lifted_composite = powerdomain_map(compose(g, f), capacity)
     composite_lifted = compose(powerdomain_map(g, capacity),
                                powerdomain_map(f, capacity))
     if lifted_composite != composite_lifted:
         return {"law": "composition", "expected": list(lifted_composite.image),
                 "got": list(composite_lifted.image)}
+    return None
+
+
+def _identity_violation(poset: FinitePoset, capacity: int) -> dict | None:
+    """The details of the identity law if ``poset`` breaks it, or None."""
+    lifted_identity = powerdomain_map(identity(poset), capacity)
+    space = lifted_identity.source
+    if (lifted_identity.target != space
+            or lifted_identity.image != tuple(range(space.n))):
+        return {"law": "identity", "n": poset.n}
+    return None
+
+
+def _functor_law_violation(
+    f: MonotoneMap, g: MonotoneMap, capacity: int | None = None
+) -> dict | None:
+    """The details of the first functor law that ``f``, ``g`` break, or None.
+
+    Composition first, then identity on the source, middle and target.
+    """
+    if f.target != g.source:
+        raise CompositionMismatchError("maps do not compose")
+    capacity = resolve_capacity(capacity)
+    violation = _composition_violation(f, g, capacity)
+    if violation is not None:
+        return violation
     for poset in dict.fromkeys((f.source, f.target, g.target)):
-        lifted_identity = powerdomain_map(identity(poset), capacity)
-        space = lifted_identity.source
-        if (lifted_identity.target != space
-                or lifted_identity.image != tuple(range(space.n))):
-            return {"law": "identity", "n": poset.n}
+        violation = _identity_violation(poset, capacity)
+        if violation is not None:
+            return violation
     return None
 
 
@@ -189,9 +224,10 @@ def check_functor_laws(
 class MonotoneRule:
     """The consistency rule of the monotone-map search.
 
-    Points of the source are placed along a linear extension, so when a
-    point comes up every element below it already has its image.  Its
-    allowed values are those above the images of its lower covers and
+    Points of the source are placed along its cached linear extension,
+    so when a point comes up every element below it already has its
+    image.  Its allowed values are those above the images of its lower
+    covers (read off the source's cached ``lower_covers`` masks) and
     below the value of every anchor at or above it; an anchor itself
     allows only its own value.  Inconsistent anchors leave some point
     with nothing allowed.
@@ -201,9 +237,7 @@ class MonotoneRule:
         self, source: FinitePoset, anchors: dict[int, int], target: FinitePoset
     ) -> None:
         self.order = linear_extension(source)
-        self.lower_covers: list[list[int]] = [[] for _ in range(source.n)]
-        for below, above in source.cover_pairs():
-            self.lower_covers[above].append(below)
+        self.lower_covers = source.lower_covers
         self.ceiling = [target.full] * source.n
         for anchor, value in anchors.items():
             for x in iter_bits(source.down[anchor]):
@@ -214,8 +248,11 @@ class MonotoneRule:
     def allowed(self, x: int, image: list[int]) -> int:
         """Mask of the values ``x`` may take given the images below it."""
         mask = self.ceiling[x]
-        for c in self.lower_covers[x]:
-            mask &= self.target_up[image[c]]
+        covers = self.lower_covers[x]
+        while covers:
+            low = covers & -covers
+            mask &= self.target_up[image[low.bit_length() - 1]]
+            covers ^= low
         return mask
 
 
@@ -279,24 +316,32 @@ def enumerate_extensions(
     )
 
 
-def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport:
-    """The induced map is the pointwise-least extension of ``f``."""
-    prop = "extension-minimality"
-    instance = _serialize_pair(f)
+def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
+    """The details of the first minimality law ``f`` breaks, or None."""
+    capacity = resolve_capacity(capacity)
     induced_map = powerdomain_map(f, capacity)
     source_space = build(f.source, capacity)
     target_space = build(f.target, capacity)
     extensions = enumerate_extensions(f, capacity)
     if induced_map not in extensions:
-        return failed(prop, instance, law="induced-map-is-an-extension")
+        return {"law": "induced-map-is-an-extension"}
     for candidate in extensions:
         for point in range(len(source_space.points)):
             small = target_space.points[induced_map.image[point]]
             big = target_space.points[candidate.image[point]]
             if small & ~big:
-                return failed(prop, instance, law="pointwise-least",
-                              point=point, candidate=list(candidate.image))
-    return passed(prop, instance)
+                return {"law": "pointwise-least", "point": point,
+                        "candidate": list(candidate.image)}
+    return None
+
+
+def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport:
+    """The induced map is the pointwise-least extension of ``f``."""
+    violation = _minimality_violation(f, capacity)
+    instance = _serialize_pair(f)
+    if violation is not None:
+        return failed("extension-minimality", instance, **violation)
+    return passed("extension-minimality", instance)
 
 
 def is_order_isomorphism(f: MonotoneMap) -> bool:

@@ -138,6 +138,14 @@ class FinitePoset:
         label_tuple = None if labels is None else tuple(labels)
         return cls(n, tuple(up), tuple(down), label_tuple)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once per poset."""
+        return hash((self.n, self.up, self.down, self.labels))
+
     @property
     def full(self) -> int:
         """Mask of all elements."""
@@ -178,6 +186,41 @@ class FinitePoset:
                 remaining &= ~up[j]
             covers.append(found)
         return tuple(covers)
+
+    @cached_property
+    def lower_covers(self) -> tuple[int, ...]:
+        """``lower_covers[j]`` is the mask of the elements ``j`` covers.
+
+        Computed once per poset, as the transpose of ``upper_covers``:
+        one big-integer OR per cover edge.
+        """
+        covers = [0] * self.n
+        for i, mask in enumerate(self.upper_covers):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                covers[low.bit_length() - 1] |= bit
+                mask ^= low
+        return tuple(covers)
+
+    @cached_property
+    def _linear_extension(self) -> tuple[int, ...]:
+        down = self.down
+        remaining = self.full
+        out = []
+        while remaining:
+            scan = remaining
+            while scan:
+                low = scan & -scan
+                i = low.bit_length() - 1
+                if down[i] & remaining == low:
+                    out.append(i)
+                    remaining ^= low
+                    break
+                scan ^= low
+            else:
+                raise CycleError("no minimal element; relation is not a partial order")
+        return tuple(out)
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """The covering pairs ``(i, j)``: ``i < j`` with nothing between.
@@ -271,11 +314,24 @@ def order_dual(poset: FinitePoset) -> FinitePoset:
 
 
 def heights(poset: FinitePoset) -> tuple[int, ...]:
-    """Length of the longest chain strictly below each element."""
+    """Length of the longest chain strictly below each element.
+
+    Walks a linear extension and pushes each element's height plus one
+    to its upper covers, so the cost is per cover edge, not per
+    comparable pair: a longest chain below ``j`` ends in a cover of
+    ``j``, whose height is final by the time ``j`` comes up.
+    """
     result = [0] * poset.n
+    covers = poset.upper_covers
     for i in linear_extension(poset):
-        below = poset.down[i] & ~(1 << i)
-        result[i] = max((result[j] + 1 for j in iter_bits(below)), default=0)
+        above = result[i] + 1
+        mask = covers[i]
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            if result[j] < above:
+                result[j] = above
+            mask ^= low
     return tuple(result)
 
 
@@ -316,19 +372,10 @@ def binary_sup(poset: FinitePoset, i: int, j: int) -> int | None:
 def linear_extension(poset: FinitePoset) -> tuple[int, ...]:
     """A linear order refining the poset, smallest eligible index first.
 
-    Every prefix of the result is a down-set.
+    Every prefix of the result is a down-set.  Computed once per poset
+    and cached on it.
     """
-    remaining = poset.full
-    out = []
-    while remaining:
-        for i in iter_bits(remaining):
-            if poset.down[i] & remaining == 1 << i:
-                out.append(i)
-                remaining ^= 1 << i
-                break
-        else:
-            raise CycleError("no minimal element; relation is not a partial order")
-    return tuple(out)
+    return poset._linear_extension
 
 
 def is_chain(poset: FinitePoset) -> bool:

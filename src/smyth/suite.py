@@ -24,7 +24,9 @@ from .errors import CapacityError, RangeError, SigmaUndefinedError
 from .generators import all_monotone_images, all_posets, random_monotone_map, random_poset
 from .maps import (
     MonotoneMap,
-    _functor_law_violation,
+    _composition_violation,
+    _identity_violation,
+    _minimality_violation,
     anchored_extensions,
     check_functor_laws,
     check_minimality,
@@ -41,6 +43,7 @@ from .poset import (
     is_chain,
     iter_bits,
     relabel,
+    resolve_capacity,
 )
 from .powerdomain import (
     basic_open,
@@ -166,16 +169,21 @@ def _endo_images(poset: FinitePoset, payload: dict) -> list[tuple[int, ...]]:
 def prop_functor_laws(payload: dict) -> CheckReport:
     """Composition and identity survive the powerdomain construction.
 
-    Each image is validated once; only the first failing pair is
-    serialized, by ``check_functor_laws``.
+    Each image is validated once, the capacity is resolved once, and the
+    identity law is checked once, on the one poset every map lives on.
+    Only the first failing pair is serialized, by ``check_functor_laws``:
+    an identity failure fails every pair, so that pair is the first one.
     """
     prop = "functor-laws"
     poset = _poset_of(payload)
+    capacity = resolve_capacity(None)
     maps = [MonotoneMap(poset, poset, image) for image in _endo_images(poset, payload)]
+    if maps and _identity_violation(poset, capacity) is not None:
+        return _with_instance(check_functor_laws(maps[0], maps[0], capacity), payload)
     for f in maps:
         for g in maps:
-            if _functor_law_violation(f, g) is not None:
-                return _with_instance(check_functor_laws(f, g), payload)
+            if _composition_violation(f, g, capacity) is not None:
+                return _with_instance(check_functor_laws(f, g, capacity), payload)
     return passed(prop, payload)
 
 
@@ -184,18 +192,17 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
 
     Exercised against every monotone map into the two-element chain
     (the Sierpinski-valued maps); enumeration beyond the capacity is
-    reported as skipped, not guessed.
+    reported as skipped, not guessed.  Only the first failing map is
+    serialized, by ``check_minimality``.
     """
     prop = "extension-minimality"
     poset = _poset_of(payload)
     chain2 = FinitePoset.from_cover_relations(2, [(0, 1)])
     try:
         for image in all_monotone_images(poset, chain2):
-            report = check_minimality(
-                MonotoneMap(poset, chain2, image), MINIMALITY_CAPACITY
-            )
-            if not report.ok:
-                return _with_instance(report, payload)
+            f = MonotoneMap(poset, chain2, image)
+            if _minimality_violation(f, MINIMALITY_CAPACITY) is not None:
+                return _with_instance(check_minimality(f, MINIMALITY_CAPACITY), payload)
     except CapacityError as exc:
         return skipped(prop, payload, f"enumeration over budget: {exc}")
     return passed(prop, payload)

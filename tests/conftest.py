@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from smyth import FinitePoset, MonotoneMap, is_down_set
+from smyth import CycleError, FinitePoset, MonotoneMap, build, down_closure, is_down_set
 from smyth.generators import random_poset
 from smyth.poset import iter_bits, mask_of
 
@@ -75,6 +75,50 @@ def monotonicity_violation_by_pairs(f: MonotoneMap) -> tuple[int, int] | None:
             if not fx_up >> f.image[y] & 1:
                 return x, y
     return None
+
+
+def lower_covers_by_definition(poset: FinitePoset) -> tuple[int, ...]:
+    """The transpose of ``cover_pairs_by_definition``, as masks.  The oracle."""
+    covers = [0] * poset.n
+    for i, j in cover_pairs_by_definition(poset):
+        covers[j] |= 1 << i
+    return tuple(covers)
+
+
+def linear_extension_by_scan(poset: FinitePoset) -> tuple[int, ...]:
+    """Smallest eligible index first, rescanning from scratch.  The uncached oracle."""
+    remaining = poset.full
+    out = []
+    while remaining:
+        for i in iter_bits(remaining):
+            if poset.down[i] & remaining == 1 << i:
+                out.append(i)
+                remaining ^= 1 << i
+                break
+        else:
+            raise CycleError("no minimal element; relation is not a partial order")
+    return tuple(out)
+
+
+def heights_by_pairs(poset: FinitePoset) -> tuple[int, ...]:
+    """Longest chain below each element, a max over every element below.  The oracle."""
+    result = [0] * poset.n
+    for i in linear_extension_by_scan(poset):
+        below = poset.down[i] & ~(1 << i)
+        result[i] = max((result[j] + 1 for j in iter_bits(below)), default=0)
+    return tuple(result)
+
+
+def powerdomain_image_by_closure(f: MonotoneMap) -> tuple[int, ...]:
+    """The induced map's image, each point as the down-closure of its image.
+
+    The oracle for the row fold in ``maps._powerdomain_map``.
+    """
+    source_space, target_space = build(f.source), build(f.target)
+    return tuple(
+        target_space.point_index[down_closure(f.target, f.image_mask(member))]
+        for member in source_space.points
+    )
 
 
 def is_order_isomorphism_by_pairs(f: MonotoneMap) -> bool:

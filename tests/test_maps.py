@@ -36,6 +36,7 @@ from conftest import (
     is_order_isomorphism_by_pairs,
     monotonicity_violation_by_pairs,
     posets,
+    powerdomain_image_by_closure,
     subsets,
     vee_poset,
 )
@@ -116,6 +117,44 @@ def test_powerdomain_map_is_down_closed_image(source, seed):
     for i, mask in enumerate(src_space.points):
         expected = down_closure(target, f.image_mask(mask))
         assert dst_space.points[lifted.image[i]] == expected
+
+
+def test_lifted_map_matches_down_closure():
+    """The row fold gives each point the down-closure of its image: every
+    monotone map between posets with up to 3 elements, and seeded random
+    maps between 5-element posets."""
+    small = [p for n in range(1, 4) for p in all_posets(n)]
+    cases = [
+        MonotoneMap(source, target, image)
+        for source in small
+        for target in small
+        for image in anchored_extensions(source, {}, target)
+    ]
+    rng = random.Random(13)
+    five = all_posets(5)
+    while len(cases) < 6000:
+        f = random_monotone_map(rng.choice(five), rng.choice(five), rng)
+        if f is not None:
+            cases.append(f)
+    for f in cases:
+        assert powerdomain_map(f).image == powerdomain_image_by_closure(f)
+
+
+def test_capacity_is_read_on_every_check(monkeypatch):
+    """``SPECTRAL_CAPACITY`` set or cleared mid-process takes effect on the
+    next check: nothing caches the variable."""
+    monkeypatch.delenv("SPECTRAL_CAPACITY", raising=False)
+    poset = antichain(3)
+    endomaps = [MonotoneMap(poset, poset, image)
+                for image in anchored_extensions(poset, {}, poset)]
+    pairs = [(f, g) for f in endomaps[:5] for g in endomaps[-5:]]
+    assert all(check_functor_laws(f, g).ok for f, g in pairs)
+    monkeypatch.setenv("SPECTRAL_CAPACITY", "3")
+    for f, g in pairs:
+        with pytest.raises(CapacityError):
+            check_functor_laws(f, g)
+    monkeypatch.delenv("SPECTRAL_CAPACITY")
+    assert all(check_functor_laws(f, g).ok for f, g in pairs)
 
 
 def test_powerdomain_map_memoized():

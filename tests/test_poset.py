@@ -50,6 +50,9 @@ from conftest import (
     cover_pairs_by_definition,
     diamond_poset,
     down_sets_by_filter,
+    heights_by_pairs,
+    linear_extension_by_scan,
+    lower_covers_by_definition,
     order_transpose,
     relabeled_rows_by_pairs,
     posets,
@@ -144,16 +147,68 @@ def test_validation_on_large_relabeled_order():
             FinitePoset(shuffled.n, shuffled.up, tuple(down))
 
 
+def _shuffled_order() -> FinitePoset:
+    """The 575-point order of ``random_poset(12, 1)``, renumbered so that
+    index order is not a linear extension."""
+    order = build(random_poset(12, 1)).order
+    image = list(range(order.n))
+    random.Random(5).shuffle(image)
+    return relabel(order, tuple(image))
+
+
 def test_cover_pairs_match_definition():
     """Every labeled poset on up to 4 elements, a 1511-point powerdomain
     order in canonical order, and a 575-point one renumbered at random."""
-    shuffled = build(random_poset(12, 1)).order
-    image = list(range(shuffled.n))
-    random.Random(5).shuffle(image)
     cases = [p for n in range(1, 5) for p in all_posets(n)]
-    cases += [build(random_poset(13, 28)).order, relabel(shuffled, tuple(image))]
+    cases += [build(random_poset(13, 28)).order, _shuffled_order()]
     for poset in cases:
         assert poset.cover_pairs() == cover_pairs_by_definition(poset)
+        assert poset.lower_covers == lower_covers_by_definition(poset)
+
+
+def test_linear_extension_matches_scan():
+    """The cached extension equals the uncached scan, and is computed once."""
+    cases = [p for n in range(1, 6) for p in all_posets(n)]
+    cases += [build(random_poset(13, 28)).order, _shuffled_order()]
+    for poset in cases:
+        assert linear_extension(poset) == linear_extension_by_scan(poset)
+        assert linear_extension(poset) is linear_extension(poset)
+
+
+def test_heights_match_pair_loop():
+    """Per-cover heights equal the max over every element below, on every
+    labeled poset up to 5 elements, a 1511-point order and a renumbered
+    575-point one."""
+    cases = [p for n in range(1, 6) for p in all_posets(n)]
+    cases += [build(random_poset(13, 28)).order, _shuffled_order()]
+    for poset in cases:
+        assert heights(poset) == heights_by_pairs(poset)
+
+
+def test_equal_posets_hash_equal():
+    """One poset reached by every constructor hashes alike, however built."""
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for _ in range(40):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            p = FinitePoset.from_cover_relations(n, pairs)
+            image = list(range(n))
+            rng.shuffle(image)
+            inverse = tuple(sorted(range(n), key=image.__getitem__))
+            moved = relabel(p, tuple(image))
+            copies = (
+                FinitePoset(n, p.up, p.down),
+                FinitePoset.from_cover_relations(n, p.cover_pairs()),
+                relabel(moved, inverse),
+                order_dual(order_dual(p)),
+            )
+            for q in copies:
+                assert q == p and q is not p
+                assert hash(q) == hash(p)
+            relabeled = FinitePoset.from_cover_relations(
+                n, [(image[i], image[j]) for i, j in pairs]
+            )
+            assert relabeled == moved and hash(relabeled) == hash(moved)
 
 
 def test_from_cover_relations_matches_closure_and_transpose():

@@ -4,10 +4,20 @@ import json
 
 import pytest
 
-from smyth import CheckReport, MonotoneMap, RangeError, check_functor_laws, maps, replay, run_suite
+from smyth import (
+    CheckReport,
+    MonotoneMap,
+    RangeError,
+    check_functor_laws,
+    check_minimality,
+    maps,
+    replay,
+    run_suite,
+)
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
     FIXTURE_DOCS,
+    MINIMALITY_CAPACITY,
     PER_POSET_PROPERTIES,
     PROPERTIES,
     SUITE_GROUPS,
@@ -17,7 +27,7 @@ from smyth.suite import (
     prop_functor_laws,
 )
 
-from conftest import antichain
+from conftest import antichain, chain
 
 
 def test_report_validation():
@@ -192,5 +202,31 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
     f = MonotoneMap(poset, poset, f_image)
     g = MonotoneMap(poset, poset, g_image)
     assert report == _with_instance(check_functor_laws(f, g), payload)
+    assert report.witness["law"] == law
+    assert report.witness["instance"] == payload
+
+
+@pytest.mark.parametrize("corrupted, lifted_image, law", [
+    ((0, 1), (1, 1, 1), "induced-map-is-an-extension"),
+    ((0, 0), (0, 0, 1), "pointwise-least"),
+])
+def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_image, law):
+    """With the lifted map of one map into the two-element chain corrupted,
+    the suite's report is ``check_minimality`` on that map, rebound to the
+    payload."""
+    original = maps._powerdomain_map
+    chain2 = chain(2)
+
+    def corrupting(f, capacity):
+        lifted = original(f, capacity)
+        if f.target != chain2 or f.image != corrupted:
+            return lifted
+        return MonotoneMap.unchecked(lifted.source, lifted.target, lifted_image)
+
+    monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
+    payload = {"n": 2, "covers": []}
+    report = prop_extension_minimality(payload)
+    f = MonotoneMap(antichain(2), chain2, corrupted)
+    assert report == _with_instance(check_minimality(f, MINIMALITY_CAPACITY), payload)
     assert report.witness["law"] == law
     assert report.witness["instance"] == payload
