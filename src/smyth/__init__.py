@@ -79,7 +79,6 @@ from .completion import (
     check_sigma_theorem,
     is_sup_preserving,
     lambda_sharp,
-    principal_local_basis_check,
     sigma_map,
 )
 from .report import CheckReport

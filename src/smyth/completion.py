@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .docio import document_of_poset
 from .errors import CapacityError, RangeError, SigmaUndefinedError
 from .maps import MonotoneMap, _serialize_pair, anchored_extensions
 from .poset import (
     FinitePoset,
-    binary_sup,
     check_subset,
     down_closure,
     enumerate_down_sets,
@@ -27,28 +27,6 @@ from .poset import (
 )
 from .powerdomain import PowerdomainSpace, build
 from .report import CheckReport, failed, passed, skipped
-
-
-def fold_sup(poset: FinitePoset, subset: int) -> int | None:
-    """Least upper bound by folding binary sups, None as soon as one fails.
-
-    Independent of the common-upper-bound route in ``sup``.  The fold can
-    miss a sup that exists (an undefined intermediate join does not rule
-    out a bound for the whole set), so None here is inconclusive; a
-    non-None result is always the true sup.  Over families whose every
-    down-set has a sup the two routes agree everywhere.
-    """
-    check_subset(poset, subset)
-    bits = list(iter_bits(subset))
-    if not bits:
-        return None
-    acc = bits[0]
-    for b in bits[1:]:
-        joined = binary_sup(poset, acc, b)
-        if joined is None:
-            return None
-        acc = joined
-    return acc
 
 
 @dataclass(frozen=True)
@@ -85,52 +63,21 @@ def sigma_map(
 ) -> SigmaMap:
     """Sups of the inverse-closed subsets of ``carrier`` inside ``ambient``.
 
-    Partiality stays in-band: missing sups become None entries.  Each
-    defined value is cross-checked against the binary-sup fold, and the
-    assignment is checked monotone where defined; a violation of either
-    would be an ordering bug, not bad input.
+    Partiality stays in-band: missing sups become None entries.
+    ``test_sigma_map_monotone_and_agrees_with_fold`` checks, over every
+    labeled poset on at most four elements, that the defined values
+    agree with a binary-sup fold and grow with the down-set.
     """
     check_subset(ambient, carrier)
     if carrier == 0:
         raise RangeError("the carrier must be nonempty")
     sub, elements = induced(ambient, carrier)
-    domain = []
-    sups: list[int | None] = []
-    for local in enumerate_down_sets(sub, False, capacity):
-        member = mask_of(elements[i] for i in iter_bits(local))
-        domain.append(member)
-        value = sup(ambient, member)
-        folded = fold_sup(ambient, member)
-        assert folded is None or folded == value
-        sups.append(value)
-    for i, small in enumerate(domain):
-        si = sups[i]
-        if si is None:
-            continue
-        for j, big in enumerate(domain):
-            sj = sups[j]
-            if sj is not None and small & ~big == 0:
-                assert ambient.leq(si, sj), "sups are not monotone in the down-set"
-    return SigmaMap(ambient, carrier, tuple(domain), tuple(sups))
-
-
-def principal_local_basis_check(poset: FinitePoset, capacity: int | None = None) -> bool:
-    """Every element has a least open neighborhood of principal shape.
-
-    Scans every open around every element for a witness whose principal
-    down-set fits inside; in a finite space the element itself always
-    works, but the scan is performed, not presumed.
-    """
-    for omega in enumerate_down_sets(poset, False, capacity):
-        for z in iter_bits(omega):
-            witness = None
-            for w in iter_bits(poset.up[z]):
-                if down_closure(poset, 1 << w) & ~omega == 0:
-                    witness = w
-                    break
-            if witness is None:
-                return False
-    return True
+    domain = tuple(
+        mask_of(elements[i] for i in iter_bits(local))
+        for local in enumerate_down_sets(sub, False, capacity)
+    )
+    sups = tuple(sup(ambient, member) for member in domain)
+    return SigmaMap(ambient, carrier, domain, sups)
 
 
 @dataclass(frozen=True)
@@ -162,8 +109,9 @@ def lambda_sharp(problem: SupExtensionProblem, capacity: int | None = None) -> M
     """The sup extension of the base map to the powerdomain.
 
     Defined when every inverse-closed subset of the image has a sup in
-    the target; then each point maps to the sup of its image, which by
-    down-closure invariance equals the sup of the image's down-closure.
+    the target.  Then each point maps to the sup of its image: a set has
+    the same upper bounds as its down-closure, both inside the image,
+    where the sup assignment is total, and in the whole target.
     """
     lam = problem.base_map
     target = problem.target
@@ -174,14 +122,10 @@ def lambda_sharp(problem: SupExtensionProblem, capacity: int | None = None) -> M
         raise SigmaUndefinedError(
             f"no sup for image subset {first:#x}", member_mask=first
         )
-    values = []
-    for member in problem.space.points:
-        spread = down_closure(target, lam.image_mask(member))
-        value = sup(target, spread)
-        assert value is not None, "totality over the image must cover every point"
-        assert value == sup(target, lam.image_mask(member))
-        values.append(value)
-    return MonotoneMap(problem.space.order, target, tuple(values))
+    values = tuple(
+        sup(target, lam.image_mask(member)) for member in problem.space.points
+    )
+    return MonotoneMap(problem.space.order, target, values)
 
 
 def _antichains(poset: FinitePoset, limit: int):
@@ -285,7 +229,7 @@ def check_retraction(poset: FinitePoset, capacity: int | None = None) -> CheckRe
     sup of a principal down-set must be its generating element.
     """
     prop = "sup-retraction"
-    instance = {"n": poset.n, "covers": [list(p) for p in poset.cover_pairs()]}
+    instance = document_of_poset(poset).to_payload()
     sigma = sigma_map(poset, poset.full, capacity)
     if not sigma.is_total:
         first = sigma.undefined()[0]

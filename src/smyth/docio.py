@@ -21,10 +21,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import DocumentError
 from .poset import FinitePoset, iter_bits
-from .powerdomain import PowerdomainSpace
+
+if TYPE_CHECKING:
+    from .powerdomain import PowerdomainSpace
 
 EXPECT_KEYS = frozenset({"points", "point_count", "dimension", "phi_onto"})
 

@@ -56,32 +56,6 @@ def _is_transitive(n: int, up: list[int]) -> bool:
     return True
 
 
-def count_posets_bruteforce(n: int) -> int:
-    """Count posets by filtering every directed relation on ``n`` elements.
-
-    Independent of all_posets: iterates the full ``2**(n*(n-1))`` space
-    of irreflexive relation matrices and keeps those whose reflexive
-    closure is antisymmetric and transitive.  Only sensible for n <= 4.
-    """
-    if n < 1:
-        raise RangeError(f"a poset needs at least one element, got n={n}")
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    count = 0
-    for bits in range(1 << len(slots)):
-        up = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(slots):
-            if bits >> k & 1:
-                up[i] |= 1 << j
-        antisymmetric = all(
-            not (up[i] >> j & 1 and up[j] >> i & 1)
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if antisymmetric and _is_transitive(n, up):
-            count += 1
-    return count
-
-
 def random_poset(n: int, seed: int) -> FinitePoset:
     """A reproducible random poset on ``n`` elements.
 

@@ -362,15 +362,15 @@ def lift_homeomorphism(
     source_space: PowerdomainSpace,
     target_space: PowerdomainSpace,
     psi: MonotoneMap,
-    capacity: int | None = None,
 ) -> MonotoneMap:
     """Recover the base map underneath an isomorphism of powerdomains.
 
     A homeomorphism of the point spaces must send principal points to
     principal points, because those are exactly the points whose member
     set is irreducible among the inverse-closed sets.  Reading off the
-    generic points gives the unique base isomorphism inducing ``psi``;
-    that identity is verified before returning.
+    generic points gives the unique base isomorphism inducing ``psi``.
+    The ``lift-round-trip`` property checks that it is one and that it
+    induces ``psi`` again.
     """
     if psi.source != source_space.order or psi.target != target_space.order:
         raise RangeError("the map does not connect the two given spaces")
@@ -387,7 +387,4 @@ def lift_homeomorphism(
                 f"the image of the principal point of {x} is not principal"
             )
         image.append(principal_targets[value])
-    base_map = MonotoneMap(source_space.base, target_space.base, tuple(image))
-    assert is_order_isomorphism(base_map)
-    assert powerdomain_map(base_map, capacity) == psi
-    return base_map
+    return MonotoneMap(source_space.base, target_space.base, tuple(image))

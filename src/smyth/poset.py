@@ -360,15 +360,6 @@ def sup(poset: FinitePoset, subset: int) -> int | None:
     return None
 
 
-def binary_sup(poset: FinitePoset, i: int, j: int) -> int | None:
-    """Least upper bound of two elements, or None."""
-    bounds = poset.up[i] & poset.up[j]
-    for m in iter_bits(bounds):
-        if bounds & ~poset.up[m] == 0:
-            return m
-    return None
-
-
 def linear_extension(poset: FinitePoset) -> tuple[int, ...]:
     """A linear order refining the poset, smallest eligible index first.
 

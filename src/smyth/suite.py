@@ -41,7 +41,6 @@ from .poset import (
     dimension,
     find_isomorphism,
     is_chain,
-    iter_bits,
     relabel,
     resolve_capacity,
 )
@@ -52,6 +51,7 @@ from .powerdomain import (
     hat_powerdomain,
     is_phi_surjective,
     powerdomain_dimension,
+    vietoris_open,
 )
 from .report import CheckReport, failed, instance_text, passed, skipped
 from .topology import open_sets, poset_of_topology
@@ -121,12 +121,11 @@ def prop_phi_onto_iff_chain(payload: dict) -> CheckReport:
     prop = "phi-onto-iff-chain"
     poset = _poset_of(payload)
     space = build(poset)
-    onto = len(set(space.phi_index)) == len(space.points)
+    onto = is_phi_surjective(space)
     if onto != is_chain(poset):
         return failed(prop, payload, onto=onto)
-    if onto and is_phi_surjective(space):
-        if find_isomorphism(poset, space.order) is None:
-            return failed(prop, payload, law="onto-gives-isomorphism")
+    if onto and find_isomorphism(poset, space.order) is None:
+        return failed(prop, payload, law="onto-gives-isomorphism")
     return passed(prop, payload)
 
 
@@ -137,11 +136,7 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
     space = build(poset)
     for omega in open_sets(poset).opens:
         direct = basic_open(space, omega)
-        index = space.point_index.get(omega)
-        if index is None:
-            via_order: frozenset[int] = frozenset()
-        else:
-            via_order = frozenset(iter_bits(space.order.down[index]))
+        via_order = vietoris_open(space, omega)
         if direct != via_order:
             return failed(prop, payload, open=omega,
                           direct=sorted(direct), via_order=sorted(via_order))

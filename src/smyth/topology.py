@@ -69,12 +69,11 @@ def irreducible_inverse_closed(
 
     A set is irreducible when it is not the union of two properly smaller
     inverse-closed sets; the scan applies that definition literally and
-    then checks the outcome is exactly the family of principal down-sets,
-    each generated by its unique maximal element.  Pairs ``(mask, x)``
-    come back in canonical mask order.
+    then checks the outcome is exactly the family of principal down-sets.
+    Each comes back as a pair ``(mask, x)`` with its generic point ``x``,
+    in canonical mask order.
     """
     down_sets = enumerate_down_sets(poset, False, capacity)
-    members = set(down_sets)
     irreducible = []
     for c in down_sets:
         reducible = any(
@@ -91,11 +90,6 @@ def irreducible_inverse_closed(
         raise IrreducibilityError(
             "irreducible inverse-closed sets are not exactly the principal ones"
         )
-    assert len(principal) == poset.n, "two elements generate the same down-set"
-    for c in irreducible:
-        maximal = [x for x in iter_bits(c) if poset.up[x] & c == 1 << x]
-        assert maximal == [principal[c]], "principal set with more than one generic point"
-    assert all(m in members for m in principal)
     return tuple((c, principal[c]) for c in irreducible)
 
 

@@ -6,7 +6,16 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from smyth import CycleError, FinitePoset, MonotoneMap, build, down_closure, is_down_set
+from smyth import (
+    CycleError,
+    FinitePoset,
+    MonotoneMap,
+    SupExtensionProblem,
+    build,
+    down_closure,
+    is_down_set,
+    sup,
+)
 from smyth.generators import random_poset
 from smyth.poset import iter_bits, mask_of
 
@@ -54,6 +63,62 @@ def order_transpose(n: int, up: tuple[int, ...]) -> tuple[int, ...] | None:
     if any((i, k) not in leq for i, j in leq for j2, k in leq if j == j2):
         return None
     return tuple(sum(1 << i for i in range(n) if (i, j) in leq) for j in range(n))
+
+
+def count_posets_bruteforce(n: int) -> int:
+    """Count posets by filtering every directed relation on ``n`` elements.
+
+    Independent of ``all_posets``: iterates the full ``2**(n*(n-1))``
+    space of irreflexive relation matrices, adds the diagonal, and keeps
+    those that ``order_transpose`` accepts.  Only sensible for n <= 4.
+    """
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    count = 0
+    for bits in range(1 << len(slots)):
+        up = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(slots):
+            if bits >> k & 1:
+                up[i] |= 1 << j
+        count += order_transpose(n, up) is not None
+    return count
+
+
+def binary_sup(poset: FinitePoset, i: int, j: int) -> int | None:
+    """Least upper bound of two elements, or None."""
+    bounds = poset.up[i] & poset.up[j]
+    for m in iter_bits(bounds):
+        if bounds & ~poset.up[m] == 0:
+            return m
+    return None
+
+
+def fold_sup(poset: FinitePoset, subset: int) -> int | None:
+    """Least upper bound by folding binary sups, None as soon as one fails.
+
+    Independent of the common-upper-bound route in ``sup``.  The fold can
+    miss a sup that exists (an undefined intermediate join does not rule
+    out a bound for the whole set), so None here is inconclusive; a
+    non-None result is always the true sup.  Over families whose every
+    down-set has a sup the two routes agree everywhere.
+    """
+    bits = list(iter_bits(subset))
+    if not bits:
+        return None
+    acc = bits[0]
+    for b in bits[1:]:
+        acc = binary_sup(poset, acc, b)
+        if acc is None:
+            return None
+    return acc
+
+
+def lambda_sharp_by_closure(problem: SupExtensionProblem) -> tuple[int | None, ...]:
+    """Each point to the sup of the down-closure of its image.  The oracle."""
+    f = problem.base_map
+    return tuple(
+        sup(f.target, down_closure(f.target, f.image_mask(member)))
+        for member in problem.space.points
+    )
 
 
 def cover_pairs_by_definition(poset: FinitePoset) -> tuple[tuple[int, int], ...]:

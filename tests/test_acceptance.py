@@ -19,7 +19,12 @@ from contextlib import contextmanager
 from itertools import chain as chain_iterable
 from pathlib import Path
 
-from conftest import assert_valid_dot, down_sets_by_filter, vee_poset
+from conftest import (
+    assert_valid_dot,
+    count_posets_bruteforce,
+    down_sets_by_filter,
+    vee_poset,
+)
 
 from smyth.completion import (
     SupExtensionProblem,
@@ -32,7 +37,6 @@ from smyth.errors import SigmaUndefinedError
 from smyth.generators import (
     all_monotone_images,
     all_posets,
-    count_posets_bruteforce,
     random_monotone_map,
     random_poset,
 )

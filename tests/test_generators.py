@@ -10,12 +10,11 @@ from smyth.generators import (
     MAX_EXHAUSTIVE_N,
     all_monotone_images,
     all_posets,
-    count_posets_bruteforce,
     random_monotone_map,
     random_poset,
 )
 
-from conftest import antichain, chain, diamond_poset, vee_poset
+from conftest import antichain, chain, count_posets_bruteforce, diamond_poset, vee_poset
 
 
 def test_exhaustive_counts():

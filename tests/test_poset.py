@@ -30,7 +30,6 @@ from smyth.poset import (
     CAPACITY_ENV_VAR,
     DEFAULT_CAPACITY,
     _down_sets_by_extension,
-    binary_sup,
     canonical_sort,
     check_subset,
     heights,
@@ -45,6 +44,7 @@ from smyth.generators import all_posets
 
 from conftest import (
     antichain,
+    binary_sup,
     chain,
     closed_rows_by_pairs,
     cover_pairs_by_definition,

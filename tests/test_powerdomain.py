@@ -23,7 +23,7 @@ from smyth import (
     powerdomain_dimension,
     vietoris_open,
 )
-from smyth.generators import random_poset
+from smyth.generators import all_posets, random_poset
 from smyth.poset import iter_bits
 
 from conftest import antichain, boolean_lattice, chain, posets, vee_poset
@@ -165,6 +165,9 @@ def test_hat_powerdomain(vee):
     assert basic_open(space, 0) == {0}
     # the empty point sits below everything
     assert all(space.order.leq(0, j) for j in range(space.order.n))
+    # and the rest is the plain powerdomain, point for point
+    for poset in (p for n in range(1, 5) for p in all_posets(n)):
+        assert hat_powerdomain(poset).points[1:] == build(poset).points
 
 
 def test_inverse_powerdomain(vee):

@@ -20,6 +20,8 @@ from smyth import (
     up_closure,
 )
 
+from smyth.poset import iter_bits
+
 from conftest import antichain, chain, posets, subsets
 
 
@@ -72,6 +74,9 @@ def test_irreducibles_have_unique_generic_points(poset):
     assert len(pairs) == poset.n
     for mask, generic in pairs:
         assert mask == down_closure(poset, 1 << generic)
+        # the generic point is the mask's only maximal element
+        maximal = [x for x in iter_bits(mask) if poset.up[x] & mask == 1 << x]
+        assert maximal == [generic]
 
 
 @given(posets())
