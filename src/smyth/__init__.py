@@ -79,6 +79,7 @@ from .completion import (
     check_sigma_theorem,
     is_sup_preserving,
     lambda_sharp,
+    preserves_sups,
     sigma_map,
 )
 from .report import CheckReport

@@ -16,6 +16,7 @@ from .errors import CapacityError, RangeError, SigmaUndefinedError
 from .maps import MonotoneMap, _serialize_pair, anchored_extensions
 from .poset import (
     FinitePoset,
+    _least,
     check_subset,
     down_closure,
     enumerate_down_sets,
@@ -128,32 +129,6 @@ def lambda_sharp(problem: SupExtensionProblem, capacity: int | None = None) -> M
     return MonotoneMap(problem.space.order, target, values)
 
 
-def _antichains(poset: FinitePoset, limit: int):
-    """Nonempty antichain masks, depth first over eligible elements.
-
-    Each stack entry is a chosen antichain, the next index to try adding
-    and the elements it blocks; a branch's children come out before its
-    later siblings, as a backtracking search would order them.
-    """
-    n = poset.n
-    count = 0
-    stack = [(0, 0, 0)]
-    while stack:
-        mask, start, blocked = stack.pop()
-        i = start
-        while i < n and blocked >> i & 1:
-            i += 1
-        if i == n:
-            continue
-        stack.append((mask, i + 1, blocked))
-        chosen = mask | 1 << i
-        count += 1
-        if count > limit:
-            raise CapacityError(f"more than {limit} antichains")
-        yield chosen
-        stack.append((chosen, i + 1, blocked | poset.up[i] | poset.down[i]))
-
-
 def is_sup_preserving(f: MonotoneMap, capacity: int | None = None) -> bool:
     """Whether ``f`` carries existing finite sups to sups of the images.
 
@@ -161,14 +136,67 @@ def is_sup_preserving(f: MonotoneMap, capacity: int | None = None) -> bool:
     upper bound.  A subset and its set of maximal elements share upper
     bounds, and their images share upper bounds too since ``f`` is
     monotone, so only antichains are enumerated; that covers all subsets.
+
+    This is the definition, valid for any source, and the independent
+    route of the ``unique-sup-preserving`` law; ``preserves_sups`` is the
+    per-point test for maps out of a powerdomain.  The walk is depth
+    first, a branch's children before its later siblings.  A stack entry
+    holds the next index to try, the elements the chosen antichain
+    blocks, and the upper-bound masks of the antichain and of its image,
+    so each antichain costs one AND per side plus a ``_least`` on each.
+    More than ``capacity`` antichains raise CapacityError.
     """
     limit = resolve_capacity(capacity)
-    for subset in _antichains(f.source, limit):
-        bound = sup(f.source, subset)
-        if bound is None:
+    source, target, image = f.source, f.target, f.image
+    n = source.n
+    count = 0
+    stack = [(0, 0, source.full, target.full)]
+    while stack:
+        start, blocked, bounds, image_bounds = stack.pop()
+        i = start
+        while i < n and blocked >> i & 1:
+            i += 1
+        if i == n:
             continue
-        image_bound = sup(f.target, f.image_mask(subset))
-        if image_bound is None or image_bound != f.image[bound]:
+        stack.append((i + 1, blocked, bounds, image_bounds))
+        count += 1
+        if count > limit:
+            raise CapacityError(f"more than {limit} antichains")
+        bounds &= source.up[i]
+        image_bounds &= target.up[image[i]]
+        bound = _least(source, bounds)
+        if bound is not None and _least(target, image_bounds) != image[bound]:
+            return False
+        blocked |= source.up[i] | source.down[i]
+        stack.append((i + 1, blocked, bounds, image_bounds))
+    return True
+
+
+def preserves_sups(space: PowerdomainSpace, f: MonotoneMap) -> bool:
+    """Whether ``f``, a map out of ``space.order``, preserves nonempty sups.
+
+    Each point I is the union of the principal points of its members,
+    and principal points are join-prime among the down-sets.  So ``f``
+    preserves every nonempty sup exactly when ``f(I)`` is the least
+    upper bound of the ``f(phi(x))`` for x in I, at every point I.  The
+    empty point of a hat space is skipped: it is no nonempty sup.  That
+    is one AND of a target up row per member and one ``_least`` per
+    point, with no enumeration, so no capacity applies.  Any other
+    source raises RangeError; ``is_sup_preserving`` tests those.
+    """
+    if f.source != space.order:
+        raise RangeError("the map's source is not the order of the given space")
+    target = f.target
+    principal_up = [target.up[f.image[p]] for p in space.phi_index]
+    for point, member in enumerate(space.points):
+        if not member:
+            continue
+        bounds = target.full
+        while member:
+            low = member & -member
+            bounds &= principal_up[low.bit_length() - 1]
+            member ^= low
+        if _least(target, bounds) != f.image[point]:
             return False
     return True
 
@@ -192,6 +220,13 @@ def check_sigma_theorem(
     map on principal points and is itself sup-preserving; every monotone
     extension lies above it pointwise; and the sup-preserving extensions
     are exactly the sup extension, nothing else.
+
+    The ``sup-preserving`` law is the per-point ``preserves_sups``.  The
+    ``pointwise-least`` law reads one up row of the target per point,
+    fetched once.  The ``unique-sup-preserving`` law runs the antichain
+    definition ``is_sup_preserving`` on every candidate, so it does not
+    restate the per-point test.  ``capacity`` bounds the down-set
+    enumeration, the extension search and that walk.
     """
     prop = "sup-extension"
     instance = problem.serialize()
@@ -202,15 +237,16 @@ def check_sigma_theorem(
     for x in range(lam.source.n):
         if sharp.image[problem.space.phi_index[x]] != lam.image[x]:
             return failed(prop, instance, law="restricts-to-base", element=x)
-    if not is_sup_preserving(sharp, capacity):
+    if not preserves_sups(problem.space, sharp):
         return failed(prop, instance, law="sup-preserving")
 
     extensions = _extensions_of(problem, capacity)
     if sharp.image not in extensions:
         return failed(prop, instance, law="is-an-extension")
+    floors = [target.up[value] for value in sharp.image]
     for candidate in extensions:
         for point, value in enumerate(candidate):
-            if not target.leq(sharp.image[point], value):
+            if not floors[point] >> value & 1:
                 return failed(prop, instance, law="pointwise-least",
                               candidate=list(candidate), point=point)
         preserving = is_sup_preserving(

@@ -168,15 +168,27 @@ def _serialize_pair(f: MonotoneMap) -> dict:
 
 
 def _composition_violation(
-    f: MonotoneMap, g: MonotoneMap, capacity: int
+    f: MonotoneMap,
+    g: MonotoneMap,
+    lifted_f: MonotoneMap,
+    lifted_g: MonotoneMap,
+    capacity: int,
 ) -> dict | None:
-    """The details of the composition law if ``f``, ``g`` break it, or None."""
+    """The details of the composition law if ``f``, ``g`` break it, or None.
+
+    Takes the induced maps of ``f`` and ``g``, so a caller pairing many
+    maps lifts each once.  The lifted ``compose(g, f)`` is validated; the
+    composite of the lifts is compared with it as an image tuple, one
+    lookup per point: a tuple equal to a validated map's image is
+    monotone.
+    """
     lifted_composite = powerdomain_map(compose(g, f), capacity)
-    composite_lifted = compose(powerdomain_map(g, capacity),
-                               powerdomain_map(f, capacity))
-    if lifted_composite != composite_lifted:
+    composite_lifted = tuple(lifted_g.image[v] for v in lifted_f.image)
+    if (lifted_composite.source != lifted_f.source
+            or lifted_composite.target != lifted_g.target
+            or lifted_composite.image != composite_lifted):
         return {"law": "composition", "expected": list(lifted_composite.image),
-                "got": list(composite_lifted.image)}
+                "got": list(composite_lifted)}
     return None
 
 
@@ -200,7 +212,9 @@ def _functor_law_violation(
     if f.target != g.source:
         raise CompositionMismatchError("maps do not compose")
     capacity = resolve_capacity(capacity)
-    violation = _composition_violation(f, g, capacity)
+    violation = _composition_violation(
+        f, g, powerdomain_map(f, capacity), powerdomain_map(g, capacity), capacity
+    )
     if violation is not None:
         return violation
     for poset in dict.fromkeys((f.source, f.target, g.target)):
@@ -293,6 +307,21 @@ def anchored_extensions(
     return tuple(sorted(found))
 
 
+def _extension_images(
+    f: MonotoneMap, capacity: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """The image tuples of every extension of ``f``, sorted."""
+    source_space = build(f.source, capacity)
+    target_space = build(f.target, capacity)
+    anchors = {
+        source_space.phi_index[x]: target_space.phi_index[f.image[x]]
+        for x in range(f.source.n)
+    }
+    return anchored_extensions(
+        source_space.order, anchors, target_space.order, capacity
+    )
+
+
 def enumerate_extensions(
     f: MonotoneMap, capacity: int | None = None
 ) -> tuple[MonotoneMap, ...]:
@@ -301,37 +330,33 @@ def enumerate_extensions(
     The induced map of ``f`` is always among them and is the pointwise
     least; enumerate to verify, not to construct.
     """
-    source_space = build(f.source, capacity)
-    target_space = build(f.target, capacity)
-    anchors = {
-        source_space.phi_index[x]: target_space.phi_index[f.image[x]]
-        for x in range(f.source.n)
-    }
-    images = anchored_extensions(
-        source_space.order, anchors, target_space.order, capacity
-    )
+    source_order = build(f.source, capacity).order
+    target_order = build(f.target, capacity).order
     return tuple(
-        MonotoneMap.unchecked(source_space.order, target_space.order, img)
-        for img in images
+        MonotoneMap.unchecked(source_order, target_order, img)
+        for img in _extension_images(f, capacity)
     )
 
 
 def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
-    """The details of the first minimality law ``f`` breaks, or None."""
+    """The details of the first minimality law ``f`` breaks, or None.
+
+    Works on the image tuples of the extensions, with no map wrapped
+    around each.  The member masks of the induced map are read once, so
+    the ``pointwise-least`` law costs one AND per point and candidate.
+    """
     capacity = resolve_capacity(capacity)
     induced_map = powerdomain_map(f, capacity)
-    source_space = build(f.source, capacity)
-    target_space = build(f.target, capacity)
-    extensions = enumerate_extensions(f, capacity)
-    if induced_map not in extensions:
+    target_points = build(f.target, capacity).points
+    extensions = _extension_images(f, capacity)
+    if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}
+    floors = [target_points[value] for value in induced_map.image]
     for candidate in extensions:
-        for point in range(len(source_space.points)):
-            small = target_space.points[induced_map.image[point]]
-            big = target_space.points[candidate.image[point]]
-            if small & ~big:
+        for point, value in enumerate(candidate):
+            if floors[point] & ~target_points[value]:
                 return {"law": "pointwise-least", "point": point,
-                        "candidate": list(candidate.image)}
+                        "candidate": list(candidate)}
     return None
 
 

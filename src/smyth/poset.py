@@ -12,6 +12,7 @@ capacity, not the mask width.
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -205,21 +206,23 @@ class FinitePoset:
 
     @cached_property
     def _linear_extension(self) -> tuple[int, ...]:
-        down = self.down
-        remaining = self.full
+        """``pending[j]`` counts the lower covers of ``j`` not yet output;
+        ``j`` joins the heap of eligible indices when it reaches 0."""
+        pending = [mask.bit_count() for mask in self.lower_covers]
+        eligible = [i for i, count in enumerate(pending) if not count]
+        covers = self.upper_covers
         out = []
-        while remaining:
-            scan = remaining
-            while scan:
-                low = scan & -scan
-                i = low.bit_length() - 1
-                if down[i] & remaining == low:
-                    out.append(i)
-                    remaining ^= low
-                    break
-                scan ^= low
-            else:
-                raise CycleError("no minimal element; relation is not a partial order")
+        while eligible:
+            i = heapq.heappop(eligible)
+            out.append(i)
+            mask = covers[i]
+            while mask:
+                low = mask & -mask
+                j = low.bit_length() - 1
+                pending[j] -= 1
+                if not pending[j]:
+                    heapq.heappush(eligible, j)
+                mask ^= low
         return tuple(out)
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -343,10 +346,11 @@ def dimension(poset: FinitePoset) -> int:
 def sup(poset: FinitePoset, subset: int) -> int | None:
     """Least upper bound of ``subset``, or None when there is none.
 
-    Computed as the minimum of the common upper bounds; None covers both
-    failure modes (no upper bound at all and no least one).  The empty
-    subset always yields None here; callers wanting a bottom element must
-    ask for it explicitly.
+    One AND of an up row per member gives the common upper bounds, and
+    ``_least`` picks their minimum; None covers both failure modes (no
+    upper bound at all and no least one).  The empty subset always
+    yields None here; callers wanting a bottom element must ask for it
+    explicitly.
     """
     check_subset(poset, subset)
     if subset == 0:
@@ -354,17 +358,34 @@ def sup(poset: FinitePoset, subset: int) -> int | None:
     bounds = poset.full
     for i in iter_bits(subset):
         bounds &= poset.up[i]
-    for m in iter_bits(bounds):
-        if bounds & ~poset.up[m] == 0:
-            return m
-    return None
+    return _least(poset, bounds)
+
+
+def _least(poset: FinitePoset, bounds: int) -> int | None:
+    """The least member of the mask ``bounds``, or None.
+
+    A least member is the only minimal one, so step down from the lowest
+    index to a member below it until none is left, then test that one
+    against the whole mask.  The cost is a few big-integer operations
+    per step, and when indices follow a linear extension the lowest
+    index is already minimal.
+    """
+    if not bounds:
+        return None
+    j = (bounds & -bounds).bit_length() - 1
+    below = poset.down[j] & bounds
+    while below != 1 << j:
+        j = (below ^ (1 << j)).bit_length() - 1
+        below = poset.down[j] & bounds
+    return j if bounds & ~poset.up[j] == 0 else None
 
 
 def linear_extension(poset: FinitePoset) -> tuple[int, ...]:
     """A linear order refining the poset, smallest eligible index first.
 
     Every prefix of the result is a down-set.  Computed once per poset
-    and cached on it.
+    and cached on it, in O(E + N log N) for N elements and E cover
+    edges: a min-heap holds the indices whose lower covers are all out.
     """
     return poset._linear_extension
 

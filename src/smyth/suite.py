@@ -18,6 +18,7 @@ from .completion import (
     check_sigma_theorem,
     is_sup_preserving,
     lambda_sharp,
+    preserves_sups,
 )
 from .docio import document_from_payload, document_of_poset, point_lists
 from .errors import CapacityError, RangeError, SigmaUndefinedError
@@ -164,10 +165,13 @@ def _endo_images(poset: FinitePoset, payload: dict) -> list[tuple[int, ...]]:
 def prop_functor_laws(payload: dict) -> CheckReport:
     """Composition and identity survive the powerdomain construction.
 
-    Each image is validated once, the capacity is resolved once, and the
-    identity law is checked once, on the one poset every map lives on.
-    Only the first failing pair is serialized, by ``check_functor_laws``:
-    an identity failure fails every pair, so that pair is the first one.
+    Each image is validated and lifted once, the capacity is resolved
+    once, and the identity law is checked once, on the one poset every
+    map lives on.  Each pair then lifts and validates its base composite
+    and compares it with the composite of the two lifts as an image
+    tuple.  Only the first failing pair is serialized, by
+    ``check_functor_laws``: an identity failure fails every pair, so
+    that pair is the first one.
     """
     prop = "functor-laws"
     poset = _poset_of(payload)
@@ -175,9 +179,10 @@ def prop_functor_laws(payload: dict) -> CheckReport:
     maps = [MonotoneMap(poset, poset, image) for image in _endo_images(poset, payload)]
     if maps and _identity_violation(poset, capacity) is not None:
         return _with_instance(check_functor_laws(maps[0], maps[0], capacity), payload)
-    for f in maps:
-        for g in maps:
-            if _composition_violation(f, g, capacity) is not None:
+    lifted = [powerdomain_map(f, capacity) for f in maps]
+    for f, lifted_f in zip(maps, lifted):
+        for g, lifted_g in zip(maps, lifted):
+            if _composition_violation(f, g, lifted_f, lifted_g, capacity) is not None:
                 return _with_instance(check_functor_laws(f, g, capacity), payload)
     return passed(prop, payload)
 
@@ -226,8 +231,8 @@ def prop_sup_extension(payload: dict) -> CheckReport:
     """Sup-extension laws for the identity map, where sups allow it."""
     prop = "sup-extension"
     poset = _poset_of(payload)
-    problem = SupExtensionProblem.for_map(identity(poset))
     try:
+        problem = SupExtensionProblem.for_map(identity(poset))
         report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
         if not report.ok:
             return _with_instance(report, payload)
@@ -242,21 +247,29 @@ def prop_sup_extension(payload: dict) -> CheckReport:
 
 
 def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
-    """Extending the principal embedding along sups is the identity."""
+    """Extending the principal embedding along sups is the identity.
+
+    Sup-preservation is the per-point ``preserves_sups``, so it holds
+    at any size; the full characterization runs up to 12 points.
+    Enumeration beyond the capacity is reported as skipped.
+    """
     prop = "sup-extension-of-embedding"
     poset = _poset_of(payload)
-    space = build(poset)
-    into_points = MonotoneMap(poset, space.order, space.phi_index)
-    problem = SupExtensionProblem(into_points, space)
-    sharp = lambda_sharp(problem)
-    if sharp.image != tuple(range(space.order.n)):
-        return failed(prop, payload, got=list(sharp.image))
-    if not is_sup_preserving(sharp):
-        return failed(prop, payload, law="sup-preserving")
-    if space.order.n <= 12:
-        report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
-        if not report.ok:
-            return _with_instance(report, payload)
+    try:
+        space = build(poset)
+        into_points = MonotoneMap(poset, space.order, space.phi_index)
+        problem = SupExtensionProblem(into_points, space)
+        sharp = lambda_sharp(problem)
+        if sharp.image != tuple(range(space.order.n)):
+            return failed(prop, payload, got=list(sharp.image))
+        if not preserves_sups(space, sharp):
+            return failed(prop, payload, law="sup-preserving")
+        if space.order.n <= 12:
+            report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
+            if not report.ok:
+                return _with_instance(report, payload)
+    except CapacityError as exc:
+        return skipped(prop, payload, f"enumeration over budget: {exc}")
     return passed(prop, payload)
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures, hypothesis strategies, and a strict DOT validator."""
 
+import functools
 import re
 import sys
 
@@ -110,6 +111,28 @@ def fold_sup(poset: FinitePoset, subset: int) -> int | None:
         if acc is None:
             return None
     return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _sup_by_scan(poset: FinitePoset, subset: int) -> int | None:
+    """The upper bound of ``subset`` below every other one, pair by pair."""
+    bounds = [u for u in range(poset.n)
+              if all(poset.leq(x, u) for x in iter_bits(subset))]
+    least = [m for m in bounds if all(poset.leq(m, u) for u in bounds)]
+    return least[0] if least else None
+
+
+def is_sup_preserving_by_subsets(f: MonotoneMap) -> bool:
+    """Every nonempty subset of the source with a sup has its image's sup
+    there.  The definitional oracle: all subsets, no antichains, no
+    principal generators, and sups by scanning pairs."""
+    for subset in range(1, 1 << f.source.n):
+        bound = _sup_by_scan(f.source, subset)
+        if bound is None:
+            continue
+        if _sup_by_scan(f.target, f.image_mask(subset)) != f.image[bound]:
+            return False
+    return True
 
 
 def lambda_sharp_by_closure(problem: SupExtensionProblem) -> tuple[int | None, ...]:

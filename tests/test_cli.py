@@ -152,6 +152,21 @@ def test_check_fails_on_corruption(tmp_path, capsys):
         assert "instance" in report["witness"]
 
 
+def test_check_sigma_on_a_six_element_antichain(tmp_path, capsys):
+    """Sup-preservation is tested per point, so the 63-point powerdomain
+    needs no walk over its millions of antichains."""
+    path = write_payload(tmp_path, {"n": 6, "covers": []})
+    assert main(["check", path, "--suite", "sigma"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(r["property"], r["verdict"]) for r in reports] == [
+        ("sup-extension", "skipped"),
+        ("sup-extension-of-embedding", "pass"),
+    ]
+    assert reports[0]["reason"].startswith("not sup-complete")
+
+
 def test_check_default_suite_is_all(tmp_path, capsys):
     assert main(["check", vee_file(tmp_path)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 11

@@ -1,7 +1,7 @@
 """Sup assignments, the sup extension, and its universal property."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from smyth import (
     CapacityError,
@@ -15,10 +15,12 @@ from smyth import (
     check_retraction,
     check_sigma_theorem,
     enumerate_extensions,
+    hat_powerdomain,
     identity,
     is_sup_preserving,
     lambda_sharp,
     powerdomain_map,
+    preserves_sups,
     sigma_map,
     sup,
 )
@@ -30,9 +32,9 @@ from conftest import (
     chain,
     diamond_poset,
     fold_sup,
+    is_sup_preserving_by_subsets,
     lambda_sharp_by_closure,
     posets,
-    vee_poset,
 )
 
 import random
@@ -198,6 +200,59 @@ def test_collapse_map_not_sup_preserving(discrete3):
 def test_constant_map_sup_preserving(vee):
     f = MonotoneMap(vee, chain(2), (0, 0, 0))
     assert is_sup_preserving(f)
+
+
+SMALL_POSETS = [p for n in range(1, 4) for p in all_posets(n)]
+
+
+@pytest.mark.parametrize("make, max_base, maps, preserving", [
+    (build, 3, 6790, 4288),
+    (hat_powerdomain, 2, 640, 584),
+])
+def test_sup_tests_agree_on_powerdomain_sources(make, max_base, maps, preserving):
+    """The per-point test, the antichain walk and the all-subsets oracle
+    agree on every monotone map from the order of ``build(P)``, |P| <= 3,
+    or ``hat_powerdomain(P)``, |P| <= 2, into every poset on at most 3
+    elements.  The hat spaces exercise the skipped empty point."""
+    seen = kept = 0
+    for base in (p for n in range(1, max_base + 1) for p in all_posets(n)):
+        space = make(base)
+        for target in SMALL_POSETS:
+            for image in all_monotone_images(space.order, target):
+                f = MonotoneMap(space.order, target, image)
+                expected = is_sup_preserving_by_subsets(f)
+                assert preserves_sups(space, f) == expected, (base, target, image)
+                assert is_sup_preserving(f) == expected, (base, target, image)
+                seen += 1
+                kept += expected
+    assert (seen, kept) == (maps, preserving)
+
+
+def test_is_sup_preserving_agrees_on_general_sources():
+    """The antichain walk matches the all-subsets oracle on every monotone
+    map between posets on at most 3 elements, the bowtie and the diamond.
+    In the bowtie, two elements have two minimal upper bounds and no sup."""
+    bowtie = FinitePoset.from_cover_relations(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    cases = SMALL_POSETS + [bowtie, diamond_poset()]
+    seen = kept = 0
+    for source in cases:
+        for target in cases:
+            for image in all_monotone_images(source, target):
+                f = MonotoneMap(source, target, image)
+                expected = is_sup_preserving_by_subsets(f)
+                assert is_sup_preserving(f) == expected, (source, target, image)
+                seen += 1
+                kept += expected
+    assert (seen, kept) == (6567, 6295)
+
+
+def test_preserves_sups_needs_the_space_order(vee):
+    space = build(vee)
+    assert preserves_sups(space, identity(space.order))
+    with pytest.raises(RangeError):
+        preserves_sups(space, identity(vee))
+    with pytest.raises(RangeError):
+        preserves_sups(hat_powerdomain(vee), identity(space.order))
 
 
 def test_sigma_theorem_worked_example(vee):

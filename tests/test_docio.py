@@ -8,7 +8,6 @@ from hypothesis import given
 from smyth import DocumentError, FinitePoset, build
 from smyth.docio import (
     EXPECT_KEYS,
-    PosetDocument,
     document_from_payload,
     document_of_poset,
     load_document,
@@ -18,7 +17,7 @@ from smyth.docio import (
     save_document,
 )
 
-from conftest import assert_valid_dot, posets, vee_poset
+from conftest import assert_valid_dot, posets
 
 
 def vee_payload():

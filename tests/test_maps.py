@@ -1,7 +1,7 @@
 """Monotone maps, the induced powerdomain map, extensions, lifting."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from smyth import (
     CapacityError,

@@ -167,9 +167,12 @@ def test_cover_pairs_match_definition():
 
 
 def test_linear_extension_matches_scan():
-    """The cached extension equals the uncached scan, and is computed once."""
+    """The cached extension equals the uncached scan, and is computed once.
+    The duals put the smallest eligible index near the end of the scan."""
     cases = [p for n in range(1, 6) for p in all_posets(n)]
-    cases += [build(random_poset(13, 28)).order, _shuffled_order()]
+    large = build(random_poset(13, 28)).order
+    shuffled = _shuffled_order()
+    cases += [large, shuffled, order_dual(large), order_dual(shuffled)]
     for poset in cases:
         assert linear_extension(poset) == linear_extension_by_scan(poset)
         assert linear_extension(poset) is linear_extension(poset)

@@ -1,7 +1,7 @@
 """The space of nonempty down-sets: points, basis, embedding, iteration."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given
 
 from smyth import (
     CapacityError,
@@ -26,7 +26,7 @@ from smyth import (
 from smyth.generators import all_posets, random_poset
 from smyth.poset import iter_bits
 
-from conftest import antichain, boolean_lattice, chain, posets, vee_poset
+from conftest import antichain, boolean_lattice, chain, posets
 
 
 def test_points_of_vee(vee):

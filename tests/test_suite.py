@@ -179,6 +179,20 @@ def test_extension_minimality_skips_a_wide_antichain():
     )
 
 
+def test_sigma_properties_skip_over_capacity(monkeypatch):
+    """No sigma property lets CapacityError escape: with a capacity of 3,
+    the four-point powerdomain of the vee is over budget, and each
+    property reports a skip."""
+    monkeypatch.setenv("SPECTRAL_CAPACITY", "3")
+    payload = {"n": 3, "covers": [[0, 2], [1, 2]]}
+    for name in SUITE_GROUPS["sigma"]:
+        report = PROPERTIES[name](payload)
+        assert report.verdict == SKIPPED, name
+        assert report.reason == (
+            "enumeration over budget: more than 3 down-sets on 3 elements"
+        )
+
+
 @pytest.mark.parametrize("corrupted, f_image, g_image, law", [
     ((0, 1, 2), (0, 0, 0), (0, 0, 0), "identity"),
     ((2, 2, 2), (0, 0, 0), (2, 0, 0), "composition"),
@@ -204,6 +218,10 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
     assert report == _with_instance(check_functor_laws(f, g), payload)
     assert report.witness["law"] == law
     assert report.witness["instance"] == payload
+    if law == "composition":
+        # the lifted composite, then the composite of the two lifts
+        assert report.witness["expected"] == [2, 2, 2, 2, 2, 2, 0]
+        assert report.witness["got"] == [2, 2, 2, 2, 2, 2, 2]
 
 
 @pytest.mark.parametrize("corrupted, lifted_image, law", [
