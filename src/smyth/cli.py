@@ -33,13 +33,13 @@ from .suite import check_payload
 from .topology import open_sets
 
 
-def _space_for(path: str, hat: bool, inverse: bool, capacity: int | None = None):
+def _space_for(path: str, hat: bool, inverse: bool):
     poset = load_document(path).to_poset()
     if hat:
-        return hat_powerdomain(poset, capacity)
+        return hat_powerdomain(poset)
     if inverse:
-        return inverse_powerdomain(poset, capacity)
-    return build(poset, capacity)
+        return inverse_powerdomain(poset)
+    return build(poset)
 
 
 def _cmd_powerdomain(args: argparse.Namespace) -> int:

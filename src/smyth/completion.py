@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 from .docio import document_of_poset
 from .errors import CapacityError, RangeError, SigmaUndefinedError
-from .maps import MonotoneMap, _serialize_pair, anchored_extensions
+from .maps import MonotoneMap, _serialize_pair, anchored_extensions, identity
 from .poset import (
     FinitePoset,
     _least,
     check_subset,
-    down_closure,
     enumerate_down_sets,
     induced,
+    is_order_embedding,
     iter_bits,
     mask_of,
     resolve_capacity,
@@ -106,27 +106,28 @@ class SupExtensionProblem:
         return _serialize_pair(self.base_map)
 
 
-def lambda_sharp(problem: SupExtensionProblem, capacity: int | None = None) -> MonotoneMap:
+def lambda_sharp(problem: SupExtensionProblem) -> MonotoneMap:
     """The sup extension of the base map to the powerdomain.
 
-    Defined when every inverse-closed subset of the image has a sup in
-    the target.  Then each point maps to the sup of its image: a set has
-    the same upper bounds as its down-closure, both inside the image,
-    where the sup assignment is total, and in the whole target.
+    Each point maps to the sup of its image.  Defined when every
+    inverse-closed subset E of the image has a sup, which is when every
+    point's image has one: E is the image of the point of all that maps
+    into E, and a point's image has the upper bounds of its down-closure
+    in the image.  The first point with no sup raises SigmaUndefinedError
+    with its image mask.  Nothing is enumerated, so no capacity applies.
     """
     lam = problem.base_map
     target = problem.target
-    image_carrier = lam.image_mask(lam.source.full)
-    sigma = sigma_map(target, image_carrier, capacity)
-    if not sigma.is_total:
-        first = sigma.undefined()[0]
-        raise SigmaUndefinedError(
-            f"no sup for image subset {first:#x}", member_mask=first
-        )
-    values = tuple(
-        sup(target, lam.image_mask(member)) for member in problem.space.points
-    )
-    return MonotoneMap(problem.space.order, target, values)
+    values = []
+    for member in problem.space.points:
+        image = lam.image_mask(member)
+        value = sup(target, image)
+        if value is None:
+            raise SigmaUndefinedError(
+                f"no sup for image subset {image:#x}", member_mask=image
+            )
+        values.append(value)
+    return MonotoneMap(problem.space.order, target, tuple(values))
 
 
 def is_sup_preserving(f: MonotoneMap, capacity: int | None = None) -> bool:
@@ -225,14 +226,14 @@ def check_sigma_theorem(
     ``pointwise-least`` law reads one up row of the target per point,
     fetched once.  The ``unique-sup-preserving`` law runs the antichain
     definition ``is_sup_preserving`` on every candidate, so it does not
-    restate the per-point test.  ``capacity`` bounds the down-set
-    enumeration, the extension search and that walk.
+    restate the per-point test.  ``capacity`` bounds the extension
+    search and that walk.
     """
     prop = "sup-extension"
     instance = problem.serialize()
     lam = problem.base_map
     target = problem.target
-    sharp = lambda_sharp(problem, capacity)
+    sharp = lambda_sharp(problem)
 
     for x in range(lam.source.n):
         if sharp.image[problem.space.phi_index[x]] != lam.image[x]:
@@ -261,32 +262,17 @@ def check_sigma_theorem(
 def check_retraction(poset: FinitePoset, capacity: int | None = None) -> CheckReport:
     """Sups after the principal embedding give back the element.
 
-    Requires the sup assignment to be total on the whole poset; then the
-    sup of a principal down-set must be its generating element.
+    Requires every down-set to have a sup, as ``lambda_sharp`` of the
+    identity does; then the sup of a principal down-set is its generator.
     """
     prop = "sup-retraction"
     instance = document_of_poset(poset).to_payload()
-    sigma = sigma_map(poset, poset.full, capacity)
-    if not sigma.is_total:
-        first = sigma.undefined()[0]
-        raise SigmaUndefinedError(
-            f"no sup for down-set {first:#x}", member_mask=first
-        )
+    problem = SupExtensionProblem.for_map(identity(poset), capacity)
+    sharp = lambda_sharp(problem)
     for z in range(poset.n):
-        principal = down_closure(poset, 1 << z)
-        if sigma.value(principal) != z:
+        if sharp.image[problem.space.phi_index[z]] != z:
             return failed(prop, instance, law="retraction", element=z)
     return passed(prop, instance)
-
-
-def _order_embedding(
-    source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
-) -> bool:
-    return all(
-        source.leq(x, y) == target.leq(image[x], image[y])
-        for x in range(source.n)
-        for y in range(source.n)
-    )
 
 
 def check_injective_sigma_prop(
@@ -316,11 +302,11 @@ def check_injective_sigma_prop(
     defined = [s for s in sigma.sups if s is not None]
     if len(set(defined)) != len(defined):
         return skipped(prop, instance, "the sup assignment is not injective")
-    if not _order_embedding(lam.source, target, lam.image):
+    if not is_order_embedding(lam.source, target, lam.image):
         return skipped(prop, instance, "the base map is not an order-embedding")
 
-    sharp = lambda_sharp(problem, capacity)
-    if not _order_embedding(problem.space.order, target, sharp.image):
+    sharp = lambda_sharp(problem)
+    if not is_order_embedding(problem.space.order, target, sharp.image):
         return failed(prop, instance, law="order-embedding",
                       image=list(sharp.image))
 
@@ -330,7 +316,7 @@ def check_injective_sigma_prop(
     if generated:
         for candidate in _extensions_of(problem, capacity):
             if (
-                _order_embedding(problem.space.order, target, candidate)
+                is_order_embedding(problem.space.order, target, candidate)
                 and candidate != sharp.image
             ):
                 return failed(prop, instance, law="unique-embedding",

@@ -14,7 +14,7 @@ MAX_EXHAUSTIVE_N = 5
 
 
 @lru_cache(maxsize=None)
-def all_posets(n: int, max_n: int = MAX_EXHAUSTIVE_N) -> tuple[FinitePoset, ...]:
+def all_posets(n: int) -> tuple[FinitePoset, ...]:
     """Every labeled poset on ``n`` elements, each exactly once.
 
     Each unordered pair is assigned one of: incomparable, ascending, or
@@ -24,8 +24,8 @@ def all_posets(n: int, max_n: int = MAX_EXHAUSTIVE_N) -> tuple[FinitePoset, ...]
     """
     if n < 1:
         raise RangeError(f"a poset needs at least one element, got n={n}")
-    if n > max_n:
-        raise CapacityError(f"exhaustive enumeration is capped at n={max_n}")
+    if n > MAX_EXHAUSTIVE_N:
+        raise CapacityError(f"exhaustive enumeration is capped at n={MAX_EXHAUSTIVE_N}")
     pairs = list(combinations(range(n), 2))
     found = []
     for choice in product((0, 1, 2), repeat=len(pairs)):

@@ -24,6 +24,7 @@ from .poset import (
     FinitePoset,
     enumerate_down_sets,
     is_down_set,
+    is_order_embedding,
     iter_bits,
     linear_extension,
     mask_of,
@@ -370,17 +371,8 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport
 
 
 def is_order_isomorphism(f: MonotoneMap) -> bool:
-    """Bijective and order-reflecting in both directions.
-
-    A bijection is an order-isomorphism exactly when it carries each up
-    row of the source onto the up row of the image.
-    """
-    if f.source.n != f.target.n or len(set(f.image)) != f.source.n:
-        return False
-    return all(
-        f.image_mask(row) == f.target.up[f.image[x]]
-        for x, row in enumerate(f.source.up)
-    )
+    """An order-embedding between posets of the same size."""
+    return f.source.n == f.target.n and is_order_embedding(f.source, f.target, f.image)
 
 
 def lift_homeomorphism(

@@ -411,7 +411,9 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
     and up-set sizes, height, depth); the lexicographically first
     isomorphism in that search order is returned, so the result is
     deterministic.  ``tried[k]`` counts the candidates already tried at
-    depth ``k``, so the search keeps its state without recursion.
+    depth ``k``, so the search keeps its state without recursion.  A
+    candidate's rows, cut to the values used, must be the images of the
+    element's rows cut to the elements placed.
     """
     if left.n != right.n:
         return None
@@ -423,26 +425,31 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
         [j for j in range(right.n) if sig_r[j] == sig_l[i]] for i in range(left.n)
     ]
     variable_order = sorted(range(left.n), key=lambda i: len(candidates[i]))
+    placed = [0]
+    for i in variable_order:
+        placed.append(placed[-1] | 1 << i)
     image = [-1] * left.n
-    used = [False] * right.n
+    used = 0
     tried = [0] * left.n
     k = 0
     while 0 <= k < left.n:
         i = variable_order[k]
         if image[i] >= 0:
-            used[image[i]] = False
+            used ^= 1 << image[i]
             image[i] = -1
+        above = mask_of(image[y] for y in iter_bits(left.up[i] & placed[k]))
+        below = mask_of(image[y] for y in iter_bits(left.down[i] & placed[k]))
         options = candidates[i]
         while tried[k] < len(options):
             j = options[tried[k]]
             tried[k] += 1
-            if not used[j] and all(
-                left.leq(i, i0) == right.leq(j, image[i0])
-                and left.leq(i0, i) == right.leq(image[i0], j)
-                for i0 in variable_order[:k]
+            if (
+                not used >> j & 1
+                and right.up[j] & used == above
+                and right.down[j] & used == below
             ):
                 image[i] = j
-                used[j] = True
+                used |= 1 << j
                 break
         if image[i] >= 0:
             k += 1
@@ -450,6 +457,23 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
             tried[k] = 0
             k -= 1
     return tuple(image) if k == left.n else None
+
+
+def is_order_embedding(
+    source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
+) -> bool:
+    """Whether ``x <= y`` exactly when ``image[x] <= image[y]``.
+
+    True when injective and each up row maps onto its image's up row cut
+    to the image: one compare per element, not per pair.
+    """
+    if len(set(image)) != source.n:
+        return False
+    carrier = mask_of(image)
+    return all(
+        mask_of(image[y] for y in iter_bits(row)) == target.up[image[x]] & carrier
+        for x, row in enumerate(source.up)
+    )
 
 
 def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:

@@ -209,14 +209,24 @@ def powerdomain_image_by_closure(f: MonotoneMap) -> tuple[int, ...]:
     )
 
 
-def is_order_isomorphism_by_pairs(f: MonotoneMap) -> bool:
-    """Bijective, and ``x <= y`` exactly when ``f(x) <= f(y)``.  The oracle."""
-    if f.source.n != f.target.n or len(set(f.image)) != f.source.n:
-        return False
+def is_order_embedding_by_pairs(
+    source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
+) -> bool:
+    """``x <= y`` exactly when ``image[x] <= image[y]``, pair by pair.  The oracle.
+
+    Injectivity follows: equal images make ``x`` and ``y`` mutually below.
+    """
     return all(
-        f.source.leq(x, y) == f.target.leq(f.image[x], f.image[y])
-        for x in range(f.source.n)
-        for y in range(f.source.n)
+        source.leq(x, y) == target.leq(image[x], image[y])
+        for x in range(source.n)
+        for y in range(source.n)
+    )
+
+
+def is_order_isomorphism_by_pairs(f: MonotoneMap) -> bool:
+    """Same size, and an order-embedding by the pair scan.  The oracle."""
+    return f.source.n == f.target.n and is_order_embedding_by_pairs(
+        f.source, f.target, f.image
     )
 
 

@@ -168,6 +168,12 @@ def test_lambda_sharp_undefined():
     with pytest.raises(SigmaUndefinedError) as info:
         lambda_sharp(SupExtensionProblem.for_map(identity(p)))
     assert info.value.member_mask == 0b11
+    # off the identity it is the image of the first point with no sup, in
+    # the target's indexing: the point {0, 2} (0b101) maps onto {1, 0}
+    f = MonotoneMap(antichain(3), p, (1, 1, 0))
+    with pytest.raises(SigmaUndefinedError) as info:
+        lambda_sharp(SupExtensionProblem.for_map(f))
+    assert info.value.member_mask == 0b11
 
 
 def test_lambda_sharp_restricts_to_base(vee):

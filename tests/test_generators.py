@@ -33,8 +33,6 @@ def test_exhaustive_cap():
     assert MAX_EXHAUSTIVE_N == 5
     with pytest.raises(CapacityError):
         all_posets(6)
-    with pytest.raises(CapacityError):
-        all_posets(4, max_n=3)
 
 
 def test_all_posets_distinct_and_cached():

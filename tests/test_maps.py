@@ -295,6 +295,8 @@ def test_is_order_isomorphism(vee):
     f = MonotoneMap(vee, rotated, (1, 2, 0))
     assert is_order_isomorphism(f)
     assert not is_order_isomorphism(worked_map())
+    space = build(vee)
+    assert not is_order_isomorphism(MonotoneMap(vee, space.order, space.phi_index))
     assert is_order_isomorphism(identity(vee))
 
 

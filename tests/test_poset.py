@@ -1,6 +1,7 @@
 """Core order structure: construction, closures, sups, enumeration."""
 
 import random
+from collections import defaultdict
 from itertools import permutations, product
 
 import pytest
@@ -34,6 +35,7 @@ from smyth.poset import (
     check_subset,
     heights,
     induced,
+    is_order_embedding,
     iter_bits,
     mask_of,
     relabel,
@@ -51,6 +53,7 @@ from conftest import (
     diamond_poset,
     down_sets_by_filter,
     heights_by_pairs,
+    is_order_embedding_by_pairs,
     linear_extension_by_scan,
     lower_covers_by_definition,
     order_transpose,
@@ -388,6 +391,26 @@ def test_relabel_and_isomorphism(vee):
     assert find_isomorphism(chain(2), chain(3)) is None
 
 
+def test_find_isomorphism_matches_relabeling_classes():
+    # labeled posets on at most four elements, grouped by their least up
+    # rows over all relabelings: within a class every answer is an
+    # isomorphism by the pair scan, and across classes there is none
+    for n in range(1, 5):
+        classes = defaultdict(list)
+        for p in all_posets(n):
+            key = min(relabel(p, perm).up for perm in permutations(range(n)))
+            classes[key].append(p)
+        for members in classes.values():
+            for left in members:
+                for right in members:
+                    iso = find_isomorphism(left, right)
+                    assert iso is not None
+                    assert is_order_embedding_by_pairs(left, right, iso)
+            for other in classes.values():
+                if other is not members:
+                    assert all(find_isomorphism(members[0], q) is None for q in other)
+
+
 def test_find_isomorphism_on_a_long_chain(shallow_recursion):
     assert find_isomorphism(chain(400), chain(400)) == tuple(range(400))
 
@@ -397,8 +420,24 @@ def test_relabel_round_trip(poset, rng):
     perm = list(range(poset.n))
     rng.shuffle(perm)
     moved = relabel(poset, tuple(perm))
-    assert find_isomorphism(poset, moved) is not None
+    iso = find_isomorphism(poset, moved)
+    assert iso is not None and is_order_embedding_by_pairs(poset, moved, iso)
     assert moved.n == poset.n
+
+
+def test_order_embedding_matches_pair_scan():
+    # every assignment between posets on at most three elements, monotone
+    # or not: the row test accepts exactly what the pair scan accepts
+    small = [p for n in range(1, 4) for p in all_posets(n)]
+    assignments = embeddings = 0
+    for source in small:
+        for target in small:
+            for image in product(range(target.n), repeat=source.n):
+                expected = is_order_embedding_by_pairs(source, target, image)
+                assert is_order_embedding(source, target, image) == expected
+                assignments += 1
+                embeddings += expected
+    assert (assignments, embeddings) == (10838, 298)
 
 
 def test_induced_subposet(vee):

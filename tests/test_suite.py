@@ -1,5 +1,6 @@
 """Report shape, suite scopes, determinism, and witness replay."""
 
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,20 @@ def test_fixture_scope_green():
     assert "fixture-expectations" in names
     assert "fixture-vee-to-chain" in names
     assert "fixture-discrete-collapse" in names
+
+
+@pytest.mark.parametrize(
+    "scope, digest, count",
+    [("fixtures", "cbaca1ea37dd2a4a", 46), ("exhaustive-4", "8cb1057c8fa761ae", 2190)],
+)
+def test_report_lists_are_pinned(scope, digest, count):
+    # a sha256 prefix of every report line: a change meant to keep each
+    # verdict, witness and skip reason must leave these bytes alone
+    reports = run_suite(scope)
+    text = "\n".join(r.to_json() for r in reports)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(reports)) == (
+        digest, count
+    )
 
 
 def test_random_scope_deterministic():
