@@ -88,21 +88,23 @@ class FinitePoset:
             raise RangeError("relation rows do not match the element count")
         if self.labels is not None and len(self.labels) != self.n:
             raise RangeError("labels do not match the element count")
-        full = (1 << self.n) - 1
-        for i in range(self.n):
-            if self.up[i] & ~full or self.down[i] & ~full:
+        n, up, down = self.n, self.up, self.down
+        for i in range(n):
+            above, below = up[i], down[i]
+            if (above < 0 or below < 0
+                    or above.bit_length() > n or below.bit_length() > n):
                 raise RangeError(f"row {i} mentions elements outside range(n)")
-            if not self.up[i] >> i & 1:
+            if not above >> i & 1:
                 raise RangeError(f"relation is not reflexive at {i}")
-        for i in range(self.n):
-            meet = self.up[i] & self.down[i]
+        for i in range(n):
+            meet = up[i] & down[i]
             if meet != 1 << i:
                 raise CycleError(
                     f"elements {i} and {next(iter_bits(meet ^ (1 << i)))} "
                     "are each below the other"
                 )
-        _check_rows(self.up, self.down, "above")
-        _check_rows(self.down, self.up, "below")
+        _check_rows(up, down, "above")
+        _check_rows(down, up, "below")
 
     @classmethod
     def from_cover_relations(
@@ -421,9 +423,10 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
     sig_r = _signatures(right)
     if sorted(sig_l) != sorted(sig_r):
         return None
-    candidates = [
-        [j for j in range(right.n) if sig_r[j] == sig_l[i]] for i in range(left.n)
-    ]
+    by_signature: dict[tuple[int, int, int, int], list[int]] = {}
+    for j, signature in enumerate(sig_r):
+        by_signature.setdefault(signature, []).append(j)
+    candidates = [by_signature[signature] for signature in sig_l]
     variable_order = sorted(range(left.n), key=lambda i: len(candidates[i]))
     placed = [0]
     for i in variable_order:
@@ -535,7 +538,9 @@ def induced(poset: FinitePoset, carrier: int) -> tuple[FinitePoset, tuple[int, .
 
 def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:
     """Subset masks ordered by size then by mask value."""
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+    ordered = sorted(masks)
+    ordered.sort(key=int.bit_count)
+    return tuple(ordered)
 
 
 def _down_sets_by_extension(poset: FinitePoset, limit: int) -> list[int]:

@@ -24,6 +24,7 @@ from .poset import (
     is_down_set,
     is_order_embedding,
     iter_bits,
+    linear_extension,
     mask_of,
     order_dual,
     resolve_capacity,
@@ -59,39 +60,74 @@ class PowerdomainSpace:
 
 
 def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
-    """Inclusion order on ``points``, read off per-element point columns.
+    """Inclusion order on ``points``, one big-integer AND per row.
 
-    ``column[x]`` holds the indices of the points that contain ``x``.
-    Point ``i`` lies below exactly the points that contain all of its
-    members, and point ``j`` above exactly the points that avoid every
-    element outside it, so each row is a fold of ``base.n`` columns.
-    ``points`` must be in canonical order (size, then mask value), as
-    ``enumerate_down_sets`` returns them: a proper subset then always
-    comes before its superset, so the down row of ``j`` lies within the
-    first ``j + 1`` indices and is cut to that width.
+    ``points`` must be down-sets in canonical order (size, then mask
+    value), as ``enumerate_down_sets`` returns them.  Write a point ``m``
+    in linear-extension ranks: its highest rank is a maximal member
+    ``x`` and its lowest missing rank a minimal non-member ``y``, so
+    ``m - {x}`` and ``m | {y}`` are down-sets as well.  With ``column[x]``
+    the points that contain ``x``, the lattice recurrences
+
+        up[m] = up[m - {x}] & column[x]      up[{}] = every point
+        down[m] = down[m | {y}] & ~column[y]   down[base] = every point
+
+    fill the up rows in canonical order and the down rows in reverse,
+    since a proper subset always comes first.  ``_inclusion_rows``
+    evaluates them, so its temporaries are gone before ``FinitePoset``
+    validates the rows.
     """
-    count = len(points)
     point_index = {mask: i for i, mask in enumerate(points)}
-    column = [0] * base.n
-    for i, mask in enumerate(points):
-        bit = 1 << i
-        for x in iter_bits(mask):
-            column[x] |= bit
-    every = (1 << count) - 1
-    up = []
-    down = []
-    for j, mask in enumerate(points):
-        row = every
-        for x in iter_bits(mask):
-            row &= column[x]
-        up.append(row)
-        outside = 0
-        for x in iter_bits(base.full & ~mask):
-            outside |= column[x]
-        down.append(((1 << (j + 1)) - 1) & ~outside)
-    order = FinitePoset(count, tuple(up), tuple(down))
+    up, down = _inclusion_rows(base, points)
+    order = FinitePoset(len(points), up, down)
     phi = tuple(point_index[down_closure(base, 1 << x)] for x in range(base.n))
     return PowerdomainSpace(base, points, order, phi, point_index)
+
+
+def _inclusion_rows(
+    base: FinitePoset, points: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The up and down rows of ``_assemble``, in the order of ``points``.
+
+    The recurrences run on each mask rewritten in ranks, read through
+    one table per byte of the mask, of ``2**min(8, n)`` entries.
+    ``column[k]`` holds the points that contain the element of rank
+    ``k``: one strided slice of a single binary string that spells every
+    ranked mask in ``n`` digits, last point first.
+    """
+    n = base.n
+    rank = [0] * n
+    for k, x in enumerate(linear_extension(base)):
+        rank[x] = k
+    ranked = [0] * len(points)
+    for low in range(0, n, 8):
+        table = [0]
+        for k in rank[low:low + 8]:
+            bit = 1 << k
+            table += [t | bit for t in table]
+        ranked = [r | table[m >> low & 255] for r, m in zip(ranked, points)]
+    text = "".join(map(f"{{:0{n}b}}".format, reversed(ranked)))
+    column = [int(text[n - 1 - k::n], 2) for k in range(n)]
+    del text
+    every = (1 << len(points)) - 1
+    up_of = {0: every}
+    for r in ranked:
+        if r:
+            k = r.bit_length() - 1
+            up_of[r] = up_of[r ^ (1 << k)] & column[k]
+    outside = [every ^ c for c in column]
+    full = (1 << n) - 1
+    down_of = {full: every}
+    for r in reversed(ranked):
+        if r != full:
+            low = ~r & (r + 1)
+            row = down_of[r | low] & outside[low.bit_length() - 1]
+            # The AND result keeps the allocation of the neighbour's wider
+            # row; negating twice copies it at its own width, so the
+            # cached order carries no slack.
+            down_of[r] = -(-row)
+    up = tuple(map(up_of.__getitem__, ranked))
+    return up, tuple(map(down_of.__getitem__, ranked))
 
 
 @lru_cache(maxsize=None)
@@ -229,11 +265,21 @@ def check_embedding_theorem(
                 return failed(prop, instance, law="basis-intersection",
                               left=a, right=b)
 
+    # Point i lies below the points that hold all of its members: an AND
+    # of membership columns, an independent route to _assemble's rows.
+    column = [0] * base.n
+    for j, big in enumerate(space.points):
+        for x in iter_bits(big):
+            column[x] |= 1 << j
+    every = (1 << len(space.points)) - 1
     for i, small in enumerate(space.points):
-        for j, big in enumerate(space.points):
-            if space.order.leq(i, j) != (small & ~big == 0):
-                return failed(prop, instance, law="order-is-containment",
-                              left=i, right=j)
+        above = every
+        for x in iter_bits(small):
+            above &= column[x]
+        wrong = space.order.up[i] ^ above
+        if wrong:
+            return failed(prop, instance, law="order-is-containment",
+                          left=i, right=(wrong & -wrong).bit_length() - 1)
 
     if len(set(space.phi_index)) != base.n:
         return failed(prop, instance, law="injective")

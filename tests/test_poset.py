@@ -99,6 +99,15 @@ def test_direct_construction_validation():
         FinitePoset(2, up=(0b10, 0b10), down=(0b01, 0b11))  # 0 not reflexive
     with pytest.raises(RangeError):
         FinitePoset(2, up=(0b01,), down=(0b01,))  # row count mismatch
+    outside = "row 1 mentions elements outside range"
+    with pytest.raises(RangeError, match=outside):
+        FinitePoset(2, up=(0b01, 0b110), down=(0b01, 0b10))
+    with pytest.raises(RangeError, match=outside):
+        FinitePoset(2, up=(0b01, 0b10), down=(0b01, 0b110))
+    with pytest.raises(RangeError, match=outside):
+        FinitePoset(2, up=(0b01, -2), down=(0b01, 0b10))
+    with pytest.raises(RangeError, match=outside):
+        FinitePoset(2, up=(0b01, 0b10), down=(0b01, -0b10))
     with pytest.raises(ValueError):
         # up says 1 <= 0 but down[0] does not list 1
         FinitePoset(2, up=(0b01, 0b11), down=(0b01, 0b10))

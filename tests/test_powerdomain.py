@@ -1,5 +1,8 @@
 """The space of nonempty down-sets: points, basis, embedding, iteration."""
 
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 
@@ -24,7 +27,7 @@ from smyth import (
     vietoris_open,
 )
 from smyth.generators import all_posets, random_poset
-from smyth.poset import iter_bits
+from smyth.poset import FinitePoset, iter_bits, relabel
 
 from conftest import antichain, boolean_lattice, chain, posets
 
@@ -84,6 +87,48 @@ def test_order_is_inclusion_on_large_base():
     space = build(poset)
     assert len(space.points) >= 1000
     assert_assembled_order(space)
+
+
+def test_order_is_inclusion_on_every_small_poset():
+    for poset in (p for n in range(1, 6) for p in all_posets(n)):
+        for builder in (build, hat_powerdomain, inverse_powerdomain):
+            assert_assembled_order(builder(poset))
+
+
+def reversed_chain(n):
+    """The chain ``n-1 < ... < 0``: index order is no linear extension."""
+    return FinitePoset.from_cover_relations(n, [(i + 1, i) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_order_is_inclusion_across_rank_table_bytes(n):
+    # the ranks of a mask are read one byte at a time; these widths end
+    # a byte exactly or spill one element into the next
+    # the zigzag chain n//2 < 0 < n//2 + 1 < 1 < ... takes its elements
+    # from the two halves in turn
+    zigzag = [x for pair in zip(range(n // 2, n), range(n // 2)) for x in pair]
+    zigzag += range(2 * (n // 2), n)
+    shuffled = tuple(random.Random(n).sample(range(n), n))
+    bases = [
+        reversed_chain(n),
+        FinitePoset.from_cover_relations(n, zip(zigzag, zigzag[1:])),
+        random_poset(n, 1000 + n),
+        relabel(random_poset(n, 1000 + n), shuffled),
+    ]
+    for poset in bases:
+        for builder in (build, hat_powerdomain, inverse_powerdomain):
+            space = builder(poset, capacity=5000)
+            assert_assembled_order(space)
+
+
+def test_empty_point_of_hat_space():
+    for poset in (reversed_chain(9), antichain(3), random_poset(17, 7)):
+        space = hat_powerdomain(poset, capacity=5000)
+        every = (1 << len(space.points)) - 1
+        assert space.points[0] == 0
+        assert space.order.up[0] == every
+        assert space.order.down[0] == 1
+        assert space.order.down[-1] == every
 
 
 def test_phi_points(vee):
@@ -245,6 +290,34 @@ def test_boolean_lattice_point_count():
 @given(posets(max_n=5))
 def test_embedding_theorem_holds(poset):
     assert check_embedding_theorem(build(poset)).ok
+
+
+def first_wrong_pair(space):
+    """The row-major first ``(i, j)`` where the order and containment
+    disagree.  The pair-scan oracle of ``order-is-containment``."""
+    for i, small in enumerate(space.points):
+        for j, big in enumerate(space.points):
+            if space.order.leq(i, j) != (small & ~big == 0):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("base", [antichain(3), boolean_lattice(2), random_poset(6, 3)])
+def test_embedding_theorem_catches_a_wrong_order(base):
+    assert not is_chain(base)
+    space = build(base)
+    broken = replace(space, order=chain(len(space.points)))
+    witness = check_embedding_theorem(broken).witness
+    assert witness["law"] == "order-is-containment"
+    assert (witness["left"], witness["right"]) == first_wrong_pair(broken)
+
+
+def test_embedding_theorem_wrong_order_on_vee(vee):
+    # points {a1}, {a2}, {a1,a2}, {a1,a2,b}: the chain puts {a1} below {a2}
+    broken = replace(build(vee), order=chain(4))
+    witness = check_embedding_theorem(broken).witness
+    assert (witness["law"], witness["left"], witness["right"]) == (
+        "order-is-containment", 0, 1)
 
 
 def test_build_is_memoized(vee):

@@ -32,3 +32,23 @@ def test_traced_names_exist():
             assert callable(vars(getattr(module, owner))[method]), attribute
         else:
             assert callable(getattr(module, attribute)), attribute
+
+
+def test_uncached_build_enumerates_down_sets_once(monkeypatch):
+    # the traced poset.enumerate_down_sets metrics of the build workload
+    # count one enumeration per construction
+    calls = []
+    enumerate_down_sets = powerdomain.enumerate_down_sets
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_down_sets(*args, **kwargs)
+
+    monkeypatch.setattr(powerdomain, "enumerate_down_sets", counting)
+    base = generators.random_poset(9, 2024)
+    for include_empty in (False, True):
+        calls.clear()
+        space = powerdomain._build.__wrapped__(base, include_empty, 1 << 20)
+        assert len(calls) == 1
+        assert calls[0][0] is base
+        assert len(space.points) == len(enumerate_down_sets(base, include_empty))
