@@ -69,11 +69,13 @@ class FinitePoset:
     Construction accepts exactly the rows where ``up`` is a partial order
     and ``down`` is its transpose: every row stays within ``range(n)``,
     ``up`` is reflexive, ``up[i] & down[i]`` is ``{i}`` alone
-    (antisymmetry, else CycleError), and ``_check_rows`` rebuilds each
-    row from the rows of a few picked members (transitivity and the
-    transpose, else ValueError).  When indices follow a linear extension
-    or its reverse, the picks are exactly the covers, so the check costs
-    a few big-integer operations per cover edge, not per comparable pair.
+    (antisymmetry, else CycleError), and one pass of ``_check_rows``
+    rebuilds each down row from the down rows of a few picked members,
+    then each up row from the up rows of the elements that picked it
+    (transitivity and the transpose, else ValueError).  When indices
+    follow a linear extension or its reverse, the picks are exactly the
+    covers, so the check costs a few big-integer operations per cover
+    edge, not per comparable pair.
     """
 
     n: int
@@ -103,8 +105,7 @@ class FinitePoset:
                     f"elements {i} and {next(iter_bits(meet ^ (1 << i)))} "
                     "are each below the other"
                 )
-        _check_rows(up, down, "above")
-        _check_rows(down, up, "below")
+        _check_rows(up, down)
 
     @classmethod
     def from_cover_relations(
@@ -240,42 +241,58 @@ class FinitePoset:
         return self.labels[i] if self.labels is not None else str(i)
 
 
-_NOT_TRANSPOSE = "down rows are not the transpose of up rows"
+def _check_rows(up: tuple[int, ...], down: tuple[int, ...]) -> None:
+    """Rebuild the down rows from picked members, then the up rows.
 
+    Each ``down[i]`` must be ``{i}`` plus the down rows of its picks.  The
+    member picked next is the remaining one nearest ``i``: the lowest
+    index above ``i``, else the highest below.  Each pick ``j`` of row
+    ``i`` is recorded as ``i`` in ``upper[j]``, and then each ``up[j]``
+    must be ``{j}`` plus the up rows of ``upper[j]``, one OR per pick.
+    The constructor has already made every ``up[k] & down[k]`` equal to
+    ``{k}``, so each pick leaves the remaining set.
 
-def _check_rows(rows: tuple[int, ...], other: tuple[int, ...], side: str) -> None:
-    """Rebuild each row as ``{i}`` plus the rows of picked members.
-
-    The member picked next is the remaining one nearest ``i``: the lowest
-    index above ``i``, else the highest below.  Each pick ``j`` must list
-    ``i`` in ``other[j]``, and the picked rows must not reach outside
-    ``rows[i]``.  The picks form a relation whose reflexive-transitive
-    closure is ``rows``; a cycle in it would put two elements into one
-    ``up[j] & down[j]``, which the constructor has already ruled out.  So
-    ``rows`` is a partial order, and run both ways round the check also
-    makes ``other`` its transpose.  Any pick would do; the nearest one is
-    a cover whenever indices follow a linear extension or its reverse.
+    Why this is the whole check: along a cycle of the pick relation the
+    two rebuilds would make the down rows equal and the up rows equal,
+    so the up and down rows of each of its elements would share the
+    whole cycle, which the constructor has ruled out.  On an acyclic
+    relation each rebuild has one solution: ``down`` is the
+    reflexive-transitive closure of the picks and ``up`` the closure of
+    their converse.  So ``up`` is a partial order and ``down`` is its
+    transpose.  Conversely, a partial order and its transpose pass both
+    rebuilds.  Any pick would do; the nearest one is a cover whenever
+    indices follow a linear extension or its reverse.  In a linear
+    extension the down rows hold only lower indices, so each pick is one
+    ``bit_length`` of a narrowing mask.
     """
-    for i, row in enumerate(rows):
+    upper: list[list[int]] = [[] for _ in up]
+    for i, row in enumerate(down):
         bit = 1 << i
         below = row & (bit - 1)
         above = row ^ below ^ bit
         reached = bit
-        while above:
-            j = (above & -above).bit_length() - 1
-            if not other[j] & bit:
-                raise ValueError(_NOT_TRANSPOSE)
-            reached |= rows[j]
-            above &= ~rows[j]
-        below &= ~reached
+        if above:
+            while above:
+                j = (above & -above).bit_length() - 1
+                upper[j].append(i)
+                picked = down[j]
+                reached |= picked
+                above ^= above & picked
+            below &= ~reached
         while below:
             j = below.bit_length() - 1
-            if not other[j] & bit:
-                raise ValueError(_NOT_TRANSPOSE)
-            reached |= rows[j]
-            below &= ~rows[j]
+            upper[j].append(i)
+            picked = down[j]
+            reached |= picked
+            below ^= below & picked
         if reached != row:
-            raise ValueError(f"relation is not transitive {side} {i}")
+            raise ValueError(f"relation is not transitive below {i}")
+    for j, picked_by in enumerate(upper):
+        reached = 1 << j
+        for i in picked_by:
+            reached |= up[i]
+        if reached != up[j]:
+            raise ValueError("down rows are not the transpose of up rows")
 
 
 def check_subset(poset: FinitePoset, subset: int) -> int:

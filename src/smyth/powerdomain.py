@@ -256,12 +256,12 @@ def check_embedding_theorem(
     instance = document_of_poset(space.base).to_payload()
     base = space.base
     opens = enumerate_down_sets(base, True, capacity)
-    open_of = {omega: basic_open(space, omega) for omega in opens}
+    open_of = {omega: mask_of(basic_open(space, omega)) for omega in opens}
+    masks = list(open_of.items())
 
-    for a in opens:
-        for b in opens:
-            meet = open_of[a] & open_of[b]
-            if meet != open_of[a & b]:
+    for a, mask_a in masks:
+        for b, mask_b in masks:
+            if mask_a & mask_b != open_of[a & b]:
                 return failed(prop, instance, law="basis-intersection",
                               left=a, right=b)
 
@@ -285,9 +285,9 @@ def check_embedding_theorem(
         return failed(prop, instance, law="injective")
     if not is_order_embedding(base, space.order, space.phi_index):
         return failed(prop, instance, law="order-embedding")
-    for omega in opens:
+    for omega, members in masks:
         pulled = mask_of(
-            x for x in range(base.n) if space.phi_index[x] in open_of[omega]
+            x for x, i in enumerate(space.phi_index) if members >> i & 1
         )
         if pulled != omega:
             return failed(prop, instance, law="basic-open-pullback", open=omega)
@@ -300,9 +300,8 @@ def check_embedding_theorem(
         return failed(prop, instance, law="unique-maximal-point",
                       maximal=maximal)
 
-    principal = set(space.phi_index)
-    for omega in opens:
-        members = open_of[omega]
+    principal = mask_of(space.phi_index)
+    for omega, members in masks:
         if members and not members & principal:
             return failed(prop, instance, law="density", open=omega)
 

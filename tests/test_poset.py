@@ -18,6 +18,8 @@ from smyth import (
     down_closure,
     enumerate_down_sets,
     find_isomorphism,
+    hat_powerdomain,
+    inverse_powerdomain,
     is_chain,
     is_down_set,
     is_up_set,
@@ -157,6 +159,78 @@ def test_validation_on_large_relabeled_order():
         down[i] ^= 1 << j
         with pytest.raises((ValueError, SmythError)):
             FinitePoset(shuffled.n, shuffled.up, tuple(down))
+
+
+NOT_TRANSPOSE = "down rows are not the transpose of up rows"
+
+
+def _flip_outcomes(poset, rows, bits):
+    """Construct with one bit flipped: each bit of ``bits(r)`` in row ``r``
+    of ``up``, then of ``down``, for each row ``r`` in ``rows``.  Yields
+    the side, the rows and the error raised, None when accepted."""
+    for r in rows:
+        for b in bits(r):
+            for side in ("up", "down"):
+                up, down = list(poset.up), list(poset.down)
+                (up if side == "up" else down)[r] ^= 1 << b
+                try:
+                    FinitePoset(poset.n, tuple(up), tuple(down))
+                    error = None
+                except (ValueError, SmythError) as exc:
+                    error = exc
+                yield side, tuple(up), tuple(down), error
+
+
+def _check_up_flip_error(error):
+    # the down-row pass never reads an up row, so an up-row flip that
+    # the range and antisymmetry checks let through is caught by the
+    # transpose pass
+    if not isinstance(error, (RangeError, CycleError)):
+        assert type(error) is ValueError and str(error) == NOT_TRANSPOSE
+
+
+def test_every_single_bit_flip_matches_oracle():
+    """Every bit of every row, one bit past the range included, of every
+    labeled poset on up to 4 elements: accepted exactly when the oracle
+    accepts."""
+    for n in range(1, 5):
+        for poset in all_posets(n):
+            for side, up, down, error in _flip_outcomes(
+                    poset, range(n), lambda r: range(n + 1)):
+                assert (error is None) == (down == order_transpose(n, up)), (up, down)
+                if side == "up":
+                    _check_up_flip_error(error)
+
+
+@pytest.mark.parametrize("make", [build, hat_powerdomain, inverse_powerdomain])
+def test_single_bit_flips_of_large_orders_rejected(make):
+    """The first, a middle and the last row of a 575-point order in
+    canonical order.  Flipped: every cover bit of the row, every seventh
+    bit and the bit past the range.  Every flip is rejected.  Up-row flips
+    reach only the transpose pass; so do the down-row flips that leave
+    every down row equal to the rows of its picks, such as dropping a
+    lower cover of the top row."""
+    order = make(random_poset(12, 1)).order
+    n = order.n
+
+    def bits(r):
+        covers = order.upper_covers[r] | order.lower_covers[r]
+        return sorted(set(iter_bits(covers)) | set(range(r % 7, n, 7)) | {n})
+
+    messages = set()
+    for side, _, _, error in _flip_outcomes(order, (0, n // 2, n - 1), bits):
+        assert error is not None
+        if side == "up":
+            _check_up_flip_error(error)
+        messages.add((side, str(error)))
+    assert ("up", NOT_TRANSPOSE) in messages
+    assert ("down", f"relation is not transitive below {n // 2}") in messages
+    top = n - 1
+    for k in iter_bits(order.lower_covers[top]):
+        down = list(order.down)
+        down[top] ^= 1 << k
+        with pytest.raises(ValueError, match=NOT_TRANSPOSE):
+            FinitePoset(n, order.up, tuple(down))
 
 
 def _shuffled_order() -> FinitePoset:

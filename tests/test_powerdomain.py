@@ -26,10 +26,17 @@ from smyth import (
     powerdomain_dimension,
     vietoris_open,
 )
+from smyth import powerdomain
 from smyth.generators import all_posets, random_poset
 from smyth.poset import FinitePoset, iter_bits, relabel
 
-from conftest import antichain, boolean_lattice, chain, posets
+from conftest import (
+    antichain,
+    boolean_lattice,
+    chain,
+    first_basis_intersection_failure,
+    posets,
+)
 
 
 def test_points_of_vee(vee):
@@ -318,6 +325,49 @@ def test_embedding_theorem_wrong_order_on_vee(vee):
     witness = check_embedding_theorem(broken).witness
     assert (witness["law"], witness["left"], witness["right"]) == (
         "order-is-containment", 0, 1)
+
+
+def test_embedding_theorem_density_fails_on_hat_space(vee):
+    # the empty point is alone in the basic open of the empty open, and it
+    # is no principal point
+    witness = check_embedding_theorem(hat_powerdomain(vee)).witness
+    assert (witness["law"], witness["open"]) == ("density", 0)
+
+
+def meeting_basic_open(space, omega):
+    """The mutant basic open: the points that meet ``omega`` instead of
+    lying inside it."""
+    return frozenset(i for i, member in enumerate(space.points) if member & omega)
+
+
+def test_embedding_theorem_catches_meeting_basic_opens(monkeypatch):
+    """Every labeled poset on up to 3 elements and two larger bases: with
+    the mutant in place, the law fails exactly where the frozenset pair
+    scan finds a pair, and names that pair."""
+    bases = [p for n in range(1, 4) for p in all_posets(n)]
+    bases += [boolean_lattice(2), random_poset(6, 3)]
+    monkeypatch.setattr(powerdomain, "basic_open", meeting_basic_open)
+    caught = 0
+    for base in bases:
+        space = build(base)
+        expected = first_basis_intersection_failure(space, meeting_basic_open)
+        witness = check_embedding_theorem(space).witness
+        if expected is None:
+            assert witness is None or witness["law"] != "basis-intersection"
+        else:
+            assert witness["law"] == "basis-intersection"
+            assert (witness["left"], witness["right"]) == expected
+            caught += 1
+    assert caught >= len(bases) // 2
+
+
+def test_embedding_theorem_meeting_basic_opens_on_vee(monkeypatch, vee):
+    # {a1} and {a2} meet in the empty open, whose mutant basic open is
+    # empty, but both meet the point {a1,a2}
+    monkeypatch.setattr(powerdomain, "basic_open", meeting_basic_open)
+    witness = check_embedding_theorem(build(vee)).witness
+    assert (witness["law"], witness["left"], witness["right"]) == (
+        "basis-intersection", 0b01, 0b10)
 
 
 def test_build_is_memoized(vee):

@@ -52,3 +52,21 @@ def test_uncached_build_enumerates_down_sets_once(monkeypatch):
         assert len(calls) == 1
         assert calls[0][0] is base
         assert len(space.points) == len(enumerate_down_sets(base, include_empty))
+
+
+def test_uncached_build_validates_once(monkeypatch):
+    # the traced poset.FinitePoset metrics of the build workload count
+    # one validation per construction
+    calls = []
+    init = FinitePoset.__init__
+
+    def counting(self, n, *args, **kwargs):
+        calls.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(FinitePoset, "__init__", counting)
+    base = generators.random_poset(9, 2024)
+    for include_empty in (False, True):
+        calls.clear()
+        space = powerdomain._build.__wrapped__(base, include_empty, 1 << 20)
+        assert calls == [len(space.points)]
