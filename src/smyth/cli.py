@@ -1,16 +1,22 @@
 """Command line interface.
 
 Exit codes: 0 when everything passed, 1 when any check failed, 2 for
-usage errors, malformed input, or exceeded capacity.
+usage errors, malformed input, exceeded capacity, or an output that
+cannot be written (including a reader that closed the pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
+# Only the modules the light commands share are imported here.  The
+# commands that need maps, the generators or the check suite import
+# them in their own body, so ``stats``, ``powerdomain`` and ``iterate``
+# never load (or compile) those modules.
 from .docio import (
     document_of_poset,
     load_document,
@@ -18,8 +24,6 @@ from .docio import (
     powerdomain_to_dot,
 )
 from .errors import SmythError
-from .generators import all_posets
-from .maps import MonotoneMap, powerdomain_map
 from .poset import dimension, is_chain
 from .powerdomain import (
     build,
@@ -29,7 +33,6 @@ from .powerdomain import (
     iterate_sizes,
     powerdomain_dimension,
 )
-from .suite import check_payload
 from .topology import open_sets
 
 
@@ -49,7 +52,10 @@ def _cmd_powerdomain(args: argparse.Namespace) -> int:
     for index in range(len(space.points)):
         print(f"{index}: {space.point_label(index)}")
     if args.dot is not None:
-        Path(args.dot).write_text(powerdomain_to_dot(space))
+        try:
+            Path(args.dot).write_text(powerdomain_to_dot(space))
+        except OSError as exc:
+            raise SmythError(f"cannot write {args.dot}: {exc}") from exc
         print(f"dot: {args.dot}")
     return 0
 
@@ -75,6 +81,8 @@ def _parse_assignment(text: str, n: int) -> tuple[int, ...]:
 
 
 def _cmd_map_apply(args: argparse.Namespace) -> int:
+    from .maps import MonotoneMap, powerdomain_map
+
     source = load_document(args.file_src).to_poset()
     target = load_document(args.file_dst).to_poset()
     image = _parse_assignment(args.assign, source.n)
@@ -90,6 +98,8 @@ def _cmd_map_apply(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .suite import check_payload
+
     payload = load_document(args.file).to_payload()
     reports = check_payload(payload, args.suite)
     ok = True
@@ -100,6 +110,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .generators import all_posets
+
     for poset in all_posets(args.n):
         print(json.dumps(document_of_poset(poset).to_payload(), sort_keys=True))
     return 0
@@ -184,10 +196,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except SmythError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (``smyth ... | head -1``).  Point
+        # stdout at devnull so the interpreter's final flush of what is
+        # still buffered does not raise again at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

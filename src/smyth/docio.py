@@ -98,13 +98,17 @@ def document_from_payload(payload: dict) -> PosetDocument:
 def load_document(path: str | Path) -> PosetDocument:
     """Read and validate a poset document file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path} nests too deeply to parse") from exc
     return document_from_payload(payload)
 
 

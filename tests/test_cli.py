@@ -1,6 +1,9 @@
 """CLI surface: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,18 @@ from smyth.suite import FIXTURE_DOCS
 from conftest import assert_valid_dot
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
+
+
+def smyth_command(*args: str) -> list[str]:
+    return [sys.executable, "-m", "smyth", *args]
+
+
+def run_smyth(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        smyth_command(*args), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
 
 
 def write_payload(tmp_path, payload, name="doc.json"):
@@ -239,3 +254,44 @@ def test_capacity_flows_through_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("SPECTRAL_CAPACITY")
     assert main(["powerdomain", vee_file(tmp_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [b"[" * 200000, b'{"n": 1, "labels": ["\xff"]}'],
+                         ids=["deep-nesting", "not-utf8"])
+def test_unreadable_document_bytes(tmp_path, content):
+    target = tmp_path / "doc.json"
+    target.write_bytes(content)
+    result = run_smyth("stats", str(target))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_unwritable_dot_path(tmp_path):
+    dot = tmp_path / "missing" / "out.dot"
+    result = run_smyth("powerdomain", str(FIXTURES / "vee.json"), "--dot", str(dot))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: cannot write {dot}")
+    assert "Traceback" not in result.stderr
+    assert not dot.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("n, lines_read", [(5, 1), (3, 0)], ids=["head-1", "closed-first"])
+def test_closed_output_pipe(unbuffered, n, lines_read):
+    # "head-1" reads one line and closes the pipe, as ``| head -1`` does;
+    # the 4231 posets fill far more than the pipe buffer holds.
+    # "closed-first" closes it before the 19 posets are written, so
+    # buffered output is still pending at the final flush.
+    proc = subprocess.Popen(
+        smyth_command("enumerate-posets", "--n", str(n)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered),
+    )
+    for _ in range(lines_read):
+        assert json.loads(proc.stdout.readline())["n"] == n
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == ""

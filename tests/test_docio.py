@@ -76,6 +76,15 @@ def test_load_rejects_bad_json(tmp_path):
         load_document(target)
 
 
+@pytest.mark.parametrize("content", [b"[" * 200000, b'{"n": 1, "labels": ["\xff"]}'],
+                         ids=["deep-nesting", "not-utf8"])
+def test_load_rejects_unparsable_bytes(tmp_path, content):
+    target = tmp_path / "doc.json"
+    target.write_bytes(content)
+    with pytest.raises(DocumentError):
+        load_document(target)
+
+
 def test_document_validation_errors():
     bad_payloads = [
         ({"n": 3, "covers": [], "bogus": 1}, "bogus"),

@@ -9,7 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import smyth.cli  # noqa: F401  (loads every submodule the tracer wraps)
+import smyth.suite  # noqa: F401  (loads every library submodule the tracer wraps)
 from smyth import generators, maps, powerdomain
 from smyth.poset import FinitePoset
 
