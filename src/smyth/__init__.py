@@ -83,7 +83,6 @@ _EXPORTS_BY_MODULE = {
         "SigmaMap",
         "SupExtensionProblem",
         "check_injective_sigma_prop",
-        "check_retraction",
         "check_sigma_theorem",
         "is_sup_preserving",
         "lambda_sharp",

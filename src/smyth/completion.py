@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .docio import document_of_poset
 from .errors import CapacityError, RangeError, SigmaUndefinedError
-from .maps import MonotoneMap, _serialize_pair, anchored_extensions, identity
+from .maps import (
+    MonotoneMap,
+    _least_extension_violation,
+    _principal_extensions,
+    _serialize_pair,
+)
 from .poset import (
     FinitePoset,
     _least,
@@ -202,16 +206,6 @@ def preserves_sups(space: PowerdomainSpace, f: MonotoneMap) -> bool:
     return True
 
 
-def _extensions_of(problem: SupExtensionProblem, capacity: int | None):
-    anchors = {
-        problem.space.phi_index[x]: problem.base_map.image[x]
-        for x in range(problem.base_map.source.n)
-    }
-    return anchored_extensions(
-        problem.space.order, anchors, problem.target, capacity
-    )
-
-
 def check_sigma_theorem(
     problem: SupExtensionProblem, capacity: int | None = None
 ) -> CheckReport:
@@ -220,14 +214,17 @@ def check_sigma_theorem(
     For a well-posed problem: the sup extension restricts to the base
     map on principal points and is itself sup-preserving; every monotone
     extension lies above it pointwise; and the sup-preserving extensions
-    are exactly the sup extension, nothing else.
+    are exactly the sup extension, nothing else.  For the identity map
+    the ``restricts-to-base`` law is the retraction: the sup of a
+    principal down-set is its generator.
 
     The ``sup-preserving`` law is the per-point ``preserves_sups``.  The
-    ``pointwise-least`` law reads one up row of the target per point,
-    fetched once.  The ``unique-sup-preserving`` law runs the antichain
-    definition ``is_sup_preserving`` on every candidate, so it does not
-    restate the per-point test.  ``capacity`` bounds the extension
-    search and that walk.
+    ``pointwise-least`` law is the one ``check_minimality`` tests on
+    induced maps, and it runs over every candidate first.  The
+    ``unique-sup-preserving`` law then runs the antichain definition
+    ``is_sup_preserving`` on every candidate, so it does not restate the
+    per-point test.  ``capacity`` bounds the extension search and that
+    walk.
     """
     prop = "sup-extension"
     instance = problem.serialize()
@@ -241,37 +238,19 @@ def check_sigma_theorem(
     if not preserves_sups(problem.space, sharp):
         return failed(prop, instance, law="sup-preserving")
 
-    extensions = _extensions_of(problem, capacity)
+    extensions = _principal_extensions(problem.space, lam.image, target, capacity)
     if sharp.image not in extensions:
         return failed(prop, instance, law="is-an-extension")
-    floors = [target.up[value] for value in sharp.image]
+    violation = _least_extension_violation(sharp.image, extensions, target)
+    if violation is not None:
+        return failed(prop, instance, **violation)
     for candidate in extensions:
-        for point, value in enumerate(candidate):
-            if not floors[point] >> value & 1:
-                return failed(prop, instance, law="pointwise-least",
-                              candidate=list(candidate), point=point)
         preserving = is_sup_preserving(
             MonotoneMap.unchecked(problem.space.order, target, candidate), capacity
         )
         if preserving != (candidate == sharp.image):
             return failed(prop, instance, law="unique-sup-preserving",
                           candidate=list(candidate))
-    return passed(prop, instance)
-
-
-def check_retraction(poset: FinitePoset, capacity: int | None = None) -> CheckReport:
-    """Sups after the principal embedding give back the element.
-
-    Requires every down-set to have a sup, as ``lambda_sharp`` of the
-    identity does; then the sup of a principal down-set is its generator.
-    """
-    prop = "sup-retraction"
-    instance = document_of_poset(poset).to_payload()
-    problem = SupExtensionProblem.for_map(identity(poset), capacity)
-    sharp = lambda_sharp(problem)
-    for z in range(poset.n):
-        if sharp.image[problem.space.phi_index[z]] != z:
-            return failed(prop, instance, law="retraction", element=z)
     return passed(prop, instance)
 
 
@@ -314,7 +293,9 @@ def check_injective_sigma_prop(
         sup(target, image_carrier & target.down[z]) == z for z in range(target.n)
     )
     if generated:
-        for candidate in _extensions_of(problem, capacity):
+        for candidate in _principal_extensions(
+            problem.space, lam.image, target, capacity
+        ):
             if (
                 is_order_embedding(problem.space.order, target, candidate)
                 and candidate != sharp.image

@@ -308,19 +308,30 @@ def anchored_extensions(
     return tuple(sorted(found))
 
 
-def _extension_images(
-    f: MonotoneMap, capacity: int | None
+def _principal_extensions(
+    space: PowerdomainSpace, values, target: FinitePoset, capacity: int | None
 ) -> tuple[tuple[int, ...], ...]:
-    """The image tuples of every extension of ``f``, sorted."""
-    source_space = build(f.source, capacity)
-    target_space = build(f.target, capacity)
-    anchors = {
-        source_space.phi_index[x]: target_space.phi_index[f.image[x]]
-        for x in range(f.source.n)
-    }
+    """Every monotone ``space.order -> target`` sending the principal
+    point of each ``x`` to ``values[x]``, as sorted image tuples: the one
+    search of the least-extension laws of induced maps and sup extensions."""
     return anchored_extensions(
-        source_space.order, anchors, target_space.order, capacity
+        space.order, dict(zip(space.phi_index, values)), target, capacity
     )
+
+
+def _least_extension_violation(
+    least: tuple[int, ...], extensions, target: FinitePoset
+) -> dict | None:
+    """The first candidate not above ``least`` at some point, or None.
+    Reads one up row of ``target`` per point, fetched once; on a
+    powerdomain order that is containment of member masks."""
+    floors = [target.up[value] for value in least]
+    for candidate in extensions:
+        for point, value in enumerate(candidate):
+            if not floors[point] >> value & 1:
+                return {"law": "pointwise-least", "point": point,
+                        "candidate": list(candidate)}
+    return None
 
 
 def enumerate_extensions(
@@ -329,13 +340,17 @@ def enumerate_extensions(
     """Every monotone powerdomain map agreeing with ``f`` on principals.
 
     The induced map of ``f`` is always among them and is the pointwise
-    least; enumerate to verify, not to construct.
+    least; enumerate to verify, not to construct.  ``capacity`` bounds
+    the search only.  For the identity, ``restricts-to-base`` of
+    ``check_sigma_theorem`` is the retraction.
     """
-    source_order = build(f.source, capacity).order
-    target_order = build(f.target, capacity).order
+    source_space, target_space = build(f.source), build(f.target)
+    values = [target_space.phi_index[value] for value in f.image]
     return tuple(
-        MonotoneMap.unchecked(source_order, target_order, img)
-        for img in _extension_images(f, capacity)
+        MonotoneMap.unchecked(source_space.order, target_space.order, image)
+        for image in _principal_extensions(
+            source_space, values, target_space.order, capacity
+        )
     )
 
 
@@ -343,26 +358,29 @@ def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
     """The details of the first minimality law ``f`` breaks, or None.
 
     Works on the image tuples of the extensions, with no map wrapped
-    around each.  The member masks of the induced map are read once, so
-    the ``pointwise-least`` law costs one AND per point and candidate.
+    around each.  ``capacity`` bounds the search only: the spaces and
+    the induced map come from the default caches.
     """
-    capacity = resolve_capacity(capacity)
-    induced_map = powerdomain_map(f, capacity)
-    target_points = build(f.target, capacity).points
-    extensions = _extension_images(f, capacity)
+    induced_map = powerdomain_map(f)
+    target_space = build(f.target)
+    values = [target_space.phi_index[value] for value in f.image]
+    extensions = _principal_extensions(
+        build(f.source), values, target_space.order, capacity
+    )
     if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}
-    floors = [target_points[value] for value in induced_map.image]
-    for candidate in extensions:
-        for point, value in enumerate(candidate):
-            if floors[point] & ~target_points[value]:
-                return {"law": "pointwise-least", "point": point,
-                        "candidate": list(candidate)}
-    return None
+    return _least_extension_violation(
+        induced_map.image, extensions, target_space.order
+    )
 
 
 def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport:
-    """The induced map is the pointwise-least extension of ``f``."""
+    """The induced map is the pointwise-least extension of ``f``.
+
+    It is the sup extension of ``phi`` after ``f``, whose laws
+    ``check_sigma_theorem`` tests; there ``restricts-to-base`` for the
+    identity is the retraction.  ``capacity`` bounds the search only.
+    """
     violation = _minimality_violation(f, capacity)
     instance = _serialize_pair(f)
     if violation is not None:

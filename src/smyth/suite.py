@@ -14,7 +14,6 @@ import zlib
 
 from .completion import (
     SupExtensionProblem,
-    check_retraction,
     check_sigma_theorem,
     is_sup_preserving,
     lambda_sharp,
@@ -27,8 +26,9 @@ from .maps import (
     MonotoneMap,
     _composition_violation,
     _identity_violation,
+    _least_extension_violation,
     _minimality_violation,
-    anchored_extensions,
+    _principal_extensions,
     check_functor_laws,
     check_minimality,
     enumerate_extensions,
@@ -70,14 +70,15 @@ def _instance_seed(payload: dict) -> int:
     return zlib.crc32(instance_text(payload).encode())
 
 
-def _with_instance(report: CheckReport, payload: dict) -> CheckReport:
-    """Rebind a lower-level report to the suite's instance payload."""
+def _with_instance(report: CheckReport, payload: dict, prop: str = "") -> CheckReport:
+    """Rebind a failing lower-level report to the suite's payload and
+    property (``prop``, else its own), which ``replay`` runs on it."""
     if report.verdict == "fail":
         witness = dict(report.witness or {})
         witness["instance"] = payload
         witness.setdefault("detail", report.instance)
-        return CheckReport(report.property, report.instance, report.verdict,
-                           report.reason, witness)
+        return CheckReport(prop or report.property, report.instance,
+                           report.verdict, report.reason, witness)
     return report
 
 
@@ -192,8 +193,10 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
 
     Exercised against every monotone map into the two-element chain
     (the Sierpinski-valued maps); enumeration beyond the capacity is
-    reported as skipped, not guessed.  Only the first failing map is
-    serialized, by ``check_minimality``.
+    reported as skipped, not guessed; the capacity bounds the search
+    only.  Only the first failing map is serialized, by
+    ``check_minimality``.  ``sup-extension`` tests the same laws, and
+    its ``restricts-to-base`` for the identity is the retraction.
     """
     prop = "extension-minimality"
     poset = _poset_of(payload)
@@ -236,9 +239,6 @@ def prop_sup_extension(payload: dict) -> CheckReport:
         report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
         if not report.ok:
             return _with_instance(report, payload)
-        retraction = check_retraction(poset)
-        if not retraction.ok:
-            return _with_instance(retraction, payload)
     except SigmaUndefinedError as exc:
         return skipped(prop, payload, f"not sup-complete: {exc}")
     except CapacityError as exc:
@@ -249,9 +249,9 @@ def prop_sup_extension(payload: dict) -> CheckReport:
 def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
     """Extending the principal embedding along sups is the identity.
 
-    Sup-preservation is the per-point ``preserves_sups``, so it holds
-    at any size; the full characterization runs up to 12 points.
-    Enumeration beyond the capacity is reported as skipped.
+    The full characterization runs up to 12 points; above that only its
+    per-point ``sup-preserving`` law, ``preserves_sups``, which holds at
+    any size.  Enumeration beyond the capacity is reported as skipped.
     """
     prop = "sup-extension-of-embedding"
     poset = _poset_of(payload)
@@ -262,12 +262,12 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
         sharp = lambda_sharp(problem)
         if sharp.image != tuple(range(space.order.n)):
             return failed(prop, payload, got=list(sharp.image))
-        if not preserves_sups(space, sharp):
-            return failed(prop, payload, law="sup-preserving")
         if space.order.n <= 12:
             report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
             if not report.ok:
-                return _with_instance(report, payload)
+                return _with_instance(report, payload, prop)
+        elif not preserves_sups(space, sharp):
+            return failed(prop, payload, law="sup-preserving")
     except CapacityError as exc:
         return skipped(prop, payload, f"enumeration over budget: {exc}")
     return passed(prop, payload)
@@ -320,14 +320,11 @@ def prop_fixture_vee_to_chain(payload: dict) -> CheckReport:
     if (0, 0, 1, 1) not in images or induced_map.image not in images:
         return failed(prop, payload, law="extensions",
                       actual=[list(i) for i in images])
-    for ext in images:
-        if any(
-            target_space.points[induced_map.image[k]]
-            & ~target_space.points[ext[k]]
-            for k in range(4)
-        ):
-            return failed(prop, payload, law="pointwise-least",
-                          candidate=list(ext))
+    violation = _least_extension_violation(
+        induced_map.image, images, target_space.order
+    )
+    if violation is not None:
+        return failed(prop, payload, **violation)
     if find_isomorphism(source_space.order, target_space.order) is not None:
         return failed(prop, payload, law="non-isomorphic-powerdomains")
     return passed(prop, payload)
@@ -348,8 +345,8 @@ def prop_fixture_discrete_collapse(payload: dict) -> CheckReport:
     collapse = MonotoneMap(order, order, collapse_image)
     into_points = MonotoneMap(discrete, order, space.phi_index)
     problem = SupExtensionProblem(into_points, space)
-    anchors = {space.phi_index[x]: space.phi_index[x] for x in range(3)}
-    if collapse_image not in anchored_extensions(order, anchors, order):
+    extensions = _principal_extensions(space, space.phi_index, order, None)
+    if collapse_image not in extensions:
         return failed(prop, payload, law="collapse-is-an-extension")
     sharp = lambda_sharp(problem)
     if sharp.image != tuple(range(order.n)):
@@ -364,7 +361,7 @@ def prop_fixture_discrete_collapse(payload: dict) -> CheckReport:
         return failed(prop, payload, law="sharp-below-collapse")
     report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
     if not report.ok:
-        return _with_instance(report, payload)
+        return _with_instance(report, payload, prop)
     return passed(prop, payload)
 
 

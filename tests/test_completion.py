@@ -12,7 +12,6 @@ from smyth import (
     SupExtensionProblem,
     build,
     check_injective_sigma_prop,
-    check_retraction,
     check_sigma_theorem,
     enumerate_extensions,
     hat_powerdomain,
@@ -24,6 +23,7 @@ from smyth import (
     sigma_map,
     sup,
 )
+from smyth import completion
 from smyth.generators import all_monotone_images, all_posets
 
 from conftest import (
@@ -35,6 +35,7 @@ from conftest import (
     is_sup_preserving_by_subsets,
     lambda_sharp_by_closure,
     posets,
+    vee_poset,
 )
 
 import random
@@ -287,13 +288,61 @@ def test_is_sup_preserving_capacity_on_a_wide_antichain(shallow_recursion):
 
 
 def test_retraction_on_chain():
-    assert check_retraction(chain(3)).ok
-    assert check_retraction(diamond_poset()).ok
+    # for the identity, restricts-to-base is the retraction sup(phi(z)) == z
+    for poset in (chain(3), diamond_poset()):
+        assert check_sigma_theorem(SupExtensionProblem.for_map(identity(poset))).ok
 
 
 def test_retraction_needs_total_sigma():
     with pytest.raises(SigmaUndefinedError):
-        check_retraction(antichain(2))
+        check_sigma_theorem(SupExtensionProblem.for_map(identity(antichain(2))))
+
+
+def vee_problem():
+    """The worked sup-extension problem: the vee onto the two-chain, whose
+    sup extension is (0, 0, 0, 1) and whose other extension is (0, 0, 1, 1)."""
+    return SupExtensionProblem.for_map(MonotoneMap(vee_poset(), chain(2), (0, 0, 1)))
+
+
+def sharp_constant_top(problem):
+    return MonotoneMap(problem.space.order, problem.target, (1, 1, 1, 1))
+
+
+def extensions_with_bottom(original):
+    def with_bottom(space, values, target, capacity):
+        return original(space, values, target, capacity) + ((0, 0, 0, 0),)
+    return with_bottom
+
+
+@pytest.mark.parametrize("name, mutant, expected", [
+    ("lambda_sharp", lambda original: sharp_constant_top,
+     {"law": "restricts-to-base", "element": 0}),
+    ("preserves_sups", lambda original: lambda space, f: False,
+     {"law": "sup-preserving"}),
+    ("_principal_extensions", lambda original: lambda *args: (),
+     {"law": "is-an-extension"}),
+    ("_principal_extensions", extensions_with_bottom,
+     {"law": "pointwise-least", "point": 3, "candidate": [0, 0, 0, 0]}),
+    ("is_sup_preserving", lambda original: lambda f, capacity=None: True,
+     {"law": "unique-sup-preserving", "candidate": [0, 0, 1, 1]}),
+])
+def test_every_sigma_theorem_law_can_fail(monkeypatch, name, mutant, expected):
+    """One seeded defect per law of the worked problem, each caught by
+    its own law."""
+    assert check_sigma_theorem(vee_problem()).ok
+    monkeypatch.setattr(completion, name, mutant(getattr(completion, name)))
+    report = check_sigma_theorem(vee_problem())
+    assert report.verdict == "fail"
+    assert {key: report.witness[key] for key in expected} == expected
+
+
+def test_pointwise_least_is_checked_before_unique_sup_preserving(monkeypatch):
+    # a double fault: every candidate counts as sup-preserving, and one
+    # candidate lies below the sup extension
+    monkeypatch.setattr(completion, "_principal_extensions",
+                        extensions_with_bottom(completion._principal_extensions))
+    monkeypatch.setattr(completion, "is_sup_preserving", lambda f, capacity=None: True)
+    assert check_sigma_theorem(vee_problem()).witness["law"] == "pointwise-least"
 
 
 def test_injective_prop_cases(vee):

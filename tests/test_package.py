@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
     "SigmaMap", "SigmaUndefinedError", "SmythError", "SupExtensionProblem",
     "all_posets", "basic_open", "build", "check_embedding_theorem",
     "check_functor_laws", "check_injective_sigma_prop", "check_minimality",
-    "check_retraction", "check_sigma_theorem", "closure", "compose",
+    "check_sigma_theorem", "closure", "compose",
     "constructible_closure", "dimension", "down_closure", "enumerate_down_sets",
     "enumerate_extensions", "find_isomorphism", "hat_powerdomain", "identity",
     "inverse_closure", "inverse_powerdomain", "irreducible_inverse_closed",
@@ -55,7 +55,7 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 66
     assert smyth.__all__ == PUBLIC_NAMES
     assert dir(smyth) == PUBLIC_NAMES
 

@@ -1,5 +1,6 @@
 """Report shape, suite scopes, determinism, and witness replay."""
 
+import functools
 import hashlib
 import json
 
@@ -11,7 +12,9 @@ from smyth import (
     RangeError,
     check_functor_laws,
     check_minimality,
+    completion,
     maps,
+    powerdomain,
     replay,
     run_suite,
 )
@@ -25,6 +28,7 @@ from smyth.suite import (
     _with_instance,
     check_payload,
     prop_extension_minimality,
+    prop_fixture_vee_to_chain,
     prop_functor_laws,
 )
 
@@ -263,3 +267,57 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
     assert report == _with_instance(check_minimality(f, MINIMALITY_CAPACITY), payload)
     assert report.witness["law"] == law
     assert report.witness["instance"] == payload
+
+
+@pytest.mark.parametrize("name, patched, mutant, payload, law", [
+    ("sup-extension-of-embedding", "is_sup_preserving",
+     lambda f, capacity=None: True, {"n": 3, "covers": []}, "unique-sup-preserving"),
+    ("fixture-discrete-collapse", "preserves_sups",
+     lambda space, f: False, {"fixture": "discrete-collapse"}, "sup-preserving"),
+])
+def test_rebound_failures_replay_their_own_property(
+    monkeypatch, name, patched, mutant, payload, law
+):
+    """A failure of ``check_sigma_theorem`` inside another property is
+    filed under that property, so replaying it runs that property."""
+    monkeypatch.setattr(completion, patched, mutant)
+    report = PROPERTIES[name](payload)
+    assert (report.property, report.verdict, report.witness["law"]) == (name, FAIL, law)
+    assert report.witness["instance"] == payload
+    again = replay(report)
+    assert (again.property, again.verdict, again.witness["law"]) == (name, FAIL, law)
+
+
+def test_fixture_vee_to_chain_pointwise_least_can_fail(monkeypatch):
+    original = maps.enumerate_extensions
+
+    def with_bottom(f, capacity=None):
+        extensions = original(f, capacity)
+        bottom = MonotoneMap.unchecked(extensions[0].source, extensions[0].target,
+                                       (0, 0, 0, 0))
+        return extensions + (bottom,)
+
+    monkeypatch.setattr("smyth.suite.enumerate_extensions", with_bottom)
+    report = prop_fixture_vee_to_chain({"fixture": "vee-to-chain"})
+    assert report.witness["law"] == "pointwise-least"
+    assert (report.witness["point"], report.witness["candidate"]) == (3, [0, 0, 0, 0])
+
+
+def test_one_build_per_powerdomain(monkeypatch):
+    """Over ``exhaustive-3``, with the build and lift caches empty, each
+    powerdomain is built once: a check's own search budget does not key a
+    second copy of a space."""
+    built = []
+    uncached = powerdomain._build.__wrapped__
+
+    @functools.lru_cache(maxsize=None)
+    def recording(base, include_empty, capacity):
+        built.append((base, include_empty))
+        return uncached(base, include_empty, capacity)
+
+    monkeypatch.setattr(powerdomain, "_build", recording)
+    monkeypatch.setattr(maps, "_powerdomain_map",
+                        functools.lru_cache(maxsize=None)(maps._powerdomain_map.__wrapped__))
+    run_suite("exhaustive-3")
+    assert built
+    assert recording.cache_info().misses == len(set(built))
