@@ -46,11 +46,7 @@ _EXPORTS_BY_MODULE = {
     ),
     "topology": (
         "OpenFamily",
-        "closure",
-        "constructible_closure",
-        "inverse_closure",
         "irreducible_inverse_closed",
-        "is_inverse_closed",
         "open_sets",
         "poset_of_topology",
     ),

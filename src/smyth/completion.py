@@ -63,9 +63,7 @@ class SigmaMap:
             raise RangeError(f"mask {member_mask:#x} is not in the domain") from None
 
 
-def sigma_map(
-    ambient: FinitePoset, carrier: int, capacity: int | None = None
-) -> SigmaMap:
+def sigma_map(ambient: FinitePoset, carrier: int) -> SigmaMap:
     """Sups of the inverse-closed subsets of ``carrier`` inside ``ambient``.
 
     Partiality stays in-band: missing sups become None entries.
@@ -79,7 +77,7 @@ def sigma_map(
     sub, elements = induced(ambient, carrier)
     domain = tuple(
         mask_of(elements[i] for i in iter_bits(local))
-        for local in enumerate_down_sets(sub, False, capacity)
+        for local in enumerate_down_sets(sub, False)
     )
     sups = tuple(sup(ambient, member) for member in domain)
     return SigmaMap(ambient, carrier, domain, sups)
@@ -97,10 +95,8 @@ class SupExtensionProblem:
             raise RangeError("the powerdomain does not belong to the map's source")
 
     @classmethod
-    def for_map(
-        cls, base_map: MonotoneMap, capacity: int | None = None
-    ) -> "SupExtensionProblem":
-        return cls(base_map, build(base_map.source, capacity))
+    def for_map(cls, base_map: MonotoneMap) -> "SupExtensionProblem":
+        return cls(base_map, build(base_map.source))
 
     @property
     def target(self) -> FinitePoset:
@@ -254,9 +250,7 @@ def check_sigma_theorem(
     return passed(prop, instance)
 
 
-def check_injective_sigma_prop(
-    problem: SupExtensionProblem, capacity: int | None = None
-) -> CheckReport:
+def check_injective_sigma_prop(problem: SupExtensionProblem) -> CheckReport:
     """Consequences of an injective sup assignment over the image.
 
     When the base map is an order-embedding and the sup assignment over
@@ -275,11 +269,10 @@ def check_injective_sigma_prop(
     lam = problem.base_map
     target = problem.target
     image_carrier = lam.image_mask(lam.source.full)
-    sigma = sigma_map(target, image_carrier, capacity)
+    sigma = sigma_map(target, image_carrier)
     if not sigma.is_total:
         return skipped(prop, instance, "the sup assignment is not total")
-    defined = [s for s in sigma.sups if s is not None]
-    if len(set(defined)) != len(defined):
+    if len(set(sigma.sups)) != len(sigma.sups):
         return skipped(prop, instance, "the sup assignment is not injective")
     if not is_order_embedding(lam.source, target, lam.image):
         return skipped(prop, instance, "the base map is not an order-embedding")
@@ -294,7 +287,7 @@ def check_injective_sigma_prop(
     )
     if generated:
         for candidate in _principal_extensions(
-            problem.space, lam.image, target, capacity
+            problem.space, lam.image, target, None
         ):
             if (
                 is_order_embedding(problem.space.order, target, candidate)

@@ -116,17 +116,17 @@ def save_document(doc: PosetDocument, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc.to_payload(), indent=2) + "\n")
 
 
-def document_of_poset(poset: FinitePoset, expect: dict | None = None) -> PosetDocument:
-    return PosetDocument(poset.n, poset.labels, poset.cover_pairs(), expect)
+def document_of_poset(poset: FinitePoset) -> PosetDocument:
+    return PosetDocument(poset.n, poset.labels, poset.cover_pairs())
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def poset_to_dot(poset: FinitePoset, name: str = "poset") -> str:
+def poset_to_dot(poset: FinitePoset) -> str:
     """DOT digraph of the covering relation, lower element first."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph poset {"]
     for i in range(poset.n):
         lines.append(f"  n{i} [label={_quote(poset.label_of(i))}];")
     for i, j in poset.cover_pairs():
@@ -135,9 +135,9 @@ def poset_to_dot(poset: FinitePoset, name: str = "poset") -> str:
     return "\n".join(lines) + "\n"
 
 
-def powerdomain_to_dot(space: PowerdomainSpace, name: str = "powerdomain") -> str:
+def powerdomain_to_dot(space: PowerdomainSpace) -> str:
     """DOT digraph of the powerdomain order, nodes in brace notation."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph powerdomain {"]
     for index in range(len(space.points)):
         lines.append(f"  n{index} [label={_quote(space.point_label(index))}];")
     for i, j in space.order.cover_pairs():

@@ -109,14 +109,14 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     )
 
 
-def is_spectral(f: MonotoneMap, capacity: int | None = None) -> bool:
+def is_spectral(f: MonotoneMap) -> bool:
     """Whether preimages of down-sets are down-sets.
 
     This is the direct topological reading; for finite posets it agrees
     with monotonicity, which the constructor tests cheaply on each cover
     edge of the source.
     """
-    for omega in enumerate_down_sets(f.target, True, capacity):
+    for omega in enumerate_down_sets(f.target, True):
         preimage = mask_of(
             x for x in range(f.source.n) if omega >> f.image[x] & 1
         )
@@ -203,16 +203,14 @@ def _identity_violation(poset: FinitePoset, capacity: int) -> dict | None:
     return None
 
 
-def _functor_law_violation(
-    f: MonotoneMap, g: MonotoneMap, capacity: int | None = None
-) -> dict | None:
+def _functor_law_violation(f: MonotoneMap, g: MonotoneMap) -> dict | None:
     """The details of the first functor law that ``f``, ``g`` break, or None.
 
     Composition first, then identity on the source, middle and target.
     """
     if f.target != g.source:
         raise CompositionMismatchError("maps do not compose")
-    capacity = resolve_capacity(capacity)
+    capacity = resolve_capacity(None)
     violation = _composition_violation(
         f, g, powerdomain_map(f, capacity), powerdomain_map(g, capacity), capacity
     )
@@ -225,11 +223,9 @@ def _functor_law_violation(
     return None
 
 
-def check_functor_laws(
-    f: MonotoneMap, g: MonotoneMap, capacity: int | None = None
-) -> CheckReport:
+def check_functor_laws(f: MonotoneMap, g: MonotoneMap) -> CheckReport:
     """Composition and identity laws of the powerdomain construction."""
-    violation = _functor_law_violation(f, g, capacity)
+    violation = _functor_law_violation(f, g)
     instance = {"f": _serialize_pair(f), "g": _serialize_pair(g)}
     if violation is not None:
         return failed("functor-laws", instance, **violation)
@@ -404,8 +400,8 @@ def lift_homeomorphism(
     principal points, because those are exactly the points whose member
     set is irreducible among the inverse-closed sets.  Reading off the
     generic points gives the unique base isomorphism inducing ``psi``.
-    The ``lift-round-trip`` property checks that it is one and that it
-    induces ``psi`` again.
+    The ``lift-round-trip`` property checks that lifting the induced map
+    of a base isomorphism gives that isomorphism back.
     """
     if psi.source != source_space.order or psi.target != target_space.order:
         raise RangeError("the map does not connect the two given spaces")

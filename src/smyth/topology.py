@@ -18,9 +18,7 @@ from .poset import (
     check_subset,
     down_closure,
     enumerate_down_sets,
-    is_down_set,
     iter_bits,
-    up_closure,
 )
 
 
@@ -37,34 +35,12 @@ class OpenFamily:
     opens: tuple[int, ...]
 
 
-def open_sets(poset: FinitePoset, capacity: int | None = None) -> OpenFamily:
+def open_sets(poset: FinitePoset) -> OpenFamily:
     """Every open of the poset's topology: all down-set masks."""
-    return OpenFamily(poset, enumerate_down_sets(poset, True, capacity))
+    return OpenFamily(poset, enumerate_down_sets(poset, True))
 
 
-def closure(poset: FinitePoset, subset: int) -> int:
-    """Topological closure: everything a member specializes to."""
-    return up_closure(poset, subset)
-
-
-def inverse_closure(poset: FinitePoset, subset: int) -> int:
-    """Closure in the inverse topology: everything below a member."""
-    return down_closure(poset, subset)
-
-
-def constructible_closure(poset: FinitePoset, subset: int) -> int:
-    """Closure in the constructible topology, which is discrete here."""
-    return check_subset(poset, subset)
-
-
-def is_inverse_closed(poset: FinitePoset, subset: int) -> bool:
-    """Whether ``subset`` is closed in the inverse topology."""
-    return is_down_set(poset, subset)
-
-
-def irreducible_inverse_closed(
-    poset: FinitePoset, capacity: int | None = None
-) -> tuple[tuple[int, int], ...]:
+def irreducible_inverse_closed(poset: FinitePoset) -> tuple[tuple[int, int], ...]:
     """The irreducible nonempty inverse-closed sets with their generic points.
 
     A set is irreducible when it is not the union of two properly smaller
@@ -73,7 +49,7 @@ def irreducible_inverse_closed(
     Each comes back as a pair ``(mask, x)`` with its generic point ``x``,
     in canonical mask order.
     """
-    down_sets = enumerate_down_sets(poset, False, capacity)
+    down_sets = enumerate_down_sets(poset, False)
     irreducible = []
     for c in down_sets:
         reducible = any(

@@ -1,0 +1,41 @@
+"""Every law a check can report is named by some other test.
+
+A law that no test names is one that no test has seen fail, so it may
+be a restatement that cannot fail at all.  This collects each
+``law="..."`` and ``"law": "..."`` literal in ``src/smyth`` and looks
+for the name, quoted, in the other files under ``tests/``.  Stdlib only.
+"""
+
+import re
+from pathlib import Path
+
+HERE = Path(__file__).resolve()
+SRC = HERE.parent.parent / "src" / "smyth"
+LAW = re.compile(r'law="([^"]+)"|"law": "([^"]+)"')
+
+
+def law_names() -> set[str]:
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        for match in LAW.finditer(path.read_text(encoding="utf-8")):
+            names.add(match.group(1) or match.group(2))
+    return names
+
+
+def test_both_literal_forms_are_collected():
+    names = law_names()
+    assert "order-is-containment" in names  # law="..."
+    assert "pointwise-least" in names  # "law": "..."
+
+
+def test_every_law_is_named_by_a_test():
+    texts = [
+        path.read_text(encoding="utf-8")
+        for path in sorted(HERE.parent.rglob("*.py"))
+        if path != HERE
+    ]
+    unnamed = sorted(
+        name for name in law_names()
+        if not any(f'"{name}"' in text or f"'{name}'" in text for text in texts)
+    )
+    assert unnamed == []

@@ -23,11 +23,10 @@ PUBLIC_NAMES = [
     "SigmaMap", "SigmaUndefinedError", "SmythError", "SupExtensionProblem",
     "all_posets", "basic_open", "build", "check_embedding_theorem",
     "check_functor_laws", "check_injective_sigma_prop", "check_minimality",
-    "check_sigma_theorem", "closure", "compose",
-    "constructible_closure", "dimension", "down_closure", "enumerate_down_sets",
-    "enumerate_extensions", "find_isomorphism", "hat_powerdomain", "identity",
-    "inverse_closure", "inverse_powerdomain", "irreducible_inverse_closed",
-    "is_chain", "is_down_set", "is_inverse_closed", "is_phi_surjective",
+    "check_sigma_theorem", "compose", "dimension", "down_closure",
+    "enumerate_down_sets", "enumerate_extensions", "find_isomorphism",
+    "hat_powerdomain", "identity", "inverse_powerdomain",
+    "irreducible_inverse_closed", "is_chain", "is_down_set", "is_phi_surjective",
     "is_spectral", "is_sup_preserving", "is_up_set", "iterate_sizes",
     "lambda_sharp", "lift_homeomorphism", "linear_extension", "open_sets",
     "order_dual", "phi", "poset_of_topology", "powerdomain_dimension",
@@ -55,7 +54,7 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 62
     assert smyth.__all__ == PUBLIC_NAMES
     assert dir(smyth) == PUBLIC_NAMES
 

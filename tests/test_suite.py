@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -10,13 +11,18 @@ from smyth import (
     CheckReport,
     MonotoneMap,
     RangeError,
+    SupExtensionProblem,
+    build,
     check_functor_laws,
+    check_injective_sigma_prop,
     check_minimality,
     completion,
+    hat_powerdomain,
     maps,
     powerdomain,
     replay,
     run_suite,
+    suite,
 )
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
@@ -32,7 +38,7 @@ from smyth.suite import (
     prop_functor_laws,
 )
 
-from conftest import antichain, chain
+from conftest import antichain, chain, vee_poset
 
 
 def test_report_validation():
@@ -301,6 +307,124 @@ def test_fixture_vee_to_chain_pointwise_least_can_fail(monkeypatch):
     report = prop_fixture_vee_to_chain({"fixture": "vee-to-chain"})
     assert report.witness["law"] == "pointwise-least"
     assert (report.witness["point"], report.witness["candidate"]) == (3, [0, 0, 0, 0])
+
+
+def constant_lift(original):
+    """Every induced map replaced by the constant map at the first point."""
+    def lift(f, capacity=None):
+        lifted = original(f, capacity)
+        return MonotoneMap(lifted.source, lifted.target, (0,) * lifted.source.n)
+    return lift
+
+
+def constant_sharp(original):
+    """The sup extension replaced by the constant map at the top."""
+    def sharp(problem):
+        top = problem.target.n - 1
+        return MonotoneMap(problem.space.order, problem.target,
+                           (top,) * problem.space.order.n)
+    return sharp
+
+
+def with_phi_index(rearrange):
+    """A build whose principal points are rearranged."""
+    def mutant(original):
+        def build_rearranged(poset, capacity=None):
+            space = original(poset, capacity)
+            return replace(space, phi_index=rearrange(space.phi_index))
+        return build_rearranged
+    return mutant
+
+
+def without_full_set(original):
+    """A build that loses the full down-set."""
+    def build_short(poset, capacity=None):
+        return powerdomain._assemble(poset, original(poset, capacity).points[:-1])
+    return build_short
+
+
+def hat_on_two_points(original):
+    """A build that adds the empty point on two-element bases only."""
+    def build_mixed(poset, capacity=None):
+        return hat_powerdomain(poset) if poset.n == 2 else original(poset, capacity)
+    return build_mixed
+
+
+def unanchored(original):
+    """An extension search that drops its anchors."""
+    def search(space, values, target, capacity):
+        return maps.anchored_extensions(space.order, {}, target, capacity)
+    return search
+
+
+def suite_check(name, payload):
+    return functools.partial(PROPERTIES[name], payload)
+
+
+def injective_sigma_check():
+    # antichain(2) into the vee: an order-embedding whose image generates
+    # the vee by sups, so every law of the check runs
+    problem = SupExtensionProblem.for_map(MonotoneMap(antichain(2), vee_poset(), (0, 1)))
+    return check_injective_sigma_prop(problem)
+
+
+VEE = {"n": 3, "covers": [[0, 2], [1, 2]]}
+CHAIN_2 = {"n": 2, "covers": [[0, 1]]}
+ANTICHAIN_2 = {"n": 2, "covers": []}
+ANTICHAIN_3 = {"n": 3, "covers": []}
+ANTICHAIN_4 = {"n": 4, "covers": []}
+VEE_TO_CHAIN = {"fixture": "vee-to-chain"}
+DISCRETE_COLLAPSE = {"fixture": "discrete-collapse"}
+
+
+@pytest.mark.parametrize("module, name, mutant, check, law", [
+    (suite, "powerdomain_dimension", lambda original: lambda space: original(space) + 1,
+     suite_check("powerdomain-dimension", VEE), "n-minus-one"),
+    (suite, "find_isomorphism", lambda original: lambda left, right: None,
+     suite_check("phi-onto-iff-chain", CHAIN_2), "onto-gives-isomorphism"),
+    (suite, "hat_powerdomain", lambda original: lambda poset, capacity=None: build(poset),
+     suite_check("zariski-equals-vietoris", VEE), "empty-open-bottom"),
+    (suite, "powerdomain_map", constant_lift,
+     suite_check("lift-round-trip", ANTICHAIN_3), "induced-map-is-isomorphism"),
+    (suite, "lift_homeomorphism",
+     lambda original: lambda source, target, psi: MonotoneMap(
+         source.base, target.base, tuple(range(source.base.n))),
+     suite_check("lift-round-trip", ANTICHAIN_3), "lift-after-induce"),
+    (suite, "build", with_phi_index(lambda phi: (phi[0],) * len(phi)),
+     suite_check("embedding-theorem", ANTICHAIN_2), "order-embedding"),
+    (suite, "build", with_phi_index(lambda phi: phi[::-1]),
+     suite_check("embedding-theorem", ANTICHAIN_2), "basic-open-pullback"),
+    (suite, "build", without_full_set,
+     suite_check("embedding-theorem", ANTICHAIN_2), "unique-maximal-point"),
+    (suite, "preserves_sups", lambda original: lambda space, f: False,
+     suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
+    (suite, "build", lambda original: hat_powerdomain,
+     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "source-points"),
+    (suite, "build", hat_on_two_points,
+     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "target-points"),
+    (suite, "powerdomain_map", constant_lift,
+     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "induced-image"),
+    (suite, "enumerate_extensions",
+     lambda original: lambda f, capacity=None: original(f, capacity)[:1],
+     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "extensions"),
+    (suite, "_principal_extensions", lambda original: lambda *args: original(*args)[:1],
+     suite_check("fixture-discrete-collapse", DISCRETE_COLLAPSE),
+     "collapse-is-an-extension"),
+    (suite, "lambda_sharp", constant_sharp,
+     suite_check("fixture-discrete-collapse", DISCRETE_COLLAPSE), "sharp-is-identity"),
+    (completion, "lambda_sharp", constant_sharp, injective_sigma_check, "order-embedding"),
+    (completion, "_principal_extensions", unanchored, injective_sigma_check,
+     "unique-embedding"),
+])
+def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
+    """One seeded defect per law, each caught by its own law; a suite
+    property's failure replays to the same report."""
+    assert check().verdict == PASS
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    report = check()
+    assert (report.verdict, report.witness["law"]) == (FAIL, law)
+    if report.property in PROPERTIES:
+        assert replay(report) == report
 
 
 def test_one_build_per_powerdomain(monkeypatch):

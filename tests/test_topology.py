@@ -1,4 +1,4 @@
-"""Open families, closure operators, irreducibles, order recovery."""
+"""Open families, irreducibles, order recovery."""
 
 import pytest
 from hypothesis import given
@@ -9,12 +9,8 @@ from smyth import (
     MalformedFamilyError,
     OpenFamily,
     RangeError,
-    closure,
-    constructible_closure,
     down_closure,
-    inverse_closure,
     irreducible_inverse_closed,
-    is_inverse_closed,
     open_sets,
     poset_of_topology,
     up_closure,
@@ -47,21 +43,13 @@ def test_open_family_laws(poset):
             assert u & v in opens
 
 
-def test_closure_operators(vee):
-    assert closure(vee, 0b001) == up_closure(vee, 0b001) == 0b101
-    assert inverse_closure(vee, 0b100) == down_closure(vee, 0b100) == 0b111
-    assert constructible_closure(vee, 0b101) == 0b101
-    assert is_inverse_closed(vee, 0b011)
-    assert not is_inverse_closed(vee, 0b100)
-
-
 @given(subsets())
 def test_closure_against_complement_duality(case):
     # a set is open iff its complement is closed
     poset, mask = case
     fam = open_sets(poset)
     complement = poset.full & ~mask
-    assert (mask in fam.opens) == (closure(poset, complement) == complement)
+    assert (mask in fam.opens) == (up_closure(poset, complement) == complement)
 
 
 def test_irreducibles_are_principal(vee):
