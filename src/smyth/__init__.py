@@ -38,7 +38,6 @@ _EXPORTS_BY_MODULE = {
         "find_isomorphism",
         "is_chain",
         "is_down_set",
-        "is_up_set",
         "linear_extension",
         "order_dual",
         "sup",
@@ -46,7 +45,6 @@ _EXPORTS_BY_MODULE = {
     ),
     "topology": (
         "OpenFamily",
-        "irreducible_inverse_closed",
         "open_sets",
         "poset_of_topology",
     ),
@@ -71,7 +69,6 @@ _EXPORTS_BY_MODULE = {
         "compose",
         "enumerate_extensions",
         "identity",
-        "is_spectral",
         "lift_homeomorphism",
         "powerdomain_map",
     ),

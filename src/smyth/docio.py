@@ -1,4 +1,4 @@
-"""Reading, writing, and exporting poset documents.
+"""Reading poset documents and exporting powerdomain graphs.
 
 A poset document is a small JSON object: ``n`` (element count),
 optional ``labels`` (list of n strings), and ``covers`` (list of
@@ -12,8 +12,8 @@ silently re-verified as some other poset:
     dimension        dimension of the powerdomain
     phi_onto         whether every point is principal
 
-Graph exports use the DOT digraph format, one edge per covering pair,
-lower element first.
+The graph export uses the DOT digraph format, one edge per covering
+pair of the powerdomain order, lower point first.
 """
 
 from __future__ import annotations
@@ -112,27 +112,12 @@ def load_document(path: str | Path) -> PosetDocument:
     return document_from_payload(payload)
 
 
-def save_document(doc: PosetDocument, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc.to_payload(), indent=2) + "\n")
-
-
 def document_of_poset(poset: FinitePoset) -> PosetDocument:
     return PosetDocument(poset.n, poset.labels, poset.cover_pairs())
 
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def poset_to_dot(poset: FinitePoset) -> str:
-    """DOT digraph of the covering relation, lower element first."""
-    lines = ["digraph poset {"]
-    for i in range(poset.n):
-        lines.append(f"  n{i} [label={_quote(poset.label_of(i))}];")
-    for i, j in poset.cover_pairs():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def powerdomain_to_dot(space: PowerdomainSpace) -> str:

@@ -22,8 +22,6 @@ from .errors import (
 )
 from .poset import (
     FinitePoset,
-    enumerate_down_sets,
-    is_down_set,
     is_order_embedding,
     iter_bits,
     linear_extension,
@@ -40,8 +38,7 @@ class MonotoneMap:
 
     Monotonicity is validated eagerly, on each cover edge of the source;
     use ``unchecked`` for an image that is monotone by construction, or
-    to carry a raw assignment (for example to feed is_spectral a bad
-    one).
+    to carry a raw assignment that a check should reject.
     """
 
     source: FinitePoset
@@ -107,22 +104,6 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     return MonotoneMap(
         inner.source, outer.target, tuple(outer.image[v] for v in inner.image)
     )
-
-
-def is_spectral(f: MonotoneMap) -> bool:
-    """Whether preimages of down-sets are down-sets.
-
-    This is the direct topological reading; for finite posets it agrees
-    with monotonicity, which the constructor tests cheaply on each cover
-    edge of the source.
-    """
-    for omega in enumerate_down_sets(f.target, True):
-        preimage = mask_of(
-            x for x in range(f.source.n) if omega >> f.image[x] & 1
-        )
-        if not is_down_set(f.source, preimage):
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -397,9 +378,11 @@ def lift_homeomorphism(
     """Recover the base map underneath an isomorphism of powerdomains.
 
     A homeomorphism of the point spaces must send principal points to
-    principal points, because those are exactly the points whose member
-    set is irreducible among the inverse-closed sets.  Reading off the
-    generic points gives the unique base isomorphism inducing ``psi``.
+    principal points, because those are exactly the join-irreducible
+    points, the ones with at most one lower cover (Birkhoff's theorem,
+    the ``principal-iff-join-irreducible`` law of
+    ``check_embedding_theorem``).  Reading off the generic points gives
+    the unique base isomorphism inducing ``psi``.
     The ``lift-round-trip`` property checks that lifting the induced map
     of a base isomorphism gives that isomorphism back.
     """

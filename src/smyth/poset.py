@@ -325,11 +325,6 @@ def is_down_set(poset: FinitePoset, subset: int) -> bool:
     return down_closure(poset, subset) == subset
 
 
-def is_up_set(poset: FinitePoset, subset: int) -> bool:
-    """Whether ``subset`` is closed upward."""
-    return up_closure(poset, subset) == subset
-
-
 def order_dual(poset: FinitePoset) -> FinitePoset:
     """The same elements with the order reversed."""
     return FinitePoset(poset.n, poset.down, poset.up, poset.labels)

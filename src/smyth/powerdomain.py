@@ -247,8 +247,12 @@ def check_embedding_theorem(space: PowerdomainSpace) -> CheckReport:
     coincides with the order; the principal-point map is an
     order-embedding (injective, reflecting the order both ways) and
     pulls every basic open back to exactly its defining open; the space
-    has one maximal point, the full set; and every nonempty basic open
-    contains a principal point, so the image of the base is dense.
+    has one maximal point, the full set; every nonempty basic open
+    contains a principal point, so the image of the base is dense; and
+    the principal points are exactly the join-irreducible ones, those
+    with at most one lower cover (Birkhoff's theorem: the down-set of
+    ``x`` covers at most itself minus ``x``, and a down-set with several
+    maximal members covers itself minus each of them).
     """
     prop = "embedding-theorem"
     instance = document_of_poset(space.base).to_payload()
@@ -300,5 +304,10 @@ def check_embedding_theorem(space: PowerdomainSpace) -> CheckReport:
     for omega, members in masks:
         if members and not members & principal:
             return failed(prop, instance, law="density", open=omega)
+
+    for i, covers in enumerate(space.order.lower_covers):
+        if bool(principal >> i & 1) != (covers.bit_count() <= 1):
+            return failed(prop, instance, law="principal-iff-join-irreducible",
+                          point=i)
 
     return passed(prop, instance)

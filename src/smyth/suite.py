@@ -86,7 +86,7 @@ def prop_topology_round_trip(payload: dict) -> CheckReport:
     poset = _poset_of(payload)
     recovered = poset_of_topology(open_sets(poset))
     if recovered != poset:
-        return failed(prop, payload,
+        return failed(prop, payload, law="recovers-order",
                       recovered_covers=[list(p) for p in recovered.cover_pairs()])
     return passed(prop, payload)
 
@@ -120,7 +120,7 @@ def prop_phi_onto_iff_chain(payload: dict) -> CheckReport:
     space = build(poset)
     onto = is_phi_surjective(space)
     if onto != is_chain(poset):
-        return failed(prop, payload, onto=onto)
+        return failed(prop, payload, law="onto-iff-chain", onto=onto)
     if onto and find_isomorphism(poset, space.order) is None:
         return failed(prop, payload, law="onto-gives-isomorphism")
     return passed(prop, payload)
@@ -135,7 +135,7 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
         direct = basic_open(space, omega)
         via_order = vietoris_open(space, omega)
         if direct != via_order:
-            return failed(prop, payload, open=omega,
+            return failed(prop, payload, law="opens-agree", open=omega,
                           direct=sorted(direct), via_order=sorted(via_order))
     hat = hat_powerdomain(poset)
     if basic_open(hat, 0) != frozenset({0}) or hat.points[0] != 0:
@@ -254,7 +254,8 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
         problem = SupExtensionProblem(into_points, space)
         sharp = lambda_sharp(problem)
         if sharp.image != tuple(range(space.order.n)):
-            return failed(prop, payload, got=list(sharp.image))
+            return failed(prop, payload, law="sharp-is-identity",
+                          got=list(sharp.image))
         if space.order.n <= 12:
             report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
             if not report.ok:
@@ -372,19 +373,6 @@ PROPERTIES = {
     "fixture-discrete-collapse": prop_fixture_discrete_collapse,
 }
 
-PER_POSET_PROPERTIES = (
-    "topology-round-trip",
-    "embedding-theorem",
-    "powerdomain-dimension",
-    "phi-onto-iff-chain",
-    "zariski-equals-vietoris",
-    "functor-laws",
-    "extension-minimality",
-    "lift-round-trip",
-    "sup-extension",
-    "sup-extension-of-embedding",
-)
-
 SUITE_GROUPS = {
     "embedding": (
         "topology-round-trip",
@@ -402,8 +390,12 @@ SUITE_GROUPS = {
         "sup-extension",
         "sup-extension-of-embedding",
     ),
-    "all": PER_POSET_PROPERTIES,
 }
+
+PER_POSET_PROPERTIES = (
+    SUITE_GROUPS["embedding"] + SUITE_GROUPS["functor"] + SUITE_GROUPS["sigma"]
+)
+SUITE_GROUPS["all"] = PER_POSET_PROPERTIES
 
 FIXTURE_DOCS = (
     {
@@ -451,6 +443,11 @@ FIXTURE_DOCS = (
 )
 
 
+def _per_poset(payload: dict) -> list[CheckReport]:
+    """Every per-poset property on one payload, in registry order."""
+    return [PROPERTIES[name](payload) for name in PER_POSET_PROPERTIES]
+
+
 def run_suite(scope: str) -> list[CheckReport]:
     """Run the named scope and return its reports in canonical order.
 
@@ -465,14 +462,11 @@ def run_suite(scope: str) -> list[CheckReport]:
         except ValueError as exc:
             raise RangeError(f"bad scope {scope!r}") from exc
         for poset in all_posets(n):
-            payload = document_of_poset(poset).to_payload()
-            for name in PER_POSET_PROPERTIES:
-                reports.append(PROPERTIES[name](payload))
+            reports += _per_poset(document_of_poset(poset).to_payload())
         return reports
     if scope == "fixtures":
         for payload in FIXTURE_DOCS:
-            for name in PER_POSET_PROPERTIES:
-                reports.append(PROPERTIES[name](payload))
+            reports += _per_poset(payload)
             reports.append(prop_fixture_expectations(payload))
         reports.append(prop_fixture_vee_to_chain({"fixture": "vee-to-chain"}))
         reports.append(
@@ -489,9 +483,7 @@ def run_suite(scope: str) -> list[CheckReport]:
             raise RangeError(f"bad scope {scope!r}") from exc
         for k in range(count):
             poset = random_poset(1 + (k % size), seed + k)
-            payload = document_of_poset(poset).to_payload()
-            for name in PER_POSET_PROPERTIES:
-                reports.append(PROPERTIES[name](payload))
+            reports += _per_poset(document_of_poset(poset).to_payload())
         return reports
     raise RangeError(f"unknown scope {scope!r}")
 

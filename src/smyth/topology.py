@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IrreducibilityError, MalformedFamilyError
-from .poset import (
-    FinitePoset,
-    check_subset,
-    down_closure,
-    enumerate_down_sets,
-    iter_bits,
-)
+from .errors import MalformedFamilyError
+from .poset import FinitePoset, check_subset, enumerate_down_sets, iter_bits
 
 
 @dataclass(frozen=True)
@@ -38,35 +32,6 @@ class OpenFamily:
 def open_sets(poset: FinitePoset) -> OpenFamily:
     """Every open of the poset's topology: all down-set masks."""
     return OpenFamily(poset, enumerate_down_sets(poset, True))
-
-
-def irreducible_inverse_closed(poset: FinitePoset) -> tuple[tuple[int, int], ...]:
-    """The irreducible nonempty inverse-closed sets with their generic points.
-
-    A set is irreducible when it is not the union of two properly smaller
-    inverse-closed sets; the scan applies that definition literally and
-    then checks the outcome is exactly the family of principal down-sets.
-    Each comes back as a pair ``(mask, x)`` with its generic point ``x``,
-    in canonical mask order.
-    """
-    down_sets = enumerate_down_sets(poset, False)
-    irreducible = []
-    for c in down_sets:
-        reducible = any(
-            a | b == c
-            for a in down_sets
-            if a & ~c == 0 and a != c
-            for b in down_sets
-            if b & ~c == 0 and b != c
-        )
-        if not reducible:
-            irreducible.append(c)
-    principal = {down_closure(poset, 1 << x): x for x in range(poset.n)}
-    if set(irreducible) != set(principal):
-        raise IrreducibilityError(
-            "irreducible inverse-closed sets are not exactly the principal ones"
-        )
-    return tuple((c, principal[c]) for c in irreducible)
 
 
 def poset_of_topology(family: OpenFamily) -> FinitePoset:

@@ -17,6 +17,7 @@ from smyth import (
     enumerate_down_sets,
     is_down_set,
     sup,
+    up_closure,
 )
 from smyth.generators import random_poset
 from smyth.poset import iter_bits, mask_of
@@ -46,6 +47,45 @@ def boolean_lattice(k: int) -> FinitePoset:
 def down_sets_by_filter(poset: FinitePoset) -> list[int]:
     """Scan every subset mask and keep the down-sets.  The slow oracle."""
     return [mask for mask in range(1 << poset.n) if is_down_set(poset, mask)]
+
+
+def is_up_set(poset: FinitePoset, subset: int) -> bool:
+    """Whether ``subset`` is closed upward."""
+    return up_closure(poset, subset) == subset
+
+
+def is_spectral(f: MonotoneMap) -> bool:
+    """Whether preimages of down-sets are down-sets.
+
+    The direct topological reading of a spectral map, and the oracle of
+    the per-cover monotonicity test in the ``MonotoneMap`` constructor:
+    for finite posets the two agree.
+    """
+    for omega in enumerate_down_sets(f.target, True):
+        preimage = mask_of(
+            x for x in range(f.source.n) if omega >> f.image[x] & 1
+        )
+        if not is_down_set(f.source, preimage):
+            return False
+    return True
+
+
+def irreducible_down_sets_by_scan(poset: FinitePoset) -> tuple[int, ...]:
+    """The nonempty down-sets that are no union of two properly smaller
+    down-sets, in canonical order.  The definitional scan, over every
+    pair of down-sets inside each one: the oracle of the
+    ``principal-iff-join-irreducible`` law."""
+    down_sets = enumerate_down_sets(poset, False)
+    return tuple(
+        c for c in down_sets
+        if not any(
+            a | b == c
+            for a in down_sets
+            if a & ~c == 0 and a != c
+            for b in down_sets
+            if b & ~c == 0 and b != c
+        )
+    )
 
 
 def order_transpose(n: int, up: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -12,9 +12,7 @@ from smyth.docio import (
     document_of_poset,
     load_document,
     point_lists,
-    poset_to_dot,
     powerdomain_to_dot,
-    save_document,
 )
 
 from conftest import assert_valid_dot, posets
@@ -59,7 +57,7 @@ def test_document_of_poset_round_trip(poset):
 
 def test_file_round_trip(tmp_path, vee):
     target = tmp_path / "vee.json"
-    save_document(document_of_poset(vee), target)
+    target.write_text(json.dumps(document_of_poset(vee).to_payload(), indent=2))
     loaded = load_document(target)
     assert loaded.to_poset() == vee
     raw = json.loads(target.read_text())
@@ -116,14 +114,16 @@ def test_point_lists(vee):
     assert point_lists(build(vee)) == [[0], [1], [0, 1], [0, 1, 2]]
 
 
-def test_poset_dot_exact(vee):
-    assert poset_to_dot(vee) == (
-        "digraph poset {\n"
-        '  n0 [label="a1"];\n'
-        '  n1 [label="a2"];\n'
-        '  n2 [label="b"];\n'
+def test_powerdomain_dot_exact(vee):
+    assert powerdomain_to_dot(build(vee)) == (
+        "digraph powerdomain {\n"
+        '  n0 [label="{a1}"];\n'
+        '  n1 [label="{a2}"];\n'
+        '  n2 [label="{a1,a2}"];\n'
+        '  n3 [label="{a1,a2,b}"];\n'
         "  n0 -> n2;\n"
         "  n1 -> n2;\n"
+        "  n2 -> n3;\n"
         "}\n"
     )
 
@@ -139,8 +139,6 @@ def test_powerdomain_dot_valid(vee):
 
 @given(posets(max_n=5))
 def test_dot_exports_always_parse(poset):
-    nodes, _ = assert_valid_dot(poset_to_dot(poset))
-    assert nodes == poset.n
     space = build(poset)
     nodes, _ = assert_valid_dot(powerdomain_to_dot(space))
     assert nodes == space.order.n
@@ -148,6 +146,6 @@ def test_dot_exports_always_parse(poset):
 
 def test_unlabeled_poset_gets_index_labels():
     p = FinitePoset.from_cover_relations(2, [(0, 1)])
-    text = poset_to_dot(p)
-    assert 'n0 [label="0"];' in text
-    assert 'n1 [label="1"];' in text
+    text = powerdomain_to_dot(build(p))
+    assert 'n0 [label="{0}"];' in text
+    assert 'n1 [label="{0,1}"];' in text

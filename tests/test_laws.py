@@ -1,11 +1,15 @@
-"""Every law a check can report is named by some other test.
+"""Every failure names its law, and every law is named by some other test.
 
 A law that no test names is one that no test has seen fail, so it may
 be a restatement that cannot fail at all.  This collects each
 ``law="..."`` and ``"law": "..."`` literal in ``src/smyth`` and looks
-for the name, quoted, in the other files under ``tests/``.  Stdlib only.
+for the name, quoted, in the other files under ``tests/``.  A failure
+that reports no law escapes that guard, so every ``failed(...)`` call
+in ``src/smyth`` must pass ``law=``, ``key=`` or a ``**`` splat of a
+violation that carries one.  Stdlib only.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -38,4 +42,29 @@ def test_every_law_is_named_by_a_test():
         name for name in law_names()
         if not any(f'"{name}"' in text or f"'{name}'" in text for text in texts)
     )
+    assert unnamed == []
+
+
+def failed_calls() -> list[tuple[str, int, set[str | None]]]:
+    """Each ``failed(...)`` call in ``src/smyth``: its file, line and
+    keyword names, ``None`` standing for a ``**`` splat."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "failed"
+                or getattr(node.func, "attr", None) == "failed"
+            ):
+                calls.append((path.name, node.lineno, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_failure_names_its_law():
+    calls = failed_calls()
+    assert len(calls) > 30
+    unnamed = [
+        f"{name}:{line}" for name, line, keywords in calls
+        if not keywords & {"law", "key", None}
+    ]
     assert unnamed == []

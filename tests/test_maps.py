@@ -17,7 +17,6 @@ from smyth import (
     down_closure,
     enumerate_extensions,
     identity,
-    is_spectral,
     lift_homeomorphism,
     powerdomain_map,
 )
@@ -34,6 +33,7 @@ from conftest import (
     antichain,
     chain,
     is_order_isomorphism_by_pairs,
+    is_spectral,
     monotonicity_violation_by_pairs,
     posets,
     powerdomain_image_by_closure,

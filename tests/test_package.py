@@ -26,8 +26,8 @@ PUBLIC_NAMES = [
     "check_sigma_theorem", "compose", "dimension", "down_closure",
     "enumerate_down_sets", "enumerate_extensions", "find_isomorphism",
     "hat_powerdomain", "identity", "inverse_powerdomain",
-    "irreducible_inverse_closed", "is_chain", "is_down_set", "is_phi_surjective",
-    "is_spectral", "is_sup_preserving", "is_up_set", "iterate_sizes",
+    "is_chain", "is_down_set", "is_phi_surjective", "is_sup_preserving",
+    "iterate_sizes",
     "lambda_sharp", "lift_homeomorphism", "linear_extension", "open_sets",
     "order_dual", "phi", "poset_of_topology", "powerdomain_dimension",
     "powerdomain_map", "preserves_sups", "random_poset", "replay", "run_suite",
@@ -54,7 +54,7 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 59
     assert smyth.__all__ == PUBLIC_NAMES
     assert dir(smyth) == PUBLIC_NAMES
 

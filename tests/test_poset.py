@@ -22,7 +22,6 @@ from smyth import (
     inverse_powerdomain,
     is_chain,
     is_down_set,
-    is_up_set,
     linear_extension,
     order_dual,
     random_poset,
@@ -56,6 +55,7 @@ from conftest import (
     down_sets_by_filter,
     heights_by_pairs,
     is_order_embedding_by_pairs,
+    is_up_set,
     linear_extension_by_scan,
     lower_covers_by_definition,
     order_transpose,

@@ -35,6 +35,7 @@ from conftest import (
     boolean_lattice,
     chain,
     first_basis_intersection_failure,
+    irreducible_down_sets_by_scan,
     posets,
 )
 
@@ -297,6 +298,22 @@ def test_boolean_lattice_point_count():
 @given(posets(max_n=5))
 def test_embedding_theorem_holds(poset):
     assert check_embedding_theorem(build(poset)).ok
+
+
+def test_join_irreducible_points_match_the_scan():
+    """On every labeled poset with up to 4 elements, the points with at
+    most one lower cover, which ``principal-iff-join-irreducible``
+    compares with ``phi_index``, are the down-sets the definitional scan
+    finds irreducible."""
+    for n in range(1, 5):
+        for poset in all_posets(n):
+            space = build(poset)
+            by_covers = tuple(
+                mask for mask, covers in zip(space.points, space.order.lower_covers)
+                if covers.bit_count() <= 1
+            )
+            assert by_covers == irreducible_down_sets_by_scan(poset)
+            assert sorted(by_covers) == sorted(space.points[i] for i in space.phi_index)
 
 
 def first_wrong_pair(space):

@@ -19,6 +19,7 @@ from smyth import (
     completion,
     hat_powerdomain,
     maps,
+    order_dual,
     powerdomain,
     replay,
     run_suite,
@@ -343,6 +344,18 @@ def without_full_set(original):
     return build_short
 
 
+def dropping_a_cover(original):
+    """A build whose order's last point loses its lowest lower cover."""
+    def build_thin(poset, capacity=None):
+        space = original(poset, capacity)
+        order = replace(space.order)
+        covers = list(order.lower_covers)
+        covers[-1] &= covers[-1] - 1
+        order.__dict__["lower_covers"] = tuple(covers)
+        return replace(space, order=order)
+    return build_thin
+
+
 def hat_on_two_points(original):
     """A build that adds the empty point on two-element bases only."""
     def build_mixed(poset, capacity=None):
@@ -415,6 +428,16 @@ DISCRETE_COLLAPSE = {"fixture": "discrete-collapse"}
     (completion, "lambda_sharp", constant_sharp, injective_sigma_check, "order-embedding"),
     (completion, "_principal_extensions", unanchored, injective_sigma_check,
      "unique-embedding"),
+    (suite, "poset_of_topology", lambda original: lambda family: order_dual(original(family)),
+     suite_check("topology-round-trip", VEE), "recovers-order"),
+    (suite, "is_phi_surjective", lambda original: lambda space: True,
+     suite_check("phi-onto-iff-chain", VEE), "onto-iff-chain"),
+    (suite, "vietoris_open", lambda original: lambda space, omega: frozenset(),
+     suite_check("zariski-equals-vietoris", VEE), "opens-agree"),
+    (suite, "build", dropping_a_cover,
+     suite_check("embedding-theorem", ANTICHAIN_2), "principal-iff-join-irreducible"),
+    (suite, "lambda_sharp", constant_sharp,
+     suite_check("sup-extension-of-embedding", ANTICHAIN_2), "sharp-is-identity"),
 ])
 def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
     """One seeded defect per law, each caught by its own law; a suite

@@ -10,7 +10,6 @@ from smyth import (
     OpenFamily,
     RangeError,
     down_closure,
-    irreducible_inverse_closed,
     open_sets,
     poset_of_topology,
     up_closure,
@@ -18,7 +17,7 @@ from smyth import (
 
 from smyth.poset import iter_bits
 
-from conftest import antichain, chain, posets, subsets
+from conftest import antichain, chain, irreducible_down_sets_by_scan, posets, subsets
 
 
 def test_open_sets_of_vee(vee):
@@ -53,18 +52,18 @@ def test_closure_against_complement_duality(case):
 
 
 def test_irreducibles_are_principal(vee):
-    assert irreducible_inverse_closed(vee) == ((0b001, 0), (0b010, 1), (0b111, 2))
+    assert irreducible_down_sets_by_scan(vee) == (0b001, 0b010, 0b111)
 
 
 @given(posets(max_n=5))
 def test_irreducibles_have_unique_generic_points(poset):
-    pairs = irreducible_inverse_closed(poset)
-    assert len(pairs) == poset.n
-    for mask, generic in pairs:
-        assert mask == down_closure(poset, 1 << generic)
+    masks = irreducible_down_sets_by_scan(poset)
+    assert len(masks) == poset.n
+    for mask in masks:
         # the generic point is the mask's only maximal element
         maximal = [x for x in iter_bits(mask) if poset.up[x] & mask == 1 << x]
-        assert maximal == [generic]
+        assert len(maximal) == 1
+        assert mask == down_closure(poset, 1 << maximal[0])
 
 
 @given(posets())
