@@ -106,7 +106,7 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
     """The induced map, folded over the rows of the target.
 
@@ -114,6 +114,10 @@ def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
     closure of the image of a point is the OR of ``lift`` over its
     members: one big-integer OR per member and one ``point_index``
     lookup per point.  The result is validated like any other map.
+    The cache keeps the 128 most recent lifts (``functor-laws`` keeps
+    its composites' lifts itself).  A lift is read again soon after it
+    is made or not at all: on the exhaustive scopes this cache hits
+    exactly as often as an unbounded one.
     """
     if _monotonicity_violation(f) is not None:
         raise NotSpectralError("the assignment is not monotone")
@@ -150,21 +154,19 @@ def _serialize_pair(f: MonotoneMap) -> dict:
 
 
 def _composition_violation(
-    f: MonotoneMap,
-    g: MonotoneMap,
     lifted_f: MonotoneMap,
     lifted_g: MonotoneMap,
-    capacity: int,
+    lifted_composite: MonotoneMap,
 ) -> dict | None:
-    """The details of the composition law if ``f``, ``g`` break it, or None.
+    """The details of the composition law if the lifts of ``f``, ``g``
+    break it, or None.
 
-    Takes the induced maps of ``f`` and ``g``, so a caller pairing many
-    maps lifts each once.  The lifted ``compose(g, f)`` is validated; the
-    composite of the lifts is compared with it as an image tuple, one
-    lookup per point: a tuple equal to a validated map's image is
-    monotone.
+    Takes the induced maps of ``f``, ``g`` and ``compose(g, f)``, so a
+    caller pairing many maps lifts each map and each distinct composite
+    once.  The lifted composite is validated; the composite of the lifts
+    is compared with it as an image tuple, one lookup per point: a tuple
+    equal to a validated map's image is monotone.
     """
-    lifted_composite = powerdomain_map(compose(g, f), capacity)
     composite_lifted = tuple(lifted_g.image[v] for v in lifted_f.image)
     if (lifted_composite.source != lifted_f.source
             or lifted_composite.target != lifted_g.target
@@ -193,7 +195,9 @@ def _functor_law_violation(f: MonotoneMap, g: MonotoneMap) -> dict | None:
         raise CompositionMismatchError("maps do not compose")
     capacity = resolve_capacity(None)
     violation = _composition_violation(
-        f, g, powerdomain_map(f, capacity), powerdomain_map(g, capacity), capacity
+        powerdomain_map(f, capacity),
+        powerdomain_map(g, capacity),
+        powerdomain_map(compose(g, f), capacity),
     )
     if violation is not None:
         return violation

@@ -30,6 +30,7 @@ from .maps import (
     _principal_extensions,
     check_functor_laws,
     check_minimality,
+    compose,
     enumerate_extensions,
     identity,
     is_order_isomorphism,
@@ -163,9 +164,10 @@ def prop_functor_laws(payload: dict) -> CheckReport:
 
     Each image is validated and lifted once, the capacity is resolved
     once, and the identity law is checked once, on the one poset every
-    map lives on.  Each pair then lifts and validates its base composite
-    and compares it with the composite of the two lifts as an image
-    tuple.  Only the first failing pair is serialized, by
+    map lives on.  Each distinct base composite is validated and lifted
+    once, keyed by its image, since many pairs share one; every pair
+    then compares the composite of its two lifts with that lift as an
+    image tuple.  Only the first failing pair is serialized, by
     ``check_functor_laws``: an identity failure fails every pair, so
     that pair is the first one.
     """
@@ -176,9 +178,15 @@ def prop_functor_laws(payload: dict) -> CheckReport:
     if maps and _identity_violation(poset, capacity) is not None:
         return _with_instance(check_functor_laws(maps[0], maps[0]), payload)
     lifted = [powerdomain_map(f, capacity) for f in maps]
+    lifted_composites: dict[tuple[int, ...], MonotoneMap] = {}
     for f, lifted_f in zip(maps, lifted):
         for g, lifted_g in zip(maps, lifted):
-            if _composition_violation(f, g, lifted_f, lifted_g, capacity) is not None:
+            composite = tuple(map(g.image.__getitem__, f.image))
+            lifted_composite = lifted_composites.get(composite)
+            if lifted_composite is None:
+                lifted_composite = powerdomain_map(compose(g, f), capacity)
+                lifted_composites[composite] = lifted_composite
+            if _composition_violation(lifted_f, lifted_g, lifted_composite) is not None:
                 return _with_instance(check_functor_laws(f, g), payload)
     return passed(prop, payload)
 

@@ -219,9 +219,21 @@ def test_sigma_properties_skip_over_capacity(monkeypatch):
         )
 
 
+# the lifted composite, then the composite of the two lifts, of the
+# first failing pair when the lift of the key image is corrupted
+COMPOSITION_WITNESSES = {
+    (2, 2, 2): ([2, 2, 2, 2, 2, 2, 0], [2, 2, 2, 2, 2, 2, 2]),
+    (0, 2, 0, 0): ([0, 2, 0, 0, 5, 0, 5, 0, 5, 0, 5, 5, 0, 5, 0],
+                   [0, 2, 0, 0, 5, 0, 5, 0, 5, 0, 5, 5, 0, 5, 5]),
+}
+
+
 @pytest.mark.parametrize("corrupted, f_image, g_image, law", [
     ((0, 1, 2), (0, 0, 0), (0, 0, 0), "identity"),
     ((2, 2, 2), (0, 0, 0), (2, 0, 0), "composition"),
+    # sampled maps; the corrupted image is no sampled map, but the
+    # composite of three pairs, of which this is the first
+    ((0, 2, 0, 0), (3, 0, 3, 3), (2, 2, 2, 0), "composition"),
 ])
 def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, law):
     """With the lifted map of one base map corrupted, the suite's report is
@@ -236,18 +248,37 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
         return MonotoneMap.unchecked(lifted.source, lifted.target, image)
 
     monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
-    payload = {"n": 3, "covers": []}
+    payload = {"n": len(corrupted), "covers": []}
     report = prop_functor_laws(payload)
-    poset = antichain(3)
+    poset = antichain(len(corrupted))
     f = MonotoneMap(poset, poset, f_image)
     g = MonotoneMap(poset, poset, g_image)
     assert report == _with_instance(check_functor_laws(f, g), payload)
     assert report.witness["law"] == law
     assert report.witness["instance"] == payload
     if law == "composition":
-        # the lifted composite, then the composite of the two lifts
-        assert report.witness["expected"] == [2, 2, 2, 2, 2, 2, 0]
-        assert report.witness["got"] == [2, 2, 2, 2, 2, 2, 2]
+        assert (report.witness["expected"], report.witness["got"]) == (
+            COMPOSITION_WITNESSES[corrupted]
+        )
+
+
+def test_functor_laws_lift_each_composite_once(monkeypatch):
+    """``functor-laws`` lifts the identity, each sampled map and each
+    distinct base composite once, not one composite per pair."""
+    payload = {"n": 4, "covers": []}
+    images = suite._endo_images(antichain(4), payload)
+    composites = {tuple(g[v] for v in f) for f in images for g in images}
+    assert len(composites) < len(images) ** 2  # pairs share composites
+    lifted = []
+    uncached = maps._powerdomain_map.__wrapped__
+
+    def recording(f, capacity):
+        lifted.append(f.image)
+        return uncached(f, capacity)
+
+    monkeypatch.setattr(maps, "_powerdomain_map", recording)
+    assert prop_functor_laws(payload).verdict == PASS
+    assert sorted(lifted) == sorted([(0, 1, 2, 3), *images, *composites])
 
 
 @pytest.mark.parametrize("corrupted, lifted_image, law", [
@@ -468,3 +499,21 @@ def test_one_build_per_powerdomain(monkeypatch):
     run_suite("exhaustive-3")
     assert built
     assert recording.cache_info().misses == len(set(built))
+
+
+def test_bounded_lift_cache_loses_no_reuse(monkeypatch):
+    """Over ``exhaustive-3`` from an empty cache, the bounded lift cache
+    evicts, yet hits and misses exactly as an unbounded one over the same
+    function does."""
+    bounded = maps._powerdomain_map
+    assert isinstance(bounded.cache_info().maxsize, int)
+    unbounded = functools.lru_cache(maxsize=None)(bounded.__wrapped__)
+    counts = []
+    for cached in (bounded, unbounded):
+        monkeypatch.setattr(maps, "_powerdomain_map", cached)
+        cached.cache_clear()
+        run_suite("exhaustive-3")
+        info = cached.cache_info()
+        counts.append((info.hits, info.misses))
+    assert counts[0][1] > bounded.cache_info().maxsize
+    assert counts[0] == counts[1]
