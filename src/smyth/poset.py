@@ -494,26 +494,16 @@ def is_order_embedding(
 def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:
     """Transport the order along a bijection ``i -> image[i]``.
 
-    The new rows are closed over the relabeled covers, one big-integer
-    OR per cover edge and direction.
+    Row ``image[i]`` is row ``i`` with each bit ``j`` moved to
+    ``image[j]``, one big-integer OR per comparable pair and direction.
     """
     if sorted(image) != list(range(poset.n)):
         raise RangeError("relabeling is not a bijection on range(n)")
-    # Ascending down-row size is a linear extension: rows are closed over
-    # the covers, up rows from the top and down rows from the bottom.
-    order = sorted(range(poset.n), key=lambda i: poset.down[i].bit_count())
-    covers = poset.upper_covers
     up = [0] * poset.n
-    for i in reversed(order):
-        row = 1 << image[i]
-        for j in iter_bits(covers[i]):
-            row |= up[image[j]]
-        up[image[i]] = row
-    down = [1 << k for k in range(poset.n)]
-    for i in order:
-        row = down[image[i]]
-        for j in iter_bits(covers[i]):
-            down[image[j]] |= row
+    down = [0] * poset.n
+    for i in range(poset.n):
+        up[image[i]] = mask_of(image[j] for j in iter_bits(poset.up[i]))
+        down[image[i]] = mask_of(image[j] for j in iter_bits(poset.down[i]))
     labels = None
     if poset.labels is not None:
         relabeled = [""] * poset.n

@@ -25,13 +25,10 @@ from .maps import (
     MonotoneMap,
     _composition_violation,
     _identity_violation,
-    _least_extension_violation,
     _minimality_violation,
-    _principal_extensions,
     check_functor_laws,
     check_minimality,
     compose,
-    enumerate_extensions,
     identity,
     is_order_isomorphism,
     lift_homeomorphism,
@@ -298,73 +295,6 @@ def prop_fixture_expectations(payload: dict) -> CheckReport:
     return passed(prop, payload)
 
 
-def prop_fixture_vee_to_chain(payload: dict) -> CheckReport:
-    """The two-minimal-points base mapped onto a chain, with its
-    non-minimal second extension."""
-    prop = "fixture-vee-to-chain"
-    vee = FinitePoset.from_cover_relations(3, [(0, 2), (1, 2)], ("a1", "a2", "b"))
-    chain = FinitePoset.from_cover_relations(2, [(0, 1)], ("c1", "c2"))
-    psi = MonotoneMap(vee, chain, (0, 0, 1))
-    source_space = build(vee)
-    target_space = build(chain)
-    if source_space.points != (0b001, 0b010, 0b011, 0b111):
-        return failed(prop, payload, law="source-points",
-                      actual=list(source_space.points))
-    if target_space.points != (0b01, 0b11):
-        return failed(prop, payload, law="target-points",
-                      actual=list(target_space.points))
-    induced_map = powerdomain_map(psi)
-    if induced_map.image != (0, 0, 0, 1):
-        return failed(prop, payload, law="induced-image",
-                      actual=list(induced_map.image))
-    extensions = enumerate_extensions(psi)
-    images = [e.image for e in extensions]
-    if (0, 0, 1, 1) not in images or induced_map.image not in images:
-        return failed(prop, payload, law="extensions",
-                      actual=[list(i) for i in images])
-    violation = _least_extension_violation(
-        induced_map.image, images, target_space.order
-    )
-    if violation is not None:
-        return failed(prop, payload, **violation)
-    return passed(prop, payload)
-
-
-def prop_fixture_discrete_collapse(payload: dict) -> CheckReport:
-    """On a three-point discrete base, the collapse sending one doubleton
-    to the top is a monotone extension of the principal embedding, but
-    not its sup extension.
-
-    Being an extension anchors it on the principal points.  That it is
-    not sup-preserving and lies above the sup extension is what the
-    ``unique-sup-preserving`` and ``pointwise-least`` laws of
-    ``check_sigma_theorem`` test on every extension, the collapse among
-    them.
-    """
-    prop = "fixture-discrete-collapse"
-    discrete = FinitePoset.from_cover_relations(3, [], ("a", "b", "c"))
-    space = build(discrete)
-    order = space.order
-    pair_ab = space.point_index[0b011]
-    top = space.point_index[0b111]
-    collapse_image = tuple(
-        top if i == pair_ab else i for i in range(order.n)
-    )
-    into_points = MonotoneMap(discrete, order, space.phi_index)
-    problem = SupExtensionProblem(into_points, space)
-    extensions = _principal_extensions(space, space.phi_index, order, None)
-    if collapse_image not in extensions:
-        return failed(prop, payload, law="collapse-is-an-extension")
-    sharp = lambda_sharp(problem)
-    if sharp.image != tuple(range(order.n)):
-        return failed(prop, payload, law="sharp-is-identity",
-                      actual=list(sharp.image))
-    report = check_sigma_theorem(problem, ENUMERATION_CAPACITY)
-    if not report.ok:
-        return _with_instance(report, payload, prop)
-    return passed(prop, payload)
-
-
 PROPERTIES = {
     "topology-round-trip": prop_topology_round_trip,
     "embedding-theorem": prop_embedding_theorem,
@@ -377,8 +307,6 @@ PROPERTIES = {
     "sup-extension": prop_sup_extension,
     "sup-extension-of-embedding": prop_sup_extension_of_embedding,
     "fixture-expectations": prop_fixture_expectations,
-    "fixture-vee-to-chain": prop_fixture_vee_to_chain,
-    "fixture-discrete-collapse": prop_fixture_discrete_collapse,
 }
 
 SUITE_GROUPS = {
@@ -460,7 +388,8 @@ def run_suite(scope: str) -> list[CheckReport]:
     """Run the named scope and return its reports in canonical order.
 
     Scopes: ``exhaustive-N`` (all labeled posets on N elements),
-    ``fixtures`` (the shipped instances plus their pinned scenarios),
+    ``fixtures`` (each shipped document through every per-poset property
+    and ``fixture-expectations``),
     and ``random:COUNT:SIZE:SEED`` (reproducible random posets).
     """
     reports: list[CheckReport] = []
@@ -476,10 +405,6 @@ def run_suite(scope: str) -> list[CheckReport]:
         for payload in FIXTURE_DOCS:
             reports += _per_poset(payload)
             reports.append(prop_fixture_expectations(payload))
-        reports.append(prop_fixture_vee_to_chain({"fixture": "vee-to-chain"}))
-        reports.append(
-            prop_fixture_discrete_collapse({"fixture": "discrete-collapse"})
-        )
         return reports
     if scope.startswith("random:"):
         parts = scope.split(":")
@@ -489,6 +414,8 @@ def run_suite(scope: str) -> list[CheckReport]:
             count, size, seed = (int(p) for p in parts[1:])
         except ValueError as exc:
             raise RangeError(f"bad scope {scope!r}") from exc
+        if count < 0 or size < 1:
+            raise RangeError(f"bad scope {scope!r}; want COUNT >= 0 and SIZE >= 1")
         for k in range(count):
             poset = random_poset(1 + (k % size), seed + k)
             reports += _per_poset(document_of_poset(poset).to_payload())
@@ -500,6 +427,8 @@ def replay(report: CheckReport) -> CheckReport:
     """Re-run the property that produced a failing report on its witness."""
     if report.witness is None or "instance" not in report.witness:
         raise RangeError("the report carries no replayable witness")
+    if report.property not in PROPERTIES:
+        raise RangeError(f"no registered property {report.property!r} to replay")
     return PROPERTIES[report.property](report.witness["instance"])
 
 

@@ -35,7 +35,6 @@ from smyth.suite import (
     _with_instance,
     check_payload,
     prop_extension_minimality,
-    prop_fixture_vee_to_chain,
     prop_functor_laws,
 )
 
@@ -74,7 +73,7 @@ def test_report_json_deterministic():
 
 
 def test_registry_shape():
-    assert len(PROPERTIES) == 13
+    assert len(PROPERTIES) == 11
     assert len(PER_POSET_PROPERTIES) == 10
     for group, names in SUITE_GROUPS.items():
         for name in names:
@@ -98,14 +97,12 @@ def test_fixture_scope_green():
     reports = run_suite("fixtures")
     assert not [r for r in reports if r.verdict == "fail"]
     names = {r.property for r in reports}
-    assert "fixture-expectations" in names
-    assert "fixture-vee-to-chain" in names
-    assert "fixture-discrete-collapse" in names
+    assert names == set(PER_POSET_PROPERTIES) | {"fixture-expectations"}
 
 
 @pytest.mark.parametrize(
     "scope, digest, count",
-    [("fixtures", "cbaca1ea37dd2a4a", 46), ("exhaustive-4", "8cb1057c8fa761ae", 2190)],
+    [("fixtures", "27a096937525e422", 44), ("exhaustive-4", "8cb1057c8fa761ae", 2190)],
 )
 def test_report_lists_are_pinned(scope, digest, count):
     # a sha256 prefix of every report line: a change meant to keep each
@@ -125,7 +122,8 @@ def test_random_scope_deterministic():
 
 
 def test_bad_scopes():
-    for scope in ("exhaustive-x", "random:1:2", "random:a:b:c", "nope"):
+    for scope in ("exhaustive-x", "random:1:2", "random:a:b:c", "nope",
+                  "random:1:0:5", "random:-2:3:1"):
         with pytest.raises(RangeError):
             run_suite(scope)
 
@@ -189,6 +187,14 @@ def test_replay_round_trips_through_json():
 def test_replay_needs_witness():
     with pytest.raises(RangeError):
         replay(CheckReport("embedding-theorem", "{}", PASS))
+
+
+def test_replay_of_an_unregistered_property():
+    # a stored report of a property never or no longer in the registry
+    for name in ("no-such", "fixture-vee-to-chain"):
+        report = failed(name, {"fixture": "vee-to-chain"}, law="extensions")
+        with pytest.raises(RangeError, match=f"'{name}'"):
+            replay(report)
 
 
 def test_fixture_docs_shape():
@@ -310,8 +316,6 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
 @pytest.mark.parametrize("name, patched, mutant, payload, law", [
     ("sup-extension-of-embedding", "is_sup_preserving",
      lambda f, capacity=None: True, {"n": 3, "covers": []}, "unique-sup-preserving"),
-    ("fixture-discrete-collapse", "preserves_sups",
-     lambda space, f: False, {"fixture": "discrete-collapse"}, "sup-preserving"),
 ])
 def test_rebound_failures_replay_their_own_property(
     monkeypatch, name, patched, mutant, payload, law
@@ -324,21 +328,6 @@ def test_rebound_failures_replay_their_own_property(
     assert report.witness["instance"] == payload
     again = replay(report)
     assert (again.property, again.verdict, again.witness["law"]) == (name, FAIL, law)
-
-
-def test_fixture_vee_to_chain_pointwise_least_can_fail(monkeypatch):
-    original = maps.enumerate_extensions
-
-    def with_bottom(f, capacity=None):
-        extensions = original(f, capacity)
-        bottom = MonotoneMap.unchecked(extensions[0].source, extensions[0].target,
-                                       (0, 0, 0, 0))
-        return extensions + (bottom,)
-
-    monkeypatch.setattr("smyth.suite.enumerate_extensions", with_bottom)
-    report = prop_fixture_vee_to_chain({"fixture": "vee-to-chain"})
-    assert report.witness["law"] == "pointwise-least"
-    assert (report.witness["point"], report.witness["candidate"]) == (3, [0, 0, 0, 0])
 
 
 def constant_lift(original):
@@ -387,13 +376,6 @@ def dropping_a_cover(original):
     return build_thin
 
 
-def hat_on_two_points(original):
-    """A build that adds the empty point on two-element bases only."""
-    def build_mixed(poset, capacity=None):
-        return hat_powerdomain(poset) if poset.n == 2 else original(poset, capacity)
-    return build_mixed
-
-
 def unanchored(original):
     """An extension search that drops its anchors."""
     def search(space, values, target, capacity):
@@ -417,8 +399,6 @@ CHAIN_2 = {"n": 2, "covers": [[0, 1]]}
 ANTICHAIN_2 = {"n": 2, "covers": []}
 ANTICHAIN_3 = {"n": 3, "covers": []}
 ANTICHAIN_4 = {"n": 4, "covers": []}
-VEE_TO_CHAIN = {"fixture": "vee-to-chain"}
-DISCRETE_COLLAPSE = {"fixture": "discrete-collapse"}
 
 
 @pytest.mark.parametrize("module, name, mutant, check, law", [
@@ -442,20 +422,6 @@ DISCRETE_COLLAPSE = {"fixture": "discrete-collapse"}
      suite_check("embedding-theorem", ANTICHAIN_2), "unique-maximal-point"),
     (suite, "preserves_sups", lambda original: lambda space, f: False,
      suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
-    (suite, "build", lambda original: hat_powerdomain,
-     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "source-points"),
-    (suite, "build", hat_on_two_points,
-     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "target-points"),
-    (suite, "powerdomain_map", constant_lift,
-     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "induced-image"),
-    (suite, "enumerate_extensions",
-     lambda original: lambda f, capacity=None: original(f, capacity)[:1],
-     suite_check("fixture-vee-to-chain", VEE_TO_CHAIN), "extensions"),
-    (suite, "_principal_extensions", lambda original: lambda *args: original(*args)[:1],
-     suite_check("fixture-discrete-collapse", DISCRETE_COLLAPSE),
-     "collapse-is-an-extension"),
-    (suite, "lambda_sharp", constant_sharp,
-     suite_check("fixture-discrete-collapse", DISCRETE_COLLAPSE), "sharp-is-identity"),
     (completion, "lambda_sharp", constant_sharp, injective_sigma_check, "order-embedding"),
     (completion, "_principal_extensions", unanchored, injective_sigma_check,
      "unique-embedding"),
