@@ -1,16 +1,16 @@
 """Reading poset documents and exporting powerdomain graphs.
 
 A poset document is a small JSON object: ``n`` (element count),
-optional ``labels`` (list of n strings), and ``covers`` (list of
-``[i, j]`` pairs meaning ``i`` below ``j``; any generating relations
+optional ``labels`` (list of n distinct strings), and ``covers`` (list
+of ``[i, j]`` pairs meaning ``i`` below ``j``; any generating relations
 are accepted and closed on load).  An optional ``expect`` object pins
 fixture expectations so a corrupted file is detected rather than
 silently re-verified as some other poset:
 
-    points           every powerdomain member set, as sorted index lists
-    point_count      number of powerdomain points
-    dimension        dimension of the powerdomain
-    phi_onto         whether every point is principal
+    points        list of int lists: every member set, sorted
+    point_count   int: number of powerdomain points
+    dimension     int: dimension of the powerdomain
+    phi_onto      bool: whether every point is principal
 
 The graph export uses the DOT digraph format, one edge per covering
 pair of the powerdomain order, lower point first.
@@ -29,7 +29,19 @@ from .poset import FinitePoset, iter_bits
 if TYPE_CHECKING:
     from .powerdomain import PowerdomainSpace
 
-EXPECT_KEYS = frozenset({"points", "point_count", "dimension", "phi_onto"})
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_EXPECT_TYPES = {
+    "points": ("a list of integer lists", lambda value: isinstance(value, list)
+               and all(isinstance(p, list) and all(map(_is_int, p)) for p in value)),
+    "point_count": ("an integer", _is_int),
+    "dimension": ("an integer", _is_int),
+    "phi_onto": ("a boolean", lambda value: isinstance(value, bool)),
+}
+EXPECT_KEYS = frozenset(_EXPECT_TYPES)
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ def document_from_payload(payload: dict) -> PosetDocument:
     if unknown:
         raise DocumentError(f"unknown keys: {sorted(unknown)}")
     n = payload.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= 64:
+    if not _is_int(n) or not 1 <= n <= 64:
         raise DocumentError("'n' must be an integer between 1 and 64")
     labels = payload.get("labels")
     if labels is not None:
@@ -69,8 +81,9 @@ def document_from_payload(payload: dict) -> PosetDocument:
             not isinstance(labels, list)
             or len(labels) != n
             or not all(isinstance(s, str) for s in labels)
+            or len(set(labels)) != n
         ):
-            raise DocumentError("'labels' must be a list of n strings")
+            raise DocumentError("'labels' must be a list of n distinct strings")
         labels = tuple(labels)
     covers_raw = payload.get("covers", [])
     if not isinstance(covers_raw, list):
@@ -80,7 +93,7 @@ def document_from_payload(payload: dict) -> PosetDocument:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
+            or not all(map(_is_int, entry))
         ):
             raise DocumentError(f"bad cover entry: {entry!r}")
         if not all(0 <= v < n for v in entry):
@@ -92,6 +105,10 @@ def document_from_payload(payload: dict) -> PosetDocument:
             raise DocumentError(
                 f"'expect' may only contain {sorted(EXPECT_KEYS)}"
             )
+        for key, value in expect.items():
+            kind, test = _EXPECT_TYPES[key]
+            if not test(value):
+                raise DocumentError(f"'expect.{key}' must be {kind}")
     return PosetDocument(n, labels, tuple(covers), expect)
 
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import CapacityError, RangeError
-from .poset import FinitePoset, iter_bits
+from .poset import FinitePoset, _transpose, iter_bits
 from .maps import MonotoneMap, MonotoneRule, anchored_extensions
 
 MAX_EXHAUSTIVE_N = 5
@@ -36,11 +36,7 @@ def all_posets(n: int) -> tuple[FinitePoset, ...]:
             elif direction == 2:
                 up[j] |= 1 << i
         if _is_transitive(n, up):
-            down = [0] * n
-            for i in range(n):
-                for j in iter_bits(up[i]):
-                    down[j] |= 1 << i
-            found.append(FinitePoset(n, tuple(up), tuple(down)))
+            found.append(FinitePoset(n, tuple(up), _transpose(up, n)))
     return tuple(found)
 
 

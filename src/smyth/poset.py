@@ -73,9 +73,9 @@ class FinitePoset:
     rebuilds each down row from the down rows of a few picked members,
     then each up row from the up rows of the elements that picked it
     (transitivity and the transpose, else ValueError).  When indices
-    follow a linear extension or its reverse, the picks are exactly the
-    covers, so the check costs a few big-integer operations per cover
-    edge, not per comparable pair.
+    follow a linear extension, the picks are exactly the lower covers,
+    so the check costs a few big-integer operations per cover edge, not
+    per comparable pair; in other index orders it may pick more.
     """
 
     n: int
@@ -116,31 +116,29 @@ class FinitePoset:
     ) -> "FinitePoset":
         """Poset generated by ``i <= j`` for each pair ``(i, j)``.
 
-        The pairs may be covers or any generating relations; the
-        reflexive-transitive closure is applied to them and, for the
-        ``down`` rows, to their converse: each element's row is folded
-        into every row whose column holds it, n**2 big-integer tests per
-        direction.  Cyclic input raises CycleError from the constructor's
-        antisymmetry check.
+        The pairs may be covers or any generating relations; their
+        reflexive-transitive closure gives the ``up`` rows, each
+        element's row folded into every row whose column holds it (n**2
+        big-integer tests), and the ``down`` rows are its transpose.
+        Unless indices follow a linear extension, validation may pick
+        more than the covers.  Cyclic input raises CycleError from the
+        constructor's antisymmetry check.
         """
         if n < 1:
             raise RangeError(f"a poset needs at least one element, got n={n}")
         up = [1 << i for i in range(n)]
-        down = list(up)
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise RangeError(f"relation ({i}, {j}) is out of range for n={n}")
             up[i] |= 1 << j
-            down[j] |= 1 << i
-        for rows in (up, down):
-            for k in range(n):
-                row_k = rows[k]
-                bit_k = 1 << k
-                for i in range(n):
-                    if rows[i] & bit_k:
-                        rows[i] |= row_k
+        for k in range(n):
+            row_k = up[k]
+            bit_k = 1 << k
+            for i in range(n):
+                if up[i] & bit_k:
+                    up[i] |= row_k
         label_tuple = None if labels is None else tuple(labels)
-        return cls(n, tuple(up), tuple(down), label_tuple)
+        return cls(n, tuple(up), _transpose(up, n), label_tuple)
 
     def __hash__(self) -> int:
         return self._hash
@@ -166,14 +164,11 @@ class FinitePoset:
         """``upper_covers[i]`` is the mask of the elements covering ``i``.
 
         Computed once per poset.  The covers of ``i`` are the minimal
-        members of ``up[i]`` minus ``i``: each round takes the lowest
-        remaining index, steps down to the highest remaining index below
-        it until nothing remaining lies below, records that cover and
-        drops everything above it.  Only up-sets are dropped, so every
-        member of ``up[i]`` below a remaining one remains, and a minimal
-        remaining member is a cover.  When indices follow a linear
-        extension or its reverse, each round takes at most one step
-        down, so the cost is a few big-integer operations per cover edge.
+        members of ``up[i]`` minus ``i``: each round records the member
+        ``_minimal`` finds and drops everything above it, an up-set, so a
+        minimal remaining member is still a cover.  When indices follow a
+        linear extension or its reverse, this costs a few big-integer
+        operations per cover edge.
         """
         up, down = self.up, self.down
         covers = []
@@ -181,11 +176,7 @@ class FinitePoset:
             remaining = row ^ (1 << i)
             found = 0
             while remaining:
-                j = (remaining & -remaining).bit_length() - 1
-                below = down[j] & remaining
-                while below != 1 << j:
-                    j = (below ^ (1 << j)).bit_length() - 1
-                    below = down[j] & remaining
+                j = _minimal(down, remaining)
                 found |= 1 << j
                 remaining &= ~up[j]
             covers.append(found)
@@ -198,14 +189,7 @@ class FinitePoset:
         Computed once per poset, as the transpose of ``upper_covers``:
         one big-integer OR per cover edge.
         """
-        covers = [0] * self.n
-        for i, mask in enumerate(self.upper_covers):
-            bit = 1 << i
-            while mask:
-                low = mask & -mask
-                covers[low.bit_length() - 1] |= bit
-                mask ^= low
-        return tuple(covers)
+        return _transpose(self.upper_covers, self.n)
 
     @cached_property
     def _linear_extension(self) -> tuple[int, ...]:
@@ -244,13 +228,13 @@ class FinitePoset:
 def _check_rows(up: tuple[int, ...], down: tuple[int, ...]) -> None:
     """Rebuild the down rows from picked members, then the up rows.
 
-    Each ``down[i]`` must be ``{i}`` plus the down rows of its picks.  The
-    member picked next is the remaining one nearest ``i``: the lowest
-    index above ``i``, else the highest below.  Each pick ``j`` of row
-    ``i`` is recorded as ``i`` in ``upper[j]``, and then each ``up[j]``
-    must be ``{j}`` plus the up rows of ``upper[j]``, one OR per pick.
-    The constructor has already made every ``up[k] & down[k]`` equal to
-    ``{k}``, so each pick leaves the remaining set.
+    Each ``down[i]`` must be ``{i}`` plus the down rows of its picks, and
+    the member picked next is the highest remaining index.  Each pick
+    ``j`` of row ``i`` is recorded as ``i`` in ``upper[j]``, and then
+    each ``up[j]`` must be ``{j}`` plus the up rows of ``upper[j]``, one
+    OR per pick.  The constructor has already made every
+    ``up[k] & down[k]`` equal to ``{k}``, so each pick leaves the
+    remaining set.
 
     Why this is the whole check: along a cycle of the pick relation the
     two rebuilds would make the down rows equal and the up rows equal,
@@ -260,31 +244,23 @@ def _check_rows(up: tuple[int, ...], down: tuple[int, ...]) -> None:
     reflexive-transitive closure of the picks and ``up`` the closure of
     their converse.  So ``up`` is a partial order and ``down`` is its
     transpose.  Conversely, a partial order and its transpose pass both
-    rebuilds.  Any pick would do; the nearest one is a cover whenever
-    indices follow a linear extension or its reverse.  In a linear
-    extension the down rows hold only lower indices, so each pick is one
-    ``bit_length`` of a narrowing mask.
+    rebuilds.  Any pick would do.  When indices follow a linear
+    extension, the highest remaining ``j`` is a lower cover of ``i``: a
+    member between them has a higher index, so the picked row that
+    dropped it dropped ``j`` too.  A cover is dropped only by its own
+    pick, so the picks are exactly the lower covers, each one
+    ``bit_length`` of a narrowing mask.  Other orders may pick more.
     """
     upper: list[list[int]] = [[] for _ in up]
     for i, row in enumerate(down):
-        bit = 1 << i
-        below = row & (bit - 1)
-        above = row ^ below ^ bit
-        reached = bit
-        if above:
-            while above:
-                j = (above & -above).bit_length() - 1
-                upper[j].append(i)
-                picked = down[j]
-                reached |= picked
-                above ^= above & picked
-            below &= ~reached
-        while below:
-            j = below.bit_length() - 1
+        remaining = row ^ (1 << i)
+        reached = 1 << i
+        while remaining:
+            j = remaining.bit_length() - 1
             upper[j].append(i)
             picked = down[j]
             reached |= picked
-            below ^= below & picked
+            remaining ^= remaining & picked
         if reached != row:
             raise ValueError(f"relation is not transitive below {i}")
     for j, picked_by in enumerate(upper):
@@ -293,6 +269,31 @@ def _check_rows(up: tuple[int, ...], down: tuple[int, ...]) -> None:
             reached |= up[i]
         if reached != up[j]:
             raise ValueError("down rows are not the transpose of up rows")
+
+
+def _transpose(rows: Iterable[int], width: int) -> tuple[int, ...]:
+    """The ``width`` columns of a bit matrix: bit ``i`` of column ``j``
+    is bit ``j`` of ``rows[i]``, one big-integer OR per set bit."""
+    columns = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(columns)
+
+
+def _minimal(down: tuple[int, ...], mask: int) -> int:
+    """A minimal member of the nonempty ``mask``: from the lowest index,
+    step to the highest member below until none is left, which takes no
+    step when indices follow a linear extension."""
+    j = (mask & -mask).bit_length() - 1
+    below = down[j] & mask
+    while below != 1 << j:
+        j = (below ^ (1 << j)).bit_length() - 1
+        below = down[j] & mask
+    return j
 
 
 def check_subset(poset: FinitePoset, subset: int) -> int:
@@ -378,19 +379,12 @@ def sup(poset: FinitePoset, subset: int) -> int | None:
 def _least(poset: FinitePoset, bounds: int) -> int | None:
     """The least member of the mask ``bounds``, or None.
 
-    A least member is the only minimal one, so step down from the lowest
-    index to a member below it until none is left, then test that one
-    against the whole mask.  The cost is a few big-integer operations
-    per step, and when indices follow a linear extension the lowest
-    index is already minimal.
+    A least member is the only minimal one, so test the one ``_minimal``
+    finds against the whole mask.
     """
     if not bounds:
         return None
-    j = (bounds & -bounds).bit_length() - 1
-    below = poset.down[j] & bounds
-    while below != 1 << j:
-        j = (below ^ (1 << j)).bit_length() - 1
-        below = poset.down[j] & bounds
+    j = _minimal(poset.down, bounds)
     return j if bounds & ~poset.up[j] == 0 else None
 
 
@@ -494,23 +488,23 @@ def is_order_embedding(
 def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:
     """Transport the order along a bijection ``i -> image[i]``.
 
-    Row ``image[i]`` is row ``i`` with each bit ``j`` moved to
-    ``image[j]``, one big-integer OR per comparable pair and direction.
+    Up row ``image[i]`` is up row ``i`` with each bit ``j`` moved to
+    ``image[j]``, one big-integer OR per comparable pair; the down rows
+    are their transpose.  Unless ``image`` keeps a linear extension,
+    validation may pick more than the covers.
     """
     if sorted(image) != list(range(poset.n)):
         raise RangeError("relabeling is not a bijection on range(n)")
     up = [0] * poset.n
-    down = [0] * poset.n
     for i in range(poset.n):
         up[image[i]] = mask_of(image[j] for j in iter_bits(poset.up[i]))
-        down[image[i]] = mask_of(image[j] for j in iter_bits(poset.down[i]))
     labels = None
     if poset.labels is not None:
         relabeled = [""] * poset.n
         for i in range(poset.n):
             relabeled[image[i]] = poset.labels[i]
         labels = tuple(relabeled)
-    return FinitePoset(poset.n, tuple(up), tuple(down), labels)
+    return FinitePoset(poset.n, tuple(up), _transpose(up, poset.n), labels)
 
 
 def induced(poset: FinitePoset, carrier: int) -> tuple[FinitePoset, tuple[int, ...]]:
@@ -528,14 +522,11 @@ def induced(poset: FinitePoset, carrier: int) -> tuple[FinitePoset, tuple[int, .
         mask_of(position[j] for j in iter_bits(poset.up[e] & carrier))
         for e in elements
     )
-    down = tuple(
-        mask_of(position[j] for j in iter_bits(poset.down[e] & carrier))
-        for e in elements
-    )
     labels = None
     if poset.labels is not None:
         labels = tuple(poset.labels[e] for e in elements)
-    return FinitePoset(len(elements), up, down, labels), elements
+    n = len(elements)
+    return FinitePoset(n, up, _transpose(up, n), labels), elements
 
 
 def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from .docio import document_of_poset
 from .errors import CapacityError, NotOpenError, RangeError
 from .poset import (
     FinitePoset,
+    _transpose,
     check_subset,
     dimension,
     down_closure,
@@ -48,10 +49,6 @@ class PowerdomainSpace:
     order: FinitePoset
     phi_index: tuple[int, ...]
     point_index: dict[int, int] = field(repr=False)
-
-    @property
-    def has_empty_point(self) -> bool:
-        return bool(self.points) and self.points[0] == 0
 
     def point_label(self, index: int) -> str:
         """Brace rendering of a point's member set, e.g. ``{a,b}``."""
@@ -269,10 +266,7 @@ def check_embedding_theorem(space: PowerdomainSpace) -> CheckReport:
 
     # Point i lies below the points that hold all of its members: an AND
     # of membership columns, an independent route to _assemble's rows.
-    column = [0] * base.n
-    for j, big in enumerate(space.points):
-        for x in iter_bits(big):
-            column[x] |= 1 << j
+    column = _transpose(space.points, base.n)
     every = (1 << len(space.points)) - 1
     for i, small in enumerate(space.points):
         above = every

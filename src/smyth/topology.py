@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedFamilyError
-from .poset import FinitePoset, check_subset, enumerate_down_sets, iter_bits
+from .poset import FinitePoset, _transpose, check_subset, enumerate_down_sets
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,4 @@ def poset_of_topology(family: OpenFamily) -> FinitePoset:
             if u >> i & 1:
                 minimal_open &= u
         down.append(minimal_open)
-    up = [0] * n
-    for i in range(n):
-        for j in iter_bits(down[i]):
-            up[j] |= 1 << i
-    return FinitePoset(n, tuple(up), tuple(down), family.base.labels)
+    return FinitePoset(n, _transpose(down, n), tuple(down), family.base.labels)

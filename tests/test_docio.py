@@ -97,8 +97,13 @@ def test_document_validation_errors():
         ({"n": 2, "covers": 7}, "covers"),
         ({"n": 2, "covers": [], "labels": ["only"]}, "labels"),
         ({"n": 2, "covers": [], "labels": ["a", 3]}, "labels"),
+        ({"n": 2, "covers": [], "labels": ["a", "a"]}, "labels"),
         ({"n": 2, "covers": [], "expect": {"nope": 1}}, "expect"),
         ({"n": 2, "covers": [], "expect": 5}, "expect"),
+        ({"n": 2, "covers": [], "expect": {"points": [[0, "1"]]}}, "points"),
+        ({"n": 2, "covers": [], "expect": {"point_count": "4"}}, "point_count"),
+        ({"n": 2, "covers": [], "expect": {"dimension": True}}, "dimension"),
+        ({"n": 2, "covers": [], "expect": {"phi_onto": 1}}, "phi_onto"),
     ]
     for payload, fragment in bad_payloads:
         with pytest.raises(DocumentError) as info:

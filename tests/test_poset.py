@@ -141,24 +141,25 @@ def test_validation_matches_definition():
 
 
 def test_validation_on_large_relabeled_order():
-    """A 575-point powerdomain order renumbered off its linear extension."""
+    """A 575-point powerdomain order renumbered off its linear extension,
+    and its dual, whose indices follow the reverse of one."""
     order = build(random_poset(12, 1)).order
     rng = random.Random(5)
     image = list(range(order.n))
     rng.shuffle(image)
-    shuffled = relabel(order, tuple(image))
-    assert shuffled.n == 575
-    assert FinitePoset(shuffled.n, shuffled.up, shuffled.down) == shuffled
-    for _ in range(3):
-        i, j = rng.sample(range(shuffled.n), 2)
-        up = list(shuffled.up)
-        up[i] ^= 1 << j
-        with pytest.raises((ValueError, SmythError)):
-            FinitePoset(shuffled.n, tuple(up), shuffled.down)
-        down = list(shuffled.down)
-        down[i] ^= 1 << j
-        with pytest.raises((ValueError, SmythError)):
-            FinitePoset(shuffled.n, shuffled.up, tuple(down))
+    for poset in (relabel(order, tuple(image)), order_dual(order)):
+        assert poset.n == 575
+        assert FinitePoset(poset.n, poset.up, poset.down) == poset
+        for _ in range(3):
+            i, j = rng.sample(range(poset.n), 2)
+            up = list(poset.up)
+            up[i] ^= 1 << j
+            with pytest.raises((ValueError, SmythError)):
+                FinitePoset(poset.n, tuple(up), poset.down)
+            down = list(poset.down)
+            down[i] ^= 1 << j
+            with pytest.raises((ValueError, SmythError)):
+                FinitePoset(poset.n, poset.up, tuple(down))
 
 
 NOT_TRANSPOSE = "down rows are not the transpose of up rows"

@@ -45,7 +45,6 @@ def test_points_of_vee(vee):
     assert space.base == vee
     assert space.points == (0b001, 0b010, 0b011, 0b111)
     assert space.order.n == 4
-    assert not space.has_empty_point
 
 
 def test_point_labels(vee):
@@ -213,7 +212,6 @@ def test_unique_maximal_point(vee):
 
 def test_hat_powerdomain(vee):
     space = hat_powerdomain(vee)
-    assert space.has_empty_point
     assert space.points == (0b000, 0b001, 0b010, 0b011, 0b111)
     assert basic_open(space, 0) == {0}
     # the empty point sits below everything
