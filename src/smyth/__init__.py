@@ -41,7 +41,6 @@ _EXPORTS_BY_MODULE = {
         "linear_extension",
         "order_dual",
         "sup",
-        "up_closure",
     ),
     "topology": (
         "OpenFamily",

@@ -124,6 +124,8 @@ def load_document(path: str | Path) -> PosetDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise DocumentError(f"{path} holds a number too long to read: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError(f"{path} nests too deeply to parse") from exc
     return document_from_payload(payload)

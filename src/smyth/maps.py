@@ -358,9 +358,10 @@ def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
 def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport:
     """The induced map is the pointwise-least extension of ``f``.
 
-    It is the sup extension of ``phi`` after ``f``, whose laws
-    ``check_sigma_theorem`` tests; there ``restricts-to-base`` for the
-    identity is the retraction.  ``capacity`` bounds the search only.
+    It is the sup extension of ``phi`` after ``f``, whose least-ness
+    ``check_sigma_theorem`` certifies per point with no search.  This
+    check enumerates every extension instead; ``capacity`` bounds that
+    search only.
     """
     violation = _minimality_violation(f, capacity)
     instance = _serialize_pair(f)

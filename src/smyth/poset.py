@@ -312,15 +312,6 @@ def down_closure(poset: FinitePoset, subset: int) -> int:
     return closed
 
 
-def up_closure(poset: FinitePoset, subset: int) -> int:
-    """Every element lying above some member of ``subset``."""
-    check_subset(poset, subset)
-    closed = 0
-    for i in iter_bits(subset):
-        closed |= poset.up[i]
-    return closed
-
-
 def is_down_set(poset: FinitePoset, subset: int) -> bool:
     """Whether ``subset`` is closed downward."""
     return down_closure(poset, subset) == subset
@@ -331,17 +322,17 @@ def order_dual(poset: FinitePoset) -> FinitePoset:
     return FinitePoset(poset.n, poset.down, poset.up, poset.labels)
 
 
-def heights(poset: FinitePoset) -> tuple[int, ...]:
-    """Length of the longest chain strictly below each element.
+def _longest_chains(walk: Iterable[int], covers: tuple[int, ...]) -> tuple[int, ...]:
+    """Length of the longest chain of ``covers`` edges ending at each element.
 
-    Walks a linear extension and pushes each element's height plus one
-    to its upper covers, so the cost is per cover edge, not per
-    comparable pair: a longest chain below ``j`` ends in a cover of
-    ``j``, whose height is final by the time ``j`` comes up.
+    ``walk`` visits each element after every element with an edge to
+    it, and each element pushes its length plus one along its edges, so
+    the cost is per cover edge, not per comparable pair: a longest
+    chain to ``j`` ends in an edge from an element whose length is
+    final by the time ``j`` comes up.
     """
-    result = [0] * poset.n
-    covers = poset.upper_covers
-    for i in linear_extension(poset):
+    result = [0] * len(covers)
+    for i in walk:
         above = result[i] + 1
         mask = covers[i]
         while mask:
@@ -351,6 +342,12 @@ def heights(poset: FinitePoset) -> tuple[int, ...]:
                 result[j] = above
             mask ^= low
     return tuple(result)
+
+
+def heights(poset: FinitePoset) -> tuple[int, ...]:
+    """Length of the longest chain strictly below each element: up a
+    linear extension, over upper covers."""
+    return _longest_chains(linear_extension(poset), poset.upper_covers)
 
 
 def dimension(poset: FinitePoset) -> int:
@@ -404,8 +401,13 @@ def is_chain(poset: FinitePoset) -> bool:
 
 
 def _signatures(poset: FinitePoset) -> tuple[tuple[int, int, int, int], ...]:
+    """Down-set and up-set sizes, height and depth of each element.
+
+    Depths are the heights of the dual order, read down the reversed
+    linear extension over lower covers, with no second poset built.
+    """
     hs = heights(poset)
-    ds = heights(order_dual(poset))
+    ds = _longest_chains(reversed(linear_extension(poset)), poset.lower_covers)
     return tuple(
         (poset.down[i].bit_count(), poset.up[i].bit_count(), hs[i], ds[i])
         for i in range(poset.n)

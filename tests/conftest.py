@@ -17,10 +17,11 @@ from smyth import (
     enumerate_down_sets,
     is_down_set,
     sup,
-    up_closure,
 )
+from smyth import completion
 from smyth.generators import random_poset
-from smyth.poset import iter_bits, mask_of
+from smyth.maps import anchored_extensions
+from smyth.poset import check_subset, iter_bits, mask_of
 
 
 def vee_poset() -> FinitePoset:
@@ -47,6 +48,15 @@ def boolean_lattice(k: int) -> FinitePoset:
 def down_sets_by_filter(poset: FinitePoset) -> list[int]:
     """Scan every subset mask and keep the down-sets.  The slow oracle."""
     return [mask for mask in range(1 << poset.n) if is_down_set(poset, mask)]
+
+
+def up_closure(poset: FinitePoset, subset: int) -> int:
+    """Every element lying above some member of ``subset``."""
+    check_subset(poset, subset)
+    closed = 0
+    for i in iter_bits(subset):
+        closed |= poset.up[i]
+    return closed
 
 
 def is_up_set(poset: FinitePoset, subset: int) -> bool:
@@ -198,6 +208,34 @@ def lambda_sharp_by_closure(problem: SupExtensionProblem) -> tuple[int | None, .
         sup(f.target, down_closure(f.target, f.image_mask(member)))
         for member in problem.space.points
     )
+
+
+def sigma_law_by_enumeration(problem: SupExtensionProblem) -> str | None:
+    """The first law of the sup extension's universal property that
+    ``problem`` breaks, or None, by enumerating every monotone extension.
+
+    ``is-an-extension``: the sup extension agrees with the base map on
+    principal points.  ``pointwise-least``: it lies below every
+    extension.  ``unique-sup-preserving``: the antichain walk
+    ``is_sup_preserving`` holds of it and of no other extension.  The
+    brute-force oracle of the per-point ``check_sigma_theorem``; the sup
+    extension is read through ``completion`` so that a patched one is
+    enumerated against.
+    """
+    space, target = problem.space, problem.target
+    sharp = completion.lambda_sharp(problem).image
+    anchors = dict(zip(space.phi_index, problem.base_map.image))
+    extensions = anchored_extensions(space.order, anchors, target)
+    if sharp not in extensions:
+        return "is-an-extension"
+    for candidate in extensions:
+        if not all(target.leq(s, c) for s, c in zip(sharp, candidate)):
+            return "pointwise-least"
+    for candidate in extensions:
+        f = MonotoneMap.unchecked(space.order, target, candidate)
+        if completion.is_sup_preserving(f) != (candidate == sharp):
+            return "unique-sup-preserving"
+    return None
 
 
 def cover_pairs_by_definition(poset: FinitePoset) -> tuple[tuple[int, int], ...]:

@@ -256,8 +256,11 @@ def test_capacity_flows_through_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("content", [b"[" * 200000, b'{"n": 1, "labels": ["\xff"]}'],
-                         ids=["deep-nesting", "not-utf8"])
+@pytest.mark.parametrize("content", [
+    b"[" * 200000,
+    b'{"n": 1, "labels": ["\xff"]}',
+    b'{"n": 2, "covers": [[0, 1' + b"0" * 5000 + b"]]}",
+], ids=["deep-nesting", "not-utf8", "long-number"])
 def test_unreadable_document_bytes(tmp_path, content):
     target = tmp_path / "doc.json"
     target.write_bytes(content)

@@ -25,6 +25,7 @@ from smyth import (
 )
 from smyth import completion
 from smyth.generators import all_monotone_images, all_posets
+from smyth.maps import anchored_extensions
 
 from conftest import (
     antichain,
@@ -35,6 +36,7 @@ from conftest import (
     is_sup_preserving_by_subsets,
     lambda_sharp_by_closure,
     posets,
+    sigma_law_by_enumeration,
     vee_poset,
 )
 
@@ -308,10 +310,11 @@ def sharp_constant_top(problem):
     return MonotoneMap(problem.space.order, problem.target, (1, 1, 1, 1))
 
 
-def extensions_with_bottom(original):
-    def with_bottom(space, values, target, capacity):
-        return original(space, values, target, capacity) + ((0, 0, 0, 0),)
-    return with_bottom
+def sharp_not_least(original):
+    """The sup extension replaced by the vee problem's other extension."""
+    def sharp(problem):
+        return MonotoneMap(problem.space.order, problem.target, (0, 0, 1, 1))
+    return sharp
 
 
 @pytest.mark.parametrize("name, mutant, expected", [
@@ -319,12 +322,7 @@ def extensions_with_bottom(original):
      {"law": "restricts-to-base", "element": 0}),
     ("preserves_sups", lambda original: lambda space, f: False,
      {"law": "sup-preserving"}),
-    ("_principal_extensions", lambda original: lambda *args: (),
-     {"law": "is-an-extension"}),
-    ("_principal_extensions", extensions_with_bottom,
-     {"law": "pointwise-least", "point": 3, "candidate": [0, 0, 0, 0]}),
-    ("is_sup_preserving", lambda original: lambda f, capacity=None: True,
-     {"law": "unique-sup-preserving", "candidate": [0, 0, 1, 1]}),
+    ("lambda_sharp", sharp_not_least, {"law": "sup-preserving"}),
 ])
 def test_every_sigma_theorem_law_can_fail(monkeypatch, name, mutant, expected):
     """One seeded defect per law of the worked problem, each caught by
@@ -336,13 +334,51 @@ def test_every_sigma_theorem_law_can_fail(monkeypatch, name, mutant, expected):
     assert {key: report.witness[key] for key in expected} == expected
 
 
-def test_pointwise_least_is_checked_before_unique_sup_preserving(monkeypatch):
-    # a double fault: every candidate counts as sup-preserving, and one
-    # candidate lies below the sup extension
-    monkeypatch.setattr(completion, "_principal_extensions",
-                        extensions_with_bottom(completion._principal_extensions))
-    monkeypatch.setattr(completion, "is_sup_preserving", lambda f, capacity=None: True)
-    assert check_sigma_theorem(vee_problem()).witness["law"] == "pointwise-least"
+def test_oracle_reports_a_sharp_that_is_not_least(monkeypatch):
+    """The ``sharp_not_least`` mutant, which the certificate fails on
+    ``sup-preserving``, is an extension but not the least one, and the
+    enumeration oracle says so."""
+    assert sigma_law_by_enumeration(vee_problem()) is None
+    monkeypatch.setattr(completion, "lambda_sharp", sharp_not_least(None))
+    assert sigma_law_by_enumeration(vee_problem()) == "pointwise-least"
+
+
+def test_certificate_agrees_with_the_enumeration_oracle(monkeypatch):
+    """On every monotone map between posets on at most three elements,
+    the per-point ``check_sigma_theorem`` and the enumeration oracle both
+    pass, or both find no sup.  Then each monotone extension in turn is
+    passed off as the sup extension: the certificate passes exactly on
+    the true one, and the oracle agrees with it on every one."""
+    problems = []
+    undefined = 0
+    for source in SMALL_POSETS:
+        for target in SMALL_POSETS:
+            for image in all_monotone_images(source, target):
+                problem = SupExtensionProblem.for_map(MonotoneMap(source, target, image))
+                try:
+                    report = check_sigma_theorem(problem)
+                except SigmaUndefinedError:
+                    with pytest.raises(SigmaUndefinedError):
+                        sigma_law_by_enumeration(problem)
+                    undefined += 1
+                    continue
+                assert report.ok and sigma_law_by_enumeration(problem) is None
+                problems.append((problem, lambda_sharp(problem).image))
+    assert (len(problems), undefined) == (4288, 530)
+
+    seeded = [None]
+    monkeypatch.setattr(completion, "lambda_sharp", lambda problem: seeded[0])
+    candidates = 0
+    for problem, sharp in problems:
+        space, target = problem.space, problem.target
+        anchors = dict(zip(space.phi_index, problem.base_map.image))
+        for candidate in anchored_extensions(space.order, anchors, target):
+            seeded[0] = MonotoneMap(space.order, target, candidate)
+            ok = check_sigma_theorem(problem).ok
+            assert ok == (candidate == sharp), (problem.serialize(), candidate)
+            assert (sigma_law_by_enumeration(problem) is None) == ok
+            candidates += 1
+    assert candidates == 6790
 
 
 def test_injective_prop_cases(vee):

@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "lambda_sharp", "lift_homeomorphism", "linear_extension", "open_sets",
     "order_dual", "phi", "poset_of_topology", "powerdomain_dimension",
     "powerdomain_map", "preserves_sups", "random_poset", "replay", "run_suite",
-    "sigma_map", "sup", "up_closure", "vietoris_open",
+    "sigma_map", "sup", "vietoris_open",
 ]
 
 HEAVY_MODULES = ("smyth.maps", "smyth.suite", "smyth.completion", "smyth.generators")
@@ -54,7 +54,7 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
     assert smyth.__all__ == PUBLIC_NAMES
     assert dir(smyth) == PUBLIC_NAMES
 

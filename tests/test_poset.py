@@ -26,12 +26,12 @@ from smyth import (
     order_dual,
     random_poset,
     sup,
-    up_closure,
 )
 from smyth.poset import (
     CAPACITY_ENV_VAR,
     DEFAULT_CAPACITY,
     _down_sets_by_extension,
+    _signatures,
     canonical_sort,
     check_subset,
     heights,
@@ -62,6 +62,7 @@ from conftest import (
     relabeled_rows_by_pairs,
     posets,
     subsets,
+    up_closure,
     vee_poset,
 )
 
@@ -273,6 +274,15 @@ def test_heights_match_pair_loop():
     cases += [build(random_poset(13, 28)).order, _shuffled_order()]
     for poset in cases:
         assert heights(poset) == heights_by_pairs(poset)
+
+
+def test_depths_are_heights_of_the_dual():
+    """The depths in the isomorphism signatures, read down the reversed
+    linear extension, equal the heights of the dual order on every
+    labeled poset up to 4 elements."""
+    for poset in (p for n in range(1, 5) for p in all_posets(n)):
+        depths = tuple(signature[3] for signature in _signatures(poset))
+        assert depths == heights(order_dual(poset))
 
 
 def test_equal_posets_hash_equal():

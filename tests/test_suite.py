@@ -2,8 +2,10 @@
 
 import functools
 import hashlib
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from smyth import (
     run_suite,
     suite,
 )
+from smyth.docio import document_of_poset
+from smyth.generators import all_posets
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
     FIXTURE_DOCS,
@@ -225,6 +229,48 @@ def test_sigma_properties_skip_over_capacity(monkeypatch):
         )
 
 
+def test_sigma_properties_search_no_extensions(monkeypatch):
+    """The ``sigma`` group certifies the sup extension per point: with the
+    extension search and the antichain walk made to raise, it reports
+    exactly as before over ``exhaustive-4`` and the shipped documents."""
+    payloads = [document_of_poset(p).to_payload() for p in all_posets(4)]
+    payloads += FIXTURE_DOCS
+
+    def sigma_reports():
+        return [PROPERTIES[name](payload)
+                for payload in payloads for name in SUITE_GROUPS["sigma"]]
+
+    expected = sigma_reports()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the sigma group searched")
+
+    monkeypatch.setattr(maps, "anchored_extensions", no_search)
+    monkeypatch.setattr(completion, "is_sup_preserving", no_search)
+    assert sigma_reports() == expected
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_sweep_matches_its_benchmark_pin():
+    """The benchmark's seed-0 ``sweep`` of 720 five-element posets gives
+    the verdict totals and digest pinned in ``bench/pins.json``, which
+    ``python3 bench/run.py --check`` requires."""
+    spec = importlib.util.spec_from_file_location(
+        "suite_sweep_workloads", BENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    posets = workloads.sweep_setup(0, 20)
+    ok, summary = workloads.sweep_check(
+        [workloads.sweep_operation(poset) for poset in posets]
+    )
+    assert len(posets) == 720 and all(ok)
+    pins = json.loads((BENCH / "pins.json").read_text())
+    assert summary == pins["sweep"]["0/720"]
+
+
 # the lifted composite, then the composite of the two lifts, of the
 # first failing pair when the lift of the key image is corrupted
 COMPOSITION_WITNESSES = {
@@ -314,8 +360,8 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
 
 
 @pytest.mark.parametrize("name, patched, mutant, payload, law", [
-    ("sup-extension-of-embedding", "is_sup_preserving",
-     lambda f, capacity=None: True, {"n": 3, "covers": []}, "unique-sup-preserving"),
+    ("sup-extension-of-embedding", "preserves_sups",
+     lambda space, f: False, {"n": 3, "covers": []}, "sup-preserving"),
 ])
 def test_rebound_failures_replay_their_own_property(
     monkeypatch, name, patched, mutant, payload, law
@@ -420,7 +466,7 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("embedding-theorem", ANTICHAIN_2), "basic-open-pullback"),
     (suite, "build", without_full_set,
      suite_check("embedding-theorem", ANTICHAIN_2), "unique-maximal-point"),
-    (suite, "preserves_sups", lambda original: lambda space, f: False,
+    (completion, "preserves_sups", lambda original: lambda space, f: False,
      suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
     (completion, "lambda_sharp", constant_sharp, injective_sigma_check, "order-embedding"),
     (completion, "_principal_extensions", unanchored, injective_sigma_check,

@@ -12,12 +12,18 @@ from smyth import (
     down_closure,
     open_sets,
     poset_of_topology,
-    up_closure,
 )
 
 from smyth.poset import iter_bits
 
-from conftest import antichain, chain, irreducible_down_sets_by_scan, posets, subsets
+from conftest import (
+    antichain,
+    chain,
+    irreducible_down_sets_by_scan,
+    posets,
+    subsets,
+    up_closure,
+)
 
 
 def test_open_sets_of_vee(vee):
