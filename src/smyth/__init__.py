@@ -74,7 +74,6 @@ _EXPORTS_BY_MODULE = {
     "completion": (
         "SigmaMap",
         "SupExtensionProblem",
-        "check_injective_sigma_prop",
         "check_sigma_theorem",
         "is_sup_preserving",
         "lambda_sharp",

@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 when everything passed, 1 when any check failed, 2 for
-usage errors, malformed input, exceeded capacity, or an output that
-cannot be written (including a reader that closed the pipe).
+usage errors, malformed input, exceeded capacity or memory, or an
+output that cannot be written (including a reader that closed the pipe).
 """
 
 from __future__ import annotations
@@ -201,13 +201,19 @@ def main(argv: list[str] | None = None) -> int:
     except SmythError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed the pipe (``smyth ... | head -1``).  Point
-        # stdout at devnull so the interpreter's final flush of what is
-        # still buffered does not raise again at exit.
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # The output cannot be written: a full device, or a reader that
+        # closed the pipe (``smyth ... | head -1``), which is no error to
+        # report.  Point stdout at devnull so the interpreter's final
+        # flush of what is still buffered does not raise again at exit.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -20,12 +20,14 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, CycleError, RangeError
 
-DEFAULT_CAPACITY = 1 << 20
+# A built order holds two rows of N bits per point, about N**2 / 4
+# bytes: 1 GB at 2**16 points, already 4 GiB at 2**17.
+DEFAULT_CAPACITY = 1 << 16
 CAPACITY_ENV_VAR = "SPECTRAL_CAPACITY"
 
 
 def resolve_capacity(capacity: int | None) -> int:
-    """Explicit argument, else the SPECTRAL_CAPACITY variable, else 2**20."""
+    """Explicit argument, else the SPECTRAL_CAPACITY variable, else 2**16."""
     if capacity is not None:
         if capacity < 1:
             raise RangeError(f"capacity must be positive, got {capacity}")
@@ -509,28 +511,6 @@ def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:
     return FinitePoset(poset.n, tuple(up), _transpose(up, poset.n), labels)
 
 
-def induced(poset: FinitePoset, carrier: int) -> tuple[FinitePoset, tuple[int, ...]]:
-    """Sub-poset on the elements of ``carrier`` plus the element list.
-
-    The returned poset renumbers the carrier ascending; the second value
-    maps new indices back to the originals.
-    """
-    check_subset(poset, carrier)
-    elements = tuple(iter_bits(carrier))
-    if not elements:
-        raise RangeError("the induced sub-poset needs a nonempty carrier")
-    position = {e: k for k, e in enumerate(elements)}
-    up = tuple(
-        mask_of(position[j] for j in iter_bits(poset.up[e] & carrier))
-        for e in elements
-    )
-    labels = None
-    if poset.labels is not None:
-        labels = tuple(poset.labels[e] for e in elements)
-    n = len(elements)
-    return FinitePoset(n, up, _transpose(up, n), labels), elements
-
-
 def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:
     """Subset masks ordered by size then by mask value."""
     ordered = sorted(masks)
@@ -538,20 +518,25 @@ def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(ordered)
 
 
-def _down_sets_by_extension(poset: FinitePoset, limit: int) -> list[int]:
-    """Grow down-sets one new maximal element at a time.
+def _down_sets_by_extension(poset: FinitePoset, carrier: int, limit: int) -> list[int]:
+    """Grow the down-sets of the order induced on ``carrier`` one new
+    maximal element at a time, as masks of ``poset``, the empty one first.
 
     Walking a linear extension guarantees each down-set is produced
-    exactly once, so no non-down-set mask is ever touched.
+    exactly once, so no non-down-set mask is ever touched.  The members
+    of ``carrier`` in ``poset``'s linear extension are a linear
+    extension of the induced order, so no sub-poset is built.
     """
     found = [0]
     for x in linear_extension(poset):
-        need = poset.down[x] & ~(1 << x)
         bit = 1 << x
+        if not carrier & bit:
+            continue
+        need = poset.down[x] & carrier & ~bit
         found.extend([d | bit for d in found if need & ~d == 0])
         if len(found) > limit + 1:
             raise CapacityError(
-                f"more than {limit} down-sets on {poset.n} elements"
+                f"more than {limit} down-sets on {carrier.bit_count()} elements"
             )
     return found
 
@@ -569,7 +554,7 @@ def enumerate_down_sets(
     the budget.
     """
     limit = resolve_capacity(capacity)
-    found = _down_sets_by_extension(poset, limit)
+    found = _down_sets_by_extension(poset, poset.full, limit)
     if not include_empty:
         found.remove(0)
     if len(found) > limit:

@@ -245,8 +245,10 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
 
     Then ``check_sigma_theorem`` certifies it per point at every size:
     it restricts to the principal embedding and preserves sups, so it is
-    the least and the only sup-preserving extension.  A powerdomain over
-    the capacity is reported as skipped.
+    the least and the only sup-preserving extension.  The identity is an
+    order-embedding, so ``sharp-is-identity`` also makes the sup
+    extension of the principal embedding one.  A powerdomain over the
+    capacity is reported as skipped.
     """
     prop = "sup-extension-of-embedding"
     poset = _poset_of(payload)

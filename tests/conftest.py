@@ -21,7 +21,7 @@ from smyth import (
 from smyth import completion
 from smyth.generators import random_poset
 from smyth.maps import anchored_extensions
-from smyth.poset import check_subset, iter_bits, mask_of
+from smyth.poset import _transpose, check_subset, iter_bits, mask_of
 
 
 def vee_poset() -> FinitePoset:
@@ -96,6 +96,27 @@ def irreducible_down_sets_by_scan(poset: FinitePoset) -> tuple[int, ...]:
             if b & ~c == 0 and b != c
         )
     )
+
+
+def induced(poset: FinitePoset, carrier: int) -> tuple[FinitePoset, tuple[int, ...]]:
+    """Sub-poset on the elements of ``carrier`` plus the element list.
+
+    The returned poset renumbers the carrier ascending; the second value
+    maps new indices back to the originals.  A validated copy of the
+    order, the oracle for ``sigma_map``'s domain on ambient masks.
+    """
+    check_subset(poset, carrier)
+    elements = tuple(iter_bits(carrier))
+    position = {e: k for k, e in enumerate(elements)}
+    up = tuple(
+        mask_of(position[j] for j in iter_bits(poset.up[e] & carrier))
+        for e in elements
+    )
+    labels = None
+    if poset.labels is not None:
+        labels = tuple(poset.labels[e] for e in elements)
+    n = len(elements)
+    return FinitePoset(n, up, _transpose(up, n), labels), elements
 
 
 def order_transpose(n: int, up: tuple[int, ...]) -> tuple[int, ...] | None:

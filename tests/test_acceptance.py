@@ -341,7 +341,7 @@ def test_criterion_7_fast_enumeration_and_oracles():
 
         for seed in range(50):
             poset = random_poset(12, seed)
-            fast = sorted(_down_sets_by_extension(poset, limit))
+            fast = sorted(_down_sets_by_extension(poset, poset.full, limit))
             slow = sorted(down_sets_by_filter(poset))
             assert fast == slow, f"strategies disagree at seed {seed}"
         print(

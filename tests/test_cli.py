@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +278,48 @@ def test_unwritable_dot_path(tmp_path):
     assert result.stderr.startswith(f"error: cannot write {dot}")
     assert "Traceback" not in result.stderr
     assert not dot.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["stats", "vee.json"],
+    ["enumerate-posets", "--n", "4"],
+    ["check", "vee.json"],
+], ids=["stats", "enumerate-posets", "check"])
+def test_full_output_device(argv):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            smyth_command(*argv), stdout=full, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+        )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in result.stderr
+
+
+def limit_address_space():
+    """Cap the child at 1 GiB of address space, a quarter of the rows
+    of the 17-element antichain's powerdomain."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("capacity, message", [
+    (None, "error: more than 65536 down-sets on 17 elements"),
+    ("200000", "error: out of memory"),
+], ids=["default-capacity", "past-memory"])
+def test_rows_past_memory(tmp_path, capacity, message):
+    # 131 071 points: within 200 000, past the default 2**16
+    path = write_payload(tmp_path, {"n": 17, "covers": []})
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("SPECTRAL_CAPACITY", None)
+    if capacity is not None:
+        env["SPECTRAL_CAPACITY"] = capacity
+    result = subprocess.run(
+        smyth_command("powerdomain", path), capture_output=True, text=True,
+        env=env, timeout=60, preexec_fn=limit_address_space,
+    )
+    assert (result.returncode, result.stderr) == (2, message + "\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

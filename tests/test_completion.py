@@ -11,8 +11,8 @@ from smyth import (
     SigmaUndefinedError,
     SupExtensionProblem,
     build,
-    check_injective_sigma_prop,
     check_sigma_theorem,
+    enumerate_down_sets,
     enumerate_extensions,
     hat_powerdomain,
     identity,
@@ -26,6 +26,7 @@ from smyth import (
 from smyth import completion
 from smyth.generators import all_monotone_images, all_posets
 from smyth.maps import anchored_extensions
+from smyth.poset import iter_bits, mask_of
 
 from conftest import (
     antichain,
@@ -33,6 +34,7 @@ from conftest import (
     chain,
     diamond_poset,
     fold_sup,
+    induced,
     is_sup_preserving_by_subsets,
     lambda_sharp_by_closure,
     posets,
@@ -132,6 +134,25 @@ def test_sigma_map_monotone_and_agrees_with_fold():
                     assert poset.leq(s_small, s_big)
         for member, value in zip(sigma.domain, sigma.sups):
             assert fold_sup(poset, member) in (None, value)
+
+
+def test_sigma_map_matches_the_induced_sub_poset():
+    # every nonempty carrier of every labeled poset on at most four
+    # elements: the domain grown on ambient masks, its order and its sups
+    # are those read off a validated copy of the induced order
+    pairs = 0
+    for poset in (p for n in range(1, 5) for p in all_posets(n)):
+        for carrier in range(1, 1 << poset.n):
+            sub, elements = induced(poset, carrier)
+            domain = tuple(
+                mask_of(elements[i] for i in iter_bits(local))
+                for local in enumerate_down_sets(sub, False)
+            )
+            sigma = sigma_map(poset, carrier)
+            assert sigma.domain == domain
+            assert sigma.sups == tuple(sup(poset, member) for member in domain)
+            pairs += 1
+    assert pairs == 3428
 
 
 def test_lambda_sharp_matches_down_closure_sup():
@@ -379,46 +400,6 @@ def test_certificate_agrees_with_the_enumeration_oracle(monkeypatch):
             assert (sigma_law_by_enumeration(problem) is None) == ok
             candidates += 1
     assert candidates == 6790
-
-
-def test_injective_prop_cases(vee):
-    chain2 = chain(2)
-    # an order-embedding with injective sups: full theorem applies
-    rep = check_injective_sigma_prop(
-        SupExtensionProblem.for_map(MonotoneMap(chain2, vee, (0, 2)))
-    )
-    assert rep.verdict == "pass"
-    # identity on a chain: embedding, unique
-    rep = check_injective_sigma_prop(SupExtensionProblem.for_map(identity(chain(3))))
-    assert rep.verdict == "pass"
-
-
-def test_injective_prop_skip_reasons(vee):
-    chain2 = chain(2)
-    skip_cases = [
-        # merging incomparable points: sups over the image stay injective,
-        # so the embedding conclusion needs the base-map precondition
-        (MonotoneMap(vee, chain2, (0, 0, 1)), "order-embedding"),
-        # adding a comparability without merging
-        (MonotoneMap(antichain(2), chain2, (0, 1)), "order-embedding"),
-        # merging comparable points
-        (MonotoneMap(chain2, chain2, (0, 0)), "order-embedding"),
-        # two distinct down-sets of the image share a sup
-        (identity(vee), "not injective"),
-        # no sup at all over the image
-        (identity(antichain(2)), "not total"),
-    ]
-    for lam, fragment in skip_cases:
-        rep = check_injective_sigma_prop(SupExtensionProblem.for_map(lam))
-        assert rep.verdict == "skipped"
-        assert fragment in rep.reason
-
-
-def test_injective_prop_for_principal_embedding(vee):
-    space = build(vee)
-    phi_map = MonotoneMap(vee, space.order, space.phi_index)
-    rep = check_injective_sigma_prop(SupExtensionProblem.for_map(phi_map))
-    assert rep.verdict == "pass"
 
 
 def test_problem_validates_space(vee):

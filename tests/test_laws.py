@@ -62,7 +62,7 @@ def failed_calls() -> list[tuple[str, int, set[str | None]]]:
 
 def test_every_failure_names_its_law():
     calls = failed_calls()
-    assert len(calls) >= 26
+    assert len(calls) >= 24
     unnamed = [
         f"{name}:{line}" for name, line, keywords in calls
         if not keywords & {"law", "key", None}

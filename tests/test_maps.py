@@ -27,11 +27,12 @@ from smyth.maps import (
     anchored_extensions,
     is_order_isomorphism,
 )
-from smyth.poset import find_isomorphism, induced, iter_bits, relabel
+from smyth.poset import find_isomorphism, iter_bits, relabel
 
 from conftest import (
     antichain,
     chain,
+    induced,
     is_order_isomorphism_by_pairs,
     is_spectral,
     monotonicity_violation_by_pairs,

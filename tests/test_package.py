@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "NotSpectralError", "OpenFamily", "PowerdomainSpace", "RangeError",
     "SigmaMap", "SigmaUndefinedError", "SmythError", "SupExtensionProblem",
     "all_posets", "basic_open", "build", "check_embedding_theorem",
-    "check_functor_laws", "check_injective_sigma_prop", "check_minimality",
+    "check_functor_laws", "check_minimality",
     "check_sigma_theorem", "compose", "dimension", "down_closure",
     "enumerate_down_sets", "enumerate_extensions", "find_isomorphism",
     "hat_powerdomain", "identity", "inverse_powerdomain",
@@ -54,7 +54,7 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 57
     assert smyth.__all__ == PUBLIC_NAMES
     assert dir(smyth) == PUBLIC_NAMES
 

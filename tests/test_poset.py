@@ -35,7 +35,6 @@ from smyth.poset import (
     canonical_sort,
     check_subset,
     heights,
-    induced,
     is_order_embedding,
     iter_bits,
     mask_of,
@@ -54,6 +53,7 @@ from conftest import (
     diamond_poset,
     down_sets_by_filter,
     heights_by_pairs,
+    induced,
     is_order_embedding_by_pairs,
     is_up_set,
     linear_extension_by_scan,
@@ -591,11 +591,11 @@ def test_resolve_capacity(monkeypatch):
 def test_enumeration_strategies_agree(poset):
     # the mask filter is the oracle for the extension-growing strategy
     limit = DEFAULT_CAPACITY
-    assert sorted(_down_sets_by_extension(poset, limit)) == sorted(
+    assert sorted(_down_sets_by_extension(poset, poset.full, limit)) == sorted(
         down_sets_by_filter(poset)
     )
 
 
 def test_extension_strategy_capacity():
     with pytest.raises(CapacityError):
-        _down_sets_by_extension(antichain(10), 50)
+        _down_sets_by_extension(antichain(10), (1 << 10) - 1, 50)

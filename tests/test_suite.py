@@ -13,10 +13,8 @@ from smyth import (
     CheckReport,
     MonotoneMap,
     RangeError,
-    SupExtensionProblem,
     build,
     check_functor_laws,
-    check_injective_sigma_prop,
     check_minimality,
     completion,
     hat_powerdomain,
@@ -42,7 +40,7 @@ from smyth.suite import (
     prop_functor_laws,
 )
 
-from conftest import antichain, chain, vee_poset
+from conftest import antichain, chain
 
 
 def test_report_validation():
@@ -433,13 +431,6 @@ def suite_check(name, payload):
     return functools.partial(PROPERTIES[name], payload)
 
 
-def injective_sigma_check():
-    # antichain(2) into the vee: an order-embedding whose image generates
-    # the vee by sups, so every law of the check runs
-    problem = SupExtensionProblem.for_map(MonotoneMap(antichain(2), vee_poset(), (0, 1)))
-    return check_injective_sigma_prop(problem)
-
-
 VEE = {"n": 3, "covers": [[0, 2], [1, 2]]}
 CHAIN_2 = {"n": 2, "covers": [[0, 1]]}
 ANTICHAIN_2 = {"n": 2, "covers": []}
@@ -468,9 +459,10 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("embedding-theorem", ANTICHAIN_2), "unique-maximal-point"),
     (completion, "preserves_sups", lambda original: lambda space, f: False,
      suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
-    (completion, "lambda_sharp", constant_sharp, injective_sigma_check, "order-embedding"),
-    (completion, "_principal_extensions", unanchored, injective_sigma_check,
-     "unique-embedding"),
+    (maps, "_principal_extensions", unanchored,
+     suite_check("extension-minimality", VEE), "pointwise-least"),
+    (maps, "_principal_extensions", lambda original: lambda *args: (),
+     suite_check("extension-minimality", VEE), "induced-map-is-an-extension"),
     (suite, "poset_of_topology", lambda original: lambda family: order_dual(original(family)),
      suite_check("topology-round-trip", VEE), "recovers-order"),
     (suite, "is_phi_surjective", lambda original: lambda space: True,
