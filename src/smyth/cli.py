@@ -72,6 +72,8 @@ def _parse_assignment(text: str, n: int) -> tuple[int, ...]:
             raise SmythError(f"bad assignment entry {piece!r}") from exc
         if not 0 <= i < n:
             raise SmythError(f"source index {i} is out of range")
+        if j < 0:
+            raise SmythError(f"target index {j} is out of range")
         if image[i] != -1:
             raise SmythError(f"source index {i} is assigned twice")
         image[i] = j

@@ -38,7 +38,8 @@ class MonotoneMap:
 
     Monotonicity is validated eagerly, on each cover edge of the source;
     use ``unchecked`` for an image that is monotone by construction, or
-    to carry a raw assignment that a check should reject.
+    to carry a raw assignment that a check should reject.  An unchecked
+    map remembers it, so lifting it validates it first.
     """
 
     source: FinitePoset
@@ -49,9 +50,11 @@ class MonotoneMap:
     def __post_init__(self, validate: bool) -> None:
         if len(self.image) != self.source.n:
             raise RangeError("image tuple does not match the source size")
+        target_n = self.target.n
         for value in self.image:
-            if not 0 <= value < self.target.n:
+            if not 0 <= value < target_n:
                 raise RangeError(f"image value {value} is out of range")
+        object.__setattr__(self, "_validated", validate)
         if validate:
             violation = _monotonicity_violation(self)
             if violation is not None:
@@ -108,33 +111,33 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
 
 @lru_cache
 def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
-    """The induced map, folded over the rows of the target.
+    """The induced map, one big-integer OR per point.
 
     ``lift[x]`` is the down row of ``f(x)`` in the target, so the down
-    closure of the image of a point is the OR of ``lift`` over its
-    members: one big-integer OR per member and one ``point_index``
-    lookup per point.  The result is validated like any other map.
-    The cache keeps the 128 most recent lifts (``functor-laws`` keeps
-    its composites' lifts itself).  A lift is read again soon after it
-    is made or not at all: on the exhaustive scopes this cache hits
-    exactly as often as an unbounded one.
+    closure of the image of a point is its parent's closure OR ``lift``
+    of the one member the parent lacks (``PowerdomainSpace._parents``),
+    in canonical order, so a parent is always closed first; then one
+    ``point_index`` lookup per point.  A map built with
+    ``MonotoneMap.unchecked`` is validated first; a constructed one
+    was validated when it was made.  The result is validated like any
+    other map.  The cache keeps the 128 most recent lifts
+    (``functor-laws`` keeps its composites' lifts itself).  A lift is
+    read again soon after it is made or not at all: on the exhaustive
+    scopes this cache hits exactly as often as an unbounded one.
     """
-    if _monotonicity_violation(f) is not None:
+    if not f._validated and _monotonicity_violation(f) is not None:
         raise NotSpectralError("the assignment is not monotone")
     source_space = build(f.source, capacity)
     target_space = build(f.target, capacity)
     target_down = f.target.down
     lift = [target_down[value] for value in f.image]
-    point_index = target_space.point_index
-    image = []
-    for member in source_space.points:
-        closed = 0
-        while member:
-            low = member & -member
-            closed |= lift[low.bit_length() - 1]
-            member ^= low
-        image.append(point_index[closed])
-    return MonotoneMap(source_space.order, target_space.order, tuple(image))
+    parents, members = source_space._parents
+    closed = [0]
+    for parent, x in zip(parents, members):
+        closed.append(closed[parent] | lift[x])
+    del closed[0]
+    image = tuple(map(target_space.point_index.__getitem__, closed))
+    return MonotoneMap(source_space.order, target_space.order, image)
 
 
 def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
@@ -167,7 +170,7 @@ def _composition_violation(
     is compared with it as an image tuple, one lookup per point: a tuple
     equal to a validated map's image is monotone.
     """
-    composite_lifted = tuple(lifted_g.image[v] for v in lifted_f.image)
+    composite_lifted = tuple(map(lifted_g.image.__getitem__, lifted_f.image))
     if (lifted_composite.source != lifted_f.source
             or lifted_composite.target != lifted_g.target
             or lifted_composite.image != composite_lifted):
@@ -340,13 +343,15 @@ def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
 
     Works on the image tuples of the extensions, with no map wrapped
     around each.  ``capacity`` bounds the search only: the spaces and
-    the induced map come from the default caches.
+    the induced map come from the default caches, under the default
+    capacity, resolved once.
     """
-    induced_map = powerdomain_map(f)
-    target_space = build(f.target)
+    default = resolve_capacity(None)
+    induced_map = powerdomain_map(f, default)
+    target_space = build(f.target, default)
     values = [target_space.phi_index[value] for value in f.image]
     extensions = _principal_extensions(
-        build(f.source), values, target_space.order, capacity
+        build(f.source, default), values, target_space.order, capacity
     )
     if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}

@@ -11,7 +11,7 @@ into it by sending each element to its principal down-set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .docio import document_of_poset
 from .errors import CapacityError, NotOpenError, RangeError
@@ -49,6 +49,28 @@ class PowerdomainSpace:
     order: FinitePoset
     phi_index: tuple[int, ...]
     point_index: dict[int, int] = field(repr=False)
+
+    @cached_property
+    def _parents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each point as a parent point plus one member, for folds that
+        take one OR per point.
+
+        The parent of point ``i`` is its lower cover of lowest index,
+        the point minus one maximal member ``members[i]``; ``parents[i]``
+        is that index plus one, and 0 (the empty set) for a one-member
+        point.  Parents come first in canonical order.  Read off the
+        order's cached lower covers on first use, for a space of
+        nonempty points as ``build`` makes it.
+        """
+        points = self.points
+        parents, members = [], []
+        for member, covers in zip(points, self.order.lower_covers):
+            parent = (covers & -covers).bit_length() - 1
+            if covers:
+                member ^= points[parent]
+            parents.append(parent + 1)
+            members.append(member.bit_length() - 1)
+        return tuple(parents), tuple(members)
 
     def point_label(self, index: int) -> str:
         """Brace rendering of a point's member set, e.g. ``{a,b}``."""

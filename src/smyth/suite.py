@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import zlib
+from functools import lru_cache
 
 from .completion import SupExtensionProblem, check_sigma_theorem, lambda_sharp
 from .docio import document_from_payload, document_of_poset, point_lists
@@ -50,10 +51,25 @@ from .topology import open_sets, poset_of_topology
 
 SAMPLED_MAPS = 10
 MINIMALITY_CAPACITY = 4096
+CHAIN2 = FinitePoset.from_cover_relations(2, [(0, 1)])
 
 
 def _poset_of(payload: dict) -> FinitePoset:
-    return document_from_payload(payload).to_poset()
+    """The payload's poset; the payload is validated on every call.
+
+    The poset comes from a small cache keyed by the validated document,
+    so the properties run on one payload share one immutable poset,
+    with its covers, linear extension and hash computed once.
+    """
+    doc = document_from_payload(payload)
+    return _poset_from(doc.n, doc.covers, doc.labels)
+
+
+@lru_cache(maxsize=16)
+def _poset_from(
+    n: int, covers: tuple[tuple[int, int], ...], labels: tuple[str, ...] | None
+) -> FinitePoset:
+    return FinitePoset.from_cover_relations(n, covers, labels)
 
 
 def _instance_seed(payload: dict) -> int:
@@ -135,37 +151,43 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
     return passed(prop, payload)
 
 
-def _endo_images(poset: FinitePoset, payload: dict) -> list[tuple[int, ...]]:
-    """The distinct endomap images to pair up, in first-drawn order."""
+def _endo_images(poset: FinitePoset, payload: dict) -> list[MonotoneMap]:
+    """The endomaps with distinct images to pair up, in first-drawn order.
+
+    Each is validated once: when drawn, or when wrapped around an image
+    of the exhaustive search.
+    """
     if poset.n <= 3:
-        return list(all_monotone_images(poset, poset))
+        return [MonotoneMap(poset, poset, image)
+                for image in all_monotone_images(poset, poset)]
     rng = random.Random(_instance_seed(payload))
-    maps: list[tuple[int, ...]] = []
+    maps: list[MonotoneMap] = []
     attempts = 0
     while len(maps) < SAMPLED_MAPS and attempts < 50 * SAMPLED_MAPS:
         attempts += 1
         drawn = random_monotone_map(poset, poset, rng)
         if drawn is not None:
-            maps.append(drawn.image)
+            maps.append(drawn)
     return list(dict.fromkeys(maps))
 
 
 def prop_functor_laws(payload: dict) -> CheckReport:
     """Composition and identity survive the powerdomain construction.
 
-    Each image is validated and lifted once, the capacity is resolved
-    once, and the identity law is checked once, on the one poset every
-    map lives on.  Each distinct base composite is validated and lifted
-    once, keyed by its image, since many pairs share one; every pair
-    then compares the composite of its two lifts with that lift as an
-    image tuple.  Only the first failing pair is serialized, by
-    ``check_functor_laws``: an identity failure fails every pair, so
-    that pair is the first one.
+    Each map ``_endo_images`` returns was validated when it was made and
+    is lifted once, the capacity is resolved once, and the identity law
+    is checked once, on the one poset every map lives on.  Each distinct
+    base composite is validated and lifted once, keyed by its image,
+    since many pairs share one; every lift is validated, once, when it
+    is made.  Every pair then compares the composite of its two lifts
+    with that lift as an image tuple.  Only the first failing pair is
+    serialized, by ``check_functor_laws``: an identity failure fails
+    every pair, so that pair is the first one.
     """
     prop = "functor-laws"
     poset = _poset_of(payload)
     capacity = resolve_capacity(None)
-    maps = [MonotoneMap(poset, poset, image) for image in _endo_images(poset, payload)]
+    maps = _endo_images(poset, payload)
     if maps and _identity_violation(poset, capacity) is not None:
         return _with_instance(check_functor_laws(maps[0], maps[0]), payload)
     lifted = [powerdomain_map(f, capacity) for f in maps]
@@ -196,10 +218,9 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
     """
     prop = "extension-minimality"
     poset = _poset_of(payload)
-    chain2 = FinitePoset.from_cover_relations(2, [(0, 1)])
     try:
-        for image in all_monotone_images(poset, chain2):
-            f = MonotoneMap(poset, chain2, image)
+        for image in all_monotone_images(poset, CHAIN2):
+            f = MonotoneMap(poset, CHAIN2, image)
             if _minimality_violation(f, MINIMALITY_CAPACITY) is not None:
                 return _with_instance(check_minimality(f, MINIMALITY_CAPACITY), payload)
     except CapacityError as exc:
@@ -274,8 +295,7 @@ def prop_fixture_expectations(payload: dict) -> CheckReport:
     doc = document_from_payload(payload)
     if doc.expect is None:
         return skipped(prop, payload, "no expectations recorded")
-    poset = doc.to_poset()
-    space = build(poset)
+    space = build(_poset_from(doc.n, doc.covers, doc.labels))
     expect = doc.expect
     if "points" in expect and point_lists(space) != expect["points"]:
         return failed(prop, payload, key="points", actual=point_lists(space))

@@ -324,6 +324,23 @@ def powerdomain_image_by_closure(f: MonotoneMap) -> tuple[int, ...]:
     )
 
 
+def powerdomain_image_by_member_fold(f: MonotoneMap) -> tuple[int, ...]:
+    """The induced map's image, each point's closure an OR of the target's
+    down rows over every one of its members.
+
+    The oracle for the one-OR-per-point walk in ``maps._powerdomain_map``.
+    """
+    source_space, target_space = build(f.source), build(f.target)
+    lift = [f.target.down[value] for value in f.image]
+    image = []
+    for member in source_space.points:
+        closed = 0
+        for x in iter_bits(member):
+            closed |= lift[x]
+        image.append(target_space.point_index[closed])
+    return tuple(image)
+
+
 def is_order_embedding_by_pairs(
     source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
 ) -> bool:

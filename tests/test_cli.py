@@ -119,7 +119,8 @@ def test_map_apply_rejects_non_monotone(tmp_path, capsys):
 
 
 def test_map_apply_assignment_parsing(tmp_path, capsys):
-    bad_assignments = ["0:0", "0:0,0:1,2:0", "0:0,1:0,2:9", "0=1", "x:0,1:0,2:1"]
+    bad_assignments = ["0:0", "0:0,0:1,2:0", "0:0,1:0,2:9", "0=1", "x:0,1:0,2:1",
+                       "0:-1,0:0,1:0,2:1", "0:-1"]
     for assignment in bad_assignments:
         code = main(
             [
@@ -132,7 +133,10 @@ def test_map_apply_assignment_parsing(tmp_path, capsys):
             ]
         )
         assert code == 2, assignment
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if "-1" in assignment:
+            assert "target index -1 is out of range" in err
 
 
 def test_check_passes_on_fixture(tmp_path, capsys):

@@ -38,6 +38,7 @@ from conftest import (
     monotonicity_violation_by_pairs,
     posets,
     powerdomain_image_by_closure,
+    powerdomain_image_by_member_fold,
     subsets,
     vee_poset,
 )
@@ -139,6 +140,30 @@ def test_lifted_map_matches_down_closure():
             cases.append(f)
     for f in cases:
         assert powerdomain_map(f).image == powerdomain_image_by_closure(f)
+
+
+def test_lift_matches_member_fold():
+    """The walk from parent points ORs one down row per point; the fold
+    ORs one per member of every point.  They agree on every monotone map
+    between labeled posets with up to 3 elements."""
+    small = [p for n in range(1, 4) for p in all_posets(n)]
+    count = 0
+    for source in small:
+        for target in small:
+            for image in anchored_extensions(source, {}, target):
+                f = MonotoneMap(source, target, image)
+                assert powerdomain_map(f).image == powerdomain_image_by_member_fold(f)
+                count += 1
+    assert count == 4818
+
+
+def test_lifting_an_unchecked_map_validates_it(chain2):
+    """An unchecked assignment is validated before it is lifted: a
+    non-monotone one raises, a monotone one lifts like a checked one."""
+    with pytest.raises(NotSpectralError):
+        powerdomain_map(MonotoneMap.unchecked(chain2, chain2, (1, 0)))
+    unchecked = MonotoneMap.unchecked(chain2, chain2, (0, 0))
+    assert powerdomain_map(unchecked) == powerdomain_map(MonotoneMap(chain2, chain2, (0, 0)))
 
 
 def test_capacity_is_read_on_every_check(monkeypatch):

@@ -387,3 +387,22 @@ def test_embedding_theorem_meeting_basic_opens_on_vee(monkeypatch, vee):
 
 def test_build_is_memoized(vee):
     assert build(vee) is build(vee)
+
+
+def test_parents_remove_one_maximal_member():
+    """On every space of a labeled poset with up to 4 elements, each
+    point's parent is a point (or the empty set, for a one-member point)
+    that differs from it by one maximal member, and comes before it."""
+    for n in range(1, 5):
+        for poset in all_posets(n):
+            space = build(poset)
+            parents, members = space._parents
+            assert len(parents) == len(members) == len(space.points)
+            for i, point in enumerate(space.points):
+                x, parent = members[i], parents[i] - 1
+                assert 0 <= x < n and point >> x & 1
+                assert poset.up[x] & point == 1 << x  # x is maximal in the point
+                assert -1 <= parent < i
+                rest = space.points[parent] if parent >= 0 else 0
+                assert rest == point ^ (1 << x)
+                assert (parent >= 0) == (point != 1 << x)

@@ -316,7 +316,7 @@ def test_functor_laws_lift_each_composite_once(monkeypatch):
     """``functor-laws`` lifts the identity, each sampled map and each
     distinct base composite once, not one composite per pair."""
     payload = {"n": 4, "covers": []}
-    images = suite._endo_images(antichain(4), payload)
+    images = [f.image for f in suite._endo_images(antichain(4), payload)]
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     assert len(composites) < len(images) ** 2  # pairs share composites
     lifted = []
@@ -329,6 +329,41 @@ def test_functor_laws_lift_each_composite_once(monkeypatch):
     monkeypatch.setattr(maps, "_powerdomain_map", recording)
     assert prop_functor_laws(payload).verdict == PASS
     assert sorted(lifted) == sorted([(0, 1, 2, 3), *images, *composites])
+
+
+def test_functor_laws_validate_each_map_once(monkeypatch):
+    """``functor-laws`` checks monotonicity once per drawn map and for the
+    identity, once per distinct composite and once per lift: no map is
+    checked again when it is paired or lifted."""
+    payload = {"n": 4, "covers": []}
+    images = [f.image for f in suite._endo_images(antichain(4), payload)]
+    composites = {tuple(g[v] for v in f) for f in images for g in images}
+    drawn, lifted, checked = [], [], []
+    draw = suite.random_monotone_map
+    uncached = maps._powerdomain_map.__wrapped__
+    check = maps._monotonicity_violation
+
+    def drawing(*args):
+        f = draw(*args)
+        drawn.append(f)
+        return f
+
+    def lifting(f, capacity):
+        lifted.append(f.image)
+        return uncached(f, capacity)
+
+    def checking(f):
+        checked.append(f)
+        return check(f)
+
+    monkeypatch.setattr(suite, "random_monotone_map", drawing)
+    monkeypatch.setattr(maps, "_powerdomain_map", lifting)
+    monkeypatch.setattr(maps, "_monotonicity_violation", checking)
+    assert prop_functor_laws(payload).verdict == PASS
+    assert None not in drawn and len(drawn) == suite.SAMPLED_MAPS
+    assert len(lifted) == 1 + len(images) + len(composites)
+    assert len(checked) == len(drawn) + 1 + len(composites) + len(lifted)
+    assert len({id(f) for f in checked}) == len(checked)
 
 
 @pytest.mark.parametrize("corrupted, lifted_image, law", [
