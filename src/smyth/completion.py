@@ -9,9 +9,7 @@ other monotone extension, and is the only sup-preserving one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import CapacityError, RangeError, SigmaUndefinedError
+from .errors import CapacityError, RangeError, SigmaUndefinedError, _Value
 from .maps import MonotoneMap, _serialize_pair
 from .poset import (
     FinitePoset,
@@ -26,8 +24,7 @@ from .powerdomain import PowerdomainSpace, build
 from .report import CheckReport, failed, passed
 
 
-@dataclass(frozen=True)
-class SigmaMap:
+class SigmaMap(_Value):
     """The partial sup assignment on the down-sets of a carrier.
 
     ``domain`` lists the nonempty subsets of ``carrier`` (as masks in
@@ -36,10 +33,19 @@ class SigmaMap:
     or None where no such bound exists.
     """
 
-    ambient: FinitePoset
-    carrier: int
-    domain: tuple[int, ...]
-    sups: tuple[int | None, ...]
+    _fields = ("ambient", "carrier", "domain", "sups")
+
+    def __init__(
+        self,
+        ambient: FinitePoset,
+        carrier: int,
+        domain: tuple[int, ...],
+        sups: tuple[int | None, ...],
+    ) -> None:
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "sups", sups)
 
     @property
     def is_total(self) -> bool:
@@ -75,14 +81,14 @@ def sigma_map(ambient: FinitePoset, carrier: int) -> SigmaMap:
     return SigmaMap(ambient, carrier, domain, sups)
 
 
-@dataclass(frozen=True)
-class SupExtensionProblem:
+class SupExtensionProblem(_Value):
     """A map out of a base poset together with that base's powerdomain."""
 
-    base_map: MonotoneMap
-    space: PowerdomainSpace
+    _fields = ("base_map", "space")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base_map: MonotoneMap, space: PowerdomainSpace) -> None:
+        object.__setattr__(self, "base_map", base_map)
+        object.__setattr__(self, "space", space)
         if self.space.base != self.base_map.source:
             raise RangeError("the powerdomain does not belong to the map's source")
 

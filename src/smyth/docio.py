@@ -19,11 +19,10 @@ pair of the powerdomain order, lower point first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DocumentError
+from .errors import DocumentError, _Value
 from .poset import FinitePoset, iter_bits
 
 if TYPE_CHECKING:
@@ -44,14 +43,22 @@ _EXPECT_TYPES = {
 EXPECT_KEYS = frozenset(_EXPECT_TYPES)
 
 
-@dataclass(frozen=True)
-class PosetDocument:
+class PosetDocument(_Value):
     """Parsed form of a poset file."""
 
-    n: int
-    labels: tuple[str, ...] | None
-    covers: tuple[tuple[int, int], ...]
-    expect: dict | None = None
+    _fields = ("n", "labels", "covers", "expect")
+
+    def __init__(
+        self,
+        n: int,
+        labels: tuple[str, ...] | None,
+        covers: tuple[tuple[int, int], ...],
+        expect: dict | None = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "expect", expect)
 
     def to_poset(self) -> FinitePoset:
         return FinitePoset.from_cover_relations(self.n, self.covers, self.labels)

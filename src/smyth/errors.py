@@ -1,4 +1,47 @@
-"""Exception types shared across the package."""
+"""Exception types, and the base of the value classes, shared across
+the package."""
+
+from operator import attrgetter
+
+
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields``, and its ``__init__``
+    stores them with ``object.__setattr__``, since assigning or deleting
+    any attribute of an instance raises AttributeError.
+    ``cached_property`` writes the instance ``__dict__`` directly, so it
+    still works.  Equality compares the fields between instances of the
+    same class, and hashing hashes them as a tuple; a class on a hot path
+    writes both out instead.  The methods are written once here, so
+    importing a value class neither loads a class generator nor compiles
+    methods for it.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SmythError(Exception):

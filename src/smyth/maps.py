@@ -9,7 +9,6 @@ sits below every other monotone map doing so.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -19,6 +18,7 @@ from .errors import (
     NotIsomorphismError,
     NotSpectralError,
     RangeError,
+    _Value,
 )
 from .poset import (
     FinitePoset,
@@ -32,8 +32,7 @@ from .powerdomain import PowerdomainSpace, build
 from .report import CheckReport, failed, passed
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(_Value):
     """A map ``source -> target`` given by its image tuple.
 
     Monotonicity is validated eagerly, on each cover edge of the source;
@@ -42,19 +41,26 @@ class MonotoneMap:
     map remembers it, so lifting it validates it first.
     """
 
-    source: FinitePoset
-    target: FinitePoset
-    image: tuple[int, ...]
-    validate: InitVar[bool] = True
+    _fields = ("source", "target", "image")
 
-    def __post_init__(self, validate: bool) -> None:
+    def __init__(
+        self,
+        source: FinitePoset,
+        target: FinitePoset,
+        image: tuple[int, ...],
+        *,
+        validate: bool = True,
+    ) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "_validated", validate)
         if len(self.image) != self.source.n:
             raise RangeError("image tuple does not match the source size")
         target_n = self.target.n
         for value in self.image:
             if not 0 <= value < target_n:
                 raise RangeError(f"image value {value} is out of range")
-        object.__setattr__(self, "_validated", validate)
         if validate:
             violation = _monotonicity_violation(self)
             if violation is not None:
@@ -62,6 +68,16 @@ class MonotoneMap:
                 raise NotSpectralError(
                     f"{x} <= {y} in the source but the images are unordered"
                 )
+
+    # Written out, not the _Value forms: maps key the lift cache.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.image) == (
+            other.source, other.target, other.image)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.image))
 
     @classmethod
     def unchecked(

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import heapq
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, CycleError, RangeError
+from .errors import CapacityError, CycleError, RangeError, _Value
 
 # A built order holds two rows of N bits per point, about N**2 / 4
 # bytes: 1 GB at 2**16 points, already 4 GiB at 2**17.
@@ -60,8 +59,7 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class FinitePoset:
+class FinitePoset(_Value):
     """A partial order on ``range(n)`` stored as bit rows both ways.
 
     ``up[i]`` is the mask of every ``j`` with ``i <= j`` and ``down[i]``
@@ -80,19 +78,25 @@ class FinitePoset:
     per comparable pair; in other index orders it may pick more.
     """
 
-    n: int
-    up: tuple[int, ...]
-    down: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    _fields = ("n", "up", "down", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        up: tuple[int, ...],
+        down: tuple[int, ...],
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "labels", labels)
         if self.n < 1:
             raise RangeError(f"a poset needs at least one element, got n={self.n}")
         if len(self.up) != self.n or len(self.down) != self.n:
             raise RangeError("relation rows do not match the element count")
         if self.labels is not None and len(self.labels) != self.n:
             raise RangeError("labels do not match the element count")
-        n, up, down = self.n, self.up, self.down
         for i in range(n):
             above, below = up[i], down[i]
             if (above < 0 or below < 0
@@ -142,12 +146,20 @@ class FinitePoset:
         label_tuple = None if labels is None else tuple(labels)
         return cls(n, tuple(up), _transpose(up, n), label_tuple)
 
+    # Equality and hashing are written out, not the _Value forms: posets
+    # are lru_cache keys and are compared on every compose and lift.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.up, self.down, self.labels) == (
+            other.n, other.up, other.down, other.labels)
+
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        """The dataclass hash of the fields, computed once per poset."""
+        """The hash of the fields as one tuple, computed once per poset."""
         return hash((self.n, self.up, self.down, self.labels))
 
     @property

@@ -10,11 +10,10 @@ into it by sending each element to its principal down-set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .docio import document_of_poset
-from .errors import CapacityError, NotOpenError, RangeError
+from .errors import CapacityError, NotOpenError, RangeError, _Value
 from .poset import (
     FinitePoset,
     _transpose,
@@ -33,22 +32,33 @@ from .poset import (
 from .report import CheckReport, failed, passed
 
 
-@dataclass(frozen=True, eq=False)
-class PowerdomainSpace:
+class PowerdomainSpace(_Value):
     """A built powerdomain.
 
     ``points`` lists the member masks in canonical order (size, then
     mask value), ``order`` is the inclusion order on point indices, and
     ``phi_index[x]`` locates the principal down-set of element ``x``.
     The plain construction has no empty point; the hatted variant adds
-    mask 0 as a bottom point.
+    mask 0 as a bottom point.  Spaces compare and hash by identity.
     """
 
-    base: FinitePoset
-    points: tuple[int, ...]
-    order: FinitePoset
-    phi_index: tuple[int, ...]
-    point_index: dict[int, int] = field(repr=False)
+    _fields = ("base", "points", "order", "phi_index")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        base: FinitePoset,
+        points: tuple[int, ...],
+        order: FinitePoset,
+        phi_index: tuple[int, ...],
+        point_index: dict[int, int],
+    ) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "phi_index", phi_index)
+        object.__setattr__(self, "point_index", point_index)
 
     @cached_property
     def _parents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -226,8 +236,7 @@ def powerdomain_dimension(space: PowerdomainSpace) -> int:
     return dimension(space.order)
 
 
-@dataclass(frozen=True)
-class IterateResult:
+class IterateResult(_Value):
     """Point counts of the iterated construction, possibly cut short.
 
     ``sizes[0]`` is the size of the starting poset; entry ``k`` the size
@@ -235,8 +244,11 @@ class IterateResult:
     ``truncated`` is set and the sizes stop at the last finished stage.
     """
 
-    sizes: tuple[int, ...]
-    truncated: bool
+    _fields = ("sizes", "truncated")
+
+    def __init__(self, sizes: tuple[int, ...], truncated: bool) -> None:
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "truncated", truncated)
 
 
 def iterate_sizes(

@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .errors import RangeError
+from .errors import RangeError, _Value
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Value):
     """Outcome of running one named property on one instance.
 
     ``instance`` is a compact JSON rendering of the input.  A failing
@@ -22,13 +20,21 @@ class CheckReport:
     A skipped report carries the reason instead.
     """
 
-    property: str
-    instance: str
-    verdict: str
-    reason: str | None = None
-    witness: dict | None = None
+    _fields = ("property", "instance", "verdict", "reason", "witness")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        property: str,
+        instance: str,
+        verdict: str,
+        reason: str | None = None,
+        witness: dict | None = None,
+    ) -> None:
+        object.__setattr__(self, "property", property)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "witness", witness)
         if self.verdict not in (PASS, FAIL, SKIPPED):
             raise RangeError(f"unknown verdict {self.verdict!r}")
         if self.verdict == FAIL and self.witness is None:

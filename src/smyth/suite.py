@@ -79,13 +79,11 @@ def _instance_seed(payload: dict) -> int:
 def _with_instance(report: CheckReport, payload: dict, prop: str = "") -> CheckReport:
     """Rebind a failing lower-level report to the suite's payload and
     property (``prop``, else its own), which ``replay`` runs on it."""
-    if report.verdict == "fail":
-        witness = dict(report.witness or {})
-        witness["instance"] = payload
-        witness.setdefault("detail", report.instance)
-        return CheckReport(prop or report.property, report.instance,
-                           report.verdict, report.reason, witness)
-    return report
+    witness = dict(report.witness)
+    witness["instance"] = payload
+    witness.setdefault("detail", report.instance)
+    return CheckReport(prop or report.property, report.instance,
+                       report.verdict, report.reason, witness)
 
 
 def prop_topology_round_trip(payload: dict) -> CheckReport:
@@ -100,9 +98,12 @@ def prop_topology_round_trip(payload: dict) -> CheckReport:
 
 
 def prop_embedding_theorem(payload: dict) -> CheckReport:
+    prop = "embedding-theorem"
     poset = _poset_of(payload)
     report = check_embedding_theorem(build(poset))
-    return _with_instance(report, payload)
+    if not report.ok:
+        return _with_instance(report, payload)
+    return passed(prop, payload)
 
 
 def prop_powerdomain_dimension(payload: dict) -> CheckReport:

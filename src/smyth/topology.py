@@ -10,14 +10,11 @@ called inverse-closed throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import MalformedFamilyError
+from .errors import MalformedFamilyError, _Value
 from .poset import FinitePoset, _transpose, check_subset, enumerate_down_sets
 
 
-@dataclass(frozen=True)
-class OpenFamily:
+class OpenFamily(_Value):
     """The open sets of a finite space, as masks in canonical order.
 
     Invariants (checked by poset_of_topology, guaranteed by open_sets):
@@ -25,8 +22,11 @@ class OpenFamily:
     intersection.
     """
 
-    base: FinitePoset
-    opens: tuple[int, ...]
+    _fields = ("base", "opens")
+
+    def __init__(self, base: FinitePoset, opens: tuple[int, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "opens", opens)
 
 
 def open_sets(poset: FinitePoset) -> OpenFamily:

@@ -15,6 +15,7 @@ from smyth import (
     check_minimality,
     compose,
     down_closure,
+    enumerate_down_sets,
     enumerate_extensions,
     identity,
     lift_homeomorphism,
@@ -155,6 +156,35 @@ def test_lift_matches_member_fold():
                 assert powerdomain_map(f).image == powerdomain_image_by_member_fold(f)
                 count += 1
     assert count == 4818
+
+
+def test_lift_matches_both_oracles_on_the_largest_five_element_spaces():
+    """Parents past index 20 exist only in large spaces, which the tests
+    above reach through a few random maps.  Here every labeled 5-element
+    poset with more than 20 points (23 or 31) lifts every map into the
+    two-element chain and three seeded maps into random 5-element
+    targets, and each lift matches both oracles."""
+    five = all_posets(5)
+    large = [p for p in five if len(enumerate_down_sets(p, False)) > 20]
+    assert len(large) == 21
+    assert {len(build(p).points) for p in large} == {23, 31}
+    chain2 = chain(2)
+    rng = random.Random(5)
+    cases = []
+    for source in large:
+        cases.extend(MonotoneMap(source, chain2, image)
+                     for image in anchored_extensions(source, {}, chain2))
+        drawn = 0
+        while drawn < 3:
+            f = random_monotone_map(source, rng.choice(five), rng)
+            if f is not None:
+                cases.append(f)
+                drawn += 1
+    assert len(cases) == 575
+    for f in cases:
+        lifted = powerdomain_map(f).image
+        assert lifted == powerdomain_image_by_closure(f)
+        assert lifted == powerdomain_image_by_member_fold(f)
 
 
 def test_lifting_an_unchecked_map_validates_it(chain2):

@@ -1,0 +1,118 @@
+"""Value semantics of the package's immutable classes.
+
+Each class compares and hashes by its fields, except a built space,
+which compares by identity; no field can be assigned or deleted; and
+``cached_property`` still fills the instance dict.
+"""
+
+import pytest
+
+from smyth import (
+    CheckReport,
+    FinitePoset,
+    IterateResult,
+    MonotoneMap,
+    OpenFamily,
+    PowerdomainSpace,
+    SigmaMap,
+    SupExtensionProblem,
+    build,
+    open_sets,
+    sigma_map,
+)
+from smyth.docio import PosetDocument
+
+from conftest import chain, vee_poset
+
+
+def value_cases():
+    """Per class: keyword fields, and one field changed to another value.
+
+    Each call builds fresh posets, so two calls give equal but distinct
+    field objects."""
+    vee, chain2 = vee_poset(), chain(2)
+    sigma = sigma_map(vee, vee.full)
+    rule = MonotoneMap(vee, chain2, (0, 0, 1))
+    return [
+        (FinitePoset, dict(n=vee.n, up=vee.up, down=vee.down, labels=vee.labels),
+         {"labels": ("x", "y", "z")}),
+        (PosetDocument, dict(n=3, labels=("a1", "a2", "b"), covers=((0, 2), (1, 2)),
+                             expect=None),
+         {"covers": ((0, 2),)}),
+        (CheckReport, dict(property="p", instance="{}", verdict="skipped",
+                           reason="over budget", witness=None),
+         {"reason": "not sup-complete"}),
+        (IterateResult, dict(sizes=(3, 7), truncated=False), {"truncated": True}),
+        (OpenFamily, dict(base=vee, opens=open_sets(vee).opens), {"opens": (0, 7)}),
+        (MonotoneMap, dict(source=vee, target=chain2, image=(0, 0, 1)),
+         {"image": (0, 0, 0)}),
+        (SigmaMap, dict(ambient=vee, carrier=sigma.carrier, domain=sigma.domain,
+                        sups=sigma.sups),
+         {"sups": (None,) * len(sigma.sups)}),
+        (SupExtensionProblem, dict(base_map=rule, space=build(vee)),
+         {"base_map": MonotoneMap(vee, chain2, (1, 1, 1))}),
+    ]
+
+
+CASE_IDS = [cls.__name__ for cls, _, _ in value_cases()]
+
+
+@pytest.mark.parametrize("index", range(len(CASE_IDS)), ids=CASE_IDS)
+def test_equal_fields_make_equal_values(index):
+    cls, fields, change = value_cases()[index]
+    _, same_fields, _ = value_cases()[index]
+    value, same = cls(**fields), cls(**same_fields)
+    assert value is not same
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    changed = cls(**{**fields, **change})
+    assert value != changed and not value == changed
+    assert value != tuple(fields.values())
+    assert repr(value).startswith(f"{cls.__name__}(")
+
+
+@pytest.mark.parametrize("index", range(len(CASE_IDS)), ids=CASE_IDS)
+def test_fields_cannot_be_assigned(index):
+    cls, fields, _ = value_cases()[index]
+    value = cls(**fields)
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is fields[name]
+
+
+def test_space_compares_by_identity():
+    space = build(vee_poset())
+    copy = PowerdomainSpace(space.base, space.points, space.order,
+                            space.phi_index, space.point_index)
+    assert space == space and copy == copy
+    assert space != copy
+    assert len({space, copy}) == 2
+    with pytest.raises(AttributeError):
+        copy.order = space.order
+
+
+def test_unchecked_map_equals_the_validated_one():
+    vee, chain2 = vee_poset(), chain(2)
+    checked = MonotoneMap(vee, chain2, (0, 0, 1))
+    unchecked = MonotoneMap.unchecked(vee, chain2, [0, 0, 1])
+    assert (checked._validated, unchecked._validated) == (True, False)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+
+
+def test_cached_properties_fill_the_instance():
+    poset = vee_poset()
+    assert "upper_covers" not in poset.__dict__
+    covers = poset.upper_covers
+    assert poset.__dict__["upper_covers"] is covers is poset.upper_covers
+    assert poset == vee_poset() and hash(poset) == hash(vee_poset())
+
+    built = build(poset)
+    space = PowerdomainSpace(built.base, built.points, built.order,
+                             built.phi_index, built.point_index)
+    assert "_parents" not in space.__dict__
+    parents = space._parents
+    assert space.__dict__["_parents"] is parents is space._parents
