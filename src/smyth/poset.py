@@ -19,8 +19,10 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, CycleError, RangeError, _Value
 
-# A built order holds two rows of N bits per point, about N**2 / 4
-# bytes: 1 GB at 2**16 points, already 4 GiB at 2**17.
+# A built powerdomain keeps its N point masks.  Its order's rows, built
+# on first read, hold two N-bit rows per point, about N**2 / 4 bytes:
+# 1 GB at 2**16 points, already 4 GiB at 2**17.  Its cover masks, which
+# ``dimension`` reads, are N-bit masks too and cost about as much.
 DEFAULT_CAPACITY = 1 << 16
 CAPACITY_ENV_VAR = "SPECTRAL_CAPACITY"
 
@@ -76,6 +78,12 @@ class FinitePoset(_Value):
     follow a linear extension, the picks are exactly the lower covers,
     so the check costs a few big-integer operations per cover edge, not
     per comparable pair; in other index orders it may pick more.
+
+    ``_validate`` is that check.  The order of a built powerdomain is a
+    subclass that answers ``leq`` and the covers from its point masks
+    and builds its rows on first read, when ``_validate`` checks them.
+    Equality and hashing are by value, so it equals the ``FinitePoset``
+    with the same rows.
     """
 
     _fields = ("n", "up", "down", "labels")
@@ -88,14 +96,23 @@ class FinitePoset(_Value):
         labels: tuple[str, ...] | None = None,
     ) -> None:
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+        self._validate(up, down)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
-        object.__setattr__(self, "labels", labels)
-        if self.n < 1:
-            raise RangeError(f"a poset needs at least one element, got n={self.n}")
-        if len(self.up) != self.n or len(self.down) != self.n:
+
+    def _validate(self, up: tuple[int, ...], down: tuple[int, ...]) -> None:
+        """Accept ``up`` and ``down`` as this poset's rows, or raise.
+
+        The one check of the rows, run by the constructor and by any
+        subclass that builds its rows later.
+        """
+        n = self.n
+        if n < 1:
+            raise RangeError(f"a poset needs at least one element, got n={n}")
+        if len(up) != n or len(down) != n:
             raise RangeError("relation rows do not match the element count")
-        if self.labels is not None and len(self.labels) != self.n:
+        if self.labels is not None and len(self.labels) != n:
             raise RangeError("labels do not match the element count")
         for i in range(n):
             above, below = up[i], down[i]
@@ -149,7 +166,7 @@ class FinitePoset(_Value):
     # Equality and hashing are written out, not the _Value forms: posets
     # are lru_cache keys and are compared on every compose and lift.
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, FinitePoset):
             return NotImplemented
         return (self.n, self.up, self.down, self.labels) == (
             other.n, other.up, other.down, other.labels)

@@ -38,6 +38,8 @@ class PowerdomainSpace(_Value):
     ``points`` lists the member masks in canonical order (size, then
     mask value), ``order`` is the inclusion order on point indices, and
     ``phi_index[x]`` locates the principal down-set of element ``x``.
+    The order answers ``leq`` and its covers from the point masks and
+    builds its rows only when they are read.
     The plain construction has no empty point; the hatted variant adds
     mask 0 as a bottom point.  Spaces compare and hash by identity.
     """
@@ -88,27 +90,99 @@ class PowerdomainSpace(_Value):
         return "{" + ",".join(names) + "}"
 
 
+class _InclusionOrder(FinitePoset):
+    """The inclusion order on a space's points, read off their masks.
+
+    The points are the down-sets of ``base`` (nonempty, or every one in
+    the hat space), so the masks alone fix the order: ``leq`` is
+    containment, and in the lattice of down-sets point ``I`` is covered
+    by ``I | {x}`` for each minimal non-member ``x`` and covers
+    ``I - {x}`` for each maximal member ``x`` that leaves a point
+    (Habib, Medina, Nourine and Steiner, Discrete Appl. Math. 2001).  The
+    rows are built together by ``_inclusion_rows`` on the first read of
+    ``up`` or ``down``, and checked by ``FinitePoset._validate`` then.
+    """
+
+    def __init__(
+        self, base: FinitePoset, points: tuple[int, ...], point_index: dict[int, int]
+    ) -> None:
+        object.__setattr__(self, "n", len(points))
+        object.__setattr__(self, "labels", None)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "point_index", point_index)
+
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        """Build, validate and keep both rows on the first read of either."""
+        if name != "up" and name != "down":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        up, down = _inclusion_rows(self.base, self.points)
+        self._validate(up, down)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        return up if name == "up" else down
+
+    def leq(self, i: int, j: int) -> bool:
+        """Whether point ``i`` is contained in point ``j``."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise RangeError(f"({i}, {j}) is out of range for n={self.n}")
+        return self.points[i] & ~self.points[j] == 0
+
+    @cached_property
+    def _linear_extension(self) -> tuple[int, ...]:
+        """The index order: canonical order puts every proper subset first."""
+        return tuple(range(self.n))
+
+    @cached_property
+    def upper_covers(self) -> tuple[int, ...]:
+        """Each point plus one non-member, when that is a point."""
+        return _cover_masks(self.points, self.point_index, self.base.full)
+
+    @cached_property
+    def lower_covers(self) -> tuple[int, ...]:
+        """Each point minus one member, when that is a point."""
+        return _cover_masks(self.points, self.point_index, 0)
+
+
+def _cover_masks(
+    points: tuple[int, ...], point_index: dict[int, int], flip: int
+) -> tuple[int, ...]:
+    """The points ``mask ^ {x}`` for each point ``mask`` and each ``x`` of
+    ``mask ^ flip``, as masks of point indices.
+
+    ``I | {x}`` is a down-set exactly when ``x`` is minimal outside
+    ``I`` (``down[x] & ~I == {x}``), and ``I - {x}`` exactly when ``x``
+    is maximal in ``I``, so the lookup in ``point_index`` is the whole
+    test; it also leaves out the empty set of a plain space.  With
+    ``flip`` the full set these are the upper covers, with 0 the lower
+    ones.  Only the non-members, or only the members, are walked.
+    """
+    covers = []
+    for mask in points:
+        rest = mask ^ flip
+        found = 0
+        while rest:
+            bit = rest & -rest
+            other = point_index.get(mask ^ bit)
+            if other is not None:
+                found |= 1 << other
+            rest ^= bit
+        covers.append(found)
+    return tuple(covers)
+
+
 def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
-    """Inclusion order on ``points``, one big-integer AND per row.
+    """The space on ``points``, whose order computes no rows yet.
 
     ``points`` must be down-sets in canonical order (size, then mask
-    value), as ``enumerate_down_sets`` returns them.  Write a point ``m``
-    in linear-extension ranks: its highest rank is a maximal member
-    ``x`` and its lowest missing rank a minimal non-member ``y``, so
-    ``m - {x}`` and ``m | {y}`` are down-sets as well.  With ``column[x]``
-    the points that contain ``x``, the lattice recurrences
-
-        up[m] = up[m - {x}] & column[x]      up[{}] = every point
-        down[m] = down[m | {y}] & ~column[y]   down[base] = every point
-
-    fill the up rows in canonical order and the down rows in reverse,
-    since a proper subset always comes first.  ``_inclusion_rows``
-    evaluates them, so its temporaries are gone before ``FinitePoset``
-    validates the rows.
+    value), as ``enumerate_down_sets`` returns them, so a build is the
+    enumeration, the point index and ``phi_index``.  The order's rows
+    cost N**2 / 4 bytes, and most callers of a large build never read
+    them.
     """
     point_index = {mask: i for i, mask in enumerate(points)}
-    up, down = _inclusion_rows(base, points)
-    order = FinitePoset(len(points), up, down)
+    order = _InclusionOrder(base, points, point_index)
     phi = tuple(point_index[down_closure(base, 1 << x)] for x in range(base.n))
     return PowerdomainSpace(base, points, order, phi, point_index)
 
@@ -116,13 +190,24 @@ def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
 def _inclusion_rows(
     base: FinitePoset, points: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The up and down rows of ``_assemble``, in the order of ``points``.
+    """The up and down rows of the inclusion order on ``points``.
 
-    The recurrences run on each mask rewritten in ranks, read through
-    one table per byte of the mask, of ``2**min(8, n)`` entries.
-    ``column[k]`` holds the points that contain the element of rank
-    ``k``: one strided slice of a single binary string that spells every
-    ranked mask in ``n`` digits, last point first.
+    ``points`` are down-sets in canonical order.  Write a point ``m`` in
+    linear-extension ranks: its highest rank is a maximal member ``x``
+    and its lowest missing rank a minimal non-member ``y``, so
+    ``m - {x}`` and ``m | {y}`` are down-sets as well.  With
+    ``column[x]`` the points that contain ``x``, the lattice recurrences
+
+        up[m] = up[m - {x}] & column[x]      up[{}] = every point
+        down[m] = down[m | {y}] & ~column[y]   down[base] = every point
+
+    fill the up rows in canonical order and the down rows in reverse,
+    since a proper subset always comes first.  They run on each mask
+    rewritten in ranks, read through one table per byte of the mask, of
+    ``2**min(8, n)`` entries.  ``column[k]`` holds the points that
+    contain the element of rank ``k``: one strided slice of a single
+    binary string that spells every ranked mask in ``n`` digits, last
+    point first.  The temporaries are gone before the rows are validated.
     """
     n = base.n
     rank = [0] * n
@@ -285,8 +370,16 @@ def check_embedding_theorem(space: PowerdomainSpace) -> CheckReport:
     ``x`` covers at most itself minus ``x``, and a down-set with several
     maximal members covers itself minus each of them).
     """
-    prop = "embedding-theorem"
+    violation = _embedding_violation(space)
     instance = document_of_poset(space.base).to_payload()
+    if violation is not None:
+        return failed("embedding-theorem", instance, **violation)
+    return passed("embedding-theorem", instance)
+
+
+def _embedding_violation(space: PowerdomainSpace) -> dict | None:
+    """The details of the first law of ``check_embedding_theorem`` that
+    ``space`` breaks, or None."""
     base = space.base
     opens = enumerate_down_sets(base, True)
     open_of = {omega: mask_of(basic_open(space, omega)) for omega in opens}
@@ -295,11 +388,10 @@ def check_embedding_theorem(space: PowerdomainSpace) -> CheckReport:
     for a, mask_a in masks:
         for b, mask_b in masks:
             if mask_a & mask_b != open_of[a & b]:
-                return failed(prop, instance, law="basis-intersection",
-                              left=a, right=b)
+                return {"law": "basis-intersection", "left": a, "right": b}
 
     # Point i lies below the points that hold all of its members: an AND
-    # of membership columns, an independent route to _assemble's rows.
+    # of membership columns, an independent route to _inclusion_rows.
     column = _transpose(space.points, base.n)
     every = (1 << len(space.points)) - 1
     for i, small in enumerate(space.points):
@@ -308,34 +400,32 @@ def check_embedding_theorem(space: PowerdomainSpace) -> CheckReport:
             above &= column[x]
         wrong = space.order.up[i] ^ above
         if wrong:
-            return failed(prop, instance, law="order-is-containment",
-                          left=i, right=(wrong & -wrong).bit_length() - 1)
+            return {"law": "order-is-containment",
+                    "left": i, "right": (wrong & -wrong).bit_length() - 1}
 
     if not is_order_embedding(base, space.order, space.phi_index):
-        return failed(prop, instance, law="order-embedding")
+        return {"law": "order-embedding"}
     for omega, members in masks:
         pulled = mask_of(
             x for x, i in enumerate(space.phi_index) if members >> i & 1
         )
         if pulled != omega:
-            return failed(prop, instance, law="basic-open-pullback", open=omega)
+            return {"law": "basic-open-pullback", "open": omega}
 
     maximal = [
         i for i in range(len(space.points))
         if space.order.up[i] == 1 << i
     ]
     if len(maximal) != 1 or space.points[maximal[0]] != base.full:
-        return failed(prop, instance, law="unique-maximal-point",
-                      maximal=maximal)
+        return {"law": "unique-maximal-point", "maximal": maximal}
 
     principal = mask_of(space.phi_index)
     for omega, members in masks:
         if members and not members & principal:
-            return failed(prop, instance, law="density", open=omega)
+            return {"law": "density", "open": omega}
 
     for i, covers in enumerate(space.order.lower_covers):
         if bool(principal >> i & 1) != (covers.bit_count() <= 1):
-            return failed(prop, instance, law="principal-iff-join-irreducible",
-                          point=i)
+            return {"law": "principal-iff-join-irreducible", "point": i}
 
-    return passed(prop, instance)
+    return None

@@ -38,6 +38,7 @@ from .poset import (
     resolve_capacity,
 )
 from .powerdomain import (
+    _embedding_violation,
     basic_open,
     build,
     check_embedding_theorem,
@@ -82,7 +83,7 @@ def _with_instance(report: CheckReport, payload: dict, prop: str = "") -> CheckR
     witness = dict(report.witness)
     witness["instance"] = payload
     witness.setdefault("detail", report.instance)
-    return CheckReport(prop or report.property, report.instance,
+    return CheckReport(prop or report.property, instance_text(payload),
                        report.verdict, report.reason, witness)
 
 
@@ -99,10 +100,9 @@ def prop_topology_round_trip(payload: dict) -> CheckReport:
 
 def prop_embedding_theorem(payload: dict) -> CheckReport:
     prop = "embedding-theorem"
-    poset = _poset_of(payload)
-    report = check_embedding_theorem(build(poset))
-    if not report.ok:
-        return _with_instance(report, payload)
+    space = build(_poset_of(payload))
+    if _embedding_violation(space) is not None:
+        return _with_instance(check_embedding_theorem(space), payload)
     return passed(prop, payload)
 
 

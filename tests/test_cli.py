@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -302,10 +303,10 @@ def test_full_output_device(argv):
     assert "Traceback" not in result.stderr
 
 
-def limit_address_space():
-    """Cap the child at 1 GiB of address space, a quarter of the rows
-    of the 17-element antichain's powerdomain."""
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def limit_address_space(limit=1 << 30):
+    """Cap the child's address space, by default at 1 GiB, a quarter of
+    the rows of the 17-element antichain's powerdomain."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 @pytest.mark.parametrize("capacity, message", [
@@ -324,6 +325,36 @@ def test_rows_past_memory(tmp_path, capacity, message):
         env=env, timeout=60, preexec_fn=limit_address_space,
     )
     assert (result.returncode, result.stderr) == (2, message + "\n")
+
+
+def test_large_builds_make_no_rows():
+    # the 16-element antichain: 65 535 and 65 536 points, whose rows
+    # would take 2 GB, four times the cap
+    code = (
+        "from smyth import build, hat_powerdomain\n"
+        "from smyth.poset import FinitePoset\n"
+        "base = FinitePoset.from_cover_relations(16, [])\n"
+        "print(len(build(base).points), len(hat_powerdomain(base).points))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+        preexec_fn=partial(limit_address_space, 512 << 20),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "65535 65536\n", "")
+
+
+def test_iterate_makes_no_rows_for_its_last_stage():
+    # 28 MiB holds the interpreter with smyth loaded (about 19 MiB on
+    # CPython 3.11 on Linux), but not it with the rows of the 8569-point
+    # order as well (about 35 MiB)
+    result = subprocess.run(
+        smyth_command("iterate", str(FIXTURES / "discrete3.json"), "--k", "4"),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60, preexec_fn=partial(limit_address_space, 28 << 20),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "sizes: 3 7 18 81 8569\n", "")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -6,7 +6,8 @@ be a restatement that cannot fail at all.  This collects each
 for the name, quoted, in the other files under ``tests/``.  A failure
 that reports no law escapes that guard, so every ``failed(...)`` call
 in ``src/smyth`` must pass ``law=``, ``key=`` or a ``**`` splat of a
-violation that carries one.  Stdlib only.
+violation that carries one, and every dict literal a ``*_violation``
+function returns must have a ``"law"`` key.  Stdlib only.
 """
 
 import ast
@@ -62,9 +63,31 @@ def failed_calls() -> list[tuple[str, int, set[str | None]]]:
 
 def test_every_failure_names_its_law():
     calls = failed_calls()
-    assert len(calls) >= 24
+    assert len(calls) >= 18
     unnamed = [
         f"{name}:{line}" for name, line, keywords in calls
         if not keywords & {"law", "key", None}
     ]
+    assert unnamed == []
+
+
+def violation_returns() -> list[tuple[str, int, set]]:
+    """Each dict literal returned by a ``*_violation`` function in
+    ``src/smyth``: its file, line and constant keys."""
+    returns = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name.endswith("_violation"):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
+                        keys = {getattr(k, "value", None) for k in node.value.keys}
+                        returns.append((path.name, node.lineno, keys))
+    return returns
+
+
+def test_every_violation_names_its_law():
+    returns = violation_returns()
+    assert len(returns) >= 11
+    unnamed = [f"{name}:{line}" for name, line, keys in returns if "law" not in keys]
     assert unnamed == []

@@ -28,7 +28,7 @@ from smyth import (
 )
 from smyth import powerdomain
 from smyth.generators import all_posets, random_poset
-from smyth.poset import FinitePoset, iter_bits, relabel
+from smyth.poset import FinitePoset, iter_bits, linear_extension, relabel
 
 from conftest import (
     antichain,
@@ -409,3 +409,58 @@ def test_parents_remove_one_maximal_member():
                 rest = space.points[parent] if parent >= 0 else 0
                 assert rest == point ^ (1 << x)
                 assert (parent >= 0) == (point != 1 << x)
+
+
+def assert_lazy_order_is_eager(space, rng):
+    """The space's order against ``FinitePoset`` on ``_inclusion_rows``:
+    covers, extension and ``leq`` first, then the rows it builds on
+    first read, then equality and hash both ways."""
+    order = space.order
+    eager = FinitePoset(len(space.points), *powerdomain._inclusion_rows(space.base, space.points))
+    assert order.upper_covers == eager.upper_covers
+    assert order.lower_covers == eager.lower_covers
+    assert linear_extension(order) == linear_extension(eager)
+    n = order.n
+    if n <= 64:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    assert [order.leq(i, j) for i, j in pairs] == [eager.leq(i, j) for i, j in pairs]
+    assert (order.up, order.down) == (eager.up, eager.down)
+    assert order == eager and eager == order
+    assert hash(order) == hash(eager)
+
+
+def test_lazy_order_matches_eager_rows():
+    """Every labeled poset with up to 5 elements, and 40 seeded random
+    ones with 6 to 12, under each builder."""
+    rng = random.Random(25)
+    bases = [p for n in range(1, 6) for p in all_posets(n)]
+    bases += [random_poset(rng.randint(6, 12), seed) for seed in range(40)]
+    for base in bases:
+        for builder in (build, hat_powerdomain, inverse_powerdomain):
+            assert_lazy_order_is_eager(builder(base), rng)
+
+
+@pytest.mark.parametrize("include_empty", [False, True], ids=["plain", "hat"])
+@pytest.mark.parametrize("side, diagonal", [(0, False), (1, False), (0, True)],
+                         ids=["up-row", "down-row", "up-diagonal"])
+def test_corrupt_rows_raise_at_first_read(monkeypatch, include_empty, side, diagonal):
+    # drop one bit of the first up row or the last down row: its own
+    # bit, or the highest other one
+    base = random_poset(7, 5)
+    points = enumerate_down_sets(base, include_empty)
+    rows = [list(r) for r in powerdomain._inclusion_rows(base, points)]
+    k = 0 if side == 0 else len(points) - 1
+    bit = k if diagonal else (rows[side][k] ^ 1 << k).bit_length() - 1
+    rows[side][k] ^= 1 << bit
+    corrupt = tuple(rows[0]), tuple(rows[1])
+    with pytest.raises(Exception) as eager:
+        FinitePoset(len(points), *corrupt)
+    monkeypatch.setattr(powerdomain, "_inclusion_rows", lambda base, points: corrupt)
+    space = powerdomain._build.__wrapped__(base, include_empty, 1 << 20)
+    assert space.points == points
+    for name in ("up", "down"):
+        with pytest.raises(type(eager.value)) as lazy:
+            getattr(space.order, name)
+        assert str(lazy.value) == str(eager.value)

@@ -532,6 +532,34 @@ def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
         assert replay(report) == report
 
 
+# generating relations that are not covers: no lower-level check
+# renders this payload as its own instance
+CHAIN_3_RELATIONS = {"n": 3, "covers": [[0, 1], [1, 2], [0, 2]]}
+
+
+REBOUND_MUTANTS = {
+    "embedding-theorem": (suite, "build", with_phi_index(lambda phi: (phi[0],) * len(phi))),
+    "functor-laws": (maps, "_powerdomain_map", constant_lift),
+    "extension-minimality": (maps, "_principal_extensions", lambda original: lambda *args: ()),
+    "sup-extension": (completion, "preserves_sups", lambda original: lambda space, f: False),
+    "sup-extension-of-embedding": (
+        completion, "preserves_sups", lambda original: lambda space, f: False),
+}
+
+
+@pytest.mark.parametrize("prop", REBOUND_MUTANTS)
+def test_rebound_failures_report_the_payload(monkeypatch, prop):
+    """A failure rebound from a lower-level check names the payload as
+    its instance, as every other report on that payload does; the
+    lower-level rendering stays in the witness as ``detail``."""
+    module, name, mutant = REBOUND_MUTANTS[prop]
+    monkeypatch.setattr(module, name, mutant(getattr(module, name)))
+    report = PROPERTIES[prop](CHAIN_3_RELATIONS)
+    assert (report.property, report.verdict) == (prop, FAIL)
+    assert report.instance == instance_text(CHAIN_3_RELATIONS)
+    assert report.witness["detail"] != report.instance
+
+
 def test_one_build_per_powerdomain(monkeypatch):
     """Over ``exhaustive-3``, with the build and lift caches empty, each
     powerdomain is built once: a check's own search budget does not key a

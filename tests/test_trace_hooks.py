@@ -55,18 +55,33 @@ def test_uncached_build_enumerates_down_sets_once(monkeypatch):
 
 
 def test_uncached_build_validates_once(monkeypatch):
-    # the traced poset.FinitePoset metrics of the build workload count
-    # one validation per construction
-    calls = []
-    init = FinitePoset.__init__
+    # a build makes no rows: its order builds and validates them once,
+    # on the first read of up or down, and never again
+    validations, row_builds = [], []
+    validate = FinitePoset._validate
+    inclusion_rows = powerdomain._inclusion_rows
 
-    def counting(self, n, *args, **kwargs):
-        calls.append(n)
-        init(self, n, *args, **kwargs)
+    def counting_validate(self, up, down):
+        validations.append(len(up))
+        validate(self, up, down)
 
-    monkeypatch.setattr(FinitePoset, "__init__", counting)
+    def counting_rows(base, points):
+        row_builds.append(len(points))
+        return inclusion_rows(base, points)
+
+    monkeypatch.setattr(FinitePoset, "_validate", counting_validate)
+    monkeypatch.setattr(powerdomain, "_inclusion_rows", counting_rows)
     base = generators.random_poset(9, 2024)
-    for include_empty in (False, True):
-        calls.clear()
+    for include_empty, first, second in ((False, "up", "down"), (True, "down", "up")):
+        validations.clear()
+        row_builds.clear()
         space = powerdomain._build.__wrapped__(base, include_empty, 1 << 20)
-        assert calls == [len(space.points)]
+        order = space.order
+        assert order.leq(0, order.n - 1)
+        assert order.upper_covers[0] and order.lower_covers[-1]
+        assert validations == row_builds == []
+        getattr(order, first)
+        assert validations == row_builds == [order.n]
+        getattr(order, second)
+        getattr(order, first)
+        assert validations == row_builds == [order.n]
