@@ -16,6 +16,7 @@ from .docio import document_of_poset
 from .errors import CapacityError, NotOpenError, RangeError, _Value
 from .poset import (
     FinitePoset,
+    _minimal,
     _transpose,
     check_subset,
     dimension,
@@ -24,7 +25,6 @@ from .poset import (
     is_down_set,
     is_order_embedding,
     iter_bits,
-    linear_extension,
     mask_of,
     order_dual,
     resolve_capacity,
@@ -99,8 +99,9 @@ class _InclusionOrder(FinitePoset):
     by ``I | {x}`` for each minimal non-member ``x`` and covers
     ``I - {x}`` for each maximal member ``x`` that leaves a point
     (Habib, Medina, Nourine and Steiner, Discrete Appl. Math. 2001).  The
-    rows are built together by ``_inclusion_rows`` on the first read of
-    ``up`` or ``down``, and checked by ``FinitePoset._validate`` then.
+    rows are built together on the first read of ``up`` or ``down`` by
+    ``_inclusion_rows``, which derives each row from one of those
+    neighbours, and checked by ``FinitePoset._validate`` then.
     """
 
     def __init__(
@@ -192,56 +193,37 @@ def _inclusion_rows(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The up and down rows of the inclusion order on ``points``.
 
-    ``points`` are down-sets in canonical order.  Write a point ``m`` in
-    linear-extension ranks: its highest rank is a maximal member ``x``
-    and its lowest missing rank a minimal non-member ``y``, so
-    ``m - {x}`` and ``m | {y}`` are down-sets as well.  With
+    ``points`` are down-sets in canonical order, so a proper subset
+    always comes first.  A point ``m`` minus a maximal member ``x``, or
+    plus a minimal non-member ``y``, is a down-set as well; ``_minimal``
+    finds ``x`` on the base's up rows and ``y`` on its down rows.  With
     ``column[x]`` the points that contain ``x``, the lattice recurrences
 
         up[m] = up[m - {x}] & column[x]      up[{}] = every point
         down[m] = down[m | {y}] & ~column[y]   down[base] = every point
 
-    fill the up rows in canonical order and the down rows in reverse,
-    since a proper subset always comes first.  They run on each mask
-    rewritten in ranks, read through one table per byte of the mask, of
-    ``2**min(8, n)`` entries.  ``column[k]`` holds the points that
-    contain the element of rank ``k``: one strided slice of a single
-    binary string that spells every ranked mask in ``n`` digits, last
-    point first.  The temporaries are gone before the rows are validated.
+    fill the up rows in canonical order and the down rows in reverse.
     """
-    n = base.n
-    rank = [0] * n
-    for k, x in enumerate(linear_extension(base)):
-        rank[x] = k
-    ranked = [0] * len(points)
-    for low in range(0, n, 8):
-        table = [0]
-        for k in rank[low:low + 8]:
-            bit = 1 << k
-            table += [t | bit for t in table]
-        ranked = [r | table[m >> low & 255] for r, m in zip(ranked, points)]
-    text = "".join(map(f"{{:0{n}b}}".format, reversed(ranked)))
-    column = [int(text[n - 1 - k::n], 2) for k in range(n)]
-    del text
+    column = _transpose(points, base.n)
     every = (1 << len(points)) - 1
     up_of = {0: every}
-    for r in ranked:
-        if r:
-            k = r.bit_length() - 1
-            up_of[r] = up_of[r ^ (1 << k)] & column[k]
+    for m in points:
+        if m:
+            x = _minimal(base.up, m)
+            up_of[m] = up_of[m ^ (1 << x)] & column[x]
     outside = [every ^ c for c in column]
-    full = (1 << n) - 1
+    full = base.full
     down_of = {full: every}
-    for r in reversed(ranked):
-        if r != full:
-            low = ~r & (r + 1)
-            row = down_of[r | low] & outside[low.bit_length() - 1]
+    for m in reversed(points):
+        if m != full:
+            y = _minimal(base.down, full ^ m)
+            row = down_of[m | (1 << y)] & outside[y]
             # The AND result keeps the allocation of the neighbour's wider
             # row; negating twice copies it at its own width, so the
             # cached order carries no slack.
-            down_of[r] = -(-row)
-    up = tuple(map(up_of.__getitem__, ranked))
-    return up, tuple(map(down_of.__getitem__, ranked))
+            down_of[m] = -(-row)
+    up = tuple(map(up_of.__getitem__, points))
+    return up, tuple(map(down_of.__getitem__, points))
 
 
 @lru_cache(maxsize=None)

@@ -31,6 +31,7 @@ from smyth.poset import (
     CAPACITY_ENV_VAR,
     DEFAULT_CAPACITY,
     _down_sets_by_extension,
+    _minimal,
     _signatures,
     canonical_sort,
     check_subset,
@@ -264,6 +265,18 @@ def test_linear_extension_matches_scan():
     for poset in cases:
         assert linear_extension(poset) == linear_extension_by_scan(poset)
         assert linear_extension(poset) is linear_extension(poset)
+
+
+def test_minimal_finds_a_minimal_and_a_maximal_member():
+    """On the down rows ``_minimal`` returns a minimal member of the mask,
+    on the up rows a maximal one, for every nonempty mask of every
+    labeled poset on up to 4 elements."""
+    for poset in (p for n in range(1, 5) for p in all_posets(n)):
+        for mask in range(1, poset.full + 1):
+            low = _minimal(poset.down, mask)
+            high = _minimal(poset.up, mask)
+            assert mask >> low & 1 and poset.down[low] & mask == 1 << low
+            assert mask >> high & 1 and poset.up[high] & mask == 1 << high
 
 
 def test_heights_match_pair_loop():

@@ -108,11 +108,12 @@ def reversed_chain(n):
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17])
-def test_order_is_inclusion_across_rank_table_bytes(n):
-    # the ranks of a mask are read one byte at a time; these widths end
-    # a byte exactly or spill one element into the next
-    # the zigzag chain n//2 < 0 < n//2 + 1 < 1 < ... takes its elements
-    # from the two halves in turn
+def test_order_is_inclusion_off_a_linear_extension(n):
+    # the rows step from each point to a neighbour found by _minimal,
+    # which takes more than one step on a base not indexed along a
+    # linear extension: the reversed chain, the zigzag chain
+    # n//2 < 0 < n//2 + 1 < 1 < ..., which takes its elements from the
+    # two halves in turn, and the shuffled relabel
     zigzag = [x for pair in zip(range(n // 2, n), range(n // 2)) for x in pair]
     zigzag += range(2 * (n // 2), n)
     shuffled = tuple(random.Random(n).sample(range(n), n))
