@@ -21,8 +21,8 @@ from .errors import CapacityError, CycleError, RangeError, _Value
 
 # A built powerdomain keeps its N point masks.  Its order's rows, built
 # on first read, hold two N-bit rows per point, about N**2 / 4 bytes:
-# 1 GB at 2**16 points, already 4 GiB at 2**17.  Its cover masks, which
-# ``dimension`` reads, are N-bit masks too and cost about as much.
+# 1 GB at 2**16 points, already 4 GiB at 2**17.  Its covers are read
+# off those rows; its dimension, from the grading, reads neither.
 DEFAULT_CAPACITY = 1 << 16
 CAPACITY_ENV_VAR = "SPECTRAL_CAPACITY"
 
@@ -80,8 +80,8 @@ class FinitePoset(_Value):
     per comparable pair; in other index orders it may pick more.
 
     ``_validate`` is that check.  The order of a built powerdomain is a
-    subclass that answers ``leq`` and the covers from its point masks
-    and builds its rows on first read, when ``_validate`` checks them.
+    subclass that answers ``leq`` from its point masks and builds its
+    rows, and so its covers, on first read, when ``_validate`` checks them.
     Equality and hashing are by value, so it equals the ``FinitePoset``
     with the same rows.
     """

@@ -19,7 +19,6 @@ from .poset import (
     _minimal,
     _transpose,
     check_subset,
-    dimension,
     down_closure,
     enumerate_down_sets,
     is_down_set,
@@ -38,8 +37,8 @@ class PowerdomainSpace(_Value):
     ``points`` lists the member masks in canonical order (size, then
     mask value), ``order`` is the inclusion order on point indices, and
     ``phi_index[x]`` locates the principal down-set of element ``x``.
-    The order answers ``leq`` and its covers from the point masks and
-    builds its rows only when they are read.
+    The order answers ``leq`` from the point masks and builds its rows,
+    which its covers are read off, only when they are read.
     The plain construction has no empty point; the hatted variant adds
     mask 0 as a bottom point.  Spaces compare and hash by identity.
     """
@@ -71,8 +70,8 @@ class PowerdomainSpace(_Value):
         the point minus one maximal member ``members[i]``; ``parents[i]``
         is that index plus one, and 0 (the empty set) for a one-member
         point.  Parents come first in canonical order.  Read off the
-        order's cached lower covers on first use, for a space of
-        nonempty points as ``build`` makes it.
+        order's lower covers, and so its rows, on first use, for a
+        space of nonempty points as ``build`` makes it.
         """
         points = self.points
         parents, members = [], []
@@ -95,23 +94,16 @@ class _InclusionOrder(FinitePoset):
 
     The points are the down-sets of ``base`` (nonempty, or every one in
     the hat space), so the masks alone fix the order: ``leq`` is
-    containment, and in the lattice of down-sets point ``I`` is covered
-    by ``I | {x}`` for each minimal non-member ``x`` and covers
-    ``I - {x}`` for each maximal member ``x`` that leaves a point
-    (Habib, Medina, Nourine and Steiner, Discrete Appl. Math. 2001).  The
-    rows are built together on the first read of ``up`` or ``down`` by
-    ``_inclusion_rows``, which derives each row from one of those
-    neighbours, and checked by ``FinitePoset._validate`` then.
+    containment, and canonical order is a linear extension.  Both rows
+    are built by ``_inclusion_rows`` on the first read of either and
+    checked by ``_validate``; the covers are read off them as usual.
     """
 
-    def __init__(
-        self, base: FinitePoset, points: tuple[int, ...], point_index: dict[int, int]
-    ) -> None:
+    def __init__(self, base: FinitePoset, points: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", len(points))
         object.__setattr__(self, "labels", None)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "point_index", point_index)
 
     def __getattr__(self, name: str) -> tuple[int, ...]:
         """Build, validate and keep both rows on the first read of either."""
@@ -135,43 +127,6 @@ class _InclusionOrder(FinitePoset):
         """The index order: canonical order puts every proper subset first."""
         return tuple(range(self.n))
 
-    @cached_property
-    def upper_covers(self) -> tuple[int, ...]:
-        """Each point plus one non-member, when that is a point."""
-        return _cover_masks(self.points, self.point_index, self.base.full)
-
-    @cached_property
-    def lower_covers(self) -> tuple[int, ...]:
-        """Each point minus one member, when that is a point."""
-        return _cover_masks(self.points, self.point_index, 0)
-
-
-def _cover_masks(
-    points: tuple[int, ...], point_index: dict[int, int], flip: int
-) -> tuple[int, ...]:
-    """The points ``mask ^ {x}`` for each point ``mask`` and each ``x`` of
-    ``mask ^ flip``, as masks of point indices.
-
-    ``I | {x}`` is a down-set exactly when ``x`` is minimal outside
-    ``I`` (``down[x] & ~I == {x}``), and ``I - {x}`` exactly when ``x``
-    is maximal in ``I``, so the lookup in ``point_index`` is the whole
-    test; it also leaves out the empty set of a plain space.  With
-    ``flip`` the full set these are the upper covers, with 0 the lower
-    ones.  Only the non-members, or only the members, are walked.
-    """
-    covers = []
-    for mask in points:
-        rest = mask ^ flip
-        found = 0
-        while rest:
-            bit = rest & -rest
-            other = point_index.get(mask ^ bit)
-            if other is not None:
-                found |= 1 << other
-            rest ^= bit
-        covers.append(found)
-    return tuple(covers)
-
 
 def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
     """The space on ``points``, whose order computes no rows yet.
@@ -183,7 +138,7 @@ def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
     them.
     """
     point_index = {mask: i for i, mask in enumerate(points)}
-    order = _InclusionOrder(base, points, point_index)
+    order = _InclusionOrder(base, points)
     phi = tuple(point_index[down_closure(base, 1 << x)] for x in range(base.n))
     return PowerdomainSpace(base, points, order, phi, point_index)
 
@@ -299,8 +254,15 @@ def is_phi_surjective(space: PowerdomainSpace) -> bool:
 
 
 def powerdomain_dimension(space: PowerdomainSpace) -> int:
-    """Dimension of the powerdomain: the longest point chain minus one."""
-    return dimension(space.order)
+    """Dimension of the powerdomain: the longest point chain minus one.
+
+    Down-sets are graded by size, as ``I`` is covered by ``I | {x}`` for
+    each minimal non-member ``x`` (Habib, Medina, Nourine and Steiner,
+    Discrete Appl. Math. 2001), and canonical order puts a smallest
+    point first and the full set last.  Reads neither rows nor covers.
+    """
+    points = space.points
+    return points[-1].bit_count() - points[0].bit_count()
 
 
 class IterateResult(_Value):

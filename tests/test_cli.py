@@ -309,22 +309,56 @@ def limit_address_space(limit=1 << 30):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-@pytest.mark.parametrize("capacity, message", [
-    (None, "error: more than 65536 down-sets on 17 elements"),
-    ("200000", "error: out of memory"),
-], ids=["default-capacity", "past-memory"])
-def test_rows_past_memory(tmp_path, capacity, message):
-    # 131 071 points: within 200 000, past the default 2**16
+def antichain17_env(tmp_path, capacity):
+    """The 17-element antichain's document, and an environment with
+    ``capacity`` as SPECTRAL_CAPACITY, or none."""
     path = write_payload(tmp_path, {"n": 17, "covers": []})
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("SPECTRAL_CAPACITY", None)
     if capacity is not None:
         env["SPECTRAL_CAPACITY"] = capacity
+    return path, env
+
+
+@pytest.mark.parametrize("capacity, dot, message", [
+    (None, False, "error: more than 65536 down-sets on 17 elements"),
+    ("200000", True, "error: out of memory"),
+], ids=["default-capacity", "past-memory"])
+def test_rows_past_memory(tmp_path, capacity, dot, message):
+    # 131 071 points: within 200 000, past the default 2**16; the DOT
+    # output reads the covers, and so the rows
+    path, env = antichain17_env(tmp_path, capacity)
+    extra = ["--dot", str(tmp_path / "out.dot")] if dot else []
+    result = subprocess.run(
+        smyth_command("powerdomain", path, *extra), capture_output=True, text=True,
+        env=env, timeout=60, preexec_fn=limit_address_space,
+    )
+    assert (result.returncode, result.stderr) == (2, message + "\n")
+
+
+def test_powerdomain_past_default_capacity_makes_no_rows(tmp_path):
+    # the points and the dimension of 131 071 points fit in 1 GiB;
+    # the rows would take 4 GiB
+    path, env = antichain17_env(tmp_path, "200000")
     result = subprocess.run(
         smyth_command("powerdomain", path), capture_output=True, text=True,
         env=env, timeout=60, preexec_fn=limit_address_space,
     )
-    assert (result.returncode, result.stderr) == (2, message + "\n")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("points: 131071\ndimension: 16\n")
+
+
+def test_stats_makes_no_rows(tmp_path):
+    # the 16-element antichain's 65 535 points under 256 MiB; the rows
+    # would take 1 GB
+    path = write_payload(tmp_path, {"n": 16, "covers": []})
+    result = subprocess.run(
+        smyth_command("stats", path), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+        preexec_fn=partial(limit_address_space, 256 << 20),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "powerdomain_dimension: 15\n" in result.stdout
 
 
 def test_large_builds_make_no_rows():

@@ -1,8 +1,10 @@
-"""The package holds no ``assert`` statements and no unused imports.
+"""The package holds no ``assert`` statements, no unused imports and
+no unread private names.
 
 ``python -O`` strips asserts, so none may carry a check.  Invariants
 are checked by named suite properties or by tests instead.  An import
-that nothing reads is left over from code that was deleted.
+that nothing reads, or a module-level ``_name`` that no module of the
+package reads, is left over from code that was deleted.
 """
 
 import ast
@@ -39,3 +41,47 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno}:{name}")
     assert found == [], f"unused imports in the package: {found}"
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The module-level ``_name``s a module defines, dunders excepted:
+    functions, classes and assignment targets, with their lines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def names_read(tree: ast.Module) -> set[str]:
+    """Every name a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_package_has_no_unread_private_names():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sources}
+    read = set().union(*map(names_read, trees.values()))
+    found = [
+        f"{name}:{line}:{private}"
+        for name, tree in trees.items()
+        for private, line in private_definitions(tree)
+        if private not in read
+    ]
+    assert found == [], f"private names that no module reads: {found}"

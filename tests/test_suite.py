@@ -486,7 +486,7 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
 
 
 @pytest.mark.parametrize("module, name, mutant, check, law", [
-    (suite, "powerdomain_dimension", lambda original: lambda space: original(space) + 1,
+    (suite, "dimension", lambda original: lambda poset: original(poset) + 1,
      suite_check("powerdomain-dimension", VEE), "n-minus-one"),
     (suite, "find_isomorphism", lambda original: lambda left, right: None,
      suite_check("phi-onto-iff-chain", CHAIN_2), "onto-gives-isomorphism"),
@@ -520,6 +520,8 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("embedding-theorem", ANTICHAIN_2), "principal-iff-join-irreducible"),
     (suite, "lambda_sharp", constant_sharp,
      suite_check("sup-extension-of-embedding", ANTICHAIN_2), "sharp-is-identity"),
+    (suite, "build", with_phi_index(lambda phi: tuple(i + 1 for i in phi)),
+     suite_check("lift-round-trip", ANTICHAIN_3), "principal-to-principal"),
 ])
 def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
     """One seeded defect per law, each caught by its own law; a suite

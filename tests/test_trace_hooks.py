@@ -55,8 +55,9 @@ def test_uncached_build_enumerates_down_sets_once(monkeypatch):
 
 
 def test_uncached_build_validates_once(monkeypatch):
-    # a build makes no rows: its order builds and validates them once,
-    # on the first read of up or down, and never again
+    # a build makes no rows, nor does its dimension: its order builds
+    # and validates them once, on the first read of up or down, and
+    # never again, not for its covers either
     validations, row_builds = [], []
     validate = FinitePoset._validate
     inclusion_rows = powerdomain._inclusion_rows
@@ -78,10 +79,11 @@ def test_uncached_build_validates_once(monkeypatch):
         space = powerdomain._build.__wrapped__(base, include_empty, 1 << 20)
         order = space.order
         assert order.leq(0, order.n - 1)
-        assert order.upper_covers[0] and order.lower_covers[-1]
+        assert powerdomain.powerdomain_dimension(space) == base.n - 1 + include_empty
         assert validations == row_builds == []
         getattr(order, first)
         assert validations == row_builds == [order.n]
         getattr(order, second)
         getattr(order, first)
+        assert order.upper_covers[0] and order.lower_covers[-1]
         assert validations == row_builds == [order.n]
