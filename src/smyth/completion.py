@@ -10,7 +10,7 @@ other monotone extension, and is the only sup-preserving one.
 from __future__ import annotations
 
 from .errors import CapacityError, RangeError, SigmaUndefinedError, _Value
-from .maps import MonotoneMap, _serialize_pair
+from .maps import MonotoneMap, _map_payload
 from .poset import (
     FinitePoset,
     _down_sets_by_extension,
@@ -99,9 +99,6 @@ class SupExtensionProblem(_Value):
     @property
     def target(self) -> FinitePoset:
         return self.base_map.target
-
-    def serialize(self) -> dict:
-        return _serialize_pair(self.base_map)
 
 
 def lambda_sharp(problem: SupExtensionProblem) -> MonotoneMap:
@@ -213,15 +210,22 @@ def check_sigma_theorem(problem: SupExtensionProblem) -> CheckReport:
     only sup-preserving extension.  For the identity map
     ``restricts-to-base`` is the retraction: the sup of a principal
     down-set is its generator.  Nothing is enumerated, so no capacity
-    applies.
+    applies.  The report's instance is the base map.
     """
-    prop = "sup-extension"
-    instance = problem.serialize()
+    violation = _sigma_violation(problem, lambda_sharp(problem))
+    instance = _map_payload(problem.base_map)
+    if violation is not None:
+        return failed("sup-extension", instance, **violation)
+    return passed("sup-extension", instance)
+
+
+def _sigma_violation(problem: SupExtensionProblem, sharp: MonotoneMap) -> dict | None:
+    """The details of the first law of ``check_sigma_theorem`` that
+    ``sharp``, the sup extension of ``problem``, breaks, or None."""
     lam = problem.base_map
-    sharp = lambda_sharp(problem)
     for x in range(lam.source.n):
         if sharp.image[problem.space.phi_index[x]] != lam.image[x]:
-            return failed(prop, instance, law="restricts-to-base", element=x)
+            return {"law": "restricts-to-base", "element": x}
     if not preserves_sups(problem.space, sharp):
-        return failed(prop, instance, law="sup-preserving")
-    return passed(prop, instance)
+        return {"law": "sup-preserving"}
+    return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .docio import document_of_poset
 from .errors import (
     CapacityError,
     CompositionMismatchError,
@@ -161,15 +162,12 @@ def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
     return _powerdomain_map(f, resolve_capacity(capacity))
 
 
-def _serialize_pair(f: MonotoneMap) -> dict:
-    doc = {
-        "source_n": f.source.n,
-        "source_covers": [list(p) for p in f.source.cover_pairs()],
-        "target_n": f.target.n,
-        "target_covers": [list(p) for p in f.target.cover_pairs()],
-        "image": list(f.image),
-    }
-    return doc
+def _map_payload(f: MonotoneMap) -> dict:
+    """``f`` as a JSON-ready payload: the documents of its source and
+    target, labels included, and its image."""
+    return {"source": document_of_poset(f.source).to_payload(),
+            "target": document_of_poset(f.target).to_payload(),
+            "image": list(f.image)}
 
 
 def _composition_violation(
@@ -230,7 +228,7 @@ def _functor_law_violation(f: MonotoneMap, g: MonotoneMap) -> dict | None:
 def check_functor_laws(f: MonotoneMap, g: MonotoneMap) -> CheckReport:
     """Composition and identity laws of the powerdomain construction."""
     violation = _functor_law_violation(f, g)
-    instance = {"f": _serialize_pair(f), "g": _serialize_pair(g)}
+    instance = {"f": _map_payload(f), "g": _map_payload(g)}
     if violation is not None:
         return failed("functor-laws", instance, **violation)
     return passed("functor-laws", instance)
@@ -385,7 +383,7 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport
     search only.
     """
     violation = _minimality_violation(f, capacity)
-    instance = _serialize_pair(f)
+    instance = _map_payload(f)
     if violation is not None:
         return failed("extension-minimality", instance, **violation)
     return passed("extension-minimality", instance)

@@ -19,7 +19,6 @@ from .poset import (
     _minimal,
     _transpose,
     check_subset,
-    down_closure,
     enumerate_down_sets,
     is_down_set,
     is_order_embedding,
@@ -66,21 +65,19 @@ class PowerdomainSpace(_Value):
         """Each point as a parent point plus one member, for folds that
         take one OR per point.
 
-        The parent of point ``i`` is its lower cover of lowest index,
-        the point minus one maximal member ``members[i]``; ``parents[i]``
-        is that index plus one, and 0 (the empty set) for a one-member
-        point.  Parents come first in canonical order.  Read off the
-        order's lower covers, and so its rows, on first use, for a
-        space of nonempty points as ``build`` makes it.
+        The parent of point ``i`` is the point minus one maximal member
+        ``members[i]``, which ``_minimal`` finds on the base's up rows;
+        ``parents[i]`` is its index plus one, and 0 (the empty set) for
+        a one-member point.  Parents come first in canonical order.
+        Read off the point masks and ``point_index`` on first use, with
+        no rows, for a space of nonempty points as ``build`` makes it.
         """
-        points = self.points
+        up, point_index = self.base.up, self.point_index
         parents, members = [], []
-        for member, covers in zip(points, self.order.lower_covers):
-            parent = (covers & -covers).bit_length() - 1
-            if covers:
-                member ^= points[parent]
-            parents.append(parent + 1)
-            members.append(member.bit_length() - 1)
+        for point in self.points:
+            x = _minimal(up, point)
+            parents.append(point_index.get(point ^ (1 << x), -1) + 1)
+            members.append(x)
         return tuple(parents), tuple(members)
 
     def point_label(self, index: int) -> str:
@@ -139,7 +136,7 @@ def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
     """
     point_index = {mask: i for i, mask in enumerate(points)}
     order = _InclusionOrder(base, points)
-    phi = tuple(point_index[down_closure(base, 1 << x)] for x in range(base.n))
+    phi = tuple(map(point_index.__getitem__, base.down))
     return PowerdomainSpace(base, points, order, phi, point_index)
 
 

@@ -13,7 +13,7 @@ import random
 import zlib
 from functools import lru_cache
 
-from .completion import SupExtensionProblem, check_sigma_theorem, lambda_sharp
+from .completion import SupExtensionProblem, _sigma_violation, lambda_sharp
 from .docio import document_from_payload, document_of_poset, point_lists
 from .errors import (
     CapacityError,
@@ -28,8 +28,6 @@ from .maps import (
     _composition_violation,
     _identity_violation,
     _minimality_violation,
-    check_functor_laws,
-    check_minimality,
     compose,
     identity,
     lift_homeomorphism,
@@ -47,7 +45,6 @@ from .powerdomain import (
     _embedding_violation,
     basic_open,
     build,
-    check_embedding_theorem,
     hat_powerdomain,
     is_phi_surjective,
     powerdomain_dimension,
@@ -83,16 +80,6 @@ def _instance_seed(payload: dict) -> int:
     return zlib.crc32(instance_text(payload).encode())
 
 
-def _with_instance(report: CheckReport, payload: dict, prop: str = "") -> CheckReport:
-    """Rebind a failing lower-level report to the suite's payload and
-    property (``prop``, else its own), which ``replay`` runs on it."""
-    witness = dict(report.witness)
-    witness["instance"] = payload
-    witness.setdefault("detail", report.instance)
-    return CheckReport(prop or report.property, instance_text(payload),
-                       report.verdict, report.reason, witness)
-
-
 def prop_topology_round_trip(payload: dict) -> CheckReport:
     """Opens determine the order: rebuilding from the topology is exact."""
     prop = "topology-round-trip"
@@ -100,15 +87,16 @@ def prop_topology_round_trip(payload: dict) -> CheckReport:
     recovered = poset_of_topology(open_sets(poset))
     if recovered != poset:
         return failed(prop, payload, law="recovers-order",
-                      recovered_covers=[list(p) for p in recovered.cover_pairs()])
+                      recovered=document_of_poset(recovered).to_payload())
     return passed(prop, payload)
 
 
 def prop_embedding_theorem(payload: dict) -> CheckReport:
+    """The laws of ``check_embedding_theorem`` on the built powerdomain."""
     prop = "embedding-theorem"
-    space = build(_poset_of(payload))
-    if _embedding_violation(space) is not None:
-        return _with_instance(check_embedding_theorem(space), payload)
+    violation = _embedding_violation(build(_poset_of(payload)))
+    if violation is not None:
+        return failed(prop, payload, **violation)
     return passed(prop, payload)
 
 
@@ -188,16 +176,17 @@ def prop_functor_laws(payload: dict) -> CheckReport:
     base composite is validated and lifted once, keyed by its image,
     since many pairs share one; every lift is validated, once, when it
     is made.  Every pair then compares the composite of its two lifts
-    with that lift as an image tuple.  Only the first failing pair is
-    serialized, by ``check_functor_laws``: an identity failure fails
-    every pair, so that pair is the first one.
+    with that lift as an image tuple.  A composition failure names the
+    images of its pair, the first failing one, as ``f`` and ``g``; an
+    identity failure fails every pair, so it names none.
     """
     prop = "functor-laws"
     poset = _poset_of(payload)
     capacity = resolve_capacity(None)
     maps = _endo_images(poset, payload)
-    if maps and _identity_violation(poset, capacity) is not None:
-        return _with_instance(check_functor_laws(maps[0], maps[0]), payload)
+    violation = _identity_violation(poset, capacity) if maps else None
+    if violation is not None:
+        return failed(prop, payload, **violation)
     lifted = [powerdomain_map(f, capacity) for f in maps]
     lifted_composites: dict[tuple[int, ...], MonotoneMap] = {}
     for f, lifted_f in zip(maps, lifted):
@@ -207,8 +196,10 @@ def prop_functor_laws(payload: dict) -> CheckReport:
             if lifted_composite is None:
                 lifted_composite = powerdomain_map(compose(g, f), capacity)
                 lifted_composites[composite] = lifted_composite
-            if _composition_violation(lifted_f, lifted_g, lifted_composite) is not None:
-                return _with_instance(check_functor_laws(f, g), payload)
+            violation = _composition_violation(lifted_f, lifted_g, lifted_composite)
+            if violation is not None:
+                return failed(prop, payload, **violation,
+                              f=list(f.image), g=list(g.image))
     return passed(prop, payload)
 
 
@@ -218,19 +209,20 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
     Exercised against every monotone map into the two-element chain
     (the Sierpinski-valued maps); enumeration beyond the capacity is
     reported as skipped, not guessed; the capacity bounds the search
-    only.  Only the first failing map is serialized, by
-    ``check_minimality``.  Each induced map is the sup extension of
-    ``phi`` after the map, whose least-ness ``check_sigma_theorem``
-    certifies per point with no search; this property still enumerates
-    the extensions, so the 5-element antichain is over its budget.
+    only.  A failure names the image of the first failing map as
+    ``map``.  Each induced map is the sup extension of ``phi`` after the
+    map, whose least-ness ``check_sigma_theorem`` certifies per point
+    with no search; this property still enumerates the extensions, so
+    the 5-element antichain is over its budget.
     """
     prop = "extension-minimality"
     poset = _poset_of(payload)
     try:
         for image in all_monotone_images(poset, CHAIN2):
-            f = MonotoneMap(poset, CHAIN2, image)
-            if _minimality_violation(f, MINIMALITY_CAPACITY) is not None:
-                return _with_instance(check_minimality(f, MINIMALITY_CAPACITY), payload)
+            violation = _minimality_violation(
+                MonotoneMap(poset, CHAIN2, image), MINIMALITY_CAPACITY)
+            if violation is not None:
+                return failed(prop, payload, **violation, map=list(image))
     except CapacityError as exc:
         return skipped(prop, payload, f"enumeration over budget: {exc}")
     return passed(prop, payload)
@@ -262,9 +254,9 @@ def prop_sup_extension(payload: dict) -> CheckReport:
     poset = _poset_of(payload)
     try:
         problem = SupExtensionProblem.for_map(identity(poset))
-        report = check_sigma_theorem(problem)
-        if not report.ok:
-            return _with_instance(report, payload)
+        violation = _sigma_violation(problem, lambda_sharp(problem))
+        if violation is not None:
+            return failed(prop, payload, **violation)
     except SigmaUndefinedError as exc:
         return skipped(prop, payload, f"not sup-complete: {exc}")
     except CapacityError as exc:
@@ -275,9 +267,10 @@ def prop_sup_extension(payload: dict) -> CheckReport:
 def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
     """Extending the principal embedding along sups is the identity.
 
-    Then ``check_sigma_theorem`` certifies it per point at every size:
-    it restricts to the principal embedding and preserves sups, so it is
-    the least and the only sup-preserving extension.  The identity is an
+    Then the laws of ``check_sigma_theorem``, on the one ``sharp``
+    computed here, certify it per point at every size: it restricts to
+    the principal embedding and preserves sups, so it is the least and
+    the only sup-preserving extension.  The identity is an
     order-embedding, so ``sharp-is-identity`` also makes the sup
     extension of the principal embedding one.  A powerdomain over the
     capacity is reported as skipped.
@@ -292,9 +285,9 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
         if sharp.image != tuple(range(space.order.n)):
             return failed(prop, payload, law="sharp-is-identity",
                           got=list(sharp.image))
-        report = check_sigma_theorem(problem)
-        if not report.ok:
-            return _with_instance(report, payload, prop)
+        violation = _sigma_violation(problem, sharp)
+        if violation is not None:
+            return failed(prop, payload, **violation)
     except CapacityError as exc:
         return skipped(prop, payload, f"enumeration over budget: {exc}")
     return passed(prop, payload)

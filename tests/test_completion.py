@@ -1,5 +1,7 @@
 """Sup assignments, the sup extension, and its universal property."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -396,7 +398,7 @@ def test_certificate_agrees_with_the_enumeration_oracle(monkeypatch):
         for candidate in anchored_extensions(space.order, anchors, target):
             seeded[0] = MonotoneMap(space.order, target, candidate)
             ok = check_sigma_theorem(problem).ok
-            assert ok == (candidate == sharp), (problem.serialize(), candidate)
+            assert ok == (candidate == sharp), (problem.base_map, candidate)
             assert (sigma_law_by_enumeration(problem) is None) == ok
             candidates += 1
     assert candidates == 6790
@@ -408,13 +410,13 @@ def test_problem_validates_space(vee):
         SupExtensionProblem(f, build(chain(2)))
 
 
-def test_problem_serialize(vee):
-    f = MonotoneMap(vee, chain(2), (0, 0, 1))
-    payload = SupExtensionProblem.for_map(f).serialize()
-    assert payload == {
-        "source_n": 3,
-        "source_covers": [[0, 2], [1, 2]],
-        "target_n": 2,
-        "target_covers": [[0, 1]],
+def test_sigma_theorem_instance_is_the_map_payload(vee, chain2):
+    """The report names the base map by the documents of its source and
+    target, labels included, and its image."""
+    f = MonotoneMap(vee, chain2, (0, 0, 1))
+    report = check_sigma_theorem(SupExtensionProblem.for_map(f))
+    assert json.loads(report.instance) == {
+        "source": {"n": 3, "covers": [[0, 2], [1, 2]], "labels": ["a1", "a2", "b"]},
+        "target": {"n": 2, "covers": [[0, 1]], "labels": ["c1", "c2"]},
         "image": [0, 0, 1],
     }

@@ -1,10 +1,12 @@
 """The package holds no ``assert`` statements, no unused imports and
-no unread private names.
+no unread private names, and makes its reports one way.
 
 ``python -O`` strips asserts, so none may carry a check.  Invariants
 are checked by named suite properties or by tests instead.  An import
 that nothing reads, or a module-level ``_name`` that no module of the
-package reads, is left over from code that was deleted.
+package reads, is left over from code that was deleted.  A report is
+made by the helpers of ``report.py`` alone, and a suite property files
+each verdict on the payload it ran on.
 """
 
 import ast
@@ -85,3 +87,27 @@ def test_package_has_no_unread_private_names():
         if private not in read
     ]
     assert found == [], f"private names that no module reads: {found}"
+
+
+def test_reports_come_from_the_report_helpers():
+    """No module but ``report.py`` calls ``CheckReport``, and every
+    ``passed``, ``failed`` and ``skipped`` call in ``suite.py`` passes
+    ``payload`` as its instance."""
+    verdicts = 0
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "CheckReport" and path.name != "report.py":
+                found.append(f"{path.name}:{node.lineno}:CheckReport")
+            elif name in ("passed", "failed", "skipped") and path.name == "suite.py":
+                verdicts += 1
+                instance = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(instance, ast.Name) and instance.id == "payload"):
+                    found.append(f"{path.name}:{node.lineno}:{name}")
+    assert verdicts > 0
+    assert found == [], f"reports made another way: {found}"

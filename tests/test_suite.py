@@ -15,8 +15,6 @@ from smyth import (
     PowerdomainSpace,
     RangeError,
     build,
-    check_functor_laws,
-    check_minimality,
     completion,
     hat_powerdomain,
     maps,
@@ -31,17 +29,16 @@ from smyth.generators import all_posets
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
     FIXTURE_DOCS,
-    MINIMALITY_CAPACITY,
     PER_POSET_PROPERTIES,
     PROPERTIES,
     SUITE_GROUPS,
-    _with_instance,
     check_payload,
     prop_extension_minimality,
     prop_functor_laws,
+    prop_sup_extension_of_embedding,
 )
 
-from conftest import antichain, chain
+from conftest import antichain, chain, diamond_poset
 
 
 def test_report_validation():
@@ -288,15 +285,17 @@ COMPOSITION_WITNESSES = {
 
 
 @pytest.mark.parametrize("corrupted, f_image, g_image, law", [
-    ((0, 1, 2), (0, 0, 0), (0, 0, 0), "identity"),
+    # an identity failure names no pair
+    ((0, 1, 2), (), (), "identity"),
     ((2, 2, 2), (0, 0, 0), (2, 0, 0), "composition"),
     # sampled maps; the corrupted image is no sampled map, but the
     # composite of three pairs, of which this is the first
     ((0, 2, 0, 0), (3, 0, 3, 3), (2, 2, 2, 0), "composition"),
 ])
 def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, law):
-    """With the lifted map of one base map corrupted, the suite's report is
-    ``check_functor_laws`` on the first failing pair, rebound to the payload."""
+    """With the lifted map of one base map corrupted, the suite files the
+    law's violation on the payload; a composition failure also names the
+    images of the first failing pair as ``f`` and ``g``."""
     original = maps._powerdomain_map
 
     def corrupting(f, capacity):
@@ -309,16 +308,17 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
     monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
     payload = {"n": len(corrupted), "covers": []}
     report = prop_functor_laws(payload)
-    poset = antichain(len(corrupted))
-    f = MonotoneMap(poset, poset, f_image)
-    g = MonotoneMap(poset, poset, g_image)
-    assert report == _with_instance(check_functor_laws(f, g), payload)
-    assert report.witness["law"] == law
-    assert report.witness["instance"] == payload
+    expected = {"instance": payload, "law": law}
     if law == "composition":
-        assert (report.witness["expected"], report.witness["got"]) == (
-            COMPOSITION_WITNESSES[corrupted]
-        )
+        lifted_composite, composite_lifted = COMPOSITION_WITNESSES[corrupted]
+        expected.update(f=list(f_image), g=list(g_image),
+                        expected=lifted_composite, got=composite_lifted)
+    else:
+        expected["n"] = len(corrupted)
+    assert (report.property, report.verdict) == ("functor-laws", FAIL)
+    assert report.instance == instance_text(payload)
+    assert report.witness == expected
+    assert replay(report) == report
 
 
 def test_functor_laws_lift_each_composite_once(monkeypatch):
@@ -381,8 +381,8 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
 ])
 def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_image, law):
     """With the lifted map of one map into the two-element chain corrupted,
-    the suite's report is ``check_minimality`` on that map, rebound to the
-    payload."""
+    the suite files the law's violation on the payload and names that
+    map's image as ``map``."""
     original = maps._powerdomain_map
     chain2 = chain(2)
 
@@ -395,10 +395,12 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
     monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
     payload = {"n": 2, "covers": []}
     report = prop_extension_minimality(payload)
-    f = MonotoneMap(antichain(2), chain2, corrupted)
-    assert report == _with_instance(check_minimality(f, MINIMALITY_CAPACITY), payload)
+    assert (report.property, report.verdict) == ("extension-minimality", FAIL)
+    assert report.instance == instance_text(payload)
     assert report.witness["law"] == law
     assert report.witness["instance"] == payload
+    assert report.witness["map"] == list(corrupted)
+    assert replay(report) == report
 
 
 @pytest.mark.parametrize("name, patched, mutant, payload, law", [
@@ -408,14 +410,51 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
 def test_rebound_failures_replay_their_own_property(
     monkeypatch, name, patched, mutant, payload, law
 ):
-    """A failure of ``check_sigma_theorem`` inside another property is
-    filed under that property, so replaying it runs that property."""
+    """A failure of a ``check_sigma_theorem`` law inside another property
+    is filed under that property, so replaying it runs that property."""
     monkeypatch.setattr(completion, patched, mutant)
     report = PROPERTIES[name](payload)
     assert (report.property, report.verdict, report.witness["law"]) == (name, FAIL, law)
     assert report.witness["instance"] == payload
     again = replay(report)
     assert (again.property, again.verdict, again.witness["law"]) == (name, FAIL, law)
+
+
+def test_sup_extension_of_embedding_computes_sharp_once(monkeypatch):
+    """On every labeled poset with at most three elements,
+    ``sup-extension-of-embedding`` computes the sup extension once and
+    checks every law on that one."""
+    calls = []
+    original = completion.lambda_sharp
+
+    def counting(problem):
+        calls.append(problem)
+        return original(problem)
+
+    monkeypatch.setattr(completion, "lambda_sharp", counting)
+    monkeypatch.setattr(suite, "lambda_sharp", counting)
+    for n in range(1, 4):
+        for poset in all_posets(n):
+            calls.clear()
+            report = prop_sup_extension_of_embedding(document_of_poset(poset).to_payload())
+            assert (report.verdict, len(calls)) == (PASS, 1)
+
+
+@pytest.mark.parametrize("prop", SUITE_GROUPS["sigma"])
+def test_passing_sigma_properties_serialize_no_poset(monkeypatch, prop):
+    """A passing sigma property renders no poset: it reads no covers."""
+    payloads = (CHAIN_2, document_of_poset(diamond_poset()).to_payload())
+    read = []
+    original = FinitePoset.cover_pairs
+
+    def counting(poset):
+        read.append(poset)
+        return original(poset)
+
+    monkeypatch.setattr(FinitePoset, "cover_pairs", counting)
+    for payload in payloads:
+        assert PROPERTIES[prop](payload).verdict == PASS
+    assert read == []
 
 
 def constant_lift(original):
@@ -534,8 +573,8 @@ def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
         assert replay(report) == report
 
 
-# generating relations that are not covers: no lower-level check
-# renders this payload as its own instance
+# generating relations that are not covers: a document rendered from
+# the parsed poset would differ from this payload
 CHAIN_3_RELATIONS = {"n": 3, "covers": [[0, 1], [1, 2], [0, 2]]}
 
 
@@ -551,15 +590,14 @@ REBOUND_MUTANTS = {
 
 @pytest.mark.parametrize("prop", REBOUND_MUTANTS)
 def test_rebound_failures_report_the_payload(monkeypatch, prop):
-    """A failure rebound from a lower-level check names the payload as
-    its instance, as every other report on that payload does; the
-    lower-level rendering stays in the witness as ``detail``."""
+    """A failure filed from a law's violation names the payload as its
+    instance, as every other report on that payload does."""
     module, name, mutant = REBOUND_MUTANTS[prop]
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     report = PROPERTIES[prop](CHAIN_3_RELATIONS)
     assert (report.property, report.verdict) == (prop, FAIL)
     assert report.instance == instance_text(CHAIN_3_RELATIONS)
-    assert report.witness["detail"] != report.instance
+    assert report.witness["instance"] == CHAIN_3_RELATIONS
 
 
 def test_one_build_per_powerdomain(monkeypatch):
