@@ -10,7 +10,7 @@ other monotone extension, and is the only sup-preserving one.
 from __future__ import annotations
 
 from .errors import CapacityError, RangeError, SigmaUndefinedError, _Value
-from .maps import MonotoneMap, _map_payload
+from .maps import MonotoneMap, _made, _map_payload
 from .poset import (
     FinitePoset,
     _down_sets_by_extension,
@@ -122,7 +122,7 @@ def lambda_sharp(problem: SupExtensionProblem) -> MonotoneMap:
                 f"no sup for image subset {image:#x}", member_mask=image
             )
         values.append(value)
-    return MonotoneMap(problem.space.order, target, tuple(values))
+    return _made(problem.space.order, target, tuple(values))
 
 
 def is_sup_preserving(f: MonotoneMap, capacity: int | None = None) -> bool:

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 from .errors import CapacityError, RangeError
 from .poset import FinitePoset, _transpose, iter_bits
-from .maps import MonotoneMap, MonotoneRule, anchored_extensions
+from .maps import MonotoneMap, MonotoneRule, _made, anchored_extensions
 
 MAX_EXHAUSTIVE_N = 5
 
@@ -98,4 +98,4 @@ def random_monotone_map(
         if not candidates:
             return None
         image[x] = rng.choice(candidates)
-    return MonotoneMap(source, target, tuple(image))
+    return _made(source, target, tuple(image))

@@ -36,39 +36,32 @@ from .report import CheckReport, failed, passed
 class MonotoneMap(_Value):
     """A map ``source -> target`` given by its image tuple.
 
-    Monotonicity is validated eagerly, on each cover edge of the source;
-    use ``unchecked`` for an image that is monotone by construction, or
-    to carry a raw assignment that a check should reject.  An unchecked
-    map remembers it, so lifting it validates it first.
+    The constructor validates an image that comes from outside the
+    package: its length and range, then monotonicity on each cover edge
+    of the source.  Every map the package derives is made by ``_made``
+    with no check, and certified by the law that covers it.
     """
 
     _fields = ("source", "target", "image")
 
     def __init__(
-        self,
-        source: FinitePoset,
-        target: FinitePoset,
-        image: tuple[int, ...],
-        *,
-        validate: bool = True,
+        self, source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
     ) -> None:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "image", image)
-        object.__setattr__(self, "_validated", validate)
         if len(self.image) != self.source.n:
             raise RangeError("image tuple does not match the source size")
         target_n = self.target.n
         for value in self.image:
             if not 0 <= value < target_n:
                 raise RangeError(f"image value {value} is out of range")
-        if validate:
-            violation = _monotonicity_violation(self)
-            if violation is not None:
-                x, y = violation
-                raise NotSpectralError(
-                    f"{x} <= {y} in the source but the images are unordered"
-                )
+        violation = _monotonicity_violation(self)
+        if violation is not None:
+            x, y = violation
+            raise NotSpectralError(
+                f"{x} <= {y} in the source but the images are unordered"
+            )
 
     # Written out, not the _Value forms: maps key the lift cache.
     def __eq__(self, other: object) -> bool:
@@ -79,12 +72,6 @@ class MonotoneMap(_Value):
 
     def __hash__(self) -> int:
         return hash((self.source, self.target, self.image))
-
-    @classmethod
-    def unchecked(
-        cls, source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
-    ) -> "MonotoneMap":
-        return cls(source, target, tuple(image), validate=False)
 
     def __call__(self, element: int) -> int:
         return self.image[element]
@@ -113,15 +100,22 @@ def _monotonicity_violation(f: MonotoneMap) -> tuple[int, int] | None:
     return None
 
 
+def _made(source: FinitePoset, target: FinitePoset, image: tuple[int, ...]) -> MonotoneMap:
+    """A map the package derived, with its fields set and not checked."""
+    f = object.__new__(MonotoneMap)
+    f.__dict__.update(source=source, target=target, image=image)
+    return f
+
+
 def identity(poset: FinitePoset) -> MonotoneMap:
-    return MonotoneMap(poset, poset, tuple(range(poset.n)))
+    return _made(poset, poset, tuple(range(poset.n)))
 
 
 def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     """The composite ``outer after inner``."""
     if inner.target != outer.source:
         raise CompositionMismatchError("middle posets differ")
-    return MonotoneMap(
+    return _made(
         inner.source, outer.target, tuple(outer.image[v] for v in inner.image)
     )
 
@@ -134,16 +128,14 @@ def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
     closure of the image of a point is its parent's closure OR ``lift``
     of the one member the parent lacks (``PowerdomainSpace._parents``),
     in canonical order, so a parent is always closed first; then one
-    ``point_index`` lookup per point.  A map built with
-    ``MonotoneMap.unchecked`` is validated first; a constructed one
-    was validated when it was made.  The result is validated like any
-    other map.  The cache keeps the 128 most recent lifts
-    (``functor-laws`` keeps its composites' lifts itself).  A lift is
+    ``point_index`` lookup per point, with no row of either space's
+    order.  The lift is not checked: ``functor-laws``,
+    ``extension-minimality`` and ``lift-round-trip`` certify it.  The
+    cache keeps the 128 most recent lifts (``functor-laws`` keeps its
+    composites' lifts itself).  A lift is
     read again soon after it is made or not at all: on the exhaustive
     scopes this cache hits exactly as often as an unbounded one.
     """
-    if not f._validated and _monotonicity_violation(f) is not None:
-        raise NotSpectralError("the assignment is not monotone")
     source_space = build(f.source, capacity)
     target_space = build(f.target, capacity)
     target_down = f.target.down
@@ -154,7 +146,7 @@ def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
         closed.append(closed[parent] | lift[x])
     del closed[0]
     image = tuple(map(target_space.point_index.__getitem__, closed))
-    return MonotoneMap(source_space.order, target_space.order, image)
+    return _made(source_space.order, target_space.order, image)
 
 
 def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
@@ -180,9 +172,8 @@ def _composition_violation(
 
     Takes the induced maps of ``f``, ``g`` and ``compose(g, f)``, so a
     caller pairing many maps lifts each map and each distinct composite
-    once.  The lifted composite is validated; the composite of the lifts
-    is compared with it as an image tuple, one lookup per point: a tuple
-    equal to a validated map's image is monotone.
+    once.  The composite of the lifts is compared with the lifted
+    composite as an image tuple, one lookup per point.
     """
     composite_lifted = tuple(map(lifted_g.image.__getitem__, lifted_f.image))
     if (lifted_composite.source != lifted_f.source
@@ -345,7 +336,7 @@ def enumerate_extensions(
     source_space, target_space = build(f.source), build(f.target)
     values = [target_space.phi_index[value] for value in f.image]
     return tuple(
-        MonotoneMap.unchecked(source_space.order, target_space.order, image)
+        _made(source_space.order, target_space.order, image)
         for image in _principal_extensions(
             source_space, values, target_space.order, capacity
         )
@@ -425,4 +416,4 @@ def lift_homeomorphism(
                 f"the image of the principal point of {x} is not principal"
             )
         image.append(principal_targets[value])
-    return MonotoneMap(source_space.base, target_space.base, tuple(image))
+    return _made(source_space.base, target_space.base, tuple(image))

@@ -212,14 +212,19 @@ def phi(space: PowerdomainSpace, element: int) -> int:
     return space.phi_index[element]
 
 
+def _check_open(space: PowerdomainSpace, omega: int) -> None:
+    """Raise unless ``omega`` is an open of the base: a down-set mask."""
+    check_subset(space.base, omega)
+    if not is_down_set(space.base, omega):
+        raise NotOpenError(f"mask {omega:#x} is not a down-set of the base")
+
+
 def basic_open(space: PowerdomainSpace, omega: int) -> frozenset[int]:
     """Indices of the points contained in the open ``omega``.
 
     These sets form the defining basis of the powerdomain topology.
     """
-    check_subset(space.base, omega)
-    if not is_down_set(space.base, omega):
-        raise NotOpenError(f"mask {omega:#x} is not a down-set of the base")
+    _check_open(space, omega)
     return frozenset(
         i for i, member in enumerate(space.points) if member & ~omega == 0
     )
@@ -233,9 +238,7 @@ def vietoris_open(space: PowerdomainSpace, omega: int) -> frozenset[int]:
     ``zariski-equals-vietoris`` property checks that it equals
     ``basic_open`` on every open, so the two topologies agree.
     """
-    check_subset(space.base, omega)
-    if not is_down_set(space.base, omega):
-        raise NotOpenError(f"mask {omega:#x} is not a down-set of the base")
+    _check_open(space, omega)
     index = space.point_index.get(omega)
     if index is None:
         return frozenset()

@@ -27,6 +27,7 @@ from .maps import (
     MonotoneMap,
     _composition_violation,
     _identity_violation,
+    _made,
     _minimality_violation,
     compose,
     identity,
@@ -148,13 +149,9 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
 
 
 def _endo_images(poset: FinitePoset, payload: dict) -> list[MonotoneMap]:
-    """The endomaps with distinct images to pair up, in first-drawn order.
-
-    Each is validated once: when drawn, or when wrapped around an image
-    of the exhaustive search.
-    """
+    """The endomaps with distinct images to pair up, in first-drawn order."""
     if poset.n <= 3:
-        return [MonotoneMap(poset, poset, image)
+        return [_made(poset, poset, image)
                 for image in all_monotone_images(poset, poset)]
     rng = random.Random(_instance_seed(payload))
     maps: list[MonotoneMap] = []
@@ -170,15 +167,16 @@ def _endo_images(poset: FinitePoset, payload: dict) -> list[MonotoneMap]:
 def prop_functor_laws(payload: dict) -> CheckReport:
     """Composition and identity survive the powerdomain construction.
 
-    Each map ``_endo_images`` returns was validated when it was made and
-    is lifted once, the capacity is resolved once, and the identity law
-    is checked once, on the one poset every map lives on.  Each distinct
-    base composite is validated and lifted once, keyed by its image,
-    since many pairs share one; every lift is validated, once, when it
-    is made.  Every pair then compares the composite of its two lifts
-    with that lift as an image tuple.  A composition failure names the
-    images of its pair, the first failing one, as ``f`` and ``g``; an
-    identity failure fails every pair, so it names none.
+    Each map ``_endo_images`` returns is lifted once, the capacity is
+    resolved once, and the identity law is checked once, on the one
+    poset every map lives on.  Each distinct base composite is lifted
+    once, keyed by its image, since many pairs share one.  No map or
+    lift is validated: the maps are monotone by construction, and these
+    laws are what certify the lifts.  Every pair then compares the
+    composite of its two lifts with that lift as an image tuple.  A
+    composition failure names the images of its pair, the first failing
+    one, as ``f`` and ``g``; an identity failure fails every pair, so it
+    names none.
     """
     prop = "functor-laws"
     poset = _poset_of(payload)
@@ -220,7 +218,7 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
     try:
         for image in all_monotone_images(poset, CHAIN2):
             violation = _minimality_violation(
-                MonotoneMap(poset, CHAIN2, image), MINIMALITY_CAPACITY)
+                _made(poset, CHAIN2, image), MINIMALITY_CAPACITY)
             if violation is not None:
                 return failed(prop, payload, **violation, map=list(image))
     except CapacityError as exc:
@@ -234,7 +232,7 @@ def prop_lift_round_trip(payload: dict) -> CheckReport:
     poset = _poset_of(payload)
     rotation = tuple((i + 1) % poset.n for i in range(poset.n))
     other = relabel(poset, rotation)
-    sigma = MonotoneMap(poset, other, rotation)
+    sigma = _made(poset, other, rotation)
     induced_iso = powerdomain_map(sigma)
     try:
         lifted = lift_homeomorphism(build(poset), build(other), induced_iso)
@@ -279,7 +277,7 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
     poset = _poset_of(payload)
     try:
         space = build(poset)
-        into_points = MonotoneMap(poset, space.order, space.phi_index)
+        into_points = _made(poset, space.order, space.phi_index)
         problem = SupExtensionProblem(into_points, space)
         sharp = lambda_sharp(problem)
         if sharp.image != tuple(range(space.order.n)):

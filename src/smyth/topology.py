@@ -10,7 +10,7 @@ called inverse-closed throughout.
 
 from __future__ import annotations
 
-from .errors import MalformedFamilyError, _Value
+from .errors import CapacityError, MalformedFamilyError, _Value
 from .poset import FinitePoset, _transpose, check_subset, enumerate_down_sets
 
 
@@ -38,8 +38,11 @@ def poset_of_topology(family: OpenFamily) -> FinitePoset:
     """Recover the specialization order from an open-set family.
 
     ``x <= y`` exactly when every open containing ``y`` contains ``x``.
-    The family must be a genuine topology on the carrier; the base field
-    of the input only contributes the carrier size and labels.
+    Every member is a down-set of that order, so the family is its
+    topology when the order has no more down-sets than the family has
+    members.  A family that is not T0 raises CycleError, even one that
+    is not a topology either.  The base field of the input only
+    contributes the carrier size and labels.
     """
     n = family.base.n
     full = (1 << n) - 1
@@ -48,12 +51,6 @@ def poset_of_topology(family: OpenFamily) -> FinitePoset:
         check_subset(family.base, candidate)
     if 0 not in opens or full not in opens:
         raise MalformedFamilyError("a topology contains the empty and full sets")
-    for a in family.opens:
-        for b in family.opens:
-            if a | b not in opens:
-                raise MalformedFamilyError(f"union {a:#x} | {b:#x} is missing")
-            if a & b not in opens:
-                raise MalformedFamilyError(f"intersection {a:#x} & {b:#x} is missing")
     down = []
     for i in range(n):
         minimal_open = full
@@ -61,4 +58,10 @@ def poset_of_topology(family: OpenFamily) -> FinitePoset:
             if u >> i & 1:
                 minimal_open &= u
         down.append(minimal_open)
-    return FinitePoset(n, _transpose(down, n), tuple(down), family.base.labels)
+    order = FinitePoset(n, _transpose(down, n), tuple(down), family.base.labels)
+    try:
+        enumerate_down_sets(order, True, len(opens))
+    except CapacityError:
+        raise MalformedFamilyError(
+            "the family is not closed under union and intersection") from None
+    return order

@@ -11,6 +11,7 @@ from smyth import (
     CycleError,
     FinitePoset,
     MonotoneMap,
+    PowerdomainSpace,
     SupExtensionProblem,
     build,
     down_closure,
@@ -18,7 +19,7 @@ from smyth import (
     is_down_set,
     sup,
 )
-from smyth import completion
+from smyth import completion, maps
 from smyth.generators import random_poset
 from smyth.maps import anchored_extensions
 from smyth.poset import _transpose, check_subset, iter_bits, mask_of
@@ -253,7 +254,7 @@ def sigma_law_by_enumeration(problem: SupExtensionProblem) -> str | None:
         if not all(target.leq(s, c) for s, c in zip(sharp, candidate)):
             return "pointwise-least"
     for candidate in extensions:
-        f = MonotoneMap.unchecked(space.order, target, candidate)
+        f = maps._made(space.order, target, candidate)
         if completion.is_sup_preserving(f) != (candidate == sharp):
             return "unique-sup-preserving"
     return None
@@ -410,6 +411,25 @@ def shallow_recursion():
     sys.setrecursionlimit(depth + 250)
     yield
     sys.setrecursionlimit(previous)
+
+
+@pytest.fixture
+def lift_defect(monkeypatch):
+    """Every lift reads its spaces' parent members in reverse order.
+
+    The lift cache is emptied on the way in and out, so no defective
+    lift outlives the test.
+    """
+    parents = PowerdomainSpace.__dict__["_parents"].func
+
+    def reversing(space):
+        found, members = parents(space)
+        return found, members[::-1]
+
+    monkeypatch.setattr(PowerdomainSpace, "_parents", property(reversing))
+    maps._powerdomain_map.cache_clear()
+    yield
+    maps._powerdomain_map.cache_clear()
 
 
 @pytest.fixture

@@ -173,6 +173,16 @@ def test_check_fails_on_corruption(tmp_path, capsys):
         assert "instance" in report["witness"]
 
 
+def test_check_files_a_lift_defect_as_a_failure(lift_defect, capsys):
+    """A wrong lift is a failed law (exit 1), not an error (exit 2)."""
+    assert main(["check", str(FIXTURES / "vee.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["property"] for r in reports if r["verdict"] == "fail"] == [
+        "functor-laws", "extension-minimality", "lift-round-trip"]
+
+
 def test_check_sigma_on_a_six_element_antichain(tmp_path, capsys):
     """Sup-preservation is tested per point, so the 63-point powerdomain
     needs no walk over its millions of antichains."""

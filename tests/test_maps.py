@@ -65,7 +65,7 @@ def test_monotone_validation(vee, chain2):
 
 
 def test_unchecked_escape_hatch(chain2):
-    bad = MonotoneMap.unchecked(chain2, chain2, (1, 0))
+    bad = maps._made(chain2, chain2, (1, 0))
     assert bad.image == (1, 0)
     assert not is_spectral(bad)
 
@@ -187,15 +187,6 @@ def test_lift_matches_both_oracles_on_the_largest_five_element_spaces():
         assert lifted == powerdomain_image_by_member_fold(f)
 
 
-def test_lifting_an_unchecked_map_validates_it(chain2):
-    """An unchecked assignment is validated before it is lifted: a
-    non-monotone one raises, a monotone one lifts like a checked one."""
-    with pytest.raises(NotSpectralError):
-        powerdomain_map(MonotoneMap.unchecked(chain2, chain2, (1, 0)))
-    unchecked = MonotoneMap.unchecked(chain2, chain2, (0, 0))
-    assert powerdomain_map(unchecked) == powerdomain_map(MonotoneMap(chain2, chain2, (0, 0)))
-
-
 def test_capacity_is_read_on_every_check(monkeypatch):
     """``SPECTRAL_CAPACITY`` set or cleared mid-process takes effect on the
     next check: nothing caches the variable."""
@@ -260,7 +251,7 @@ def test_identity_law_covers_every_poset(monkeypatch, broken):
         lifted = original(h, capacity)
         if h != identity(trio[broken]):
             return lifted
-        return MonotoneMap.unchecked(lifted.source, lifted.target, lifted.image[::-1])
+        return maps._made(lifted.source, lifted.target, lifted.image[::-1])
 
     assert check_functor_laws(f, g).ok
     monkeypatch.setattr(maps, "_powerdomain_map", breaking)
@@ -335,7 +326,7 @@ def test_anchored_extensions_match_brute_force(source, target, seed, kept, wild)
         found = anchored_extensions(source, anchors, target)
         assert found == brute_force_extensions(source, anchors, target)
         for image in found:
-            raw = MonotoneMap.unchecked(source, target, image)
+            raw = maps._made(source, target, image)
             assert _monotonicity_violation(raw) is None
 
 
@@ -369,7 +360,7 @@ def test_is_order_isomorphism_matches_pairwise():
             for target in all_posets(n):
                 images = permutations(range(n)) if n == 4 else product(range(n), repeat=n)
                 for image in images:
-                    f = MonotoneMap.unchecked(source, target, image)
+                    f = maps._made(source, target, image)
                     assert is_order_isomorphism(f) == is_order_isomorphism_by_pairs(f)
 
 
@@ -381,7 +372,7 @@ def test_cover_monotonicity_matches_pair_scan():
     for source in small:
         for target in small:
             for image in product(range(target.n), repeat=source.n):
-                raw = MonotoneMap.unchecked(source, target, image)
+                raw = maps._made(source, target, image)
                 violation = _monotonicity_violation(raw)
                 assert (violation is None) == (monotonicity_violation_by_pairs(raw) is None)
                 if violation is None:

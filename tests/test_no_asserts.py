@@ -6,7 +6,9 @@ are checked by named suite properties or by tests instead.  An import
 that nothing reads, or a module-level ``_name`` that no module of the
 package reads, is left over from code that was deleted.  A report is
 made by the helpers of ``report.py`` alone, and a suite property files
-each verdict on the payload it ran on.
+each verdict on the payload it ran on.  Only the CLI calls the
+validating ``MonotoneMap`` constructor; every map the package derives
+is made by ``maps._made``, and no way around the check remains.
 """
 
 import ast
@@ -111,3 +113,36 @@ def test_reports_come_from_the_report_helpers():
                     found.append(f"{path.name}:{node.lineno}:{name}")
     assert verdicts > 0
     assert found == [], f"reports made another way: {found}"
+
+
+def identifiers(node: ast.AST) -> list[str]:
+    """The names a node spells: a name, an attribute, a definition, a
+    parameter, a keyword argument or a string constant."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return [node.arg] if node.arg else []
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def test_only_the_cli_validates_maps():
+    """No module but ``cli.py`` calls ``MonotoneMap(``, and no module
+    names ``unchecked`` or ``_validated``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and path.name != "cli.py":
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "MonotoneMap":
+                    found.append(f"{path.name}:{node.lineno}:MonotoneMap")
+            found += [f"{path.name}:{node.lineno}:{name}" for name in identifiers(node)
+                      if name in ("unchecked", "_validated")]
+    assert found == [], f"maps validated or bypassed another way: {found}"

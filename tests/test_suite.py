@@ -4,6 +4,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from smyth import (
     CheckReport,
     FinitePoset,
     MonotoneMap,
+    NotSpectralError,
     PowerdomainSpace,
     RangeError,
     build,
@@ -100,10 +102,13 @@ def test_fixture_scope_green():
     assert names == set(PER_POSET_PROPERTIES) | {"fixture-expectations"}
 
 
-@pytest.mark.parametrize(
-    "scope, digest, count",
-    [("fixtures", "cdd2a13a70e5b162", 44), ("exhaustive-4", "8cb1057c8fa761ae", 2190)],
-)
+# a sha256 prefix of every report line of each scope, and its length
+PINNED_SCOPES = [
+    ("fixtures", "cdd2a13a70e5b162", 44), ("exhaustive-4", "8cb1057c8fa761ae", 2190),
+]
+
+
+@pytest.mark.parametrize("scope, digest, count", PINNED_SCOPES)
 def test_report_lists_are_pinned(scope, digest, count):
     # a sha256 prefix of every report line: a change meant to keep each
     # verdict, witness and skip reason must leave these bytes alone
@@ -303,7 +308,7 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
         if f.image != corrupted:
             return lifted
         image = lifted.image[:-1] + (0,)
-        return MonotoneMap.unchecked(lifted.source, lifted.target, image)
+        return maps._made(lifted.source, lifted.target, image)
 
     monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
     payload = {"n": len(corrupted), "covers": []}
@@ -341,9 +346,9 @@ def test_functor_laws_lift_each_composite_once(monkeypatch):
 
 
 def test_functor_laws_validate_each_map_once(monkeypatch):
-    """``functor-laws`` checks monotonicity once per drawn map and for the
-    identity, once per distinct composite and once per lift: no map is
-    checked again when it is paired or lifted."""
+    """``functor-laws`` lifts each drawn map, the identity and each
+    distinct composite once, and checks the monotonicity of none: the
+    maps are monotone by construction, and the laws certify the lifts."""
     payload = {"n": 4, "covers": []}
     images = [f.image for f in suite._endo_images(antichain(4), payload)]
     composites = {tuple(g[v] for v in f) for f in images for g in images}
@@ -371,8 +376,7 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
     assert prop_functor_laws(payload).verdict == PASS
     assert None not in drawn and len(drawn) == suite.SAMPLED_MAPS
     assert len(lifted) == 1 + len(images) + len(composites)
-    assert len(checked) == len(drawn) + 1 + len(composites) + len(lifted)
-    assert len({id(f) for f in checked}) == len(checked)
+    assert checked == []
 
 
 @pytest.mark.parametrize("corrupted, lifted_image, law", [
@@ -390,7 +394,7 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
         lifted = original(f, capacity)
         if f.target != chain2 or f.image != corrupted:
             return lifted
-        return MonotoneMap.unchecked(lifted.source, lifted.target, lifted_image)
+        return maps._made(lifted.source, lifted.target, lifted_image)
 
     monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
     payload = {"n": 2, "covers": []}
@@ -561,6 +565,8 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("sup-extension-of-embedding", ANTICHAIN_2), "sharp-is-identity"),
     (suite, "build", with_phi_index(lambda phi: tuple(i + 1 for i in phi)),
      suite_check("lift-round-trip", ANTICHAIN_3), "principal-to-principal"),
+    (completion, "sup", lambda original: lambda poset, mask: poset.n - 1 - original(poset, mask),
+     suite_check("sup-extension", CHAIN_2), "restricts-to-base"),
 ])
 def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
     """One seeded defect per law, each caught by its own law; a suite
@@ -636,3 +642,47 @@ def test_bounded_lift_cache_loses_no_reuse(monkeypatch):
         counts.append((info.hits, info.misses))
     assert counts[0][1] > bounded.cache_info().maxsize
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name, law", [
+    ("functor-laws", "identity"),
+    ("extension-minimality", "induced-map-is-an-extension"),
+    ("lift-round-trip", "induced-map-is-isomorphism"),
+])
+def test_a_lift_defect_is_filed_as_a_failure(lift_defect, name, law):
+    """A wrong lift reaches the law that certifies it, fails there on the
+    payload, and replays."""
+    report = PROPERTIES[name](FIXTURE_DOCS[0])
+    assert (report.verdict, report.witness["law"]) == (FAIL, law)
+    assert report.witness["instance"] == FIXTURE_DOCS[0]
+    assert replay(report) == report
+
+
+@pytest.mark.parametrize("scope, digest, count", PINNED_SCOPES)
+def test_derived_maps_are_monotone(monkeypatch, scope, digest, count):
+    """Every map the package derives passes the validating constructor's
+    range and cover checks, and checking them moves no report."""
+    made = maps._made
+    rejected = []
+
+    def checking(source, target, image):
+        try:
+            MonotoneMap(source, target, image)
+        except (RangeError, NotSpectralError) as exc:
+            rejected.append((image, str(exc)))
+        return made(source, target, image)
+
+    importers = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("smyth.") and getattr(module, "_made", None) is made]
+    assert {module.__name__ for module in importers} >= {
+        "smyth.maps", "smyth.generators", "smyth.completion", "smyth.suite"}
+    for module in importers:
+        monkeypatch.setattr(module, "_made", checking)
+    maps._powerdomain_map.cache_clear()
+    reports = run_suite(scope)
+    maps._powerdomain_map.cache_clear()
+    assert rejected == []
+    text = "\n".join(r.to_json() for r in reports)
+    assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(reports)) == (
+        digest, count
+    )

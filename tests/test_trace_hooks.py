@@ -5,6 +5,7 @@ cache statistics; a renamed or reshaped target breaks a traced run
 (``python3 bench/run.py --trace 1``) without failing any other test.
 """
 
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -87,3 +88,24 @@ def test_uncached_build_validates_once(monkeypatch):
         getattr(order, first)
         assert order.upper_covers[0] and order.lower_covers[-1]
         assert validations == row_builds == [order.n]
+
+
+def test_lifting_out_of_a_large_space_makes_no_rows(monkeypatch):
+    # the traced maps.powerdomain_map metrics of a large lift count no
+    # row builds: a lift reads point masks, never the rows of an order
+    row_builds = []
+    inclusion_rows = powerdomain._inclusion_rows
+
+    def counting_rows(base, points):
+        row_builds.append(len(points))
+        return inclusion_rows(base, points)
+
+    monkeypatch.setattr(powerdomain, "_inclusion_rows", counting_rows)
+    monkeypatch.setattr(powerdomain, "_build",
+                        functools.lru_cache(maxsize=None)(powerdomain._build.__wrapped__))
+    source = FinitePoset.from_cover_relations(12, [])
+    target = FinitePoset.from_cover_relations(2, [(0, 1)])
+    f = maps.MonotoneMap(source, target, tuple(i % 2 for i in range(12)))
+    lifted = maps._powerdomain_map.__wrapped__(f, 1 << 16)
+    assert len(lifted.image) == (1 << 12) - 1
+    assert row_builds == []

@@ -17,6 +17,7 @@ from smyth import (
     SigmaMap,
     SupExtensionProblem,
     build,
+    maps,
     open_sets,
     sigma_map,
 )
@@ -96,11 +97,12 @@ def test_space_compares_by_identity():
 
 
 def test_unchecked_map_equals_the_validated_one():
+    """A map the package makes with no check equals and hashes like the
+    validated map with the same fields."""
     vee, chain2 = vee_poset(), chain(2)
     checked = MonotoneMap(vee, chain2, (0, 0, 1))
-    unchecked = MonotoneMap.unchecked(vee, chain2, [0, 0, 1])
-    assert (checked._validated, unchecked._validated) == (True, False)
-    assert checked == unchecked and hash(checked) == hash(unchecked)
+    made = maps._made(vee, chain2, (0, 0, 1))
+    assert checked == made and hash(checked) == hash(made)
 
 
 def test_cached_properties_fill_the_instance():
