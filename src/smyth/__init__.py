@@ -73,7 +73,6 @@ _EXPORTS_BY_MODULE = {
     ),
     "completion": (
         "SigmaMap",
-        "SupExtensionProblem",
         "check_sigma_theorem",
         "is_sup_preserving",
         "lambda_sharp",

@@ -81,48 +81,30 @@ def sigma_map(ambient: FinitePoset, carrier: int) -> SigmaMap:
     return SigmaMap(ambient, carrier, domain, sups)
 
 
-class SupExtensionProblem(_Value):
-    """A map out of a base poset together with that base's powerdomain."""
-
-    _fields = ("base_map", "space")
-
-    def __init__(self, base_map: MonotoneMap, space: PowerdomainSpace) -> None:
-        object.__setattr__(self, "base_map", base_map)
-        object.__setattr__(self, "space", space)
-        if self.space.base != self.base_map.source:
-            raise RangeError("the powerdomain does not belong to the map's source")
-
-    @classmethod
-    def for_map(cls, base_map: MonotoneMap) -> "SupExtensionProblem":
-        return cls(base_map, build(base_map.source))
-
-    @property
-    def target(self) -> FinitePoset:
-        return self.base_map.target
-
-
-def lambda_sharp(problem: SupExtensionProblem) -> MonotoneMap:
-    """The sup extension of the base map to the powerdomain.
+def lambda_sharp(f: MonotoneMap) -> MonotoneMap:
+    """The sup extension of ``f`` to the powerdomain of its source.
 
     Each point maps to the sup of its image.  Defined when every
     inverse-closed subset E of the image has a sup, which is when every
     point's image has one: E is the image of the point of all that maps
     into E, and a point's image has the upper bounds of its down-closure
     in the image.  The first point with no sup raises SigmaUndefinedError
-    with its image mask.  Nothing is enumerated, so no capacity applies.
+    with its image mask.  The space is ``build(f.source)`` under the
+    default capacity, so a source whose powerdomain is over it raises
+    CapacityError; past that nothing is enumerated.
     """
-    lam = problem.base_map
-    target = problem.target
+    space = build(f.source)
+    target = f.target
     values = []
-    for member in problem.space.points:
-        image = lam.image_mask(member)
+    for member in space.points:
+        image = f.image_mask(member)
         value = sup(target, image)
         if value is None:
             raise SigmaUndefinedError(
                 f"no sup for image subset {image:#x}", member_mask=image
             )
         values.append(value)
-    return _made(problem.space.order, target, tuple(values))
+    return _made(space.order, target, tuple(values))
 
 
 def is_sup_preserving(f: MonotoneMap, capacity: int | None = None) -> bool:
@@ -196,7 +178,7 @@ def preserves_sups(space: PowerdomainSpace, f: MonotoneMap) -> bool:
     return True
 
 
-def check_sigma_theorem(problem: SupExtensionProblem) -> CheckReport:
+def check_sigma_theorem(f: MonotoneMap) -> CheckReport:
     """The universal property of the sup extension, from two per-point facts.
 
     The sup extension ``sharp`` restricts to the base map on principal
@@ -209,23 +191,25 @@ def check_sigma_theorem(problem: SupExtensionProblem) -> CheckReport:
     G(I) = sup of the lambda(x), x in I, which is sharp(I): it is the
     only sup-preserving extension.  For the identity map
     ``restricts-to-base`` is the retraction: the sup of a principal
-    down-set is its generator.  Nothing is enumerated, so no capacity
-    applies.  The report's instance is the base map.
+    down-set is its generator.  The space is ``build(f.source)`` under
+    the default capacity, so a source whose powerdomain is over it
+    raises CapacityError; past that nothing is enumerated.  The report's
+    instance is ``f``.
     """
-    violation = _sigma_violation(problem, lambda_sharp(problem))
-    instance = _map_payload(problem.base_map)
+    violation = _sigma_violation(f, lambda_sharp(f))
+    instance = _map_payload(f)
     if violation is not None:
         return failed("sup-extension", instance, **violation)
     return passed("sup-extension", instance)
 
 
-def _sigma_violation(problem: SupExtensionProblem, sharp: MonotoneMap) -> dict | None:
+def _sigma_violation(f: MonotoneMap, sharp: MonotoneMap) -> dict | None:
     """The details of the first law of ``check_sigma_theorem`` that
-    ``sharp``, the sup extension of ``problem``, breaks, or None."""
-    lam = problem.base_map
-    for x in range(lam.source.n):
-        if sharp.image[problem.space.phi_index[x]] != lam.image[x]:
+    ``sharp``, the sup extension of ``f``, breaks, or None."""
+    space = build(f.source)
+    for x in range(f.source.n):
+        if sharp.image[space.phi_index[x]] != f.image[x]:
             return {"law": "restricts-to-base", "element": x}
-    if not preserves_sups(problem.space, sharp):
+    if not preserves_sups(space, sharp):
         return {"law": "sup-preserving"}
     return None

@@ -297,24 +297,53 @@ def anchored_extensions(
     return tuple(sorted(found))
 
 
-def _principal_extensions(
-    space: PowerdomainSpace, values, target: FinitePoset, capacity: int | None
+def _extension_images(
+    f: MonotoneMap, capacity: int | None
 ) -> tuple[tuple[int, ...], ...]:
-    """Every monotone ``space.order -> target`` sending the principal
-    point of each ``x`` to ``values[x]``, as sorted image tuples: the one
-    search of the least-extension laws of induced maps and sup extensions."""
+    """Every monotone map of powerdomains sending ``phi(x)`` to
+    ``phi(f(x))``, as sorted image tuples: the one search of the
+    least-extension laws.  Both spaces are built under the default
+    capacity, resolved once; ``capacity`` bounds the search only."""
+    default = resolve_capacity(None)
+    source_space = build(f.source, default)
+    target_space = build(f.target, default)
+    anchors = {point: target_space.phi_index[value]
+               for point, value in zip(source_space.phi_index, f.image)}
     return anchored_extensions(
-        space.order, dict(zip(space.phi_index, values)), target, capacity
+        source_space.order, anchors, target_space.order, capacity
     )
 
 
-def _least_extension_violation(
-    least: tuple[int, ...], extensions, target: FinitePoset
-) -> dict | None:
-    """The first candidate not above ``least`` at some point, or None.
-    Reads one up row of ``target`` per point, fetched once; on a
-    powerdomain order that is containment of member masks."""
-    floors = [target.up[value] for value in least]
+def enumerate_extensions(
+    f: MonotoneMap, capacity: int | None = None
+) -> tuple[MonotoneMap, ...]:
+    """Every monotone powerdomain map agreeing with ``f`` on principals.
+
+    The anchors are the principal points: ``phi(x)`` must go to
+    ``phi(f(x))``.  The induced map of ``f`` is always among the
+    extensions and is the pointwise least; enumerate to verify, not to
+    construct.  ``capacity`` bounds the search only.  For the identity,
+    ``restricts-to-base`` of ``check_sigma_theorem`` is the retraction.
+    """
+    source, target = build(f.source).order, build(f.target).order
+    return tuple(_made(source, target, image)
+                 for image in _extension_images(f, capacity))
+
+
+def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
+    """The details of the first minimality law ``f`` breaks, or None.
+
+    The extensions are those of ``enumerate_extensions``, anchored at
+    the principal points, as image tuples with no map wrapped around
+    each; each is compared with the induced map on one up row of the
+    target order per point.  ``capacity`` bounds the search only: the
+    spaces and the induced map come from the default caches.
+    """
+    induced_map = powerdomain_map(f)
+    extensions = _extension_images(f, capacity)
+    if induced_map.image not in extensions:
+        return {"law": "induced-map-is-an-extension"}
+    floors = [induced_map.target.up[value] for value in induced_map.image]
     for candidate in extensions:
         for point, value in enumerate(candidate):
             if not floors[point] >> value & 1:
@@ -323,55 +352,14 @@ def _least_extension_violation(
     return None
 
 
-def enumerate_extensions(
-    f: MonotoneMap, capacity: int | None = None
-) -> tuple[MonotoneMap, ...]:
-    """Every monotone powerdomain map agreeing with ``f`` on principals.
-
-    The induced map of ``f`` is always among them and is the pointwise
-    least; enumerate to verify, not to construct.  ``capacity`` bounds
-    the search only.  For the identity, ``restricts-to-base`` of
-    ``check_sigma_theorem`` is the retraction.
-    """
-    source_space, target_space = build(f.source), build(f.target)
-    values = [target_space.phi_index[value] for value in f.image]
-    return tuple(
-        _made(source_space.order, target_space.order, image)
-        for image in _principal_extensions(
-            source_space, values, target_space.order, capacity
-        )
-    )
-
-
-def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
-    """The details of the first minimality law ``f`` breaks, or None.
-
-    Works on the image tuples of the extensions, with no map wrapped
-    around each.  ``capacity`` bounds the search only: the spaces and
-    the induced map come from the default caches, under the default
-    capacity, resolved once.
-    """
-    default = resolve_capacity(None)
-    induced_map = powerdomain_map(f, default)
-    target_space = build(f.target, default)
-    values = [target_space.phi_index[value] for value in f.image]
-    extensions = _principal_extensions(
-        build(f.source, default), values, target_space.order, capacity
-    )
-    if induced_map.image not in extensions:
-        return {"law": "induced-map-is-an-extension"}
-    return _least_extension_violation(
-        induced_map.image, extensions, target_space.order
-    )
-
-
 def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport:
     """The induced map is the pointwise-least extension of ``f``.
 
     It is the sup extension of ``phi`` after ``f``, whose least-ness
     ``check_sigma_theorem`` certifies per point with no search.  This
-    check enumerates every extension instead; ``capacity`` bounds that
-    search only.
+    check enumerates every extension instead, each anchored at the
+    principal points of ``f``'s source and target: ``phi(x)`` goes to
+    ``phi(f(x))``.  ``capacity`` bounds that search only.
     """
     violation = _minimality_violation(f, capacity)
     instance = _map_payload(f)

@@ -166,6 +166,8 @@ class FinitePoset(_Value):
     # Equality and hashing are written out, not the _Value forms: posets
     # are lru_cache keys and are compared on every compose and lift.
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, FinitePoset):
             return NotImplemented
         return (self.n, self.up, self.down, self.labels) == (

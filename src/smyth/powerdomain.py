@@ -302,17 +302,18 @@ def iterate_sizes(
 def check_embedding_theorem(space: PowerdomainSpace) -> CheckReport:
     """Verify the embedding package for one built powerdomain.
 
-    Checks, in order: the basic opens are a basis closed under
-    intersection and rebuild the inclusion order; point containment
-    coincides with the order; the principal-point map is an
-    order-embedding (injective, reflecting the order both ways) and
-    pulls every basic open back to exactly its defining open; the space
-    has one maximal point, the full set; every nonempty basic open
-    contains a principal point, so the image of the base is dense; and
-    the principal points are exactly the join-irreducible ones, those
-    with at most one lower cover (Birkhoff's theorem: the down-set of
-    ``x`` covers at most itself minus ``x``, and a down-set with several
-    maximal members covers itself minus each of them).
+    Checks, in order: the basic opens are closed under intersection;
+    each point's up row in the order is the AND of its members'
+    membership columns, so the order is containment of points; the
+    principal-point map is an order-embedding (injective, reflecting the
+    order both ways) and pulls every basic open back to exactly its
+    defining open; the space has one maximal point, the full set; every
+    nonempty basic open contains a principal point, so the image of the
+    base is dense; and the principal points are exactly the
+    join-irreducible ones, those with at most one lower cover
+    (Birkhoff's theorem: the down-set of ``x`` covers at most itself
+    minus ``x``, and a down-set with several maximal members covers
+    itself minus each of them).
     """
     violation = _embedding_violation(space)
     instance = document_of_poset(space.base).to_payload()

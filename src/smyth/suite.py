@@ -13,7 +13,7 @@ import random
 import zlib
 from functools import lru_cache
 
-from .completion import SupExtensionProblem, _sigma_violation, lambda_sharp
+from .completion import _sigma_violation, lambda_sharp
 from .docio import document_from_payload, document_of_poset, point_lists
 from .errors import (
     CapacityError,
@@ -251,8 +251,8 @@ def prop_sup_extension(payload: dict) -> CheckReport:
     prop = "sup-extension"
     poset = _poset_of(payload)
     try:
-        problem = SupExtensionProblem.for_map(identity(poset))
-        violation = _sigma_violation(problem, lambda_sharp(problem))
+        base_map = identity(poset)
+        violation = _sigma_violation(base_map, lambda_sharp(base_map))
         if violation is not None:
             return failed(prop, payload, **violation)
     except SigmaUndefinedError as exc:
@@ -278,12 +278,11 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
     try:
         space = build(poset)
         into_points = _made(poset, space.order, space.phi_index)
-        problem = SupExtensionProblem(into_points, space)
-        sharp = lambda_sharp(problem)
+        sharp = lambda_sharp(into_points)
         if sharp.image != tuple(range(space.order.n)):
             return failed(prop, payload, law="sharp-is-identity",
                           got=list(sharp.image))
-        violation = _sigma_violation(problem, sharp)
+        violation = _sigma_violation(into_points, sharp)
         if violation is not None:
             return failed(prop, payload, **violation)
     except CapacityError as exc:

@@ -12,7 +12,6 @@ from smyth import (
     FinitePoset,
     MonotoneMap,
     PowerdomainSpace,
-    SupExtensionProblem,
     build,
     down_closure,
     enumerate_down_sets,
@@ -223,18 +222,17 @@ def is_sup_preserving_by_subsets(f: MonotoneMap) -> bool:
     return True
 
 
-def lambda_sharp_by_closure(problem: SupExtensionProblem) -> tuple[int | None, ...]:
+def lambda_sharp_by_closure(f: MonotoneMap) -> tuple[int | None, ...]:
     """Each point to the sup of the down-closure of its image.  The oracle."""
-    f = problem.base_map
     return tuple(
         sup(f.target, down_closure(f.target, f.image_mask(member)))
-        for member in problem.space.points
+        for member in build(f.source).points
     )
 
 
-def sigma_law_by_enumeration(problem: SupExtensionProblem) -> str | None:
-    """The first law of the sup extension's universal property that
-    ``problem`` breaks, or None, by enumerating every monotone extension.
+def sigma_law_by_enumeration(f: MonotoneMap) -> str | None:
+    """The first law of the universal property that the sup extension of
+    ``f`` breaks, or None, by enumerating every monotone extension.
 
     ``is-an-extension``: the sup extension agrees with the base map on
     principal points.  ``pointwise-least``: it lies below every
@@ -244,9 +242,9 @@ def sigma_law_by_enumeration(problem: SupExtensionProblem) -> str | None:
     extension is read through ``completion`` so that a patched one is
     enumerated against.
     """
-    space, target = problem.space, problem.target
-    sharp = completion.lambda_sharp(problem).image
-    anchors = dict(zip(space.phi_index, problem.base_map.image))
+    space, target = build(f.source), f.target
+    sharp = completion.lambda_sharp(f).image
+    anchors = dict(zip(space.phi_index, f.image))
     extensions = anchored_extensions(space.order, anchors, target)
     if sharp not in extensions:
         return "is-an-extension"
@@ -254,8 +252,8 @@ def sigma_law_by_enumeration(problem: SupExtensionProblem) -> str | None:
         if not all(target.leq(s, c) for s, c in zip(sharp, candidate)):
             return "pointwise-least"
     for candidate in extensions:
-        f = maps._made(space.order, target, candidate)
-        if completion.is_sup_preserving(f) != (candidate == sharp):
+        extension = maps._made(space.order, target, candidate)
+        if completion.is_sup_preserving(extension) != (candidate == sharp):
             return "unique-sup-preserving"
     return None
 

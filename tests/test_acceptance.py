@@ -28,7 +28,6 @@ from conftest import (
 )
 
 from smyth.completion import (
-    SupExtensionProblem,
     check_sigma_theorem,
     is_sup_preserving,
     lambda_sharp,
@@ -151,7 +150,7 @@ def test_criterion_2_discrete_collapse_example():
         assert tuple(range(7)) in extensions
 
         embed = MonotoneMap(base, order, space.phi_index)
-        sharp = lambda_sharp(SupExtensionProblem.for_map(embed))
+        sharp = lambda_sharp(embed)
         assert sharp.image == tuple(range(7))
 
 
@@ -283,13 +282,12 @@ def test_criterion_6_sup_extension_random_problems():
             )
             if base_map is None:
                 continue
-            problem = SupExtensionProblem.for_map(base_map)
             try:
-                sharp = lambda_sharp(problem)
+                sharp = lambda_sharp(base_map)
             except SigmaUndefinedError:
                 continue
             accepted += 1
-            space = problem.space
+            space = build(source)
 
             for x in range(source.n):
                 assert sharp.image[space.phi_index[x]] == base_map.image[x]
@@ -303,7 +301,7 @@ def test_criterion_6_sup_extension_random_problems():
                 assert value == sharp.image[i]
                 assert value == sup(target, base_map.image_mask(space.points[i]))
 
-            report = check_sigma_theorem(problem)
+            report = check_sigma_theorem(base_map)
             assert report.verdict == "pass", report.to_json()
         print(f"  {accepted} well-posed problems out of {drawn} draws")
 

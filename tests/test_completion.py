@@ -11,7 +11,6 @@ from smyth import (
     MonotoneMap,
     RangeError,
     SigmaUndefinedError,
-    SupExtensionProblem,
     build,
     check_sigma_theorem,
     enumerate_down_sets,
@@ -165,26 +164,25 @@ def test_lambda_sharp_matches_down_closure_sup():
         for target in small:
             for image in all_monotone_images(source, target):
                 f = MonotoneMap(source, target, image)
-                problem = SupExtensionProblem.for_map(f)
                 if not sigma_map(target, f.image_mask(source.full)).is_total:
                     with pytest.raises(SigmaUndefinedError):
-                        lambda_sharp(problem)
+                        lambda_sharp(f)
                     undefined += 1
                     continue
-                assert lambda_sharp(problem).image == lambda_sharp_by_closure(problem)
+                assert lambda_sharp(f).image == lambda_sharp_by_closure(f)
                 defined += 1
     assert (defined, undefined) == (4288, 530)
 
 
 def test_lambda_sharp_worked_example(vee):
     f = MonotoneMap(vee, chain(2), (0, 0, 1))
-    sharp = lambda_sharp(SupExtensionProblem.for_map(f))
+    sharp = lambda_sharp(f)
     assert sharp.image == (0, 0, 0, 1)
     assert sharp.image == powerdomain_map(f).image
 
 
 def test_lambda_sharp_identity_on_sup_complete(vee):
-    sharp = lambda_sharp(SupExtensionProblem.for_map(identity(vee)))
+    sharp = lambda_sharp(identity(vee))
     # {a1},{a2},{a1,a2},{a1,a2,b} -> a1, a2, b, b
     assert sharp.image == (0, 1, 2, 2)
 
@@ -192,28 +190,27 @@ def test_lambda_sharp_identity_on_sup_complete(vee):
 def test_lambda_sharp_undefined():
     p = antichain(2)
     with pytest.raises(SigmaUndefinedError) as info:
-        lambda_sharp(SupExtensionProblem.for_map(identity(p)))
+        lambda_sharp(identity(p))
     assert info.value.member_mask == 0b11
     # off the identity it is the image of the first point with no sup, in
     # the target's indexing: the point {0, 2} (0b101) maps onto {1, 0}
     f = MonotoneMap(antichain(3), p, (1, 1, 0))
     with pytest.raises(SigmaUndefinedError) as info:
-        lambda_sharp(SupExtensionProblem.for_map(f))
+        lambda_sharp(f)
     assert info.value.member_mask == 0b11
 
 
 def test_lambda_sharp_restricts_to_base(vee):
     f = MonotoneMap(vee, chain(2), (0, 0, 1))
-    problem = SupExtensionProblem.for_map(f)
-    sharp = lambda_sharp(problem)
+    sharp = lambda_sharp(f)
     for x in range(vee.n):
-        assert sharp.image[problem.space.phi_index[x]] == f.image[x]
+        assert sharp.image[build(vee).phi_index[x]] == f.image[x]
 
 
 def test_is_sup_preserving_examples(vee):
     assert is_sup_preserving(identity(vee))
     f = MonotoneMap(vee, chain(2), (0, 0, 1))
-    sharp = lambda_sharp(SupExtensionProblem.for_map(f))
+    sharp = lambda_sharp(f)
     assert is_sup_preserving(sharp)
     # the non-minimal extension moves {a1,a2} above sup of its image
     other = enumerate_extensions(f)[1]
@@ -289,7 +286,7 @@ def test_preserves_sups_needs_the_space_order(vee):
 
 def test_sigma_theorem_worked_example(vee):
     f = MonotoneMap(vee, chain(2), (0, 0, 1))
-    assert check_sigma_theorem(SupExtensionProblem.for_map(f)).ok
+    assert check_sigma_theorem(f).ok
 
 
 @given(posets(max_n=4), posets(max_n=4), st.integers(0, 2**31))
@@ -299,9 +296,8 @@ def test_sigma_theorem_random(source, target, seed):
     f = random_monotone_map(source, target, random.Random(seed))
     if f is None:
         return
-    problem = SupExtensionProblem.for_map(f)
     try:
-        report = check_sigma_theorem(problem)
+        report = check_sigma_theorem(f)
     except SigmaUndefinedError:
         return
     assert report.ok
@@ -315,28 +311,28 @@ def test_is_sup_preserving_capacity_on_a_wide_antichain(shallow_recursion):
 def test_retraction_on_chain():
     # for the identity, restricts-to-base is the retraction sup(phi(z)) == z
     for poset in (chain(3), diamond_poset()):
-        assert check_sigma_theorem(SupExtensionProblem.for_map(identity(poset))).ok
+        assert check_sigma_theorem(identity(poset)).ok
 
 
 def test_retraction_needs_total_sigma():
     with pytest.raises(SigmaUndefinedError):
-        check_sigma_theorem(SupExtensionProblem.for_map(identity(antichain(2))))
+        check_sigma_theorem(identity(antichain(2)))
 
 
-def vee_problem():
-    """The worked sup-extension problem: the vee onto the two-chain, whose
+def vee_map():
+    """The worked sup-extension map: the vee onto the two-chain, whose
     sup extension is (0, 0, 0, 1) and whose other extension is (0, 0, 1, 1)."""
-    return SupExtensionProblem.for_map(MonotoneMap(vee_poset(), chain(2), (0, 0, 1)))
+    return MonotoneMap(vee_poset(), chain(2), (0, 0, 1))
 
 
-def sharp_constant_top(problem):
-    return MonotoneMap(problem.space.order, problem.target, (1, 1, 1, 1))
+def sharp_constant_top(f):
+    return MonotoneMap(build(f.source).order, f.target, (1, 1, 1, 1))
 
 
 def sharp_not_least(original):
-    """The sup extension replaced by the vee problem's other extension."""
-    def sharp(problem):
-        return MonotoneMap(problem.space.order, problem.target, (0, 0, 1, 1))
+    """The sup extension replaced by the vee map's other extension."""
+    def sharp(f):
+        return MonotoneMap(build(f.source).order, f.target, (0, 0, 1, 1))
     return sharp
 
 
@@ -348,11 +344,11 @@ def sharp_not_least(original):
     ("lambda_sharp", sharp_not_least, {"law": "sup-preserving"}),
 ])
 def test_every_sigma_theorem_law_can_fail(monkeypatch, name, mutant, expected):
-    """One seeded defect per law of the worked problem, each caught by
-    its own law."""
-    assert check_sigma_theorem(vee_problem()).ok
+    """One seeded defect per law of the worked map, each caught by its
+    own law."""
+    assert check_sigma_theorem(vee_map()).ok
     monkeypatch.setattr(completion, name, mutant(getattr(completion, name)))
-    report = check_sigma_theorem(vee_problem())
+    report = check_sigma_theorem(vee_map())
     assert report.verdict == "fail"
     assert {key: report.witness[key] for key in expected} == expected
 
@@ -361,9 +357,9 @@ def test_oracle_reports_a_sharp_that_is_not_least(monkeypatch):
     """The ``sharp_not_least`` mutant, which the certificate fails on
     ``sup-preserving``, is an extension but not the least one, and the
     enumeration oracle says so."""
-    assert sigma_law_by_enumeration(vee_problem()) is None
+    assert sigma_law_by_enumeration(vee_map()) is None
     monkeypatch.setattr(completion, "lambda_sharp", sharp_not_least(None))
-    assert sigma_law_by_enumeration(vee_problem()) == "pointwise-least"
+    assert sigma_law_by_enumeration(vee_map()) == "pointwise-least"
 
 
 def test_certificate_agrees_with_the_enumeration_oracle(monkeypatch):
@@ -372,49 +368,43 @@ def test_certificate_agrees_with_the_enumeration_oracle(monkeypatch):
     pass, or both find no sup.  Then each monotone extension in turn is
     passed off as the sup extension: the certificate passes exactly on
     the true one, and the oracle agrees with it on every one."""
-    problems = []
+    defined = []
     undefined = 0
     for source in SMALL_POSETS:
         for target in SMALL_POSETS:
             for image in all_monotone_images(source, target):
-                problem = SupExtensionProblem.for_map(MonotoneMap(source, target, image))
+                f = MonotoneMap(source, target, image)
                 try:
-                    report = check_sigma_theorem(problem)
+                    report = check_sigma_theorem(f)
                 except SigmaUndefinedError:
                     with pytest.raises(SigmaUndefinedError):
-                        sigma_law_by_enumeration(problem)
+                        sigma_law_by_enumeration(f)
                     undefined += 1
                     continue
-                assert report.ok and sigma_law_by_enumeration(problem) is None
-                problems.append((problem, lambda_sharp(problem).image))
-    assert (len(problems), undefined) == (4288, 530)
+                assert report.ok and sigma_law_by_enumeration(f) is None
+                defined.append((f, lambda_sharp(f).image))
+    assert (len(defined), undefined) == (4288, 530)
 
     seeded = [None]
-    monkeypatch.setattr(completion, "lambda_sharp", lambda problem: seeded[0])
+    monkeypatch.setattr(completion, "lambda_sharp", lambda f: seeded[0])
     candidates = 0
-    for problem, sharp in problems:
-        space, target = problem.space, problem.target
-        anchors = dict(zip(space.phi_index, problem.base_map.image))
+    for f, sharp in defined:
+        space, target = build(f.source), f.target
+        anchors = dict(zip(space.phi_index, f.image))
         for candidate in anchored_extensions(space.order, anchors, target):
             seeded[0] = MonotoneMap(space.order, target, candidate)
-            ok = check_sigma_theorem(problem).ok
-            assert ok == (candidate == sharp), (problem.base_map, candidate)
-            assert (sigma_law_by_enumeration(problem) is None) == ok
+            ok = check_sigma_theorem(f).ok
+            assert ok == (candidate == sharp), (f, candidate)
+            assert (sigma_law_by_enumeration(f) is None) == ok
             candidates += 1
     assert candidates == 6790
-
-
-def test_problem_validates_space(vee):
-    f = MonotoneMap(vee, chain(2), (0, 0, 1))
-    with pytest.raises(RangeError):
-        SupExtensionProblem(f, build(chain(2)))
 
 
 def test_sigma_theorem_instance_is_the_map_payload(vee, chain2):
     """The report names the base map by the documents of its source and
     target, labels included, and its image."""
     f = MonotoneMap(vee, chain2, (0, 0, 1))
-    report = check_sigma_theorem(SupExtensionProblem.for_map(f))
+    report = check_sigma_theorem(f)
     assert json.loads(report.instance) == {
         "source": {"n": 3, "covers": [[0, 2], [1, 2]], "labels": ["a1", "a2", "b"]},
         "target": {"n": 2, "covers": [[0, 1]], "labels": ["c1", "c2"]},

@@ -8,13 +8,16 @@ package reads, is left over from code that was deleted.  A report is
 made by the helpers of ``report.py`` alone, and a suite property files
 each verdict on the payload it ran on.  Only the CLI calls the
 validating ``MonotoneMap`` constructor; every map the package derives
-is made by ``maps._made``, and no way around the check remains.
+is made by ``maps._made``, and no way around the check remains.  The
+README names only what the code still spells.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "smyth"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "smyth"
 
 
 def test_package_has_no_asserts():
@@ -146,3 +149,21 @@ def test_only_the_cli_validates_maps():
             found += [f"{path.name}:{node.lineno}:{name}" for name in identifiers(node)
                       if name in ("unchecked", "_validated")]
     assert found == [], f"maps validated or bypassed another way: {found}"
+
+
+def test_readme_names_only_what_exists():
+    """Every backticked dotted identifier of ``README.md``, a trailing
+    ``()`` stripped, is spelled part by part as a word somewhere in the
+    Python files of the package, the tests or the benchmark."""
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    names = [span.removesuffix("()") for span in spans]
+    names = [name for name in names
+             if re.fullmatch(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", name)]
+    assert names
+    words = set()
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "bench"):
+        for path in sorted(folder.glob("*.py")):
+            words.update(re.findall(r"\w+", path.read_text()))
+    found = sorted({name for name in names
+                    if not set(name.split(".")) <= words})
+    assert found == [], f"README names that no Python file spells: {found}"

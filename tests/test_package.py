@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "DocumentError", "FinitePoset", "IrreducibilityError", "IterateResult",
     "MalformedFamilyError", "MonotoneMap", "NotIsomorphismError", "NotOpenError",
     "NotSpectralError", "OpenFamily", "PowerdomainSpace", "RangeError",
-    "SigmaMap", "SigmaUndefinedError", "SmythError", "SupExtensionProblem",
+    "SigmaMap", "SigmaUndefinedError", "SmythError",
     "all_posets", "basic_open", "build", "check_embedding_theorem",
     "check_functor_laws", "check_minimality",
     "check_sigma_theorem", "compose", "dimension", "down_closure",
@@ -64,7 +64,7 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 56
     assert smyth.__all__ == PUBLIC_NAMES
     assert dir(smyth) == PUBLIC_NAMES
 

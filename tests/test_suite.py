@@ -108,7 +108,11 @@ PINNED_SCOPES = [
 ]
 
 
-@pytest.mark.parametrize("scope, digest, count", PINNED_SCOPES)
+# exhaustive-5 (39 143 pass, 3 167 skipped) is pinned here alone:
+# the other tests over PINNED_SCOPES would run it a second time
+@pytest.mark.parametrize("scope, digest, count", PINNED_SCOPES + [
+    ("exhaustive-5", "4c8d6b2287f293cd", 42310),
+])
 def test_report_lists_are_pinned(scope, digest, count):
     # a sha256 prefix of every report line: a change meant to keep each
     # verdict, witness and skip reason must leave these bytes alone
@@ -431,9 +435,9 @@ def test_sup_extension_of_embedding_computes_sharp_once(monkeypatch):
     calls = []
     original = completion.lambda_sharp
 
-    def counting(problem):
-        calls.append(problem)
-        return original(problem)
+    def counting(f):
+        calls.append(f)
+        return original(f)
 
     monkeypatch.setattr(completion, "lambda_sharp", counting)
     monkeypatch.setattr(suite, "lambda_sharp", counting)
@@ -471,10 +475,10 @@ def constant_lift(original):
 
 def constant_sharp(original):
     """The sup extension replaced by the constant map at the top."""
-    def sharp(problem):
-        top = problem.target.n - 1
-        return MonotoneMap(problem.space.order, problem.target,
-                           (top,) * problem.space.order.n)
+    def sharp(f):
+        top = f.target.n - 1
+        order = build(f.source).order
+        return MonotoneMap(order, f.target, (top,) * order.n)
     return sharp
 
 
@@ -512,8 +516,8 @@ def dropping_a_cover(original):
 
 def unanchored(original):
     """An extension search that drops its anchors."""
-    def search(space, values, target, capacity):
-        return maps.anchored_extensions(space.order, {}, target, capacity)
+    def search(source_order, anchors, target, capacity=None):
+        return original(source_order, {}, target, capacity)
     return search
 
 
@@ -549,9 +553,9 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("embedding-theorem", ANTICHAIN_2), "unique-maximal-point"),
     (completion, "preserves_sups", lambda original: lambda space, f: False,
      suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
-    (maps, "_principal_extensions", unanchored,
+    (maps, "anchored_extensions", unanchored,
      suite_check("extension-minimality", VEE), "pointwise-least"),
-    (maps, "_principal_extensions", lambda original: lambda *args: (),
+    (maps, "anchored_extensions", lambda original: lambda *args: (),
      suite_check("extension-minimality", VEE), "induced-map-is-an-extension"),
     (suite, "poset_of_topology", lambda original: lambda family: order_dual(original(family)),
      suite_check("topology-round-trip", VEE), "recovers-order"),
@@ -587,7 +591,7 @@ CHAIN_3_RELATIONS = {"n": 3, "covers": [[0, 1], [1, 2], [0, 2]]}
 REBOUND_MUTANTS = {
     "embedding-theorem": (suite, "build", with_phi_index(lambda phi: (phi[0],) * len(phi))),
     "functor-laws": (maps, "_powerdomain_map", constant_lift),
-    "extension-minimality": (maps, "_principal_extensions", lambda original: lambda *args: ()),
+    "extension-minimality": (maps, "anchored_extensions", lambda original: lambda *args: ()),
     "sup-extension": (completion, "preserves_sups", lambda original: lambda space, f: False),
     "sup-extension-of-embedding": (
         completion, "preserves_sups", lambda original: lambda space, f: False),

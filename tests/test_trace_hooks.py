@@ -90,6 +90,23 @@ def test_uncached_build_validates_once(monkeypatch):
         assert validations == row_builds == [order.n]
 
 
+def test_comparing_an_order_with_itself_makes_no_rows(monkeypatch):
+    # a map's source or target compared with the same poset, as in
+    # compose and the functor laws, reads no rows of a built order
+    row_builds = []
+    inclusion_rows = powerdomain._inclusion_rows
+
+    def counting_rows(base, points):
+        row_builds.append(len(points))
+        return inclusion_rows(base, points)
+
+    monkeypatch.setattr(powerdomain, "_inclusion_rows", counting_rows)
+    base = generators.random_poset(9, 2024)
+    order = powerdomain._build.__wrapped__(base, False, 1 << 20).order
+    assert order == order and not order != order
+    assert row_builds == []
+
+
 def test_lifting_out_of_a_large_space_makes_no_rows(monkeypatch):
     # the traced maps.powerdomain_map metrics of a large lift count no
     # row builds: a lift reads point masks, never the rows of an order

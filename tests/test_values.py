@@ -15,7 +15,6 @@ from smyth import (
     OpenFamily,
     PowerdomainSpace,
     SigmaMap,
-    SupExtensionProblem,
     build,
     maps,
     open_sets,
@@ -33,7 +32,6 @@ def value_cases():
     field objects."""
     vee, chain2 = vee_poset(), chain(2)
     sigma = sigma_map(vee, vee.full)
-    rule = MonotoneMap(vee, chain2, (0, 0, 1))
     return [
         (FinitePoset, dict(n=vee.n, up=vee.up, down=vee.down, labels=vee.labels),
          {"labels": ("x", "y", "z")}),
@@ -50,8 +48,6 @@ def value_cases():
         (SigmaMap, dict(ambient=vee, carrier=sigma.carrier, domain=sigma.domain,
                         sups=sigma.sups),
          {"sups": (None,) * len(sigma.sups)}),
-        (SupExtensionProblem, dict(base_map=rule, space=build(vee)),
-         {"base_map": MonotoneMap(vee, chain2, (1, 1, 1))}),
     ]
 
 
