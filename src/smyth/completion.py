@@ -10,7 +10,7 @@ other monotone extension, and is the only sup-preserving one.
 from __future__ import annotations
 
 from .errors import CapacityError, RangeError, SigmaUndefinedError, _Value
-from .maps import MonotoneMap, _made, _map_payload
+from .maps import MonotoneMap, _made
 from .poset import (
     FinitePoset,
     _down_sets_by_extension,
@@ -21,7 +21,6 @@ from .poset import (
     sup,
 )
 from .powerdomain import PowerdomainSpace, build
-from .report import CheckReport, failed, passed
 
 
 class SigmaMap(_Value):
@@ -178,11 +177,13 @@ def preserves_sups(space: PowerdomainSpace, f: MonotoneMap) -> bool:
     return True
 
 
-def check_sigma_theorem(f: MonotoneMap) -> CheckReport:
-    """The universal property of the sup extension, from two per-point facts.
+def check_sigma_theorem(f: MonotoneMap, sharp: MonotoneMap) -> dict | None:
+    """The first law of the universal property of the sup extension that
+    ``sharp``, the sup extension ``lambda_sharp(f)``, breaks, as a dict
+    of its name and witness, or None.
 
-    The sup extension ``sharp`` restricts to the base map on principal
-    points (``restricts-to-base``) and preserves sups
+    The laws are two per-point facts: ``sharp`` restricts to the base map
+    on principal points (``restricts-to-base``) and preserves sups
     (``sup-preserving``, the per-point ``preserves_sups``).  Those two
     facts give the rest with no search over extensions.  For x in a
     point I we have phi(x) <= I, so every monotone extension F has
@@ -193,19 +194,8 @@ def check_sigma_theorem(f: MonotoneMap) -> CheckReport:
     ``restricts-to-base`` is the retraction: the sup of a principal
     down-set is its generator.  The space is ``build(f.source)`` under
     the default capacity, so a source whose powerdomain is over it
-    raises CapacityError; past that nothing is enumerated.  The report's
-    instance is ``f``.
+    raises CapacityError; past that nothing is enumerated.
     """
-    violation = _sigma_violation(f, lambda_sharp(f))
-    instance = _map_payload(f)
-    if violation is not None:
-        return failed("sup-extension", instance, **violation)
-    return passed("sup-extension", instance)
-
-
-def _sigma_violation(f: MonotoneMap, sharp: MonotoneMap) -> dict | None:
-    """The details of the first law of ``check_sigma_theorem`` that
-    ``sharp``, the sup extension of ``f``, breaks, or None."""
     space = build(f.source)
     for x in range(f.source.n):
         if sharp.image[space.phi_index[x]] != f.image[x]:

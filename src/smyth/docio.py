@@ -12,6 +12,8 @@ silently re-verified as some other poset:
     dimension     int: dimension of the powerdomain
     phi_onto      bool: whether every point is principal
 
+A file in which any JSON object repeats a key is refused.
+
 The graph export uses the DOT digraph format, one edge per covering
 pair of the powerdomain order, lower point first.
 """
@@ -119,8 +121,20 @@ def document_from_payload(payload: dict) -> PosetDocument:
     return PosetDocument(n, labels, tuple(covers), expect)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object, refused if it repeats a key: ``json.loads``
+    would silently keep the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise DocumentError(f"a JSON object repeats the key {repeated!r}")
+    return obj
+
+
 def load_document(path: str | Path) -> PosetDocument:
-    """Read and validate a poset document file."""
+    """Read and validate a poset document file; a JSON object that
+    repeats a key is refused."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -128,7 +142,7 @@ def load_document(path: str | Path) -> PosetDocument:
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal over the digit limit

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .docio import document_of_poset
 from .errors import (
     CapacityError,
     CompositionMismatchError,
@@ -30,7 +29,6 @@ from .poset import (
     resolve_capacity,
 )
 from .powerdomain import PowerdomainSpace, build
-from .report import CheckReport, failed, passed
 
 
 class MonotoneMap(_Value):
@@ -154,14 +152,6 @@ def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
     return _powerdomain_map(f, resolve_capacity(capacity))
 
 
-def _map_payload(f: MonotoneMap) -> dict:
-    """``f`` as a JSON-ready payload: the documents of its source and
-    target, labels included, and its image."""
-    return {"source": document_of_poset(f.source).to_payload(),
-            "target": document_of_poset(f.target).to_payload(),
-            "image": list(f.image)}
-
-
 def _composition_violation(
     lifted_f: MonotoneMap,
     lifted_g: MonotoneMap,
@@ -194,8 +184,9 @@ def _identity_violation(poset: FinitePoset, capacity: int) -> dict | None:
     return None
 
 
-def _functor_law_violation(f: MonotoneMap, g: MonotoneMap) -> dict | None:
-    """The details of the first functor law that ``f``, ``g`` break, or None.
+def check_functor_laws(f: MonotoneMap, g: MonotoneMap) -> dict | None:
+    """The first law of the powerdomain functor that ``f``, ``g`` break,
+    as a dict of its name and witness, or None.
 
     Composition first, then identity on the source, middle and target.
     """
@@ -214,15 +205,6 @@ def _functor_law_violation(f: MonotoneMap, g: MonotoneMap) -> dict | None:
         if violation is not None:
             return violation
     return None
-
-
-def check_functor_laws(f: MonotoneMap, g: MonotoneMap) -> CheckReport:
-    """Composition and identity laws of the powerdomain construction."""
-    violation = _functor_law_violation(f, g)
-    instance = {"f": _map_payload(f), "g": _map_payload(g)}
-    if violation is not None:
-        return failed("functor-laws", instance, **violation)
-    return passed("functor-laws", instance)
 
 
 class MonotoneRule:
@@ -330,14 +312,17 @@ def enumerate_extensions(
                  for image in _extension_images(f, capacity))
 
 
-def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
-    """The details of the first minimality law ``f`` breaks, or None.
+def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None:
+    """The first law of the induced map of ``f`` being its pointwise-least
+    extension that breaks, as a dict of its name and witness, or None.
 
-    The extensions are those of ``enumerate_extensions``, anchored at
-    the principal points, as image tuples with no map wrapped around
-    each; each is compared with the induced map on one up row of the
-    target order per point.  ``capacity`` bounds the search only: the
-    spaces and the induced map come from the default caches.
+    The induced map is the sup extension of ``phi`` after ``f``, whose
+    least-ness ``check_sigma_theorem`` certifies per point with no
+    search.  This check enumerates the extensions of
+    ``enumerate_extensions`` instead, as image tuples, and compares each
+    with the induced map on one up row of the target order per point.
+    ``capacity`` bounds the search only: the spaces and the induced map
+    come from the default caches.
     """
     induced_map = powerdomain_map(f)
     extensions = _extension_images(f, capacity)
@@ -350,22 +335,6 @@ def _minimality_violation(f: MonotoneMap, capacity: int | None) -> dict | None:
                 return {"law": "pointwise-least", "point": point,
                         "candidate": list(candidate)}
     return None
-
-
-def check_minimality(f: MonotoneMap, capacity: int | None = None) -> CheckReport:
-    """The induced map is the pointwise-least extension of ``f``.
-
-    It is the sup extension of ``phi`` after ``f``, whose least-ness
-    ``check_sigma_theorem`` certifies per point with no search.  This
-    check enumerates every extension instead, each anchored at the
-    principal points of ``f``'s source and target: ``phi(x)`` goes to
-    ``phi(f(x))``.  ``capacity`` bounds that search only.
-    """
-    violation = _minimality_violation(f, capacity)
-    instance = _map_payload(f)
-    if violation is not None:
-        return failed("extension-minimality", instance, **violation)
-    return passed("extension-minimality", instance)
 
 
 def is_order_isomorphism(f: MonotoneMap) -> bool:

@@ -3,8 +3,10 @@
 Every property is a total function from a JSON-ready payload to a
 CheckReport and is registered by name, so a failing report can always
 be replayed: feed ``witness["instance"]`` back to the property that
-produced it.  Suites are deterministic: the same scope and seed produce
-the same report list, byte for byte.
+produced it.  Only this module makes reports: each public ``check_*``
+returns the first law it finds violated, and a property files that
+violation on its own payload.  Suites are deterministic: the same scope
+and seed produce the same report list, byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 import zlib
 from functools import lru_cache
 
-from .completion import _sigma_violation, lambda_sharp
+from .completion import check_sigma_theorem, lambda_sharp
 from .docio import document_from_payload, document_of_poset, point_lists
 from .errors import (
     CapacityError,
@@ -28,7 +30,7 @@ from .maps import (
     _composition_violation,
     _identity_violation,
     _made,
-    _minimality_violation,
+    check_minimality,
     compose,
     identity,
     lift_homeomorphism,
@@ -43,9 +45,9 @@ from .poset import (
     resolve_capacity,
 )
 from .powerdomain import (
-    _embedding_violation,
     basic_open,
     build,
+    check_embedding_theorem,
     hat_powerdomain,
     is_phi_surjective,
     powerdomain_dimension,
@@ -95,7 +97,7 @@ def prop_topology_round_trip(payload: dict) -> CheckReport:
 def prop_embedding_theorem(payload: dict) -> CheckReport:
     """The laws of ``check_embedding_theorem`` on the built powerdomain."""
     prop = "embedding-theorem"
-    violation = _embedding_violation(build(_poset_of(payload)))
+    violation = check_embedding_theorem(build(_poset_of(payload)))
     if violation is not None:
         return failed(prop, payload, **violation)
     return passed(prop, payload)
@@ -217,7 +219,7 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
     poset = _poset_of(payload)
     try:
         for image in all_monotone_images(poset, CHAIN2):
-            violation = _minimality_violation(
+            violation = check_minimality(
                 _made(poset, CHAIN2, image), MINIMALITY_CAPACITY)
             if violation is not None:
                 return failed(prop, payload, **violation, map=list(image))
@@ -252,7 +254,7 @@ def prop_sup_extension(payload: dict) -> CheckReport:
     poset = _poset_of(payload)
     try:
         base_map = identity(poset)
-        violation = _sigma_violation(base_map, lambda_sharp(base_map))
+        violation = check_sigma_theorem(base_map, lambda_sharp(base_map))
         if violation is not None:
             return failed(prop, payload, **violation)
     except SigmaUndefinedError as exc:
@@ -270,8 +272,10 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
     the principal embedding and preserves sups, so it is the least and
     the only sup-preserving extension.  The identity is an
     order-embedding, so ``sharp-is-identity`` also makes the sup
-    extension of the principal embedding one.  A powerdomain over the
-    capacity is reported as skipped.
+    extension of the principal embedding one.  Every point is the sup
+    of its principal points, so a missing sup fails ``sharp-is-defined``
+    with its image mask.  A powerdomain over the capacity is reported
+    as skipped.
     """
     prop = "sup-extension-of-embedding"
     poset = _poset_of(payload)
@@ -282,9 +286,12 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
         if sharp.image != tuple(range(space.order.n)):
             return failed(prop, payload, law="sharp-is-identity",
                           got=list(sharp.image))
-        violation = _sigma_violation(into_points, sharp)
+        violation = check_sigma_theorem(into_points, sharp)
         if violation is not None:
             return failed(prop, payload, **violation)
+    except SigmaUndefinedError as exc:
+        return failed(prop, payload, law="sharp-is-defined",
+                      member_mask=exc.member_mask)
     except CapacityError as exc:
         return skipped(prop, payload, f"enumeration over budget: {exc}")
     return passed(prop, payload)

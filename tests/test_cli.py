@@ -183,6 +183,29 @@ def test_check_files_a_lift_defect_as_a_failure(lift_defect, capsys):
         "functor-laws", "extension-minimality", "lift-round-trip"]
 
 
+def test_check_files_an_undefined_sharp_as_a_failure(monkeypatch, tmp_path, capsys):
+    """A point with no sup of its principal points is a failed law of
+    ``sup-extension-of-embedding`` (exit 1), not an error (exit 2); the
+    identity's missing sup stays a skip of ``sup-extension``."""
+    from smyth import completion
+
+    sup = completion.sup
+    monkeypatch.setattr(completion, "sup", lambda poset, mask: (
+        None if mask & (mask - 1) else sup(poset, mask)))
+    path = write_payload(tmp_path, {"n": 2, "covers": []})
+    assert main(["check", path, "--suite", "sigma"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(r["property"], r["verdict"]) for r in reports] == [
+        ("sup-extension", "skipped"),
+        ("sup-extension-of-embedding", "fail"),
+    ]
+    assert reports[0]["reason"].startswith("not sup-complete")
+    witness = reports[1]["witness"]
+    assert (witness["law"], witness["member_mask"]) == ("sharp-is-defined", 0b11)
+
+
 def test_check_sigma_on_a_six_element_antichain(tmp_path, capsys):
     """Sup-preservation is tested per point, so the 63-point powerdomain
     needs no walk over its millions of antichains."""
@@ -284,6 +307,20 @@ def test_unreadable_document_bytes(tmp_path, content):
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("content, key", [
+    ('{"n": 3, "covers": [[0, 1]], "n": 4}', "n"),
+    ('{"n": 2, "covers": [], "expect": {"point_count": 3, "point_count": 2}}',
+     "point_count"),
+], ids=["top-level", "in-expect"])
+def test_repeated_document_key(tmp_path, content, key):
+    target = tmp_path / "doc.json"
+    target.write_text(content)
+    result = run_smyth("stats", str(target))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: a JSON object repeats the key {key!r}\n"
 
 
 def test_unwritable_dot_path(tmp_path):

@@ -1,7 +1,5 @@
 """Sup assignments, the sup extension, and its universal property."""
 
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -286,7 +284,7 @@ def test_preserves_sups_needs_the_space_order(vee):
 
 def test_sigma_theorem_worked_example(vee):
     f = MonotoneMap(vee, chain(2), (0, 0, 1))
-    assert check_sigma_theorem(f).ok
+    assert check_sigma_theorem(f, lambda_sharp(f)) is None
 
 
 @given(posets(max_n=4), posets(max_n=4), st.integers(0, 2**31))
@@ -297,10 +295,10 @@ def test_sigma_theorem_random(source, target, seed):
     if f is None:
         return
     try:
-        report = check_sigma_theorem(f)
+        sharp = lambda_sharp(f)
     except SigmaUndefinedError:
         return
-    assert report.ok
+    assert check_sigma_theorem(f, sharp) is None
 
 
 def test_is_sup_preserving_capacity_on_a_wide_antichain(shallow_recursion):
@@ -311,12 +309,13 @@ def test_is_sup_preserving_capacity_on_a_wide_antichain(shallow_recursion):
 def test_retraction_on_chain():
     # for the identity, restricts-to-base is the retraction sup(phi(z)) == z
     for poset in (chain(3), diamond_poset()):
-        assert check_sigma_theorem(identity(poset)).ok
+        f = identity(poset)
+        assert check_sigma_theorem(f, lambda_sharp(f)) is None
 
 
 def test_retraction_needs_total_sigma():
     with pytest.raises(SigmaUndefinedError):
-        check_sigma_theorem(identity(antichain(2)))
+        lambda_sharp(identity(antichain(2)))
 
 
 def vee_map():
@@ -346,11 +345,12 @@ def sharp_not_least(original):
 def test_every_sigma_theorem_law_can_fail(monkeypatch, name, mutant, expected):
     """One seeded defect per law of the worked map, each caught by its
     own law."""
-    assert check_sigma_theorem(vee_map()).ok
+    f = vee_map()
+    assert check_sigma_theorem(f, completion.lambda_sharp(f)) is None
     monkeypatch.setattr(completion, name, mutant(getattr(completion, name)))
-    report = check_sigma_theorem(vee_map())
-    assert report.verdict == "fail"
-    assert {key: report.witness[key] for key in expected} == expected
+    violation = check_sigma_theorem(f, completion.lambda_sharp(f))
+    assert violation is not None
+    assert {key: violation[key] for key in expected} == expected
 
 
 def test_oracle_reports_a_sharp_that_is_not_least(monkeypatch):
@@ -375,14 +375,15 @@ def test_certificate_agrees_with_the_enumeration_oracle(monkeypatch):
             for image in all_monotone_images(source, target):
                 f = MonotoneMap(source, target, image)
                 try:
-                    report = check_sigma_theorem(f)
+                    sharp = lambda_sharp(f)
                 except SigmaUndefinedError:
                     with pytest.raises(SigmaUndefinedError):
                         sigma_law_by_enumeration(f)
                     undefined += 1
                     continue
-                assert report.ok and sigma_law_by_enumeration(f) is None
-                defined.append((f, lambda_sharp(f).image))
+                assert check_sigma_theorem(f, sharp) is None
+                assert sigma_law_by_enumeration(f) is None
+                defined.append((f, sharp.image))
     assert (len(defined), undefined) == (4288, 530)
 
     seeded = [None]
@@ -393,20 +394,8 @@ def test_certificate_agrees_with_the_enumeration_oracle(monkeypatch):
         anchors = dict(zip(space.phi_index, f.image))
         for candidate in anchored_extensions(space.order, anchors, target):
             seeded[0] = MonotoneMap(space.order, target, candidate)
-            ok = check_sigma_theorem(f).ok
+            ok = check_sigma_theorem(f, seeded[0]) is None
             assert ok == (candidate == sharp), (f, candidate)
             assert (sigma_law_by_enumeration(f) is None) == ok
             candidates += 1
     assert candidates == 6790
-
-
-def test_sigma_theorem_instance_is_the_map_payload(vee, chain2):
-    """The report names the base map by the documents of its source and
-    target, labels included, and its image."""
-    f = MonotoneMap(vee, chain2, (0, 0, 1))
-    report = check_sigma_theorem(f)
-    assert json.loads(report.instance) == {
-        "source": {"n": 3, "covers": [[0, 2], [1, 2]], "labels": ["a1", "a2", "b"]},
-        "target": {"n": 2, "covers": [[0, 1]], "labels": ["c1", "c2"]},
-        "image": [0, 0, 1],
-    }

@@ -83,6 +83,21 @@ def test_load_rejects_unparsable_bytes(tmp_path, content):
         load_document(target)
 
 
+@pytest.mark.parametrize("content, key", [
+    ('{"n": 3, "covers": [[0, 1]], "n": 4}', "n"),
+    ('{"n": 2, "covers": [], "expect": {"point_count": 3, "point_count": 2}}',
+     "point_count"),
+    ('{"n": 2, "covers": [], "labels": ["a", "b"], "labels": ["a", "b"]}', "labels"),
+], ids=["top-level", "in-expect", "same-value"])
+def test_load_rejects_a_repeated_key(tmp_path, content, key):
+    # json.loads alone keeps the last value and reads a different poset
+    target = tmp_path / "doc.json"
+    target.write_text(content)
+    with pytest.raises(DocumentError) as info:
+        load_document(target)
+    assert str(info.value) == f"a JSON object repeats the key {key!r}"
+
+
 def test_document_validation_errors():
     bad_payloads = [
         ({"n": 3, "covers": [], "bogus": 1}, "bogus"),

@@ -7,7 +7,7 @@ for the name, quoted, in the other files under ``tests/``.  A failure
 that reports no law escapes that guard, so every ``failed(...)`` call
 in ``src/smyth`` must pass ``law=``, ``key=`` or a ``**`` splat of a
 violation that carries one, and every dict literal a ``*_violation``
-function returns must have a ``"law"`` key.  Stdlib only.
+or ``check_*`` function returns must have a ``"law"`` key.  Stdlib only.
 """
 
 import ast
@@ -72,13 +72,14 @@ def test_every_failure_names_its_law():
 
 
 def violation_returns() -> list[tuple[str, int, set]]:
-    """Each dict literal returned by a ``*_violation`` function in
-    ``src/smyth``: its file, line and constant keys."""
+    """Each dict literal returned by a ``*_violation`` or ``check_*``
+    function in ``src/smyth``: its file, line and constant keys."""
     returns = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef) and func.name.endswith("_violation"):
+            if isinstance(func, ast.FunctionDef) and (
+                    func.name.endswith("_violation") or func.name.startswith("check_")):
                 for node in ast.walk(func):
                     if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
                         keys = {getattr(k, "value", None) for k in node.value.keys}

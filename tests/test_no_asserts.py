@@ -5,8 +5,9 @@ no unread private names, and makes its reports one way.
 are checked by named suite properties or by tests instead.  An import
 that nothing reads, or a module-level ``_name`` that no module of the
 package reads, is left over from code that was deleted.  A report is
-made by the helpers of ``report.py`` alone, and a suite property files
-each verdict on the payload it ran on.  Only the CLI calls the
+made by the helpers of ``report.py`` alone, which only ``suite.py``
+calls, and a suite property files each verdict on the payload it ran
+on.  Only the CLI calls the
 validating ``MonotoneMap`` constructor; every map the package derives
 is made by ``maps._made``, and no way around the check remains.  The
 README names only what the code still spells.
@@ -95,21 +96,32 @@ def test_package_has_no_unread_private_names():
 
 
 def test_reports_come_from_the_report_helpers():
-    """No module but ``report.py`` calls ``CheckReport``, and every
-    ``passed``, ``failed`` and ``skipped`` call in ``suite.py`` passes
-    ``payload`` as its instance."""
+    """No module but ``report.py`` calls ``CheckReport``, no module but
+    ``suite.py`` imports a helper of ``report.py`` or calls ``passed``,
+    ``failed`` or ``skipped``, and every such call in ``suite.py``
+    passes ``payload`` as its instance."""
+    report_tree = ast.parse((PACKAGE / "report.py").read_text())
+    helpers = {node.name for node in report_tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"passed", "failed", "skipped"} <= helpers
     verdicts = 0
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "report":
+                found += [f"{path.name}:{node.lineno}:import {alias.name}"
+                          for alias in node.names
+                          if alias.name in helpers and path.name != "suite.py"]
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "CheckReport" and path.name != "report.py":
                 found.append(f"{path.name}:{node.lineno}:CheckReport")
-            elif name in ("passed", "failed", "skipped") and path.name == "suite.py":
+            elif name in ("passed", "failed", "skipped"):
+                if path.name != "suite.py":
+                    found.append(f"{path.name}:{node.lineno}:{name}")
+                    continue
                 verdicts += 1
                 instance = node.args[1] if len(node.args) > 1 else None
                 if not (isinstance(instance, ast.Name) and instance.id == "payload"):

@@ -34,7 +34,8 @@ PUBLIC_NAMES = [
     "sigma_map", "sup", "vietoris_open",
 ]
 
-HEAVY_MODULES = ("smyth.maps", "smyth.suite", "smyth.completion", "smyth.generators")
+HEAVY_MODULES = ("smyth.maps", "smyth.suite", "smyth.completion", "smyth.generators",
+                 "smyth.report")
 
 
 def modules_after(code: str) -> set[str]:

@@ -8,10 +8,12 @@ cache statistics; a renamed or reshaped target breaks a traced run
 import functools
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import smyth.suite  # noqa: F401  (loads every library submodule the tracer wraps)
-from smyth import generators, maps, powerdomain
+from smyth import completion, generators, maps, powerdomain, suite
+from smyth.docio import document_of_poset
 from smyth.poset import FinitePoset
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -33,6 +35,33 @@ def test_traced_names_exist():
             assert callable(vars(getattr(module, owner))[method]), attribute
         else:
             assert callable(getattr(module, attribute)), attribute
+
+
+def test_the_suite_runs_the_traced_checks(monkeypatch):
+    # the traced per-layer metrics of the three checks measure the suite:
+    # a wrapper bound wherever the original is bound, as the tracer binds
+    # its spans, counts the per-poset properties' calls
+    calls = {}
+    modules = [module for name, module in sys.modules.items()
+               if name == "smyth" or name.startswith("smyth.")]
+    for owner, name in ((powerdomain, "check_embedding_theorem"),
+                        (maps, "check_minimality"),
+                        (completion, "check_sigma_theorem")):
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, counting)
+    payload = document_of_poset(generators.all_posets(4)[0]).to_payload()
+    for name in suite.PER_POSET_PROPERTIES:
+        assert suite.PROPERTIES[name](payload).ok, name
+    assert all(count >= 1 for count in calls.values()), calls
 
 
 def test_uncached_build_enumerates_down_sets_once(monkeypatch):
