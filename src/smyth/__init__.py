@@ -43,12 +43,10 @@ _EXPORTS_BY_MODULE = {
         "sup",
     ),
     "topology": (
-        "OpenFamily",
         "open_sets",
         "poset_of_topology",
     ),
     "powerdomain": (
-        "IterateResult",
         "PowerdomainSpace",
         "basic_open",
         "build",
@@ -72,7 +70,6 @@ _EXPORTS_BY_MODULE = {
         "powerdomain_map",
     ),
     "completion": (
-        "SigmaMap",
         "check_sigma_theorem",
         "is_sup_preserving",
         "lambda_sharp",

@@ -33,7 +33,6 @@ from .powerdomain import (
     iterate_sizes,
     powerdomain_dimension,
 )
-from .topology import open_sets
 
 
 def _space_for(path: str, hat: bool, inverse: bool):
@@ -121,9 +120,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_iterate(args: argparse.Namespace) -> int:
     poset = load_document(args.file).to_poset()
-    result = iterate_sizes(poset, args.k, args.capacity)
-    print("sizes: " + " ".join(str(s) for s in result.sizes))
-    if result.truncated:
+    sizes = iterate_sizes(poset, args.k, args.capacity)
+    print("sizes: " + " ".join(str(s) for s in sizes))
+    if len(sizes) <= args.k:
         print("capacity reached before the requested depth", file=sys.stderr)
         return 2
     return 0
@@ -136,7 +135,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"covers: {len(poset.cover_pairs())}")
     print(f"dimension: {dimension(poset)}")
     print(f"chain: {is_chain(poset)}")
-    print(f"opens: {len(open_sets(poset).opens)}")
+    # the opens are the points and the empty set
+    print(f"opens: {len(space.points) + 1}")
     print(f"points: {len(space.points)}")
     print(f"powerdomain_dimension: {powerdomain_dimension(space)}")
     print(f"phi_onto: {is_phi_surjective(space)}")

@@ -9,7 +9,7 @@ other monotone extension, and is the only sup-preserving one.
 
 from __future__ import annotations
 
-from .errors import CapacityError, RangeError, SigmaUndefinedError, _Value
+from .errors import CapacityError, RangeError, SigmaUndefinedError
 from .maps import MonotoneMap, _made
 from .poset import (
     FinitePoset,
@@ -23,50 +23,15 @@ from .poset import (
 from .powerdomain import PowerdomainSpace, build
 
 
-class SigmaMap(_Value):
-    """The partial sup assignment on the down-sets of a carrier.
-
-    ``domain`` lists the nonempty subsets of ``carrier`` (as masks in
-    the ambient indexing) that are down-closed for the induced order;
-    ``sups`` holds the least upper bound in the ambient poset for each,
-    or None where no such bound exists.
-    """
-
-    _fields = ("ambient", "carrier", "domain", "sups")
-
-    def __init__(
-        self,
-        ambient: FinitePoset,
-        carrier: int,
-        domain: tuple[int, ...],
-        sups: tuple[int | None, ...],
-    ) -> None:
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "sups", sups)
-
-    @property
-    def is_total(self) -> bool:
-        return None not in self.sups
-
-    def undefined(self) -> tuple[int, ...]:
-        return tuple(c for c, s in zip(self.domain, self.sups) if s is None)
-
-    def value(self, member_mask: int) -> int | None:
-        try:
-            return self.sups[self.domain.index(member_mask)]
-        except ValueError:
-            raise RangeError(f"mask {member_mask:#x} is not in the domain") from None
-
-
-def sigma_map(ambient: FinitePoset, carrier: int) -> SigmaMap:
+def sigma_map(ambient: FinitePoset, carrier: int) -> dict[int, int | None]:
     """Sups of the inverse-closed subsets of ``carrier`` inside ``ambient``.
 
-    The domain is grown on ambient masks, with no sub-poset built, and
-    listed in canonical order; more down-sets than the capacity raise
-    CapacityError.  Partiality stays in-band: missing sups become None
-    entries.
+    Maps each nonempty subset of ``carrier`` (a mask in the ambient
+    indexing) that is down-closed for the induced order, in canonical
+    order, to its least upper bound in ``ambient``, or None where no
+    such bound exists: partiality stays in-band.  The domain is grown
+    on ambient masks, with no sub-poset built; more down-sets than the
+    capacity raise CapacityError.
     ``test_sigma_map_monotone_and_agrees_with_fold`` checks, over every
     labeled poset on at most four elements, that the defined values
     agree with a binary-sup fold and grow with the down-set.
@@ -75,9 +40,7 @@ def sigma_map(ambient: FinitePoset, carrier: int) -> SigmaMap:
     if carrier == 0:
         raise RangeError("the carrier must be nonempty")
     found = _down_sets_by_extension(ambient, carrier, resolve_capacity(None))
-    domain = canonical_sort(found[1:])
-    sups = tuple(sup(ambient, member) for member in domain)
-    return SigmaMap(ambient, carrier, domain, sups)
+    return {member: sup(ambient, member) for member in canonical_sort(found[1:])}
 
 
 def lambda_sharp(f: MonotoneMap) -> MonotoneMap:

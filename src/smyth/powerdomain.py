@@ -263,25 +263,16 @@ def powerdomain_dimension(space: PowerdomainSpace) -> int:
     return points[-1].bit_count() - points[0].bit_count()
 
 
-class IterateResult(_Value):
-    """Point counts of the iterated construction, possibly cut short.
-
-    ``sizes[0]`` is the size of the starting poset; entry ``k`` the size
-    of the k-fold powerdomain.  When a stage would exceed the capacity,
-    ``truncated`` is set and the sizes stop at the last finished stage.
-    """
-
-    _fields = ("sizes", "truncated")
-
-    def __init__(self, sizes: tuple[int, ...], truncated: bool) -> None:
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "truncated", truncated)
-
-
 def iterate_sizes(
     base: FinitePoset, k: int, capacity: int | None = None
-) -> IterateResult:
-    """Sizes along repeated application of the construction."""
+) -> tuple[int, ...]:
+    """Point counts along repeated application of the construction.
+
+    Entry 0 is the size of ``base``, entry ``j`` the size of the j-fold
+    powerdomain.  When a stage would exceed the capacity, the sizes stop
+    at the last finished stage, so fewer than ``k + 1`` entries mean the
+    iteration was cut short.
+    """
     if k < 0:
         raise RangeError(f"iteration count must be nonnegative, got {k}")
     limit = resolve_capacity(capacity)
@@ -291,10 +282,10 @@ def iterate_sizes(
         try:
             space = build(current, limit)
         except CapacityError:
-            return IterateResult(tuple(sizes), True)
+            break
         sizes.append(len(space.points))
         current = space.order
-    return IterateResult(tuple(sizes), False)
+    return tuple(sizes)
 
 
 def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
@@ -315,7 +306,9 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
     itself minus each of them).
     """
     base = space.base
-    opens = enumerate_down_sets(base, True)
+    # The points are the nonempty opens of the base, or all of them in a
+    # hat space, in canonical order.
+    opens = space.points if space.points[0] == 0 else (0,) + space.points
     open_of = {omega: mask_of(basic_open(space, omega)) for omega in opens}
     masks = list(open_of.items())
 

@@ -87,7 +87,7 @@ def prop_topology_round_trip(payload: dict) -> CheckReport:
     """Opens determine the order: rebuilding from the topology is exact."""
     prop = "topology-round-trip"
     poset = _poset_of(payload)
-    recovered = poset_of_topology(open_sets(poset))
+    recovered = poset_of_topology(poset.n, open_sets(poset), poset.labels)
     if recovered != poset:
         return failed(prop, payload, law="recovers-order",
                       recovered=document_of_poset(recovered).to_payload())
@@ -138,13 +138,14 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
     prop = "zariski-equals-vietoris"
     poset = _poset_of(payload)
     space = build(poset)
-    for omega in open_sets(poset).opens:
+    hat = hat_powerdomain(poset)
+    # the hat space's points are the opens of the base
+    for omega in hat.points:
         direct = basic_open(space, omega)
         via_order = vietoris_open(space, omega)
         if direct != via_order:
             return failed(prop, payload, law="opens-agree", open=omega,
                           direct=sorted(direct), via_order=sorted(via_order))
-    hat = hat_powerdomain(poset)
     if basic_open(hat, 0) != frozenset({0}) or hat.points[0] != 0:
         return failed(prop, payload, law="empty-open-bottom")
     return passed(prop, payload)

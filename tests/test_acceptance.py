@@ -165,7 +165,7 @@ def test_criterion_3_exhaustive_four_element_suite():
             assert violation is None, violation
             assert powerdomain_dimension(space) == poset.n - 1
             assert is_phi_surjective(space) == is_chain(poset)
-            for omega in open_sets(poset).opens:
+            for omega in open_sets(poset):
                 assert vietoris_open(space, omega) == basic_open(space, omega)
 
 
@@ -296,7 +296,7 @@ def test_criterion_6_sup_extension_random_problems():
             sigma = sigma_map(target, target.full)
             target_space = build(target)
             for i in range(len(space.points)):
-                value = sigma.value(target_space.points[induced.image[i]])
+                value = sigma[target_space.points[induced.image[i]]]
                 assert value is not None
                 assert value == sharp.image[i]
                 assert value == sup(target, base_map.image_mask(space.points[i]))

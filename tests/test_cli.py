@@ -295,6 +295,14 @@ def test_capacity_flows_through_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_stats_at_capacity(tmp_path, capsys, monkeypatch):
+    # vee's four points fit a capacity of 4; its opens are those points
+    # and the empty set
+    monkeypatch.setenv("SPECTRAL_CAPACITY", "4")
+    assert main(["stats", vee_file(tmp_path)]) == 0
+    assert "opens: 5\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("content", [
     b"[" * 200000,
     b'{"n": 1, "labels": ["\xff"]}',

@@ -76,48 +76,39 @@ def test_fold_sup_one_directional(case):
 def test_sigma_total_on_lattice():
     p = diamond_poset()
     sigma = sigma_map(p, p.full)
-    assert sigma.is_total
-    assert sigma.undefined() == ()
-    assert sigma.value(0b0001) == 0
-    assert sigma.value(0b0111) == 3
-    assert sigma.value(p.full) == 3
+    assert None not in sigma.values()
+    assert sigma[0b0001] == 0
+    assert sigma[0b0111] == 3
+    assert sigma[p.full] == 3
 
 
 def test_sigma_partial_on_antichain():
     p = antichain(2)
     sigma = sigma_map(p, p.full)
-    assert not sigma.is_total
-    assert sigma.undefined() == (0b11,)
-    assert sigma.value(0b01) == 0
+    assert tuple(sigma) == (0b01, 0b10, 0b11)
+    assert tuple(sigma.values()) == (0, 1, None)
     # partiality is a value here; only lambda_sharp hardens it to an error
-    assert sigma.value(0b11) is None
+    assert sigma[0b11] is None
 
 
 def test_sigma_carrier_restriction(vee):
     # over the carrier {a1, a2} alone the pair has no sup inside the carrier
     # but the sup is taken in the ambient poset, where it exists
     sigma = sigma_map(vee, 0b011)
-    assert sigma.is_total
-    assert sigma.value(0b011) == 2
-
-
-def test_sigma_rejects_non_carrier_sets(vee):
-    sigma = sigma_map(vee, 0b011)
-    with pytest.raises(RangeError):
-        sigma.value(0b111)
+    assert None not in sigma.values()
+    assert sigma[0b011] == 2
 
 
 @given(posets(max_n=5))
 def test_sigma_union_law(poset):
     # the sup of a union is the sup of the two sups, whenever the latter exists
     sigma = sigma_map(poset, poset.full)
-    values = dict(zip(sigma.domain, sigma.sups))
-    defined = [(c, s) for c, s in values.items() if s is not None]
+    defined = [(c, s) for c, s in sigma.items() if s is not None]
     for c1, s1 in defined:
         for c2, s2 in defined:
             joined = binary_sup(poset, s1, s2)
             if joined is not None:
-                assert values[c1 | c2] == joined
+                assert sigma[c1 | c2] == joined
 
 
 def test_sigma_map_monotone_and_agrees_with_fold():
@@ -126,12 +117,12 @@ def test_sigma_map_monotone_and_agrees_with_fold():
     # binary fold never disagrees with a defined sup
     for poset in (p for n in range(1, 5) for p in all_posets(n)):
         sigma = sigma_map(poset, poset.full)
-        defined = [(c, s) for c, s in zip(sigma.domain, sigma.sups) if s is not None]
+        defined = [(c, s) for c, s in sigma.items() if s is not None]
         for small, s_small in defined:
             for big, s_big in defined:
                 if small & ~big == 0:
                     assert poset.leq(s_small, s_big)
-        for member, value in zip(sigma.domain, sigma.sups):
+        for member, value in sigma.items():
             assert fold_sup(poset, member) in (None, value)
 
 
@@ -148,8 +139,8 @@ def test_sigma_map_matches_the_induced_sub_poset():
                 for local in enumerate_down_sets(sub, False)
             )
             sigma = sigma_map(poset, carrier)
-            assert sigma.domain == domain
-            assert sigma.sups == tuple(sup(poset, member) for member in domain)
+            assert tuple(sigma) == domain
+            assert sigma == {member: sup(poset, member) for member in domain}
             pairs += 1
     assert pairs == 3428
 
@@ -162,7 +153,7 @@ def test_lambda_sharp_matches_down_closure_sup():
         for target in small:
             for image in all_monotone_images(source, target):
                 f = MonotoneMap(source, target, image)
-                if not sigma_map(target, f.image_mask(source.full)).is_total:
+                if None in sigma_map(target, f.image_mask(source.full)).values():
                     with pytest.raises(SigmaUndefinedError):
                         lambda_sharp(f)
                     undefined += 1

@@ -272,30 +272,30 @@ def test_phi_surjective_iff_chain(poset):
 
 
 def test_iterate_sizes(vee):
-    assert iterate_sizes(vee, 2).sizes == (3, 4, 5)
-    assert iterate_sizes(antichain(2), 2).sizes == (2, 3, 4)
-    assert iterate_sizes(chain(1), 3).sizes == (1, 1, 1, 1)
-    assert not iterate_sizes(vee, 2).truncated
+    assert iterate_sizes(vee, 2) == (3, 4, 5)
+    assert iterate_sizes(antichain(2), 2) == (2, 3, 4)
+    assert iterate_sizes(chain(1), 3) == (1, 1, 1, 1)
 
 
 def test_iterate_full_antichain3():
-    assert iterate_sizes(antichain(3), 3).sizes == (3, 7, 18, 81)
+    assert iterate_sizes(antichain(3), 3) == (3, 7, 18, 81)
 
 
 def test_iterate_truncation():
+    # fewer than k + 1 sizes: the fourth stage is over the capacity
     result = iterate_sizes(antichain(3), 3, capacity=80)
-    assert result.truncated
-    assert result.sizes == (3, 7, 18)
+    assert len(result) == 3
+    assert result == (3, 7, 18)
     # a stage landing exactly on the capacity still completes
     at_cap = iterate_sizes(antichain(3), 3, capacity=18)
-    assert at_cap.truncated
-    assert at_cap.sizes == (3, 7, 18)
+    assert len(at_cap) == 3
+    assert at_cap == (3, 7, 18)
 
 
 def test_iterate_zero_rounds(vee):
     result = iterate_sizes(vee, 0)
-    assert result.sizes == (3,)
-    assert not result.truncated
+    assert result == (3,)
+    assert len(result) == 1
 
 
 def test_build_capacity(vee):
@@ -312,6 +312,13 @@ def test_boolean_lattice_point_count():
 @given(posets(max_n=5))
 def test_embedding_theorem_holds(poset):
     assert check_embedding_theorem(build(poset)) is None
+
+
+def test_embedding_theorem_enumerates_no_opens(monkeypatch, vee):
+    # the opens are read off the points: vee's four points fit a capacity
+    # of 4, though its five opens do not
+    monkeypatch.setenv("SPECTRAL_CAPACITY", "4")
+    assert check_embedding_theorem(build(vee)) is None
 
 
 def test_join_irreducible_points_match_the_scan():

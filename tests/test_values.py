@@ -10,15 +10,10 @@ import pytest
 from smyth import (
     CheckReport,
     FinitePoset,
-    IterateResult,
     MonotoneMap,
-    OpenFamily,
     PowerdomainSpace,
-    SigmaMap,
     build,
     maps,
-    open_sets,
-    sigma_map,
 )
 from smyth.docio import PosetDocument
 
@@ -31,7 +26,6 @@ def value_cases():
     Each call builds fresh posets, so two calls give equal but distinct
     field objects."""
     vee, chain2 = vee_poset(), chain(2)
-    sigma = sigma_map(vee, vee.full)
     return [
         (FinitePoset, dict(n=vee.n, up=vee.up, down=vee.down, labels=vee.labels),
          {"labels": ("x", "y", "z")}),
@@ -41,13 +35,8 @@ def value_cases():
         (CheckReport, dict(property="p", instance="{}", verdict="skipped",
                            reason="over budget", witness=None),
          {"reason": "not sup-complete"}),
-        (IterateResult, dict(sizes=(3, 7), truncated=False), {"truncated": True}),
-        (OpenFamily, dict(base=vee, opens=open_sets(vee).opens), {"opens": (0, 7)}),
         (MonotoneMap, dict(source=vee, target=chain2, image=(0, 0, 1)),
          {"image": (0, 0, 0)}),
-        (SigmaMap, dict(ambient=vee, carrier=sigma.carrier, domain=sigma.domain,
-                        sups=sigma.sups),
-         {"sups": (None,) * len(sigma.sups)}),
     ]
 
 
