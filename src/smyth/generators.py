@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import CapacityError, RangeError
-from .poset import FinitePoset, _transpose, iter_bits
+from .poset import FinitePoset, iter_bits
 from .maps import MonotoneMap, MonotoneRule, _made, anchored_extensions
 
 MAX_EXHAUSTIVE_N = 5
@@ -17,39 +17,61 @@ MAX_EXHAUSTIVE_N = 5
 def all_posets(n: int) -> tuple[FinitePoset, ...]:
     """Every labeled poset on ``n`` elements, each exactly once.
 
-    Each unordered pair is assigned one of: incomparable, ascending, or
-    descending; assignments whose reflexive closure is transitive are
-    the posets.  The enumeration order is the lexicographic order of
-    those assignments, so output is deterministic.
+    Each unordered pair, in ``combinations`` order, is made incomparable,
+    ascending or descending, tried in that order; the posets are the
+    assignments whose reflexive closure is transitive, listed in the
+    lexicographic order of the assignments, so output is deterministic.
+
+    A depth-first search on an explicit stack builds the assignments
+    pair by pair and keeps a choice for ``(i, j)`` only if every triple
+    ``{h, i, j}`` with ``h < i`` stays transitive: those are the triples
+    whose last pair is ``(i, j)``, so every triple is checked once, and
+    each check is one masked test of the ``up`` and ``down`` rows over
+    the elements below ``i``.  A pruned branch holds no poset, so the
+    order is that of filtering every assignment.
     """
     if n < 1:
         raise RangeError(f"a poset needs at least one element, got n={n}")
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"exhaustive enumeration is capped at n={MAX_EXHAUSTIVE_N}")
     pairs = list(combinations(range(n), 2))
+    up = [1 << i for i in range(n)]
+    down = list(up)
     found = []
-    for choice in product((0, 1, 2), repeat=len(pairs)):
-        up = [1 << i for i in range(n)]
-        for (i, j), direction in zip(pairs, choice):
-            if direction == 1:
-                up[i] |= 1 << j
-            elif direction == 2:
-                up[j] |= 1 << i
-        if _is_transitive(n, up):
-            found.append(FinitePoset(n, tuple(up), _transpose(up, n)))
+    # The next direction to try at each depth: 0 incomparable, 1 i < j,
+    # 2 j < i, 3 none left.  The direction tried before it stays in the
+    # rows until the search comes back to this depth and takes it out.
+    untried = [0]
+    while untried:
+        depth = len(untried) - 1
+        if depth == len(pairs):
+            found.append(FinitePoset(n, tuple(up), tuple(down)))
+            untried.pop()
+            continue
+        i, j = pairs[depth]
+        direction = untried[-1]
+        if direction == 2:
+            up[i] ^= 1 << j
+            down[j] ^= 1 << i
+        elif direction == 3:
+            up[j] ^= 1 << i
+            down[i] ^= 1 << j
+            untried.pop()
+            continue
+        untried[-1] = direction + 1
+        if direction == 0:
+            broken = up[i] & down[j] | up[j] & down[i]
+        elif direction == 1:
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+            broken = down[i] & ~down[j] | up[j] & ~up[i]
+        else:
+            up[j] |= 1 << i
+            down[i] |= 1 << j
+            broken = down[j] & ~down[i] | up[i] & ~up[j]
+        if not broken & ((1 << i) - 1):
+            untried.append(0)
     return tuple(found)
-
-
-def _is_transitive(n: int, up: list[int]) -> bool:
-    for i in range(n):
-        row = up[i]
-        rest = row & ~(1 << i)
-        while rest:
-            low = rest & -rest
-            if up[low.bit_length() - 1] & ~row:
-                return False
-            rest ^= low
-    return True
 
 
 def random_poset(n: int, seed: int) -> FinitePoset:

@@ -280,19 +280,20 @@ def anchored_extensions(
 
 
 def _extension_images(
-    f: MonotoneMap, capacity: int | None
+    f: MonotoneMap, capacity: int | None, default: int
 ) -> tuple[tuple[int, ...], ...]:
     """Every monotone map of powerdomains sending ``phi(x)`` to
     ``phi(f(x))``, as sorted image tuples: the one search of the
-    least-extension laws.  Both spaces are built under the default
-    capacity, resolved once; ``capacity`` bounds the search only."""
-    default = resolve_capacity(None)
+    least-extension laws.  Both spaces are built under ``default``, the
+    default capacity the caller resolved; ``capacity`` bounds the search
+    only, and ``default`` bounds it when ``capacity`` is None."""
     source_space = build(f.source, default)
     target_space = build(f.target, default)
     anchors = {point: target_space.phi_index[value]
                for point, value in zip(source_space.phi_index, f.image)}
     return anchored_extensions(
-        source_space.order, anchors, target_space.order, capacity
+        source_space.order, anchors, target_space.order,
+        default if capacity is None else capacity,
     )
 
 
@@ -307,9 +308,10 @@ def enumerate_extensions(
     construct.  ``capacity`` bounds the search only.  For the identity,
     ``restricts-to-base`` of ``check_sigma_theorem`` is the retraction.
     """
-    source, target = build(f.source).order, build(f.target).order
+    default = resolve_capacity(None)
+    source, target = build(f.source, default).order, build(f.target, default).order
     return tuple(_made(source, target, image)
-                 for image in _extension_images(f, capacity))
+                 for image in _extension_images(f, capacity, default))
 
 
 def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None:
@@ -322,10 +324,11 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     ``enumerate_extensions`` instead, as image tuples, and compares each
     with the induced map on one up row of the target order per point.
     ``capacity`` bounds the search only: the spaces and the induced map
-    come from the default caches.
+    come from the default caches, under the default capacity read once.
     """
-    induced_map = powerdomain_map(f)
-    extensions = _extension_images(f, capacity)
+    default = resolve_capacity(None)
+    induced_map = powerdomain_map(f, default)
+    extensions = _extension_images(f, capacity, default)
     if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}
     floors = [induced_map.target.up[value] for value in induced_map.image]

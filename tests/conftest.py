@@ -3,6 +3,7 @@
 import functools
 import re
 import sys
+from itertools import combinations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -151,6 +152,41 @@ def first_basis_intersection_failure(space, basic_open) -> tuple[int, int] | Non
             if basic_open(space, a) & basic_open(space, b) != basic_open(space, a & b):
                 return a, b
     return None
+
+
+def all_posets_by_filter(n: int) -> tuple[FinitePoset, ...]:
+    """Every labeled poset on ``n`` elements, by filtering every pair
+    assignment.  The oracle of ``all_posets``, order included.
+
+    Each unordered pair, in ``combinations`` order, is incomparable,
+    ascending or descending; every one of the ``3**(n*(n-1)/2)``
+    assignments is tried in lexicographic order, and the ones whose
+    reflexive closure is transitive are kept.
+    """
+    pairs = list(combinations(range(n), 2))
+    found = []
+    for choice in product((0, 1, 2), repeat=len(pairs)):
+        up = [1 << i for i in range(n)]
+        for (i, j), direction in zip(pairs, choice):
+            if direction == 1:
+                up[i] |= 1 << j
+            elif direction == 2:
+                up[j] |= 1 << i
+        if _is_transitive(n, up):
+            found.append(FinitePoset(n, tuple(up), _transpose(up, n)))
+    return tuple(found)
+
+
+def _is_transitive(n: int, up: list[int]) -> bool:
+    for i in range(n):
+        row = up[i]
+        rest = row & ~(1 << i)
+        while rest:
+            low = rest & -rest
+            if up[low.bit_length() - 1] & ~row:
+                return False
+            rest ^= low
+    return True
 
 
 def count_posets_bruteforce(n: int) -> int:

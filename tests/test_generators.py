@@ -14,7 +14,14 @@ from smyth.generators import (
     random_poset,
 )
 
-from conftest import antichain, chain, count_posets_bruteforce, diamond_poset, vee_poset
+from conftest import (
+    all_posets_by_filter,
+    antichain,
+    chain,
+    count_posets_bruteforce,
+    diamond_poset,
+    vee_poset,
+)
 
 
 def test_exhaustive_counts():
@@ -27,6 +34,12 @@ def test_exhaustive_counts():
 def test_counts_against_bruteforce():
     for n in range(1, 4):
         assert len(all_posets(n)) == count_posets_bruteforce(n)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_EXHAUSTIVE_N + 1))
+def test_search_matches_the_filter(n):
+    # whole tuples: the same posets in the same order
+    assert all_posets(n) == all_posets_by_filter(n)
 
 
 def test_exhaustive_cap():

@@ -21,14 +21,14 @@ from smyth import (
     lift_homeomorphism,
     powerdomain_map,
 )
-from smyth import maps
+from smyth import maps, powerdomain
 from smyth.generators import all_posets, random_monotone_map, random_poset
 from smyth.maps import (
     _monotonicity_violation,
     anchored_extensions,
     is_order_isomorphism,
 )
-from smyth.poset import find_isomorphism, iter_bits, relabel
+from smyth.poset import find_isomorphism, iter_bits, relabel, resolve_capacity
 
 from conftest import (
     antichain,
@@ -281,6 +281,22 @@ def test_extensions_are_anchored():
 
 def test_minimality_worked_example():
     assert check_minimality(worked_map()) is None
+
+
+@pytest.mark.parametrize("capacity", [None, 64])
+def test_minimality_reads_the_capacity_once(monkeypatch, capacity):
+    """The default capacity is resolved once per map and passed to the
+    induced map and the extension search alike."""
+    reads = []
+
+    def counting(value):
+        reads.append(value)
+        return resolve_capacity(value)
+
+    monkeypatch.setattr(maps, "resolve_capacity", counting)
+    monkeypatch.setattr(powerdomain, "resolve_capacity", counting)
+    assert check_minimality(worked_map(), capacity) is None
+    assert reads.count(None) == 1
 
 
 @given(posets(max_n=3), posets(max_n=3), st.integers(0, 2**31))

@@ -9,7 +9,9 @@ made by the helpers of ``report.py`` alone, which only ``suite.py``
 calls, and a suite property files each verdict on the payload it ran
 on.  Only the CLI calls the
 validating ``MonotoneMap`` constructor; every map the package derives
-is made by ``maps._made``, and no way around the check remains.  The
+is made by ``maps._made``, and no way around the check remains.  No
+function calls itself, so every walk keeps its state on an explicit
+stack and no input depth meets the interpreter's recursion limit.  The
 README names only what the code still spells.
 """
 
@@ -128,6 +130,53 @@ def test_reports_come_from_the_report_helpers():
                     found.append(f"{path.name}:{node.lineno}:{name}")
     assert verdicts > 0
     assert found == [], f"reports made another way: {found}"
+
+
+def self_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every call of a function to its own name, bare or as an attribute
+    of ``self`` or ``cls``, with its line.  A ``super()`` call reaches
+    another class's function and is not one."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                recursive = func.id == function.name
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                recursive = (func.attr == function.name
+                             and func.value.id in ("self", "cls"))
+            else:
+                recursive = False
+            if recursive:
+                found.append((function.name, node.lineno))
+    return found
+
+
+def test_self_calls_finds_recursion():
+    tree = ast.parse(
+        "def walk(n):\n    return walk(n - 1)\n"
+        "class A:\n"
+        "    def visit(self):\n        self.visit()\n"
+        "    @classmethod\n    def make(cls):\n        cls.make()\n"
+        "    def __init__(self):\n        super().__init__()\n"
+        "    def other(self, x):\n        x.other()\n"
+    )
+    assert self_calls(tree) == [("walk", 2), ("visit", 5), ("make", 8)]
+
+
+def test_package_has_no_recursion():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{line}:{name}"
+        for path in sources
+        for name, line in self_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], f"functions that call themselves: {found}"
 
 
 def identifiers(node: ast.AST) -> list[str]:
