@@ -77,21 +77,45 @@ def all_posets(n: int) -> tuple[FinitePoset, ...]:
 def random_poset(n: int, seed: int) -> FinitePoset:
     """A reproducible random poset on ``n`` elements.
 
-    Draws an edge density, then flips a coin per index-increasing pair
-    and closes transitively; acyclicity is automatic because edges only
-    point upward in index order.
+    Draws an edge density, then flips a coin per pair ``i < j``, ``i``
+    the outer loop, and a heads puts ``j`` in ``above[i]`` and ``i`` in
+    ``below[j]``.  Edges only point upward in index order, so the
+    relation is acyclic and the indices follow a linear extension.  The
+    ``up`` rows close in one pass from the top index down, the ``down``
+    rows in one pass from the bottom up: each row ORs in the closed row
+    of its nearest edge not yet reached and drops every edge that row
+    reaches, about one OR per cover edge.  The constructor validates
+    the rows as for any poset.
     """
     if n < 1:
         raise RangeError(f"a poset needs at least one element, got n={n}")
     rng = random.Random(seed)
     density = rng.random()
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < density
-    ]
-    return FinitePoset.from_cover_relations(n, pairs)
+    draw = rng.random
+    above = [0] * n
+    below = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw() < density:
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    up = [0] * n
+    for i in range(n - 1, -1, -1):
+        row, rest = 1 << i, above[i]
+        while rest:
+            reach = up[(rest & -rest).bit_length() - 1]
+            row |= reach
+            rest &= ~reach
+        up[i] = row
+    down = [0] * n
+    for j in range(n):
+        row, rest = 1 << j, below[j]
+        while rest:
+            reach = down[rest.bit_length() - 1]
+            row |= reach
+            rest &= ~reach
+        down[j] = row
+    return FinitePoset(n, tuple(up), tuple(down))
 
 
 def all_monotone_images(

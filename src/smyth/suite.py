@@ -134,11 +134,15 @@ def prop_phi_onto_iff_chain(payload: dict) -> CheckReport:
 
 
 def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
-    """Containment opens and order-principal opens agree on every open."""
+    """Containment opens and order-principal opens agree on every open.
+
+    The capacity is resolved once, for both builds.
+    """
     prop = "zariski-equals-vietoris"
     poset = _poset_of(payload)
-    space = build(poset)
-    hat = hat_powerdomain(poset)
+    capacity = resolve_capacity(None)
+    space = build(poset, capacity)
+    hat = hat_powerdomain(poset, capacity)
     # the hat space's points are the opens of the base
     for omega in hat.points:
         direct = basic_open(space, omega)
@@ -230,15 +234,20 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
 
 
 def prop_lift_round_trip(payload: dict) -> CheckReport:
-    """Lifting inverts inducing on a relabeled copy of the base."""
+    """Lifting inverts inducing on a relabeled copy of the base.
+
+    The capacity is resolved once, for the induced map and both builds.
+    """
     prop = "lift-round-trip"
     poset = _poset_of(payload)
+    capacity = resolve_capacity(None)
     rotation = tuple((i + 1) % poset.n for i in range(poset.n))
     other = relabel(poset, rotation)
     sigma = _made(poset, other, rotation)
-    induced_iso = powerdomain_map(sigma)
+    induced_iso = powerdomain_map(sigma, capacity)
     try:
-        lifted = lift_homeomorphism(build(poset), build(other), induced_iso)
+        lifted = lift_homeomorphism(
+            build(poset, capacity), build(other, capacity), induced_iso)
     except NotIsomorphismError:
         return failed(prop, payload, law="induced-map-is-isomorphism")
     except IrreducibilityError:

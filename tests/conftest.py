@@ -1,6 +1,7 @@
 """Shared fixtures, hypothesis strategies, and a strict DOT validator."""
 
 import functools
+import random
 import re
 import sys
 from itertools import combinations, product
@@ -187,6 +188,23 @@ def _is_transitive(n: int, up: list[int]) -> bool:
                 return False
             rest ^= low
     return True
+
+
+def random_poset_by_closure(n: int, seed: int) -> FinitePoset:
+    """``random_poset``'s draws as a pair list, closed by
+    ``from_cover_relations``.  The oracle of ``random_poset``: the same
+    coin per pair ``i < j``, ``i`` the outer loop, and the general
+    closure and transpose in place of the two row passes.
+    """
+    rng = random.Random(seed)
+    density = rng.random()
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return FinitePoset.from_cover_relations(n, pairs)
 
 
 def count_posets_bruteforce(n: int) -> int:

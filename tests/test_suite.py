@@ -28,6 +28,7 @@ from smyth import (
 )
 from smyth.docio import document_of_poset
 from smyth.generators import all_posets
+from smyth.poset import resolve_capacity
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
     FIXTURE_DOCS,
@@ -40,7 +41,7 @@ from smyth.suite import (
     prop_sup_extension_of_embedding,
 )
 
-from conftest import antichain, chain, diamond_poset
+from conftest import antichain, chain, diamond_poset, vee_poset
 
 
 def test_report_validation():
@@ -108,10 +109,12 @@ PINNED_SCOPES = [
 ]
 
 
-# exhaustive-5 (39 143 pass, 3 167 skipped) is pinned here alone:
-# the other tests over PINNED_SCOPES would run it a second time
+# exhaustive-5 (39 143 pass, 3 167 skipped) and the random scope, the
+# suite's path through random_poset (560 pass, 40 skipped), are pinned
+# here alone: the other tests over PINNED_SCOPES would run them again
 @pytest.mark.parametrize("scope, digest, count", PINNED_SCOPES + [
     ("exhaustive-5", "4c8d6b2287f293cd", 42310),
+    ("random:60:9:2024", "23e6718b9f23a0b1", 600),
 ])
 def test_report_lists_are_pinned(scope, digest, count):
     # a sha256 prefix of every report line: a change meant to keep each
@@ -266,15 +269,21 @@ def test_sigma_properties_search_no_extensions(monkeypatch):
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
+def _bench_workloads():
+    """``bench/workloads.py``, imported from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "suite_bench_workloads", BENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_sweep_matches_its_benchmark_pin():
     """The benchmark's seed-0 ``sweep`` of 720 five-element posets gives
     the verdict totals and digest pinned in ``bench/pins.json``, which
     ``python3 bench/run.py --check`` requires."""
-    spec = importlib.util.spec_from_file_location(
-        "suite_sweep_workloads", BENCH / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _bench_workloads()
     posets = workloads.sweep_setup(0, 20)
     ok, summary = workloads.sweep_check(
         [workloads.sweep_operation(poset) for poset in posets]
@@ -282,6 +291,18 @@ def test_sweep_matches_its_benchmark_pin():
     assert len(posets) == 720 and all(ok)
     pins = json.loads((BENCH / "pins.json").read_text())
     assert summary == pins["sweep"]["0/720"]
+
+
+def test_build_bases_match_their_pin():
+    """The benchmark's seed-0 ``build`` set-up at one second picks the
+    same nine (bucket, builder, base) jobs, so that its ``setup_s`` times
+    the same bucket search on either side of a change."""
+    workloads = _bench_workloads()
+    digest = hashlib.sha256()
+    jobs = workloads.build_setup(0, 1)
+    for bucket, builder, base in jobs:
+        digest.update(f"{bucket}\t{builder}\t{base.n}\t{base.up}\n".encode())
+    assert (len(jobs), digest.hexdigest()[:16]) == (9, "5f89086be1d0ee30")
 
 
 # the lifted composite, then the composite of the two lifts, of the
@@ -381,6 +402,23 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
     assert None not in drawn and len(drawn) == suite.SAMPLED_MAPS
     assert len(lifted) == 1 + len(images) + len(composites)
     assert checked == []
+
+
+@pytest.mark.parametrize("name", ["zariski-equals-vietoris", "lift-round-trip"])
+def test_property_reads_the_capacity_once(monkeypatch, name):
+    """The default capacity is resolved once per property and passed to
+    every build and induced map it makes."""
+    reads = []
+
+    def counting(value):
+        reads.append(value)
+        return resolve_capacity(value)
+
+    for module in (suite, maps, powerdomain):
+        monkeypatch.setattr(module, "resolve_capacity", counting)
+    payload = document_of_poset(vee_poset()).to_payload()
+    assert PROPERTIES[name](payload).verdict == PASS
+    assert reads.count(None) == 1
 
 
 @pytest.mark.parametrize("corrupted, lifted_image, law", [
