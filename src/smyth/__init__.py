@@ -23,6 +23,7 @@ _EXPORTS_BY_MODULE = {
         "DocumentError",
         "IrreducibilityError",
         "MalformedFamilyError",
+        "NotAnOrderError",
         "NotIsomorphismError",
         "NotOpenError",
         "NotSpectralError",

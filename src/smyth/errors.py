@@ -56,6 +56,12 @@ class CycleError(SmythError):
     """The supplied relations are cyclic, so no partial order exists."""
 
 
+class NotAnOrderError(SmythError, ValueError):
+    """Relation rows are not transitive, or the down rows are not the
+    transpose of the up rows.  Also a ValueError, for callers that
+    catch that."""
+
+
 class CapacityError(SmythError):
     """An enumeration would exceed the configured point budget."""
 

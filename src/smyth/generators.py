@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapacityError, RangeError
-from .poset import FinitePoset, iter_bits
+from .poset import FinitePoset, _made_poset, iter_bits
 from .maps import MonotoneMap, MonotoneRule, _made, anchored_extensions
 
 MAX_EXHAUSTIVE_N = 5
@@ -45,7 +45,7 @@ def all_posets(n: int) -> tuple[FinitePoset, ...]:
     while untried:
         depth = len(untried) - 1
         if depth == len(pairs):
-            found.append(FinitePoset(n, tuple(up), tuple(down)))
+            found.append(_made_poset(n, tuple(up), tuple(down)))
             untried.pop()
             continue
         i, j = pairs[depth]
@@ -84,8 +84,7 @@ def random_poset(n: int, seed: int) -> FinitePoset:
     ``up`` rows close in one pass from the top index down, the ``down``
     rows in one pass from the bottom up: each row ORs in the closed row
     of its nearest edge not yet reached and drops every edge that row
-    reaches, about one OR per cover edge.  The constructor validates
-    the rows as for any poset.
+    reaches, about one OR per cover edge.
     """
     if n < 1:
         raise RangeError(f"a poset needs at least one element, got n={n}")
@@ -115,7 +114,7 @@ def random_poset(n: int, seed: int) -> FinitePoset:
             row |= reach
             rest &= ~reach
         down[j] = row
-    return FinitePoset(n, tuple(up), tuple(down))
+    return _made_poset(n, tuple(up), tuple(down))
 
 
 def all_monotone_images(

@@ -17,7 +17,7 @@ import os
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, CycleError, RangeError, _Value
+from .errors import CapacityError, CycleError, NotAnOrderError, RangeError, _Value
 
 # A built powerdomain keeps its N point masks.  Its order's rows, built
 # on first read, hold two N-bit rows per point, about N**2 / 4 bytes:
@@ -68,22 +68,25 @@ class FinitePoset(_Value):
     the mask of every ``j`` with ``j <= i``.  Keeping both directions
     makes the two closure operators plain OR-folds over rows.
 
-    Construction accepts exactly the rows where ``up`` is a partial order
-    and ``down`` is its transpose: every row stays within ``range(n)``,
-    ``up`` is reflexive, ``up[i] & down[i]`` is ``{i}`` alone
-    (antisymmetry, else CycleError), and one pass of ``_check_rows``
-    rebuilds each down row from the down rows of a few picked members,
-    then each up row from the up rows of the elements that picked it
-    (transitivity and the transpose, else ValueError).  When indices
-    follow a linear extension, the picks are exactly the lower covers,
-    so the check costs a few big-integer operations per cover edge, not
-    per comparable pair; in other index orders it may pick more.
+    The constructor is the entry check, for rows that come from outside
+    the package.  It accepts exactly the rows where ``up`` is a partial
+    order and ``down`` is its transpose: every row stays within
+    ``range(n)``, ``up`` is reflexive, ``up[i] & down[i]`` is ``{i}``
+    alone (antisymmetry, else CycleError), and one pass of
+    ``_check_rows`` rebuilds each down row from the down rows of a few
+    picked members, then each up row from the up rows of the elements
+    that picked it (transitivity and the transpose, else
+    NotAnOrderError).  When indices follow a linear extension, the picks
+    are exactly the lower covers, so the check costs a few big-integer
+    operations per cover edge, not per comparable pair; in other index
+    orders it may pick more.
 
-    ``_validate`` is that check.  The order of a built powerdomain is a
-    subclass that answers ``leq`` from its point masks and builds its
-    rows, and so its covers, on first read, when ``_validate`` checks them.
-    Equality and hashing are by value, so it equals the ``FinitePoset``
-    with the same rows.
+    Every poset the package derives (a dual, a relabeling, a generated
+    poset) is made by ``_made_poset`` with no check.  The order of a
+    built powerdomain is a subclass that makes its rows on first read,
+    also unchecked; the ``order-is-containment`` law certifies them.
+    Equality and hashing are by value, so either equals the
+    ``FinitePoset`` with the same rows.
     """
 
     _fields = ("n", "up", "down", "labels")
@@ -95,24 +98,11 @@ class FinitePoset(_Value):
         down: tuple[int, ...],
         labels: tuple[str, ...] | None = None,
     ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
-        self._validate(up, down)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-
-    def _validate(self, up: tuple[int, ...], down: tuple[int, ...]) -> None:
-        """Accept ``up`` and ``down`` as this poset's rows, or raise.
-
-        The one check of the rows, run by the constructor and by any
-        subclass that builds its rows later.
-        """
-        n = self.n
         if n < 1:
             raise RangeError(f"a poset needs at least one element, got n={n}")
         if len(up) != n or len(down) != n:
             raise RangeError("relation rows do not match the element count")
-        if self.labels is not None and len(self.labels) != n:
+        if labels is not None and len(labels) != n:
             raise RangeError("labels do not match the element count")
         for i in range(n):
             above, below = up[i], down[i]
@@ -129,6 +119,10 @@ class FinitePoset(_Value):
                     "are each below the other"
                 )
         _check_rows(up, down)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_cover_relations(
@@ -143,9 +137,9 @@ class FinitePoset(_Value):
         reflexive-transitive closure gives the ``up`` rows, each
         element's row folded into every row whose column holds it (n**2
         big-integer tests), and the ``down`` rows are its transpose.
-        Unless indices follow a linear extension, validation may pick
-        more than the covers.  Cyclic input raises CycleError from the
-        constructor's antisymmetry check.
+        Unless indices follow a linear extension, the constructor's check
+        may pick more than the covers.  Cyclic input raises CycleError
+        from its antisymmetry check.
         """
         if n < 1:
             raise RangeError(f"a poset needs at least one element, got n={n}")
@@ -258,6 +252,26 @@ class FinitePoset(_Value):
         return self.labels[i] if self.labels is not None else str(i)
 
 
+def _made_poset(
+    n: int,
+    up: tuple[int, ...],
+    down: tuple[int, ...],
+    labels: tuple[str, ...] | None = None,
+) -> FinitePoset:
+    """A poset the package derived, with its fields set and not checked.
+
+    The fields are set one by one, as the constructor sets them, so the
+    instance keeps the class's shared-key dict: filling ``__dict__`` at
+    once makes a private dict about 80 bytes larger per poset.
+    """
+    poset = object.__new__(FinitePoset)
+    object.__setattr__(poset, "n", n)
+    object.__setattr__(poset, "up", up)
+    object.__setattr__(poset, "down", down)
+    object.__setattr__(poset, "labels", labels)
+    return poset
+
+
 def _check_rows(up: tuple[int, ...], down: tuple[int, ...]) -> None:
     """Rebuild the down rows from picked members, then the up rows.
 
@@ -295,13 +309,13 @@ def _check_rows(up: tuple[int, ...], down: tuple[int, ...]) -> None:
             reached |= picked
             remaining ^= remaining & picked
         if reached != row:
-            raise ValueError(f"relation is not transitive below {i}")
+            raise NotAnOrderError(f"relation is not transitive below {i}")
     for j, picked_by in enumerate(upper):
         reached = 1 << j
         for i in picked_by:
             reached |= up[i]
         if reached != up[j]:
-            raise ValueError("down rows are not the transpose of up rows")
+            raise NotAnOrderError("down rows are not the transpose of up rows")
 
 
 def _transpose(rows: Iterable[int], width: int) -> tuple[int, ...]:
@@ -352,7 +366,7 @@ def is_down_set(poset: FinitePoset, subset: int) -> bool:
 
 def order_dual(poset: FinitePoset) -> FinitePoset:
     """The same elements with the order reversed."""
-    return FinitePoset(poset.n, poset.down, poset.up, poset.labels)
+    return _made_poset(poset.n, poset.down, poset.up, poset.labels)
 
 
 def _longest_chains(walk: Iterable[int], covers: tuple[int, ...]) -> tuple[int, ...]:
@@ -525,8 +539,7 @@ def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:
 
     Up row ``image[i]`` is up row ``i`` with each bit ``j`` moved to
     ``image[j]``, one big-integer OR per comparable pair; the down rows
-    are their transpose.  Unless ``image`` keeps a linear extension,
-    validation may pick more than the covers.
+    are their transpose.
     """
     if sorted(image) != list(range(poset.n)):
         raise RangeError("relabeling is not a bijection on range(n)")
@@ -539,7 +552,7 @@ def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:
         for i in range(poset.n):
             relabeled[image[i]] = poset.labels[i]
         labels = tuple(relabeled)
-    return FinitePoset(poset.n, tuple(up), _transpose(up, poset.n), labels)
+    return _made_poset(poset.n, tuple(up), _transpose(up, poset.n), labels)
 
 
 def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:

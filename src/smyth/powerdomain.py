@@ -90,8 +90,10 @@ class _InclusionOrder(FinitePoset):
     The points are the down-sets of ``base`` (nonempty, or every one in
     the hat space), so the masks alone fix the order: ``leq`` is
     containment, and canonical order is a linear extension.  Both rows
-    are built by ``_inclusion_rows`` on the first read of either and
-    checked by ``_validate``; the covers are read off them as usual.
+    are built by ``_inclusion_rows`` on the first read of either, with
+    no check: the ``order-is-containment`` law of
+    ``check_embedding_theorem`` certifies them.  The covers are read off
+    them as usual.
     """
 
     def __init__(self, base: FinitePoset, points: tuple[int, ...]) -> None:
@@ -101,12 +103,11 @@ class _InclusionOrder(FinitePoset):
         object.__setattr__(self, "points", points)
 
     def __getattr__(self, name: str) -> tuple[int, ...]:
-        """Build, validate and keep both rows on the first read of either."""
+        """Build and keep both rows on the first read of either."""
         if name != "up" and name != "down":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         up, down = _inclusion_rows(self.base, self.points)
-        self._validate(up, down)
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", down)
         return up if name == "up" else down
@@ -294,7 +295,9 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
 
     Checks, in order: the basic opens are closed under intersection;
     each point's up row in the order is the AND of its members'
-    membership columns, so the order is containment of points; the
+    membership columns, and then each down row is the AND of the
+    complemented columns of its non-members, so the order is
+    containment of points and its rows are each other's transpose; the
     principal-point map is an order-embedding (injective, reflecting the
     order both ways) and pulls every basic open back to exactly its
     defining open; the space has one maximal point, the full set; every
@@ -317,8 +320,10 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
             if mask_a & mask_b != open_of[a & b]:
                 return {"law": "basis-intersection", "left": a, "right": b}
 
-    # Point i lies below the points that hold all of its members: an AND
-    # of membership columns, an independent route to _inclusion_rows.
+    # Point i lies below the points that hold all of its members, and
+    # above those that hold none of its non-members: ANDs of membership
+    # columns, an independent route to _inclusion_rows.  A witness is a
+    # pair (left, right) whose "left <= right" the rows misread.
     column = _transpose(space.points, base.n)
     every = (1 << len(space.points)) - 1
     for i, small in enumerate(space.points):
@@ -329,6 +334,15 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
         if wrong:
             return {"law": "order-is-containment",
                     "left": i, "right": (wrong & -wrong).bit_length() - 1}
+    outside = [every ^ c for c in column]
+    for i, small in enumerate(space.points):
+        below = every
+        for y in iter_bits(base.full ^ small):
+            below &= outside[y]
+        wrong = space.order.down[i] ^ below
+        if wrong:
+            return {"law": "order-is-containment",
+                    "left": (wrong & -wrong).bit_length() - 1, "right": i}
 
     if not is_order_embedding(base, space.order, space.phi_index):
         return {"law": "order-embedding"}

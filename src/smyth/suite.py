@@ -467,10 +467,14 @@ def replay(report: CheckReport) -> CheckReport:
 
 
 def check_payload(payload: dict, suite: str) -> list[CheckReport]:
-    """Run one suite group against a single document payload."""
+    """Run one suite group against a single document payload.
+
+    The payload is validated first, so a malformed one raises
+    DocumentError before any property runs.
+    """
     if suite not in SUITE_GROUPS:
         raise RangeError(f"unknown suite {suite!r}")
     names = list(SUITE_GROUPS[suite])
-    if payload.get("expect") is not None:
+    if document_from_payload(payload).expect is not None:
         names.append("fixture-expectations")
     return [PROPERTIES[name](payload) for name in names]

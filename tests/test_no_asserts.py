@@ -9,7 +9,10 @@ made by the helpers of ``report.py`` alone, which only ``suite.py``
 calls, and a suite property files each verdict on the payload it ran
 on.  Only the CLI calls the
 validating ``MonotoneMap`` constructor; every map the package derives
-is made by ``maps._made``, and no way around the check remains.  No
+is made by ``maps._made``, and no way around the check remains.  Posets
+are validated only where their rows enter: ``from_cover_relations`` and
+``poset_of_topology``; every poset the package derives is made by
+``poset._made_poset``.  No
 function calls itself, so every walk keeps its state on an explicit
 stack and no input depth meets the interpreter's recursion limit.  The
 README names only what the code still spells.
@@ -210,6 +213,29 @@ def test_only_the_cli_validates_maps():
             found += [f"{path.name}:{node.lineno}:{name}" for name in identifiers(node)
                       if name in ("unchecked", "_validated")]
     assert found == [], f"maps validated or bypassed another way: {found}"
+
+
+def test_posets_are_validated_only_where_they_enter():
+    """Only ``topology.py`` calls ``FinitePoset(``, only
+    ``from_cover_relations`` calls ``cls(``, and no module names
+    ``_validate``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        entry = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "from_cover_relations":
+                entry = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if (name == "FinitePoset" and path.name != "topology.py"
+                        or name == "cls" and id(node) not in entry):
+                    found.append(f"{path.name}:{node.lineno}:{name}")
+            found += [f"{path.name}:{node.lineno}:_validate"
+                      for name in identifiers(node) if name == "_validate"]
+    assert found == [], f"posets validated off their entry points: {found}"
 
 
 def test_readme_names_only_what_exists():

@@ -18,7 +18,8 @@ FIXTURES = ROOT / "fixtures"
 PUBLIC_NAMES = [
     "CapacityError", "CheckReport", "CompositionMismatchError", "CycleError",
     "DocumentError", "FinitePoset", "IrreducibilityError",
-    "MalformedFamilyError", "MonotoneMap", "NotIsomorphismError", "NotOpenError",
+    "MalformedFamilyError", "MonotoneMap", "NotAnOrderError",
+    "NotIsomorphismError", "NotOpenError",
     "NotSpectralError", "PowerdomainSpace", "RangeError",
     "SigmaUndefinedError", "SmythError",
     "all_posets", "basic_open", "build", "check_embedding_theorem",
@@ -65,7 +66,7 @@ def loaded_after(code: str) -> list[str]:
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 54
     assert smyth.__all__ == PUBLIC_NAMES
     assert dir(smyth) == PUBLIC_NAMES
 

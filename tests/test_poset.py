@@ -11,6 +11,7 @@ from smyth import (
     CapacityError,
     CycleError,
     FinitePoset,
+    NotAnOrderError,
     RangeError,
     SmythError,
     build,
@@ -189,7 +190,7 @@ def _check_up_flip_error(error):
     # the range and antisymmetry checks let through is caught by the
     # transpose pass
     if not isinstance(error, (RangeError, CycleError)):
-        assert type(error) is ValueError and str(error) == NOT_TRANSPOSE
+        assert type(error) is NotAnOrderError and str(error) == NOT_TRANSPOSE
 
 
 def test_every_single_bit_flip_matches_oracle():

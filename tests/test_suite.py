@@ -11,6 +11,7 @@ import pytest
 
 from smyth import (
     CheckReport,
+    DocumentError,
     FinitePoset,
     MonotoneMap,
     NotSpectralError,
@@ -156,6 +157,12 @@ def test_check_payload_without_expect():
     reports = check_payload(payload, "embedding")
     assert len(reports) == len(SUITE_GROUPS["embedding"])
     assert all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize("payload", [[], None, "n"], ids=["list", "none", "string"])
+def test_check_payload_refuses_a_malformed_payload(payload):
+    with pytest.raises(DocumentError):
+        check_payload(payload, "all")
 
 
 def test_every_property_reports_the_payload_it_ran_on():

@@ -12,10 +12,14 @@ from smyth import (
     FinitePoset,
     MonotoneMap,
     PowerdomainSpace,
+    all_posets,
     build,
     maps,
+    order_dual,
+    poset,
 )
 from smyth.docio import PosetDocument
+from smyth.poset import relabel
 
 from conftest import chain, vee_poset
 
@@ -88,6 +92,20 @@ def test_unchecked_map_equals_the_validated_one():
     checked = MonotoneMap(vee, chain2, (0, 0, 1))
     made = maps._made(vee, chain2, (0, 0, 1))
     assert checked == made and hash(checked) == hash(made)
+
+
+def test_unchecked_poset_equals_the_validated_one():
+    """Every labeled poset on up to 4 elements, its dual and a
+    relabeling: the poset made with no check equals and hashes like the
+    validated one with the same fields."""
+    for n in range(1, 5):
+        rotation = tuple(range(1, n)) + (0,)
+        for base in all_posets(n):
+            for made in (base, order_dual(base), relabel(base, rotation)):
+                checked = FinitePoset(made.n, made.up, made.down, made.labels)
+                fresh = poset._made_poset(made.n, made.up, made.down, made.labels)
+                assert checked == made == fresh and fresh == checked
+                assert hash(checked) == hash(made) == hash(fresh)
 
 
 def test_cached_properties_fill_the_instance():
