@@ -99,9 +99,12 @@ def _monotonicity_violation(f: MonotoneMap) -> tuple[int, int] | None:
 
 
 def _made(source: FinitePoset, target: FinitePoset, image: tuple[int, ...]) -> MonotoneMap:
-    """A map the package derived, with its fields set and not checked."""
+    """A map the package derived, with its fields set and not checked,
+    one by one as the constructor sets them, to keep the shared-key dict."""
     f = object.__new__(MonotoneMap)
-    f.__dict__.update(source=source, target=target, image=image)
+    object.__setattr__(f, "source", source)
+    object.__setattr__(f, "target", target)
+    object.__setattr__(f, "image", image)
     return f
 
 

@@ -140,21 +140,6 @@ def order_transpose(n: int, up: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(sum(1 << i for i in range(n) if (i, j) in leq) for j in range(n))
 
 
-def first_basis_intersection_failure(space, basic_open) -> tuple[int, int] | None:
-    """The first pair of opens whose basic opens meet in anything but the
-    basic open of their intersection, else None.  The pair-scan oracle of
-    the ``basis-intersection`` law: frozensets, pair by pair, over the
-    opens in the order ``enumerate_down_sets`` lists them.  ``basic_open``
-    is passed in, so that a patched one can be scanned.
-    """
-    opens = enumerate_down_sets(space.base, True)
-    for a in opens:
-        for b in opens:
-            if basic_open(space, a) & basic_open(space, b) != basic_open(space, a & b):
-                return a, b
-    return None
-
-
 def all_posets_by_filter(n: int) -> tuple[FinitePoset, ...]:
     """Every labeled poset on ``n`` elements, by filtering every pair
     assignment.  The oracle of ``all_posets``, order included.

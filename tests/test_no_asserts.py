@@ -241,8 +241,18 @@ def test_posets_are_validated_only_where_they_enter():
 def test_readme_names_only_what_exists():
     """Every backticked dotted identifier of ``README.md``, a trailing
     ``()`` stripped, is spelled part by part as a word somewhere in the
-    Python files of the package, the tests or the benchmark."""
+    Python files of the package, the tests or the benchmark; and every
+    backticked kebab-case name, a law, property or command, is quoted
+    somewhere in the package, unless it is an ``exhaustive-N`` scope."""
     spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    kebab = {span for span in spans
+             if re.fullmatch(r"[a-z][a-z0-9]*(?:-[a-z0-9]+)+", span)
+             and not re.fullmatch(r"exhaustive-\d+", span)}
+    assert kebab
+    package = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    unquoted = sorted(name for name in kebab
+                      if f'"{name}"' not in package and f"'{name}'" not in package)
+    assert unquoted == [], f"README names that the package never quotes: {unquoted}"
     names = [span.removesuffix("()") for span in spans]
     names = [name for name in names
              if re.fullmatch(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*", name)]

@@ -28,7 +28,7 @@ from smyth import (
     suite,
 )
 from smyth.docio import document_of_poset
-from smyth.generators import all_posets
+from smyth.generators import all_posets, random_poset
 from smyth.poset import resolve_capacity
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
@@ -42,7 +42,7 @@ from smyth.suite import (
     prop_sup_extension_of_embedding,
 )
 
-from conftest import antichain, chain, diamond_poset, vee_poset
+from conftest import antichain, boolean_lattice, chain, diamond_poset, vee_poset
 
 
 def test_report_validation():
@@ -634,6 +634,51 @@ def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
     report = check()
     assert (report.verdict, report.witness["law"]) == (FAIL, law)
     assert replay(report) == report
+
+
+def meeting_basic_open(space, omega):
+    """The mutant basic open: the points that meet ``omega`` instead of
+    lying inside it."""
+    return frozenset(i for i, member in enumerate(space.points) if member & omega)
+
+
+def test_zariski_equals_vietoris_catches_meeting_basic_opens(monkeypatch):
+    """Every labeled poset on up to 3 elements and two larger bases: with
+    the mutant in place, ``opens-agree`` fails exactly where the mutant
+    first differs from ``vietoris_open`` over the hat space's points,
+    and names that open and both point sets."""
+    bases = [p for n in range(1, 4) for p in all_posets(n)]
+    bases += [boolean_lattice(2), random_poset(6, 3)]
+    monkeypatch.setattr(suite, "basic_open", meeting_basic_open)
+    caught = 0
+    for base in bases:
+        space = build(base)
+        expected = next(
+            (omega for omega in hat_powerdomain(base).points
+             if meeting_basic_open(space, omega) != powerdomain.vietoris_open(space, omega)),
+            None)
+        report = PROPERTIES["zariski-equals-vietoris"](document_of_poset(base).to_payload())
+        assert report.verdict == FAIL
+        if expected is None:
+            assert report.witness["law"] != "opens-agree"
+        else:
+            assert report.witness["law"] == "opens-agree"
+            assert report.witness["open"] == expected
+            assert report.witness["direct"] == sorted(meeting_basic_open(space, expected))
+            assert report.witness["via_order"] == sorted(
+                powerdomain.vietoris_open(space, expected))
+            caught += 1
+    # only on the one-element poset do the mutant and the order agree
+    assert caught == len(bases) - 1
+
+
+def test_zariski_equals_vietoris_meeting_basic_opens_on_vee(monkeypatch):
+    # the open {a1} holds only the point {a1}, but the points {a1},
+    # {a1,a2} and {a1,a2,b} meet it
+    monkeypatch.setattr(suite, "basic_open", meeting_basic_open)
+    witness = PROPERTIES["zariski-equals-vietoris"](VEE).witness
+    assert (witness["law"], witness["open"], witness["direct"], witness["via_order"]) == (
+        "opens-agree", 1, [0, 2, 3], [0])
 
 
 # generating relations that are not covers: a document rendered from

@@ -5,6 +5,8 @@ which compares by identity; no field can be assigned or deleted; and
 ``cached_property`` still fills the instance dict.
 """
 
+import sys
+
 import pytest
 
 from smyth import (
@@ -92,6 +94,15 @@ def test_unchecked_map_equals_the_validated_one():
     checked = MonotoneMap(vee, chain2, (0, 0, 1))
     made = maps._made(vee, chain2, (0, 0, 1))
     assert checked == made and hash(checked) == hash(made)
+
+
+def test_unchecked_map_keeps_the_shared_key_dict():
+    """A map made with no check sets its fields as the constructor does,
+    so its instance dict is the class's shared-key one, no larger."""
+    vee, chain2 = vee_poset(), chain(2)
+    checked = MonotoneMap(vee, chain2, (0, 0, 1))
+    made = maps._made(vee, chain2, (0, 0, 1))
+    assert sys.getsizeof(vars(made)) == sys.getsizeof(vars(checked))
 
 
 def test_unchecked_poset_equals_the_validated_one():
