@@ -22,6 +22,7 @@ from .errors import (
 )
 from .poset import (
     FinitePoset,
+    _monotonicity_violation,
     is_order_embedding,
     iter_bits,
     linear_extension,
@@ -36,8 +37,9 @@ class MonotoneMap(_Value):
 
     The constructor validates an image that comes from outside the
     package: its length and range, then monotonicity on each cover edge
-    of the source.  Every map the package derives is made by ``_made``
-    with no check, and certified by the law that covers it.
+    of the source, the cover test ``is_order_embedding`` also runs.
+    Every map the package derives is made by ``_made`` with no check,
+    and certified by the law that covers it.
     """
 
     _fields = ("source", "target", "image")
@@ -54,7 +56,7 @@ class MonotoneMap(_Value):
         for value in self.image:
             if not 0 <= value < target_n:
                 raise RangeError(f"image value {value} is out of range")
-        violation = _monotonicity_violation(self)
+        violation = _monotonicity_violation(source, target, image)
         if violation is not None:
             x, y = violation
             raise NotSpectralError(
@@ -77,25 +79,6 @@ class MonotoneMap(_Value):
     def image_mask(self, subset: int) -> int:
         """Mask of images of the members of ``subset``."""
         return mask_of(self.image[x] for x in iter_bits(subset))
-
-
-def _monotonicity_violation(f: MonotoneMap) -> tuple[int, int] | None:
-    """A cover ``x < y`` of the source whose images are unordered, or None.
-
-    Covers suffice: every comparable pair is joined by a chain of covers,
-    and the target order is transitive.
-    """
-    target_up = f.target.up
-    image = f.image
-    for x, covers in enumerate(f.source.upper_covers):
-        fx_up = target_up[image[x]]
-        while covers:
-            low = covers & -covers
-            y = low.bit_length() - 1
-            if not fx_up >> image[y] & 1:
-                return x, y
-            covers ^= low
-    return None
 
 
 def _made(source: FinitePoset, target: FinitePoset, image: tuple[int, ...]) -> MonotoneMap:
@@ -344,7 +327,8 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
 
 
 def is_order_isomorphism(f: MonotoneMap) -> bool:
-    """An order-embedding between posets of the same size."""
+    """An order-embedding between posets of the same size: a bijection,
+    monotone on the source's covers, onto as many comparable pairs."""
     return f.source.n == f.target.n and is_order_embedding(f.source, f.target, f.image)
 
 
@@ -360,7 +344,8 @@ def lift_homeomorphism(
     points, the ones with at most one lower cover (Birkhoff's theorem,
     the ``principal-iff-join-irreducible`` law of
     ``check_embedding_theorem``).  Reading off the generic points gives
-    the unique base isomorphism inducing ``psi``.
+    the unique base isomorphism inducing ``psi``, which
+    ``is_order_isomorphism`` checks first, on covers and a pair count.
     The ``lift-round-trip`` property checks that lifting the induced map
     of a base isomorphism gives that isomorphism back.
     """

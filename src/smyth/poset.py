@@ -517,21 +517,40 @@ def find_isomorphism(left: FinitePoset, right: FinitePoset) -> tuple[int, ...] |
     return tuple(image) if k == left.n else None
 
 
+def _monotonicity_violation(
+    source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """A cover ``x < y`` of the source whose images are unordered, or None.
+
+    Covers suffice: every comparable pair is joined by a chain of covers,
+    and the target order is transitive.  Shared by ``MonotoneMap``.
+    """
+    target_up = target.up
+    for x, covers in enumerate(source.upper_covers):
+        fx_up = target_up[image[x]]
+        while covers:
+            low = covers & -covers
+            y = low.bit_length() - 1
+            if not fx_up >> image[y] & 1:
+                return x, y
+            covers ^= low
+    return None
+
+
 def is_order_embedding(
     source: FinitePoset, target: FinitePoset, image: tuple[int, ...]
 ) -> bool:
     """Whether ``x <= y`` exactly when ``image[x] <= image[y]``.
 
-    True when injective and each up row maps onto its image's up row cut
-    to the image: one compare per element, not per pair.
+    True when injective, monotone on the source's covers, and holding as
+    many comparable pairs as the source, which a monotone injection then
+    hits one-to-one, so it reflects the order.  No mask per pair.
     """
-    if len(set(image)) != source.n:
+    if len(set(image)) != source.n or _monotonicity_violation(source, target, image):
         return False
     carrier = mask_of(image)
-    return all(
-        mask_of(image[y] for y in iter_bits(row)) == target.up[image[x]] & carrier
-        for x, row in enumerate(source.up)
-    )
+    return sum(map(int.bit_count, source.up)) == sum(
+        (target.up[v] & carrier).bit_count() for v in image)
 
 
 def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:

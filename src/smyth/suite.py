@@ -39,8 +39,8 @@ from .maps import (
 from .poset import (
     FinitePoset,
     dimension,
-    find_isomorphism,
     is_chain,
+    is_order_embedding,
     relabel,
     resolve_capacity,
 )
@@ -121,14 +121,15 @@ def prop_powerdomain_dimension(payload: dict) -> CheckReport:
 
 
 def prop_phi_onto_iff_chain(payload: dict) -> CheckReport:
-    """The principal-point map is onto exactly over a linear base."""
+    """The principal-point map is onto exactly over a linear base, and
+    then an order-embedding, so an isomorphism: no search is run."""
     prop = "phi-onto-iff-chain"
     poset = _poset_of(payload)
     space = build(poset)
     onto = is_phi_surjective(space)
     if onto != is_chain(poset):
         return failed(prop, payload, law="onto-iff-chain", onto=onto)
-    if onto and find_isomorphism(poset, space.order) is None:
+    if onto and not is_order_embedding(poset, space.order, space.phi_index):
         return failed(prop, payload, law="onto-gives-isomorphism")
     return passed(prop, payload)
 

@@ -23,12 +23,14 @@ from smyth import (
 )
 from smyth import maps, powerdomain
 from smyth.generators import all_posets, random_monotone_map, random_poset
-from smyth.maps import (
+from smyth.maps import anchored_extensions, is_order_isomorphism
+from smyth.poset import (
     _monotonicity_violation,
-    anchored_extensions,
-    is_order_isomorphism,
+    find_isomorphism,
+    iter_bits,
+    relabel,
+    resolve_capacity,
 )
-from smyth.poset import find_isomorphism, iter_bits, relabel, resolve_capacity
 
 from conftest import (
     antichain,
@@ -342,8 +344,7 @@ def test_anchored_extensions_match_brute_force(source, target, seed, kept, wild)
         found = anchored_extensions(source, anchors, target)
         assert found == brute_force_extensions(source, anchors, target)
         for image in found:
-            raw = maps._made(source, target, image)
-            assert _monotonicity_violation(raw) is None
+            assert _monotonicity_violation(source, target, image) is None
 
 
 def test_anchored_extensions_inconsistent_anchors(vee, chain2):
@@ -389,7 +390,7 @@ def test_cover_monotonicity_matches_pair_scan():
         for target in small:
             for image in product(range(target.n), repeat=source.n):
                 raw = maps._made(source, target, image)
-                violation = _monotonicity_violation(raw)
+                violation = _monotonicity_violation(source, target, image)
                 assert (violation is None) == (monotonicity_violation_by_pairs(raw) is None)
                 if violation is None:
                     MonotoneMap(source, target, image)
@@ -414,6 +415,16 @@ def test_lift_rejects_non_isomorphism(vee, chain2):
     psi = powerdomain_map(f)
     with pytest.raises(NotIsomorphismError):
         lift_homeomorphism(build(vee), build(chain2), psi)
+
+
+def test_lift_rejects_a_monotone_bijection_that_does_not_reflect():
+    """The three points of the 2-antichain's powerdomain onto the
+    3-chain's, in order: a monotone bijection, but 5 comparable pairs
+    against 6."""
+    source, target = build(antichain(2)), build(chain(3))
+    psi = maps._made(source.order, target.order, (0, 1, 2))
+    with pytest.raises(NotIsomorphismError):
+        lift_homeomorphism(source, target, psi)
 
 
 def test_lift_checks_spaces(vee, chain2):

@@ -22,6 +22,8 @@ import ast
 import re
 from pathlib import Path
 
+from smyth.suite import PER_POSET_PROPERTIES
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "smyth"
 
@@ -264,3 +266,15 @@ def test_readme_names_only_what_exists():
     found = sorted({name for name in names
                     if not set(name.split(".")) <= words})
     assert found == [], f"README names that no Python file spells: {found}"
+
+
+def test_claims_ledger_names_every_per_poset_property():
+    """Every name of ``suite.PER_POSET_PROPERTIES`` is backticked in the
+    README's claims table, so no property checks a claim the ledger
+    leaves out."""
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("| Claim | Property | Tests |"):]
+    table = table[:table.index("\n\n")]
+    named = set(re.findall(r"`([^`\n]+)`", table))
+    missing = [name for name in PER_POSET_PROPERTIES if name not in named]
+    assert missing == [], f"properties the claims table never names: {missing}"

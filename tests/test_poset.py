@@ -2,7 +2,7 @@
 
 import random
 from collections import defaultdict
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -546,6 +546,49 @@ def test_order_embedding_matches_pair_scan():
                 assignments += 1
                 embeddings += expected
     assert (assignments, embeddings) == (10838, 298)
+
+
+def test_order_embedding_matches_pair_scan_on_injections_not_onto():
+    """Every injective assignment from one poset per isomorphism class on
+    3 elements into every labeled poset on 4: monotone maps that miss a
+    comparable pair of the target must be told from embeddings."""
+    classes: list = []
+    for poset in all_posets(3):
+        if all(find_isomorphism(rep, poset) is None for rep in classes):
+            classes.append(poset)
+    assert len(classes) == 5
+    assignments = embeddings = 0
+    for source in classes:
+        for target in all_posets(4):
+            for image in permutations(range(4), 3):
+                expected = is_order_embedding_by_pairs(source, target, image)
+                assert is_order_embedding(source, target, image) == expected
+                assignments += 1
+                embeddings += expected
+    assert (assignments, embeddings) == (26280, 1464)
+
+
+def test_order_embedding_of_phi_matches_pair_scan():
+    """``phi`` of every labeled poset on up to 4 elements into its plain
+    and its hat space, as built and with each two principal images
+    swapped: injections into spaces of up to 16 points, onto only for
+    the plain space of a chain."""
+    checked = embeddings = 0
+    for n in range(1, 5):
+        for poset in all_posets(n):
+            for space in (build(poset), hat_powerdomain(poset)):
+                phi = space.phi_index
+                images = [phi]
+                for x, y in combinations(range(n), 2):
+                    swapped = list(phi)
+                    swapped[x], swapped[y] = phi[y], phi[x]
+                    images.append(tuple(swapped))
+                for image in images:
+                    expected = is_order_embedding_by_pairs(poset, space.order, image)
+                    assert is_order_embedding(poset, space.order, image) == expected
+                    checked += 1
+                    embeddings += expected
+    assert (checked, embeddings) == (3232, 732)
 
 
 def test_induced_subposet(vee):

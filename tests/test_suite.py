@@ -398,9 +398,9 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
         lifted.append(f.image)
         return uncached(f, capacity)
 
-    def checking(f):
-        checked.append(f)
-        return check(f)
+    def checking(*args):
+        checked.append(args)
+        return check(*args)
 
     monkeypatch.setattr(suite, "random_monotone_map", drawing)
     monkeypatch.setattr(maps, "_powerdomain_map", lifting)
@@ -587,7 +587,7 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
 @pytest.mark.parametrize("module, name, mutant, check, law", [
     (suite, "dimension", lambda original: lambda poset: original(poset) + 1,
      suite_check("powerdomain-dimension", VEE), "n-minus-one"),
-    (suite, "find_isomorphism", lambda original: lambda left, right: None,
+    (suite, "build", with_phi_index(lambda phi: phi[::-1]),
      suite_check("phi-onto-iff-chain", CHAIN_2), "onto-gives-isomorphism"),
     (suite, "hat_powerdomain", lambda original: lambda poset, capacity=None: build(poset),
      suite_check("zariski-equals-vietoris", VEE), "empty-open-bottom"),
@@ -625,6 +625,10 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("sup-extension", CHAIN_2), "restricts-to-base"),
     (completion, "sup", no_joins,
      suite_check("sup-extension-of-embedding", ANTICHAIN_2), "sharp-is-defined"),
+    # injective, and monotone since an antichain has no covers, but
+    # {0} <= {0, 1} in the space: only the pair count catches it
+    (suite, "build", with_phi_index(lambda phi: (phi[0], 2)),
+     suite_check("embedding-theorem", ANTICHAIN_2), "order-embedding"),
 ])
 def test_every_law_can_fail(monkeypatch, module, name, mutant, check, law):
     """One seeded defect per law, each caught by its own law; a suite
@@ -726,6 +730,37 @@ def test_one_build_per_powerdomain(monkeypatch):
     run_suite("exhaustive-3")
     assert built
     assert recording.cache_info().misses == len(set(built))
+
+
+def test_suites_search_no_isomorphism(monkeypatch):
+    """Over ``fixtures`` and ``exhaustive-3``, no property calls
+    ``find_isomorphism``, wherever a module of the package binds it:
+    ``onto-gives-isomorphism`` checks ``phi`` itself."""
+    search = sys.modules["smyth.poset"].find_isomorphism
+    calls = []
+
+    def counting(left, right):
+        calls.append((left, right))
+        return search(left, right)
+
+    binders = [module for name, module in sorted(sys.modules.items())
+               if (name == "smyth" or name.startswith("smyth."))
+               and getattr(module, "find_isomorphism", None) is search]
+    assert {module.__name__ for module in binders} >= {"smyth", "smyth.poset"}
+    for module in binders:
+        monkeypatch.setattr(module, "find_isomorphism", counting)
+    run_suite("fixtures")
+    run_suite("exhaustive-3")
+    assert calls == []
+
+
+def test_lift_round_trip_on_a_4607_point_space():
+    """13 elements with two covers: 3 * 3 * 2**9 - 1 points, and the
+    rotation is not an automorphism of the base."""
+    payload = {"n": 13, "covers": [[0, 1], [2, 5]]}
+    assert len(build(suite._poset_of(payload)).points) == 4607
+    report = PROPERTIES["lift-round-trip"](payload)
+    assert report.verdict == PASS
 
 
 def test_bounded_lift_cache_loses_no_reuse(monkeypatch):
