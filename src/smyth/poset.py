@@ -581,6 +581,11 @@ def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(ordered)
 
 
+def _canonical_key(mask: int) -> tuple[int, int]:
+    """The sort key of ``canonical_sort``'s order, to search it by."""
+    return mask.bit_count(), mask
+
+
 def _down_sets_by_extension(poset: FinitePoset, carrier: int, limit: int) -> list[int]:
     """Grow the down-sets of the order induced on ``carrier`` one new
     maximal element at a time, as masks of ``poset``, the empty one first.

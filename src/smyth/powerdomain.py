@@ -10,11 +10,13 @@ into it by sending each element to its principal down-set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 
 from .errors import CapacityError, NotOpenError, RangeError, _Value
 from .poset import (
     FinitePoset,
+    _canonical_key,
     _minimal,
     _transpose,
     check_subset,
@@ -35,9 +37,11 @@ class PowerdomainSpace(_Value):
     mask value), ``order`` is the inclusion order on point indices, and
     ``phi_index[x]`` locates the principal down-set of element ``x``.
     The order answers ``leq`` from the point masks and builds its rows,
-    which its covers are read off, only when they are read.
-    The plain construction has no empty point; the hatted variant adds
-    mask 0 as a bottom point.  Spaces compare and hash by identity.
+    which its covers are read off, only when they are read, and
+    ``point_index``, the dict from each point's mask to its index, is
+    made on its first lookup.  The plain construction has no empty
+    point; the hatted variant adds mask 0 as a bottom point.  Spaces
+    compare and hash by identity.
     """
 
     _fields = ("base", "points", "order", "phi_index")
@@ -50,13 +54,17 @@ class PowerdomainSpace(_Value):
         points: tuple[int, ...],
         order: FinitePoset,
         phi_index: tuple[int, ...],
-        point_index: dict[int, int],
     ) -> None:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "phi_index", phi_index)
-        object.__setattr__(self, "point_index", point_index)
+
+    @cached_property
+    def point_index(self) -> dict[int, int]:
+        """Each point's mask to its index, made on first lookup: only
+        lifts and ``vietoris_open`` look a point up by its mask."""
+        return {mask: i for i, mask in enumerate(self.points)}
 
     @cached_property
     def _parents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -68,7 +76,8 @@ class PowerdomainSpace(_Value):
         ``parents[i]`` is its index plus one, and 0 (the empty set) for
         a one-member point.  Parents come first in canonical order.
         Read off the point masks and ``point_index`` on first use, with
-        no rows, for a space of nonempty points as ``build`` makes it.
+        no rows, for a space of nonempty points as ``build`` makes it; a
+        lift reads this first, so it makes its source space's index.
         """
         up, point_index = self.base.up, self.point_index
         parents, members = [], []
@@ -128,15 +137,17 @@ def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
     """The space on ``points``, whose order computes no rows yet.
 
     ``points`` must be down-sets in canonical order (size, then mask
-    value), as ``enumerate_down_sets`` returns them, so a build is the
-    enumeration, the point index and ``phi_index``.  The order's rows
-    cost N**2 / 4 bytes, and most callers of a large build never read
-    them.
+    value), as ``enumerate_down_sets`` returns them, with every
+    principal down-set among them.  Each ``phi_index`` entry is then a
+    binary search on that order, so a build is the enumeration and n
+    searches of log N steps.  The order's rows cost N**2 / 4 bytes and
+    the point index a dict entry per point, and most callers of a large
+    build read neither.
     """
-    point_index = {mask: i for i, mask in enumerate(points)}
     order = _InclusionOrder(base, points)
-    phi = tuple(map(point_index.__getitem__, base.down))
-    return PowerdomainSpace(base, points, order, phi, point_index)
+    phi = tuple(bisect_left(points, _canonical_key(m), key=_canonical_key)
+                for m in base.down)
+    return PowerdomainSpace(base, points, order, phi)
 
 
 def _inclusion_rows(

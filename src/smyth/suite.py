@@ -31,7 +31,6 @@ from .maps import (
     _identity_violation,
     _made,
     check_minimality,
-    compose,
     identity,
     lift_homeomorphism,
     powerdomain_map,
@@ -200,7 +199,7 @@ def prop_functor_laws(payload: dict) -> CheckReport:
             composite = tuple(map(g.image.__getitem__, f.image))
             lifted_composite = lifted_composites.get(composite)
             if lifted_composite is None:
-                lifted_composite = powerdomain_map(compose(g, f), capacity)
+                lifted_composite = powerdomain_map(_made(poset, poset, composite), capacity)
                 lifted_composites[composite] = lifted_composite
             violation = _composition_violation(lifted_f, lifted_g, lifted_composite)
             if violation is not None:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from smyth import PowerdomainSpace
 from smyth.cli import main
 from smyth.suite import FIXTURE_DOCS
 
@@ -257,6 +258,25 @@ def test_iterate_fourth_stage(tmp_path, capsys):
     path = write_payload(tmp_path, FIXTURE_DOCS[2], "discrete3.json")
     assert main(["iterate", path, "--k", "4"]) == 0
     assert capsys.readouterr().out == "sizes: 3 7 18 81 8569\n"
+
+
+def test_light_commands_look_up_no_point(monkeypatch, tmp_path, capsys):
+    """``powerdomain`` and ``stats`` on the 16-element antichain (65 535
+    points) and ``iterate`` to the fourth stage make no point index."""
+    lookups = []
+    made = PowerdomainSpace.__dict__["point_index"].func
+
+    def looking_up(space):
+        lookups.append(len(space.points))
+        return made(space)
+
+    monkeypatch.setattr(PowerdomainSpace, "point_index", property(looking_up))
+    antichain16 = write_payload(tmp_path, {"n": 16, "covers": []}, "antichain16.json")
+    for args in (["powerdomain", antichain16], ["stats", antichain16],
+                 ["iterate", str(FIXTURES / "discrete3.json"), "--k", "4"]):
+        assert main(args) == 0
+    assert capsys.readouterr().out.endswith("sizes: 3 7 18 81 8569\n")
+    assert lookups == []
 
 
 def test_stats(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The space of nonempty down-sets: points, basis, embedding, iteration."""
 
+import functools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 
 from smyth import (
     CapacityError,
+    MonotoneMap,
     NotOpenError,
     PowerdomainSpace,
     RangeError,
@@ -27,9 +29,9 @@ from smyth import (
     powerdomain_dimension,
     vietoris_open,
 )
-from smyth import powerdomain
+from smyth import maps, powerdomain
 from smyth.generators import all_posets, random_poset
-from smyth.poset import FinitePoset, iter_bits, linear_extension, relabel
+from smyth.poset import FinitePoset, iter_bits, linear_extension, relabel, resolve_capacity
 
 from conftest import (
     antichain,
@@ -352,7 +354,7 @@ def test_embedding_theorem_catches_a_wrong_order(base):
     assert not is_chain(base)
     space = build(base)
     broken = PowerdomainSpace(space.base, space.points, chain(len(space.points)),
-                              space.phi_index, space.point_index)
+                              space.phi_index)
     witness = check_embedding_theorem(broken)
     assert witness["law"] == "order-is-containment"
     assert (witness["left"], witness["right"]) == first_wrong_pair(broken)
@@ -361,8 +363,7 @@ def test_embedding_theorem_catches_a_wrong_order(base):
 def test_embedding_theorem_wrong_order_on_vee(vee):
     # points {a1}, {a2}, {a1,a2}, {a1,a2,b}: the chain puts {a1} below {a2}
     space = build(vee)
-    broken = PowerdomainSpace(space.base, space.points, chain(4),
-                              space.phi_index, space.point_index)
+    broken = PowerdomainSpace(space.base, space.points, chain(4), space.phi_index)
     witness = check_embedding_theorem(broken)
     assert (witness["law"], witness["left"], witness["right"]) == (
         "order-is-containment", 0, 1)
@@ -396,6 +397,58 @@ def test_embedding_theorem_holds_on_the_12_element_antichain():
 
 def test_build_is_memoized(vee):
     assert build(vee) is build(vee)
+
+
+BUILDERS = (build, hat_powerdomain, inverse_powerdomain)
+
+
+def index_of_points(space):
+    """Each point's mask to its index, as ``point_index`` holds it."""
+    return {mask: i for i, mask in enumerate(space.points)}
+
+
+@pytest.fixture
+def fresh_builds(monkeypatch):
+    """A construction cache of the test's own, so its spaces are new."""
+    monkeypatch.setattr(powerdomain, "_build",
+                        functools.lru_cache(maxsize=None)(powerdomain._build.__wrapped__))
+
+
+def test_phi_index_matches_the_point_index():
+    """Every labeled poset with up to 5 elements, under each builder: the
+    binary search on canonical order finds each principal down-set at
+    the index the mask-to-index dict gives it."""
+    for n in range(1, 6):
+        for base in all_posets(n):
+            for builder in BUILDERS:
+                space = builder(base)
+                index = index_of_points(space)
+                assert space.phi_index == tuple(index[m] for m in space.base.down)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_build_makes_no_point_index(fresh_builds, builder):
+    """A build, and reading its points, ``phi_index``, ``leq`` and
+    dimension, look up no point by its mask."""
+    for base in (antichain(1), boolean_lattice(2), random_poset(9, 2024), antichain(12)):
+        space = builder(base)
+        assert space.points[space.phi_index[0]] == space.base.down[0]
+        assert space.order.leq(0, len(space.points) - 1)
+        assert powerdomain_dimension(space) == space.base.n - (builder is not hat_powerdomain)
+        assert "point_index" not in vars(space)
+
+
+def test_point_index_is_made_on_first_lookup(fresh_builds, vee):
+    """The first lift or ``vietoris_open`` makes the index of each space
+    it looks points up in, and it is each point's mask to its index."""
+    f = MonotoneMap(vee, chain(2), (0, 0, 1))
+    maps._powerdomain_map.__wrapped__(f, resolve_capacity(None))
+    for space in (build(vee), build(chain(2))):
+        assert vars(space)["point_index"] == index_of_points(space)
+    space = hat_powerdomain(vee)
+    assert "point_index" not in vars(space)
+    assert vietoris_open(space, 0b011) == {0, 1, 2, 3}
+    assert vars(space)["point_index"] == index_of_points(space)
 
 
 def test_parents_remove_one_maximal_member():

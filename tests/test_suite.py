@@ -4,6 +4,7 @@ import functools
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -312,6 +313,17 @@ def test_build_bases_match_their_pin():
     assert (len(jobs), digest.hexdigest()[:16]) == (9, "5f89086be1d0ee30")
 
 
+def test_build_jobs_pass_their_benchmark_check():
+    """Each of the nine seed-0, one-second ``build`` jobs builds a space
+    that the benchmark's check accepts: canonical distinct down-sets,
+    a ``phi_index`` of principal down-sets and a ``leq`` of containment.
+    The rng draws the sampled ``leq`` pairs, as the benchmark seeds it."""
+    workloads = _bench_workloads()
+    rng = random.Random(0)
+    for job in workloads.build_setup(0, 1):
+        assert workloads.build_check(job, workloads.build_operation(job), rng) == []
+
+
 # the lifted composite, then the composite of the two lifts, of the
 # first failing pair when the lift of the key image is corrupted
 COMPOSITION_WITNESSES = {
@@ -533,7 +545,7 @@ def with_phi_index(rearrange):
         def build_rearranged(poset, capacity=None):
             space = original(poset, capacity)
             return PowerdomainSpace(space.base, space.points, space.order,
-                                    rearrange(space.phi_index), space.point_index)
+                                    rearrange(space.phi_index))
         return build_rearranged
     return mutant
 
@@ -554,8 +566,7 @@ def dropping_a_cover(original):
         covers = list(order.lower_covers)
         covers[-1] &= covers[-1] - 1
         order.__dict__["lower_covers"] = tuple(covers)
-        return PowerdomainSpace(space.base, space.points, order,
-                                space.phi_index, space.point_index)
+        return PowerdomainSpace(space.base, space.points, order, space.phi_index)
     return build_thin
 
 

@@ -78,8 +78,7 @@ def test_fields_cannot_be_assigned(index):
 
 def test_space_compares_by_identity():
     space = build(vee_poset())
-    copy = PowerdomainSpace(space.base, space.points, space.order,
-                            space.phi_index, space.point_index)
+    copy = PowerdomainSpace(space.base, space.points, space.order, space.phi_index)
     assert space == space and copy == copy
     assert space != copy
     assert len({space, copy}) == 2
@@ -127,8 +126,7 @@ def test_cached_properties_fill_the_instance():
     assert poset == vee_poset() and hash(poset) == hash(vee_poset())
 
     built = build(poset)
-    space = PowerdomainSpace(built.base, built.points, built.order,
-                             built.phi_index, built.point_index)
+    space = PowerdomainSpace(built.base, built.points, built.order, built.phi_index)
     assert "_parents" not in space.__dict__
     parents = space._parents
     assert space.__dict__["_parents"] is parents is space._parents
