@@ -20,11 +20,10 @@ from pathlib import Path
 from .docio import (
     document_of_poset,
     load_document,
-    point_lists,
     powerdomain_to_dot,
 )
 from .errors import SmythError
-from .poset import dimension, is_chain
+from .poset import dimension, is_chain, iter_bits
 from .powerdomain import (
     build,
     hat_powerdomain,
@@ -140,7 +139,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"points: {len(space.points)}")
     print(f"powerdomain_dimension: {powerdomain_dimension(space)}")
     print(f"phi_onto: {is_phi_surjective(space)}")
-    print(f"powerdomain_points_preview: {point_lists(space)[:8]}")
+    preview = [list(iter_bits(mask)) for mask in space.points[:8]]
+    print(f"powerdomain_points_preview: {preview}")
     return 0
 
 

@@ -15,7 +15,6 @@ from .poset import (
     FinitePoset,
     _down_sets_by_extension,
     _least,
-    canonical_sort,
     check_subset,
     resolve_capacity,
     sup,
@@ -30,8 +29,9 @@ def sigma_map(ambient: FinitePoset, carrier: int) -> dict[int, int | None]:
     indexing) that is down-closed for the induced order, in canonical
     order, to its least upper bound in ``ambient``, or None where no
     such bound exists: partiality stays in-band.  The domain is grown
-    on ambient masks, with no sub-poset built; more down-sets than the
-    capacity raise CapacityError.
+    on ambient masks, with no sub-poset built, and comes in canonical
+    order as it is grown, one size level at a time; more down-sets than
+    the capacity raise CapacityError.
     ``test_sigma_map_monotone_and_agrees_with_fold`` checks, over every
     labeled poset on at most four elements, that the defined values
     agree with a binary-sup fold and grow with the down-set.
@@ -40,7 +40,7 @@ def sigma_map(ambient: FinitePoset, carrier: int) -> dict[int, int | None]:
     if carrier == 0:
         raise RangeError("the carrier must be nonempty")
     found = _down_sets_by_extension(ambient, carrier, resolve_capacity(None))
-    return {member: sup(ambient, member) for member in canonical_sort(found[1:])}
+    return {member: sup(ambient, member) for member in found[1:]}
 
 
 def lambda_sharp(f: MonotoneMap) -> MonotoneMap:

@@ -574,38 +574,47 @@ def relabel(poset: FinitePoset, image: tuple[int, ...]) -> FinitePoset:
     return _made_poset(poset.n, tuple(up), _transpose(up, poset.n), labels)
 
 
-def canonical_sort(masks: Iterable[int]) -> tuple[int, ...]:
-    """Subset masks ordered by size then by mask value."""
-    ordered = sorted(masks)
-    ordered.sort(key=int.bit_count)
-    return tuple(ordered)
-
-
 def _canonical_key(mask: int) -> tuple[int, int]:
-    """The sort key of ``canonical_sort``'s order, to search it by."""
+    """The sort key of the order ``enumerate_down_sets`` returns, to search it by."""
     return mask.bit_count(), mask
 
 
 def _down_sets_by_extension(poset: FinitePoset, carrier: int, limit: int) -> list[int]:
-    """Grow the down-sets of the order induced on ``carrier`` one new
-    maximal element at a time, as masks of ``poset``, the empty one first.
+    """The down-sets of the order induced on ``carrier``, as masks of
+    ``poset``, by size and then mask value: canonical order.
 
-    Walking a linear extension guarantees each down-set is produced
-    exactly once, so no non-down-set mask is ever touched.  The members
-    of ``carrier`` in ``poset``'s linear extension are a linear
-    extension of the induced order, so no sub-poset is built.
+    Each is grown once, by a new maximal ``x`` along ``poset``'s linear
+    extension, which extends the induced order.  ``levels[k]`` holds the
+    down-sets of ``k`` members.  Only those at least as large as ``need``,
+    the rest of ``x``'s down-set, can hold it; they are scanned top down,
+    each ``d | x`` joining the level above, already scanned.  Each level
+    is one sorted run when the extension is index order.
     """
-    found = [0]
+    levels: list[list[int]] = [[0]]
+    count = 1
     for x in linear_extension(poset):
         bit = 1 << x
         if not carrier & bit:
             continue
         need = poset.down[x] & carrier & ~bit
-        found.extend([d | bit for d in found if need & ~d == 0])
-        if len(found) > limit + 1:
+        above: list[int] = []
+        levels.append(above)
+        for level in reversed(levels[need.bit_count():-1]):
+            count -= len(above)
+            push = above.append
+            for d in level:
+                if d & need == need:
+                    push(d | bit)
+            count += len(above)
+            above = level
+        if count > limit + 1:
             raise CapacityError(
                 f"more than {limit} down-sets on {carrier.bit_count()} elements"
             )
+    found: list[int] = []
+    for level in levels:
+        level.sort()
+        found += level
     return found
 
 
@@ -617,9 +626,9 @@ def enumerate_down_sets(
     """All down-set masks of ``poset`` in canonical order.
 
     Only genuine down-sets are generated, one new maximal element at a
-    time along a linear extension, so the cost tracks the output size
-    instead of 2**n.  CapacityError fires as soon as the count passes
-    the budget.
+    time along a linear extension and one size level at a time, so the
+    cost tracks the output size instead of 2**n, and they come sorted.
+    CapacityError fires as soon as the count passes the budget.
     """
     limit = resolve_capacity(capacity)
     found = _down_sets_by_extension(poset, poset.full, limit)
@@ -627,4 +636,4 @@ def enumerate_down_sets(
         found.remove(0)
     if len(found) > limit:
         raise CapacityError(f"more than {limit} down-sets on {poset.n} elements")
-    return canonical_sort(found)
+    return tuple(found)

@@ -30,6 +30,7 @@ from .maps import (
     _composition_violation,
     _identity_violation,
     _made,
+    anchored_extensions,
     check_minimality,
     identity,
     lift_homeomorphism,
@@ -155,11 +156,11 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
     return passed(prop, payload)
 
 
-def _endo_images(poset: FinitePoset, payload: dict) -> list[MonotoneMap]:
+def _endo_images(poset: FinitePoset, payload: dict, capacity: int) -> list[MonotoneMap]:
     """The endomaps with distinct images to pair up, in first-drawn order."""
     if poset.n <= 3:
         return [_made(poset, poset, image)
-                for image in all_monotone_images(poset, poset)]
+                for image in anchored_extensions(poset, {}, poset, capacity)]
     rng = random.Random(_instance_seed(payload))
     maps: list[MonotoneMap] = []
     attempts = 0
@@ -188,7 +189,7 @@ def prop_functor_laws(payload: dict) -> CheckReport:
     prop = "functor-laws"
     poset = _poset_of(payload)
     capacity = resolve_capacity(None)
-    maps = _endo_images(poset, payload)
+    maps = _endo_images(poset, payload, capacity)
     violation = _identity_violation(poset, capacity) if maps else None
     if violation is not None:
         return failed(prop, payload, **violation)

@@ -52,6 +52,14 @@ def down_sets_by_filter(poset: FinitePoset) -> list[int]:
     return [mask for mask in range(1 << poset.n) if is_down_set(poset, mask)]
 
 
+def canonical_sort(masks) -> tuple[int, ...]:
+    """Subset masks ordered by size then by mask value.  The oracle of the
+    order in which ``enumerate_down_sets`` returns its levels."""
+    ordered = sorted(masks)
+    ordered.sort(key=int.bit_count)
+    return tuple(ordered)
+
+
 def up_closure(poset: FinitePoset, subset: int) -> int:
     """Every element lying above some member of ``subset``."""
     check_subset(poset, subset)

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from smyth import PowerdomainSpace
+from smyth import FinitePoset, PowerdomainSpace, build, cli
 from smyth.cli import main
+from smyth.docio import point_lists
+from smyth.poset import iter_bits
 from smyth.suite import FIXTURE_DOCS
 
 from conftest import assert_valid_dot
@@ -277,6 +279,25 @@ def test_light_commands_look_up_no_point(monkeypatch, tmp_path, capsys):
         assert main(args) == 0
     assert capsys.readouterr().out.endswith("sizes: 3 7 18 81 8569\n")
     assert lookups == []
+
+
+def test_stats_lists_only_the_previewed_points(monkeypatch, tmp_path, capsys):
+    """``stats`` on the 16-element antichain (65 535 points) makes a member
+    list for the eight points it prints, and prints what a list of every
+    point, cut to eight, would."""
+    listed = []
+
+    def listing(mask):
+        listed.append(mask)
+        return iter_bits(mask)
+
+    monkeypatch.setattr(cli, "iter_bits", listing)
+    antichain16 = write_payload(tmp_path, {"n": 16, "covers": []}, "antichain16.json")
+    assert main(["stats", antichain16]) == 0
+    space = build(FinitePoset.from_cover_relations(16, []))
+    assert listed == list(space.points[:8])
+    preview = f"powerdomain_points_preview: {point_lists(space)[:8]}\n"
+    assert capsys.readouterr().out.endswith(preview)
 
 
 def test_stats(tmp_path, capsys):

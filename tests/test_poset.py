@@ -34,7 +34,6 @@ from smyth.poset import (
     _down_sets_by_extension,
     _minimal,
     _signatures,
-    canonical_sort,
     check_subset,
     heights,
     is_order_embedding,
@@ -49,6 +48,7 @@ from smyth.generators import all_posets
 from conftest import (
     antichain,
     binary_sup,
+    canonical_sort,
     chain,
     closed_rows_by_pairs,
     cover_pairs_by_definition,
@@ -653,6 +653,44 @@ def test_enumeration_strategies_agree(poset):
     )
 
 
+@pytest.mark.parametrize("n", range(10, 15))
+def test_down_sets_come_in_canonical_order_under_any_labeling(n):
+    """Shuffled labels are no linear extension, so the per-size levels
+    grow in several runs; both enumerations still return canonical
+    order, on the whole poset and on random carriers of it."""
+    rng = random.Random(n)
+    for seed in range(3):
+        poset = relabel(random_poset(n, seed), tuple(rng.sample(range(n), n)))
+        assert linear_extension(poset) != tuple(range(n))
+        expected = canonical_sort(down_sets_by_filter(poset))
+        assert enumerate_down_sets(poset) == expected
+        assert tuple(_down_sets_by_extension(poset, poset.full, DEFAULT_CAPACITY)) == expected
+        for _ in range(3):
+            carrier = rng.getrandbits(n) | 1 << rng.randrange(n)
+            sub, elements = induced(poset, carrier)
+            expected = canonical_sort(
+                mask_of(elements[k] for k in iter_bits(local))
+                for local in down_sets_by_filter(sub)
+            )
+            assert tuple(_down_sets_by_extension(poset, carrier, DEFAULT_CAPACITY)) == expected
+
+
 def test_extension_strategy_capacity():
+    """On a proper carrier the capacity error counts its elements only."""
     with pytest.raises(CapacityError):
         _down_sets_by_extension(antichain(10), (1 << 10) - 1, 50)
+    with pytest.raises(CapacityError) as caught:
+        _down_sets_by_extension(antichain(10), 0b111111, 50)
+    assert str(caught.value) == "more than 50 down-sets on 6 elements"
+    assert len(_down_sets_by_extension(antichain(10), 0b111111, 63)) == 64
+
+
+@pytest.mark.parametrize("include_empty, fits", [(True, 256), (False, 255)])
+def test_enumerate_down_sets_capacity_edge(include_empty, fits):
+    """The 8-element antichain has 256 down-sets, the empty one included:
+    a capacity of exactly the count returns them, one less raises."""
+    poset = antichain(8)
+    assert len(enumerate_down_sets(poset, include_empty, fits)) == fits
+    with pytest.raises(CapacityError) as caught:
+        enumerate_down_sets(poset, include_empty, fits - 1)
+    assert str(caught.value) == f"more than {fits - 1} down-sets on 8 elements"

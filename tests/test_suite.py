@@ -374,7 +374,8 @@ def test_functor_laws_lift_each_composite_once(monkeypatch):
     """``functor-laws`` lifts the identity, each sampled map and each
     distinct base composite once, not one composite per pair."""
     payload = {"n": 4, "covers": []}
-    images = [f.image for f in suite._endo_images(antichain(4), payload)]
+    images = [f.image for f in suite._endo_images(
+        antichain(4), payload, resolve_capacity(None))]
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     assert len(composites) < len(images) ** 2  # pairs share composites
     lifted = []
@@ -394,7 +395,8 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
     distinct composite once, and checks the monotonicity of none: the
     maps are monotone by construction, and the laws certify the lifts."""
     payload = {"n": 4, "covers": []}
-    images = [f.image for f in suite._endo_images(antichain(4), payload)]
+    images = [f.image for f in suite._endo_images(
+        antichain(4), payload, resolve_capacity(None))]
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     drawn, lifted, checked = [], [], []
     draw = suite.random_monotone_map
@@ -423,7 +425,8 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
     assert checked == []
 
 
-@pytest.mark.parametrize("name", ["zariski-equals-vietoris", "lift-round-trip"])
+@pytest.mark.parametrize(
+    "name", ["zariski-equals-vietoris", "lift-round-trip", "functor-laws"])
 def test_property_reads_the_capacity_once(monkeypatch, name):
     """The default capacity is resolved once per property and passed to
     every build and induced map it makes."""
