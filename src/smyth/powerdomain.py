@@ -19,7 +19,6 @@ from .poset import (
     _canonical_key,
     _minimal,
     _transpose,
-    check_subset,
     enumerate_down_sets,
     is_down_set,
     is_order_embedding,
@@ -63,8 +62,15 @@ class PowerdomainSpace(_Value):
     @cached_property
     def point_index(self) -> dict[int, int]:
         """Each point's mask to its index, made on first lookup: only
-        lifts and ``vietoris_open`` look a point up by its mask."""
+        lifts and the Vietoris open of a point look one up by its mask."""
         return {mask: i for i, mask in enumerate(self.points)}
+
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """Each base element's membership column, the mask of the points
+        that contain it: the transpose of the point masks, made on first
+        use for basic opens and the containment certificate."""
+        return _transpose(self.points, self.base.n)
 
     @cached_property
     def _parents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -223,36 +229,58 @@ def phi(space: PowerdomainSpace, element: int) -> int:
 
 
 def _check_open(space: PowerdomainSpace, omega: int) -> None:
-    """Raise unless ``omega`` is an open of the base: a down-set mask."""
-    check_subset(space.base, omega)
+    """Raise unless ``omega`` is an open of the base: a down-set mask.
+
+    ``is_down_set`` raises RangeError first on a mask outside the base.
+    """
     if not is_down_set(space.base, omega):
         raise NotOpenError(f"mask {omega:#x} is not a down-set of the base")
+
+
+def _points_inside(space: PowerdomainSpace, omega: int) -> int:
+    """The points contained in ``omega``, as a mask of point indices.
+
+    A point lies inside ``omega`` when it misses every element outside
+    it, so the mask is the AND of those elements' complemented
+    membership columns, taken as the complement of their OR: one
+    big-integer OR per element, with no scan of the points.  ``omega``
+    is not checked.
+    """
+    column = space._columns
+    hit = 0
+    for y in iter_bits(space.base.full ^ omega):
+        hit |= column[y]
+    return ((1 << len(space.points)) - 1) ^ hit
+
+
+def _points_below(space: PowerdomainSpace, omega: int) -> int:
+    """The points below ``omega`` in the order, as a mask of point
+    indices: its down row when ``omega`` is a point, else 0 (only the
+    empty open of a plain space is none).  ``omega`` is not checked."""
+    index = space.point_index.get(omega)
+    return 0 if index is None else space.order.down[index]
 
 
 def basic_open(space: PowerdomainSpace, omega: int) -> frozenset[int]:
     """Indices of the points contained in the open ``omega``.
 
     These sets form the defining basis of the powerdomain topology.
+    Read off the membership columns by ``_points_inside``.
     """
     _check_open(space, omega)
-    return frozenset(
-        i for i, member in enumerate(space.points) if member & ~omega == 0
-    )
+    return frozenset(iter_bits(_points_inside(space, omega)))
 
 
 def vietoris_open(space: PowerdomainSpace, omega: int) -> frozenset[int]:
     """The upper-Vietoris open of ``omega``: hit-free containment.
 
-    Computed through the inclusion order (the points below ``omega``
-    seen as a point) rather than by re-filtering members.  The
+    Computed through the inclusion order (the down row of ``omega``
+    seen as a point) rather than from the members.  The
     ``zariski-equals-vietoris`` property checks that it equals
     ``basic_open`` on every open, so the two topologies agree.
     """
     _check_open(space, omega)
-    index = space.point_index.get(omega)
-    if index is None:
-        return frozenset()
-    return frozenset(iter_bits(space.order.down[index]))
+    return frozenset(iter_bits(_points_below(space, omega)))
 
 
 def is_phi_surjective(space: PowerdomainSpace) -> bool:
@@ -305,14 +333,14 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
     a dict of its name and witness, or None.
 
     Checks, in order: each point's up row in the order is the AND of its
-    members' membership columns, and then each down row is the AND of
-    the complemented columns of its non-members, so the order is
-    containment of points and its rows are each other's transpose; the
-    principal-point map is an order-embedding (injective, reflecting the
-    order both ways) and pulls every basic open back to exactly its
-    defining open; the space has one maximal point, the full set; every
-    nonempty basic open contains a principal point, so the image of the
-    base is dense; and the principal points are exactly the
+    members' membership columns, and then each down row is its basic
+    open, the AND of the complemented columns of its non-members, so the
+    order is containment of points and its rows are each other's
+    transpose; the principal-point map is an order-embedding (injective,
+    reflecting the order both ways) and pulls every basic open back to
+    exactly its defining open; the space has one maximal point, the full
+    set; every nonempty basic open contains a principal point, so the
+    image of the base is dense; and the principal points are exactly the
     join-irreducible ones, those with at most one lower cover
     (Birkhoff's theorem: the down-set of ``x`` covers at most itself
     minus ``x``, and a down-set with several maximal members covers
@@ -322,10 +350,10 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
     base = space.base
 
     # Point i lies below the points that hold all of its members, and
-    # above those that hold none of its non-members: ANDs of membership
-    # columns, an independent route to _inclusion_rows.  A witness is a
-    # pair (left, right) whose "left <= right" the rows misread.
-    column = _transpose(space.points, base.n)
+    # above those inside it, its basic open: ANDs of membership columns,
+    # an independent route to _inclusion_rows.  A witness is a pair
+    # (left, right) whose "left <= right" the rows misread.
+    column = space._columns
     every = (1 << len(space.points)) - 1
     for i, small in enumerate(space.points):
         above = every
@@ -335,12 +363,8 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
         if wrong:
             return {"law": "order-is-containment",
                     "left": i, "right": (wrong & -wrong).bit_length() - 1}
-    outside = [every ^ c for c in column]
     for i, small in enumerate(space.points):
-        below = every
-        for y in iter_bits(base.full ^ small):
-            below &= outside[y]
-        wrong = space.order.down[i] ^ below
+        wrong = space.order.down[i] ^ _points_inside(space, small)
         if wrong:
             return {"law": "order-is-containment",
                     "left": (wrong & -wrong).bit_length() - 1, "right": i}

@@ -90,6 +90,14 @@ def is_spectral(f: MonotoneMap) -> bool:
     return True
 
 
+def basic_open_by_scan(space: PowerdomainSpace, omega: int) -> frozenset[int]:
+    """Indices of the points whose members all lie in ``omega``.  The
+    definitional scan over every point: the oracle of ``basic_open``."""
+    return frozenset(
+        i for i, member in enumerate(space.points) if member & ~omega == 0
+    )
+
+
 def irreducible_down_sets_by_scan(poset: FinitePoset) -> tuple[int, ...]:
     """The nonempty down-sets that are no union of two properly smaller
     down-sets, in canonical order.  The definitional scan, over every

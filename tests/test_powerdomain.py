@@ -35,6 +35,7 @@ from smyth.poset import FinitePoset, iter_bits, linear_extension, relabel, resol
 
 from conftest import (
     antichain,
+    basic_open_by_scan,
     boolean_lattice,
     chain,
     irreducible_down_sets_by_scan,
@@ -378,17 +379,21 @@ def test_embedding_theorem_density_fails_on_hat_space(vee):
 
 def test_embedding_theorem_reads_no_basic_open(monkeypatch, vee):
     """The embedding laws read each basic open off the certified down
-    rows, so ``basic_open`` is never called."""
+    rows, so ``basic_open`` is never called, and the column fold runs
+    once per point, for the down row it certifies."""
     calls = []
+    fold = powerdomain._points_inside
 
     def counted(space, omega):
         calls.append(omega)
-        return basic_open(space, omega)
+        return fold(space, omega)
 
     monkeypatch.setattr(powerdomain, "basic_open", counted)
+    monkeypatch.setattr(powerdomain, "_points_inside", counted)
     for space in (build(vee), hat_powerdomain(vee), build(random_poset(7, 5))):
+        calls.clear()
         check_embedding_theorem(space)
-    assert calls == []
+        assert calls == list(space.points)
 
 
 def test_embedding_theorem_holds_on_the_12_element_antichain():
@@ -412,6 +417,18 @@ def fresh_builds(monkeypatch):
     """A construction cache of the test's own, so its spaces are new."""
     monkeypatch.setattr(powerdomain, "_build",
                         functools.lru_cache(maxsize=None)(powerdomain._build.__wrapped__))
+
+
+def test_basic_open_matches_the_scan():
+    """Every labeled poset with up to 4 elements, under each builder:
+    the column fold keeps, for every open, exactly the points that the
+    definitional scan keeps."""
+    for n in range(1, 5):
+        for base in all_posets(n):
+            for builder in BUILDERS:
+                space = builder(base)
+                for omega in enumerate_down_sets(space.base, True):
+                    assert basic_open(space, omega) == basic_open_by_scan(space, omega)
 
 
 def test_phi_index_matches_the_point_index():
