@@ -3,17 +3,22 @@
 Every property is a total function from a JSON-ready payload to a
 CheckReport and is registered by name, so a failing report can always
 be replayed: feed ``witness["instance"]`` back to the property that
-produced it.  Only this module makes reports: each public ``check_*``
-returns the first law it finds violated, and a property files that
-violation on its own payload.  Suites are deterministic: the same scope
-and seed produce the same report list, byte for byte.
+produced it.  Only this module makes reports, and only in one place.
+Each property is written as a law function of the parsed poset and its
+payload that, like each public ``check_*``, returns ``None`` when its
+laws hold, the first violation it finds, or a skip reason;
+``_property`` registers it by name and, on each call, parses the
+payload once, runs the law and files the outcome on that payload.
+Suites are deterministic: the same scope and seed produce the same
+report list, byte for byte.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from functools import lru_cache
+from collections.abc import Callable
+from functools import lru_cache, wraps
 
 from .completion import check_sigma_theorem, lambda_sharp
 from .docio import document_from_payload, document_of_poset, point_lists
@@ -84,27 +89,49 @@ def _instance_seed(payload: dict) -> int:
     return zlib.crc32(instance_text(payload).encode())
 
 
-def prop_topology_round_trip(payload: dict) -> CheckReport:
+PROPERTIES: dict[str, Callable[[dict], CheckReport]] = {}
+
+
+def _property(name: str):
+    """Register a law function as the property ``name``.
+
+    A law takes ``(poset, payload)`` and returns ``None`` when it holds,
+    the violation dict of the first law it finds broken, or a skip
+    reason as a ``str``.  The registered property parses its payload
+    once, runs the law, and files its outcome as that payload's report.
+    """
+    def register(law):
+        @wraps(law)
+        def prop(payload: dict) -> CheckReport:
+            outcome = law(_poset_of(payload), payload)
+            if outcome is None:
+                return passed(name, payload)
+            if isinstance(outcome, str):
+                return skipped(name, payload, outcome)
+            return failed(name, payload, **outcome)
+        PROPERTIES[name] = prop
+        return prop
+    return register
+
+
+@_property("topology-round-trip")
+def prop_topology_round_trip(poset: FinitePoset, payload: dict) -> dict | None:
     """Opens determine the order: rebuilding from the topology is exact."""
-    prop = "topology-round-trip"
-    poset = _poset_of(payload)
     recovered = poset_of_topology(poset.n, open_sets(poset), poset.labels)
     if recovered != poset:
-        return failed(prop, payload, law="recovers-order",
-                      recovered=document_of_poset(recovered).to_payload())
-    return passed(prop, payload)
+        return {"law": "recovers-order",
+                "recovered": document_of_poset(recovered).to_payload()}
+    return None
 
 
-def prop_embedding_theorem(payload: dict) -> CheckReport:
+@_property("embedding-theorem")
+def prop_embedding_theorem(poset: FinitePoset, payload: dict) -> dict | None:
     """The laws of ``check_embedding_theorem`` on the built powerdomain."""
-    prop = "embedding-theorem"
-    violation = check_embedding_theorem(build(_poset_of(payload)))
-    if violation is not None:
-        return failed(prop, payload, **violation)
-    return passed(prop, payload)
+    return check_embedding_theorem(build(poset))
 
 
-def prop_powerdomain_dimension(payload: dict) -> CheckReport:
+@_property("powerdomain-dimension")
+def prop_powerdomain_dimension(poset: FinitePoset, payload: dict) -> dict | None:
     """dim of the powerdomain is n - 1.
 
     Measured over the built order's covers, not the grading that
@@ -113,29 +140,27 @@ def prop_powerdomain_dimension(payload: dict) -> CheckReport:
     has at most n elements, so its dimension is at most n - 1, and
     ``is_chain`` is the test that it equals n - 1.
     """
-    prop = "powerdomain-dimension"
-    poset = _poset_of(payload)
     pd_dim = dimension(build(poset).order)
     if pd_dim != poset.n - 1:
-        return failed(prop, payload, law="n-minus-one", got=pd_dim)
-    return passed(prop, payload)
+        return {"law": "n-minus-one", "got": pd_dim}
+    return None
 
 
-def prop_phi_onto_iff_chain(payload: dict) -> CheckReport:
+@_property("phi-onto-iff-chain")
+def prop_phi_onto_iff_chain(poset: FinitePoset, payload: dict) -> dict | None:
     """The principal-point map is onto exactly over a linear base, and
     then an order-embedding, so an isomorphism: no search is run."""
-    prop = "phi-onto-iff-chain"
-    poset = _poset_of(payload)
     space = build(poset)
     onto = is_phi_surjective(space)
     if onto != is_chain(poset):
-        return failed(prop, payload, law="onto-iff-chain", onto=onto)
+        return {"law": "onto-iff-chain", "onto": onto}
     if onto and not is_order_embedding(poset, space.order, space.phi_index):
-        return failed(prop, payload, law="onto-gives-isomorphism")
-    return passed(prop, payload)
+        return {"law": "onto-gives-isomorphism"}
+    return None
 
 
-def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
+@_property("zariski-equals-vietoris")
+def prop_zariski_equals_vietoris(poset: FinitePoset, payload: dict) -> dict | None:
     """Containment opens and order-principal opens agree on every open.
 
     The capacity is resolved once, for both builds.  The hat space's
@@ -143,8 +168,6 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
     open is validated again; each pair of opens is compared as point
     masks.
     """
-    prop = "zariski-equals-vietoris"
-    poset = _poset_of(payload)
     capacity = resolve_capacity(None)
     space = build(poset, capacity)
     hat = hat_powerdomain(poset, capacity)
@@ -152,12 +175,12 @@ def prop_zariski_equals_vietoris(payload: dict) -> CheckReport:
         direct = _points_inside(space, omega)
         via_order = _points_below(space, omega)
         if direct != via_order:
-            return failed(prop, payload, law="opens-agree", open=omega,
-                          direct=list(iter_bits(direct)),
-                          via_order=list(iter_bits(via_order)))
+            return {"law": "opens-agree", "open": omega,
+                    "direct": list(iter_bits(direct)),
+                    "via_order": list(iter_bits(via_order))}
     if _points_inside(hat, 0) != 1 or hat.points[0] != 0:
-        return failed(prop, payload, law="empty-open-bottom")
-    return passed(prop, payload)
+        return {"law": "empty-open-bottom"}
+    return None
 
 
 def _endo_images(poset: FinitePoset, payload: dict, capacity: int) -> list[MonotoneMap]:
@@ -176,7 +199,8 @@ def _endo_images(poset: FinitePoset, payload: dict, capacity: int) -> list[Monot
     return list(dict.fromkeys(maps))
 
 
-def prop_functor_laws(payload: dict) -> CheckReport:
+@_property("functor-laws")
+def prop_functor_laws(poset: FinitePoset, payload: dict) -> dict | None:
     """Composition and identity survive the powerdomain construction.
 
     Each map ``_endo_images`` returns is lifted once, the capacity is
@@ -190,13 +214,11 @@ def prop_functor_laws(payload: dict) -> CheckReport:
     one, as ``f`` and ``g``; an identity failure fails every pair, so it
     names none.
     """
-    prop = "functor-laws"
-    poset = _poset_of(payload)
     capacity = resolve_capacity(None)
     maps = _endo_images(poset, payload, capacity)
     violation = _identity_violation(poset, capacity) if maps else None
     if violation is not None:
-        return failed(prop, payload, **violation)
+        return violation
     lifted = [powerdomain_map(f, capacity) for f in maps]
     lifted_composites: dict[tuple[int, ...], MonotoneMap] = {}
     for f, lifted_f in zip(maps, lifted):
@@ -208,12 +230,12 @@ def prop_functor_laws(payload: dict) -> CheckReport:
                 lifted_composites[composite] = lifted_composite
             violation = _composition_violation(lifted_f, lifted_g, lifted_composite)
             if violation is not None:
-                return failed(prop, payload, **violation,
-                              f=list(f.image), g=list(g.image))
-    return passed(prop, payload)
+                return {**violation, "f": list(f.image), "g": list(g.image)}
+    return None
 
 
-def prop_extension_minimality(payload: dict) -> CheckReport:
+@_property("extension-minimality")
+def prop_extension_minimality(poset: FinitePoset, payload: dict) -> dict | str | None:
     """The induced powerdomain map is least among extensions.
 
     Exercised against every monotone map into the two-element chain
@@ -225,26 +247,23 @@ def prop_extension_minimality(payload: dict) -> CheckReport:
     with no search; this property still enumerates the extensions, so
     the 5-element antichain is over its budget.
     """
-    prop = "extension-minimality"
-    poset = _poset_of(payload)
     try:
         for image in all_monotone_images(poset, CHAIN2):
             violation = check_minimality(
                 _made(poset, CHAIN2, image), MINIMALITY_CAPACITY)
             if violation is not None:
-                return failed(prop, payload, **violation, map=list(image))
+                return {**violation, "map": list(image)}
     except CapacityError as exc:
-        return skipped(prop, payload, f"enumeration over budget: {exc}")
-    return passed(prop, payload)
+        return f"enumeration over budget: {exc}"
+    return None
 
 
-def prop_lift_round_trip(payload: dict) -> CheckReport:
+@_property("lift-round-trip")
+def prop_lift_round_trip(poset: FinitePoset, payload: dict) -> dict | None:
     """Lifting inverts inducing on a relabeled copy of the base.
 
     The capacity is resolved once, for the induced map and both builds.
     """
-    prop = "lift-round-trip"
-    poset = _poset_of(payload)
     capacity = resolve_capacity(None)
     rotation = tuple((i + 1) % poset.n for i in range(poset.n))
     other = relabel(poset, rotation)
@@ -254,32 +273,30 @@ def prop_lift_round_trip(payload: dict) -> CheckReport:
         lifted = lift_homeomorphism(
             build(poset, capacity), build(other, capacity), induced_iso)
     except NotIsomorphismError:
-        return failed(prop, payload, law="induced-map-is-isomorphism")
+        return {"law": "induced-map-is-isomorphism"}
     except IrreducibilityError:
-        return failed(prop, payload, law="principal-to-principal")
+        return {"law": "principal-to-principal"}
     if lifted != sigma:
-        return failed(prop, payload, law="lift-after-induce",
-                      got=list(lifted.image))
-    return passed(prop, payload)
+        return {"law": "lift-after-induce", "got": list(lifted.image)}
+    return None
 
 
-def prop_sup_extension(payload: dict) -> CheckReport:
+@_property("sup-extension")
+def prop_sup_extension(poset: FinitePoset, payload: dict) -> dict | str | None:
     """Sup-extension laws for the identity map, where sups allow it."""
-    prop = "sup-extension"
-    poset = _poset_of(payload)
     try:
         base_map = identity(poset)
-        violation = check_sigma_theorem(base_map, lambda_sharp(base_map))
-        if violation is not None:
-            return failed(prop, payload, **violation)
+        return check_sigma_theorem(base_map, lambda_sharp(base_map))
     except SigmaUndefinedError as exc:
-        return skipped(prop, payload, f"not sup-complete: {exc}")
+        return f"not sup-complete: {exc}"
     except CapacityError as exc:
-        return skipped(prop, payload, f"enumeration over budget: {exc}")
-    return passed(prop, payload)
+        return f"enumeration over budget: {exc}"
 
 
-def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
+@_property("sup-extension-of-embedding")
+def prop_sup_extension_of_embedding(
+    poset: FinitePoset, payload: dict
+) -> dict | str | None:
     """Extending the principal embedding along sups is the identity.
 
     Then the laws of ``check_sigma_theorem``, on the one ``sharp``
@@ -292,61 +309,37 @@ def prop_sup_extension_of_embedding(payload: dict) -> CheckReport:
     with its image mask.  A powerdomain over the capacity is reported
     as skipped.
     """
-    prop = "sup-extension-of-embedding"
-    poset = _poset_of(payload)
     try:
         space = build(poset)
         into_points = _made(poset, space.order, space.phi_index)
         sharp = lambda_sharp(into_points)
         if sharp.image != tuple(range(space.order.n)):
-            return failed(prop, payload, law="sharp-is-identity",
-                          got=list(sharp.image))
-        violation = check_sigma_theorem(into_points, sharp)
-        if violation is not None:
-            return failed(prop, payload, **violation)
+            return {"law": "sharp-is-identity", "got": list(sharp.image)}
+        return check_sigma_theorem(into_points, sharp)
     except SigmaUndefinedError as exc:
-        return failed(prop, payload, law="sharp-is-defined",
-                      member_mask=exc.member_mask)
+        return {"law": "sharp-is-defined", "member_mask": exc.member_mask}
     except CapacityError as exc:
-        return skipped(prop, payload, f"enumeration over budget: {exc}")
-    return passed(prop, payload)
+        return f"enumeration over budget: {exc}"
 
 
-def prop_fixture_expectations(payload: dict) -> CheckReport:
-    """Pinned powerdomain facts recorded in a document's expect block."""
-    prop = "fixture-expectations"
-    doc = document_from_payload(payload)
-    if doc.expect is None:
-        return skipped(prop, payload, "no expectations recorded")
-    space = build(_poset_from(doc.n, doc.covers, doc.labels))
-    expect = doc.expect
+@_property("fixture-expectations")
+def prop_fixture_expectations(poset: FinitePoset, payload: dict) -> dict | str | None:
+    """Pinned powerdomain facts recorded in a document's expect block,
+    which the filer has already validated."""
+    expect = payload.get("expect")
+    if expect is None:
+        return "no expectations recorded"
+    space = build(poset)
     if "points" in expect and point_lists(space) != expect["points"]:
-        return failed(prop, payload, key="points", actual=point_lists(space))
+        return {"key": "points", "actual": point_lists(space)}
     if "point_count" in expect and len(space.points) != expect["point_count"]:
-        return failed(prop, payload, key="point_count",
-                      actual=len(space.points))
+        return {"key": "point_count", "actual": len(space.points)}
     if "dimension" in expect and powerdomain_dimension(space) != expect["dimension"]:
-        return failed(prop, payload, key="dimension",
-                      actual=powerdomain_dimension(space))
+        return {"key": "dimension", "actual": powerdomain_dimension(space)}
     if "phi_onto" in expect and is_phi_surjective(space) != expect["phi_onto"]:
-        return failed(prop, payload, key="phi_onto",
-                      actual=is_phi_surjective(space))
-    return passed(prop, payload)
+        return {"key": "phi_onto", "actual": is_phi_surjective(space)}
+    return None
 
-
-PROPERTIES = {
-    "topology-round-trip": prop_topology_round_trip,
-    "embedding-theorem": prop_embedding_theorem,
-    "powerdomain-dimension": prop_powerdomain_dimension,
-    "phi-onto-iff-chain": prop_phi_onto_iff_chain,
-    "zariski-equals-vietoris": prop_zariski_equals_vietoris,
-    "functor-laws": prop_functor_laws,
-    "extension-minimality": prop_extension_minimality,
-    "lift-round-trip": prop_lift_round_trip,
-    "sup-extension": prop_sup_extension,
-    "sup-extension-of-embedding": prop_sup_extension_of_embedding,
-    "fixture-expectations": prop_fixture_expectations,
-}
 
 SUITE_GROUPS = {
     "embedding": (

@@ -5,11 +5,11 @@ no unread private names, and makes its reports one way.
 are checked by named suite properties or by tests instead.  An import
 that nothing reads, or a module-level ``_name`` that no module of the
 package reads, is left over from code that was deleted.  A report is
-made by the helpers of ``report.py`` alone, which only ``suite.py``
-calls, and a suite property files each verdict on the payload it ran
-on.  Only the CLI calls the
-validating ``MonotoneMap`` constructor; every map the package derives
-is made by ``maps._made``, and no way around the check remains.  Posets
+made by the helpers of ``report.py`` alone, which only the one filer
+of ``suite.py`` calls, once each, on the payload its property ran on.
+Only the CLI calls the validating ``MonotoneMap`` constructor; every
+map the package derives is made by ``maps._made``, and no way around
+the check remains.  Posets
 are validated only where their rows enter: ``from_cover_relations`` and
 ``poset_of_topology``; every poset the package derives is made by
 ``poset._made_poset``.  No
@@ -105,12 +105,13 @@ def test_package_has_no_unread_private_names():
 def test_reports_come_from_the_report_helpers():
     """No module but ``report.py`` calls ``CheckReport``, no module but
     ``suite.py`` imports a helper of ``report.py`` or calls ``passed``,
-    ``failed`` or ``skipped``, and every such call in ``suite.py``
-    passes ``payload`` as its instance."""
+    ``failed`` or ``skipped``, ``suite.py`` calls each of them exactly
+    once, in its one filer, and every such call passes ``payload`` as
+    its instance."""
     report_tree = ast.parse((PACKAGE / "report.py").read_text())
     helpers = {node.name for node in report_tree.body if isinstance(node, ast.FunctionDef)}
     assert {"passed", "failed", "skipped"} <= helpers
-    verdicts = 0
+    verdicts = []
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -129,11 +130,11 @@ def test_reports_come_from_the_report_helpers():
                 if path.name != "suite.py":
                     found.append(f"{path.name}:{node.lineno}:{name}")
                     continue
-                verdicts += 1
+                verdicts.append(name)
                 instance = node.args[1] if len(node.args) > 1 else None
                 if not (isinstance(instance, ast.Name) and instance.id == "payload"):
                     found.append(f"{path.name}:{node.lineno}:{name}")
-    assert verdicts > 0
+    assert sorted(verdicts) == ["failed", "passed", "skipped"]
     assert found == [], f"reports made another way: {found}"
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from smyth import (
+    CapacityError,
     CheckReport,
     DocumentError,
     FinitePoset,
@@ -239,18 +240,58 @@ def test_extension_minimality_skips_a_wide_antichain():
     )
 
 
-def test_sigma_properties_skip_over_capacity(monkeypatch):
-    """No sigma property lets CapacityError escape: with a capacity of 3,
-    the four-point powerdomain of the vee is over budget, and each
-    property reports a skip."""
+DOWN_SETS_OVER_3 = "more than 3 down-sets on 3 elements"
+EXTENSIONS_OVER_3 = "more than 3 anchored extensions"
+OVER_CAPACITY_ON_VEE = {
+    "topology-round-trip": (CapacityError, DOWN_SETS_OVER_3),
+    "embedding-theorem": (CapacityError, DOWN_SETS_OVER_3),
+    "powerdomain-dimension": (CapacityError, DOWN_SETS_OVER_3),
+    "phi-onto-iff-chain": (CapacityError, DOWN_SETS_OVER_3),
+    "zariski-equals-vietoris": (CapacityError, DOWN_SETS_OVER_3),
+    "functor-laws": (CapacityError, EXTENSIONS_OVER_3),
+    "extension-minimality": (SKIPPED, f"enumeration over budget: {EXTENSIONS_OVER_3}"),
+    "lift-round-trip": (CapacityError, DOWN_SETS_OVER_3),
+    "sup-extension": (SKIPPED, f"enumeration over budget: {DOWN_SETS_OVER_3}"),
+    "sup-extension-of-embedding": (SKIPPED, f"enumeration over budget: {DOWN_SETS_OVER_3}"),
+    "fixture-expectations": (SKIPPED, "no expectations recorded"),
+}
+
+
+@pytest.mark.parametrize("name", PROPERTIES)
+def test_every_property_over_capacity(monkeypatch, name):
+    """With a capacity of 3 the four-point powerdomain of the vee is over
+    budget.  ``extension-minimality`` and the sigma properties report a
+    skip; every other property that builds lets CapacityError escape,
+    which keeps ``smyth check`` at exit 2; the vee records no
+    expectations."""
     monkeypatch.setenv("SPECTRAL_CAPACITY", "3")
-    payload = {"n": 3, "covers": [[0, 2], [1, 2]]}
-    for name in SUITE_GROUPS["sigma"]:
-        report = PROPERTIES[name](payload)
-        assert report.verdict == SKIPPED, name
-        assert report.reason == (
-            "enumeration over budget: more than 3 down-sets on 3 elements"
-        )
+    outcome, message = OVER_CAPACITY_ON_VEE[name]
+    if outcome is CapacityError:
+        with pytest.raises(CapacityError) as raised:
+            PROPERTIES[name](VEE)
+        assert str(raised.value) == message
+    else:
+        report = PROPERTIES[name](VEE)
+        assert (report.verdict, report.reason) == (outcome, message)
+
+
+def test_each_property_validates_its_payload_once(monkeypatch):
+    """The filer validates a payload once per property call, and no law
+    validates it again, on a payload with an expect block."""
+    validate = suite.document_from_payload
+    calls = []
+
+    def counting(payload):
+        calls.append(payload)
+        return validate(payload)
+
+    monkeypatch.setattr(suite, "document_from_payload", counting)
+    counts = {}
+    for name, prop in PROPERTIES.items():
+        calls.clear()
+        assert prop(FIXTURE_DOCS[0]).ok, name
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(PROPERTIES, 1)
 
 
 def test_sigma_properties_search_no_extensions(monkeypatch):
