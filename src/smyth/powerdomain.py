@@ -40,7 +40,9 @@ class PowerdomainSpace(_Value):
     ``point_index``, the dict from each point's mask to its index, is
     made on its first lookup.  The plain construction has no empty
     point; the hatted variant adds mask 0 as a bottom point.  Spaces
-    compare and hash by identity.
+    compare and hash by identity, so two builds of one base give the
+    same space only while it is still among the 16 that ``_build``
+    caches; their orders compare by structure.
     """
 
     _fields = ("base", "points", "order", "phi_index")
@@ -194,14 +196,24 @@ def _inclusion_rows(
     return up, tuple(map(down_of.__getitem__, points))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _build(base: FinitePoset, include_empty: bool, capacity: int) -> PowerdomainSpace:
+    """The space every builder returns, cached for the 16 most recent
+    keys: a suite reads four spaces per payload, so this holds four
+    payloads' spaces, and a process keeps no space past them.  It
+    outlasts the 128 lifts ``maps._powerdomain_map`` keeps, so a cached
+    lift is on the order of a cached space, and equal orders compare by
+    identity, not row by row."""
     masks = enumerate_down_sets(base, include_empty, capacity)
     return _assemble(base, masks)
 
 
 def build(base: FinitePoset, capacity: int | None = None) -> PowerdomainSpace:
-    """Powerdomain on the nonempty down-sets of ``base``."""
+    """Powerdomain on the nonempty down-sets of ``base``.
+
+    ``build(base) is build(base)`` holds only while the space is still
+    cached; see ``_build``.
+    """
     return _build(base, False, resolve_capacity(capacity))
 
 

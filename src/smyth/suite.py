@@ -436,7 +436,7 @@ def run_suite(scope: str) -> list[CheckReport]:
     if scope == "fixtures":
         for payload in FIXTURE_DOCS:
             reports += _per_poset(payload)
-            reports.append(prop_fixture_expectations(payload))
+            reports.append(PROPERTIES["fixture-expectations"](payload))
         return reports
     if scope.startswith("random:"):
         parts = scope.split(":")

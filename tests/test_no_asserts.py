@@ -14,8 +14,11 @@ are validated only where their rows enter: ``from_cover_relations`` and
 ``poset_of_topology``; every poset the package derives is made by
 ``poset._made_poset``.  No
 function calls itself, so every walk keeps its state on an explicit
-stack and no input depth meets the interpreter's recursion limit.  The
-README names only what the code still spells.
+stack and no input depth meets the interpreter's recursion limit.  Every
+``lru_cache`` of the package has a finite ``maxsize``, so a process
+keeps a bounded number of results, except ``generators.all_posets``,
+whose keys ``MAX_EXHAUSTIVE_N`` caps.  The README names only what the
+code still spells.
 """
 
 import ast
@@ -183,6 +186,59 @@ def test_package_has_no_recursion():
         for name, line in self_calls(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == [], f"functions that call themselves: {found}"
+
+
+def unbounded_caches(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every function a module caches with no finite bound, with its
+    line: a ``cache`` decorator, or an ``lru_cache`` whose ``maxsize``
+    is not an integer literal.  A bare ``@lru_cache`` keeps 128."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in function.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            named = identifiers(call.func if call else decorator)
+            if named == ["cache"]:
+                unbounded = True
+            elif named == ["lru_cache"] and call:
+                sizes = [k.value for k in call.keywords if k.arg == "maxsize"]
+                size = (call.args or sizes or [ast.Constant(128)])[0]
+                unbounded = not (isinstance(size, ast.Constant)
+                                 and type(size.value) is int)
+            else:
+                unbounded = False
+            if unbounded:
+                found.append((function.name, decorator.lineno))
+    return found
+
+
+def test_unbounded_caches_finds_each_form():
+    tree = ast.parse(
+        "@lru_cache\ndef a(): pass\n"
+        "@functools.lru_cache(maxsize=16)\ndef b(): pass\n"
+        "@lru_cache(8)\ndef c(): pass\n"
+        "@lru_cache(maxsize=None)\ndef d(): pass\n"
+        "@functools.cache\ndef e(): pass\n"
+        "@lru_cache(None)\ndef f(): pass\n"
+        "@lru_cache(maxsize=SIZE)\ndef g(): pass\n"
+        "@cached_property\ndef h(self): pass\n"
+    )
+    assert unbounded_caches(tree) == [("d", 7), ("e", 9), ("f", 11), ("g", 13)]
+
+
+def test_package_caches_are_bounded():
+    """Only ``all_posets`` may cache without a bound: it is keyed by a
+    size that ``MAX_EXHAUSTIVE_N`` caps, so it holds at most that many
+    tuples of posets."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = {
+        f"{path.name}:{name}": line
+        for path in sources
+        for name, line in unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert list(found) == ["generators.py:all_posets"], f"unbounded caches: {found}"
 
 
 def identifiers(node: ast.AST) -> list[str]:

@@ -1,11 +1,14 @@
 """Report shape, suite scopes, determinism, and witness replay."""
 
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
 import random
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -104,6 +107,21 @@ def test_fixture_scope_green():
     assert not [r for r in reports if r.verdict == "fail"]
     names = {r.property for r in reports}
     assert names == set(PER_POSET_PROPERTIES) | {"fixture-expectations"}
+
+
+def test_fixture_scope_calls_each_property_through_the_registry(monkeypatch):
+    """A counting wrapper installed in ``PROPERTIES`` sees every report
+    of the ``fixtures`` scope made, ``fixture-expectations`` once per
+    shipped document."""
+    calls = []
+    for name, prop in list(PROPERTIES.items()):
+        def counting(payload, name=name, prop=prop):
+            calls.append(name)
+            return prop(payload)
+        monkeypatch.setitem(PROPERTIES, name, counting)
+    reports = run_suite("fixtures")
+    assert Counter(calls) == Counter(r.property for r in reports)
+    assert calls.count("fixture-expectations") == len(FIXTURE_DOCS) == 4
 
 
 # a sha256 prefix of every report line of each scope, and its length
@@ -786,6 +804,95 @@ def test_one_build_per_powerdomain(monkeypatch):
     run_suite("exhaustive-3")
     assert built
     assert recording.cache_info().misses == len(set(built))
+
+
+def rebuilds(monkeypatch, maxsize):
+    """Run ``fixtures`` and ``exhaustive-3``, each from empty lift and
+    construction caches, the construction cache keeping ``maxsize``
+    spaces.  Returns the rebuilds of each ``(scope, payload, key)`` built
+    more than once within one payload's properties, and the builds of
+    ``CHAIN2``'s space in each scope."""
+    payload_of = [None]
+    built = []
+    uncached = powerdomain._build.__wrapped__
+
+    def recording(*key):
+        built.append((payload_of[0], key))
+        return uncached(*key)
+
+    for name, prop in list(PROPERTIES.items()):
+        def tagged(payload, prop=prop):
+            payload_of[0] = instance_text(payload)
+            return prop(payload)
+        monkeypatch.setitem(PROPERTIES, name, tagged)
+    chain2 = (suite.CHAIN2, False, resolve_capacity(None))
+    repeated, chain2_builds = {}, []
+    for scope in ("fixtures", "exhaustive-3"):
+        built.clear()
+        monkeypatch.setattr(powerdomain, "_build",
+                            functools.lru_cache(maxsize=maxsize)(recording))
+        monkeypatch.setattr(maps, "_powerdomain_map", functools.lru_cache(
+            maxsize=maps._powerdomain_map.cache_info().maxsize)(
+                maps._powerdomain_map.__wrapped__))
+        run_suite(scope)
+        repeated.update({(scope, *entry): count - 1
+                         for entry, count in Counter(built).items() if count > 1})
+        chain2_builds.append(sum(key == chain2 for _, key in built))
+    return repeated, chain2_builds
+
+
+def test_the_construction_cache_holds_each_payloads_spaces(monkeypatch):
+    """With the shipped bound, no space is built twice for one payload,
+    and the Sierpinski chain that ``extension-minimality`` maps into,
+    read on every payload, is built once per scope."""
+    repeated, chain2_builds = rebuilds(monkeypatch, powerdomain._build.cache_info().maxsize)
+    assert repeated == {}
+    assert chain2_builds == [1, 1]
+
+
+def test_a_one_space_cache_rebuilds_within_a_payload(monkeypatch):
+    """The working-set check is not vacuous: a cache of one space
+    rebuilds spaces within a payload and the chain on every payload."""
+    repeated, chain2_builds = rebuilds(monkeypatch, 1)
+    assert sum(repeated.values()) > 100
+    assert min(chain2_builds) > 1
+
+
+def test_a_scope_leaves_at_most_the_cached_spaces_alive():
+    """After ``exhaustive-4``, no more spaces are alive than the
+    construction cache holds, and a space built before the scope, that
+    nothing else holds, is gone."""
+    earlier = weakref.ref(build(antichain(6)))
+    run_suite("exhaustive-4")
+    gc.collect()
+    alive = [obj for obj in gc.get_objects() if isinstance(obj, PowerdomainSpace)]
+    assert len(alive) <= powerdomain._build.cache_info().maxsize
+    assert earlier() is None
+
+
+def test_cached_lifts_stay_on_cached_spaces(monkeypatch):
+    """Over ``random:60:5:1``, whose small posets recur, no two distinct
+    inclusion orders are compared: the construction cache outlasts the
+    128 cached lifts, so a lift it serves is on the order of a space
+    still cached, and equal orders are the same object.  Each such
+    comparison would build both orders' rows; a cache of 12 spaces
+    made 15 of them."""
+    compared = []
+    equal = FinitePoset.__eq__
+
+    def recording(left, right):
+        if left is not right and all(isinstance(order, powerdomain._InclusionOrder)
+                                     for order in (left, right)):
+            compared.append((left, right))
+        return equal(left, right)
+
+    monkeypatch.setattr(FinitePoset, "__eq__", recording)
+    monkeypatch.setattr(powerdomain, "_build", functools.lru_cache(
+        maxsize=powerdomain._build.cache_info().maxsize)(powerdomain._build.__wrapped__))
+    monkeypatch.setattr(maps, "_powerdomain_map", functools.lru_cache(
+        maxsize=maps._powerdomain_map.cache_info().maxsize)(maps._powerdomain_map.__wrapped__))
+    run_suite("random:60:5:1")
+    assert compared == []
 
 
 def test_suites_search_no_isomorphism(monkeypatch):
