@@ -22,6 +22,7 @@ from .errors import (
 )
 from .poset import (
     FinitePoset,
+    _down_sets_by_extension,
     _monotonicity_violation,
     is_order_embedding,
     iter_bits,
@@ -306,14 +307,20 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
 
     The induced map is the sup extension of ``phi`` after ``f``, whose
     least-ness ``check_sigma_theorem`` certifies per point with no
-    search.  This check enumerates the extensions of
-    ``enumerate_extensions`` instead, as image tuples, and compares each
-    with the induced map on one up row of the target order per point.
-    ``capacity`` bounds the search only: the spaces and the induced map
-    come from the default caches, under the default capacity read once.
+    search.  This check enumerates the extensions instead: into the
+    two-element chain on masks (``_sierpinski_minimality``), into any
+    other target as the image tuples of ``enumerate_extensions``,
+    compared with the induced map on one up row of the target order per
+    point.  More than ``capacity`` extensions raise CapacityError before
+    any law is judged.  ``capacity`` bounds the enumeration only: the
+    spaces and the induced map come from the default caches, under the
+    default capacity read once.
     """
     default = resolve_capacity(None)
     induced_map = powerdomain_map(f, default)
+    if f.target.n == 2 and f.target.up[0] == 0b11:
+        limit = default if capacity is None else resolve_capacity(capacity)
+        return _sierpinski_minimality(f, induced_map, build(f.source, default), limit)
     extensions = _extension_images(f, capacity, default)
     if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}
@@ -324,6 +331,51 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
                 return {"law": "pointwise-least", "point": point,
                         "candidate": list(candidate)}
     return None
+
+
+def _sierpinski_minimality(
+    f: MonotoneMap, induced_map: MonotoneMap, space: PowerdomainSpace, limit: int
+) -> dict | None:
+    """``check_minimality`` for ``f`` into the chain ``0 < 1``.
+
+    The powerdomain of the chain is the chain of its points ``{0}`` and
+    ``{0, 1}``, so an extension is fixed by its zero set, a down-set of
+    ``space.order``.  The anchors bound it: it holds ``low``, the down
+    rows of the principal points that ``f`` sends to 0, and misses
+    ``banned``, the up rows of those sent to 1; ``f`` is monotone, so
+    the two are disjoint.  So the zero sets are ``low | e`` for ``e`` a
+    down-set of the order on the rest, and an extension lies above the
+    induced map exactly when its zero set lies inside the induced map's.
+    The failure witness is the first failing extension as an image
+    tuple, in the order ``enumerate_extensions`` lists them, and its
+    first failing point.
+    """
+    order = space.order
+    low = banned = 0
+    for point, value in zip(space.phi_index, f.image):
+        if value:
+            banned |= order.up[point]
+        else:
+            low |= order.down[point]
+    try:
+        found = _down_sets_by_extension(order, order.full & ~(low | banned), limit - 1)
+    except CapacityError:
+        raise CapacityError(f"more than {limit} anchored extensions") from None
+    zero_sets = [low | e for e in found]
+    image = induced_map.image
+    induced_zeros = mask_of(point for point, value in enumerate(image) if not value)
+    if image.count(0) + image.count(1) != order.n or induced_zeros not in zero_sets:
+        return {"law": "induced-map-is-an-extension"}
+    ones = ~induced_zeros
+    failing = [zeros for zeros in zero_sets if zeros & ones]
+    if not failing:
+        return None
+    candidate, zeros = min(
+        (tuple(0 if zeros >> point & 1 else 1 for point in range(order.n)), zeros)
+        for zeros in failing)
+    below = zeros & ones
+    return {"law": "pointwise-least", "point": (below & -below).bit_length() - 1,
+            "candidate": list(candidate)}
 
 
 def is_order_isomorphism(f: MonotoneMap) -> bool:

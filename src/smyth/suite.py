@@ -239,13 +239,15 @@ def prop_extension_minimality(poset: FinitePoset, payload: dict) -> dict | str |
     """The induced powerdomain map is least among extensions.
 
     Exercised against every monotone map into the two-element chain
-    (the Sierpinski-valued maps); enumeration beyond the capacity is
-    reported as skipped, not guessed; the capacity bounds the search
-    only.  A failure names the image of the first failing map as
-    ``map``.  Each induced map is the sup extension of ``phi`` after the
-    map, whose least-ness ``check_sigma_theorem`` certifies per point
-    with no search; this property still enumerates the extensions, so
-    the 5-element antichain is over its budget.
+    (the Sierpinski-valued maps), whose extensions ``check_minimality``
+    lists on masks, as down-sets of the points between the anchors'
+    bounds; more than the capacity is reported as skipped, not guessed;
+    the capacity bounds the extensions listed only.  A failure names the
+    image of the first failing map as ``map``.  Each induced map is the
+    sup extension of ``phi`` after the map, whose least-ness
+    ``check_sigma_theorem`` certifies per point with no enumeration;
+    this property still counts the extensions, so the 5-element
+    antichain is over its budget.
     """
     try:
         for image in all_monotone_images(poset, CHAIN2):

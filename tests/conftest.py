@@ -23,7 +23,7 @@ from smyth import (
 from smyth import completion, maps
 from smyth.generators import random_poset
 from smyth.maps import anchored_extensions
-from smyth.poset import _transpose, check_subset, iter_bits, mask_of
+from smyth.poset import _transpose, check_subset, iter_bits, mask_of, resolve_capacity
 
 
 def vee_poset() -> FinitePoset:
@@ -311,6 +311,32 @@ def sigma_law_by_enumeration(f: MonotoneMap) -> str | None:
         if completion.is_sup_preserving(extension) != (candidate == sharp):
             return "unique-sup-preserving"
     return None
+
+
+def minimality_by_search(f: MonotoneMap, capacity: int | None = None) -> dict | None:
+    """``check_minimality`` by the anchored search over image tuples, on
+    any target: the oracle of its route on masks into the two-element
+    chain.  The induced map is read through ``maps``, so that a patched
+    lift is searched against."""
+    default = resolve_capacity(None)
+    induced_map = maps.powerdomain_map(f, default)
+    extensions = maps._extension_images(f, capacity, default)
+    if induced_map.image not in extensions:
+        return {"law": "induced-map-is-an-extension"}
+    for candidate in extensions:
+        for point, (least, value) in enumerate(zip(induced_map.image, candidate)):
+            if not induced_map.target.leq(least, value):
+                return {"law": "pointwise-least", "point": point,
+                        "candidate": list(candidate)}
+    return None
+
+
+def constant_lift(original):
+    """Every induced map replaced by the constant map at the first point."""
+    def lift(f, capacity=None):
+        lifted = original(f, capacity)
+        return MonotoneMap(lifted.source, lifted.target, (0,) * lifted.source.n)
+    return lift
 
 
 def cover_pairs_by_definition(poset: FinitePoset) -> tuple[tuple[int, int], ...]:

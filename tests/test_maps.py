@@ -22,7 +22,7 @@ from smyth import (
     powerdomain_map,
 )
 from smyth import maps, powerdomain
-from smyth.generators import all_posets, random_monotone_map, random_poset
+from smyth.generators import all_monotone_images, all_posets, random_monotone_map, random_poset
 from smyth.maps import anchored_extensions, is_order_isomorphism
 from smyth.poset import (
     _monotonicity_violation,
@@ -35,9 +35,11 @@ from smyth.poset import (
 from conftest import (
     antichain,
     chain,
+    constant_lift,
     induced,
     is_order_isomorphism_by_pairs,
     is_spectral,
+    minimality_by_search,
     monotonicity_violation_by_pairs,
     posets,
     powerdomain_image_by_closure,
@@ -47,6 +49,7 @@ from conftest import (
 )
 
 import random
+from collections import Counter
 from itertools import permutations, product
 
 
@@ -307,6 +310,93 @@ def test_minimality_random(source, target, seed):
     if f is None:
         return
     assert check_minimality(f) is None
+
+
+def maps_into_the_chain(max_n):
+    """Every monotone map into the two-element chain from every labeled
+    poset with up to ``max_n`` elements."""
+    chain2 = chain(2)
+    return [MonotoneMap(source, chain2, image)
+            for n in range(1, max_n + 1) for source in all_posets(n)
+            for image in all_monotone_images(source, chain2)]
+
+
+def lift_without_closure(original):
+    """The image set of each point looked up as a point, not closed
+    downward first; one that is no point goes to the first point."""
+    def lift(f, capacity):
+        source, target = build(f.source, capacity), build(f.target, capacity)
+        image = tuple(target.point_index.get(f.image_mask(member), 0)
+                      for member in source.points)
+        return maps._made(source.order, target.order, image)
+    return lift
+
+
+def greatest_extension_lift(original):
+    """Each point sent to 0 only when it lies inside a principal down-set
+    sent to 0: an extension into the chain, the greatest, so it is
+    pointwise-least only where it is the induced map."""
+    def lift(f, capacity):
+        space = build(f.source, capacity)
+        zeros = [f.source.down[x] for x in range(f.source.n) if f.image[x] == 0]
+        image = tuple(0 if any(member & ~down == 0 for down in zeros) else 1
+                      for member in space.points)
+        return maps._made(space.order, build(f.target, capacity).order, image)
+    return lift
+
+
+@pytest.mark.parametrize("lift", [None, constant_lift, lift_without_closure,
+                                  greatest_extension_lift])
+def test_minimality_into_the_chain_matches_the_search(monkeypatch, lift):
+    """Every monotone map into the two-element chain from a labeled poset
+    with up to 4 elements: the route on masks returns what the search
+    over image tuples returns, under the real lift and seeded wrong ones."""
+    if lift is not None:
+        monkeypatch.setattr(maps, "_powerdomain_map", lift(maps._powerdomain_map))
+    laws = Counter()
+    for f in maps_into_the_chain(4):
+        expected = minimality_by_search(f)
+        assert check_minimality(f) == expected, f.image
+        laws[None if expected is None else expected["law"]] += 1
+    assert sum(laws.values()) == 1788
+    if lift is None:
+        assert laws == {None: 1788}
+    elif lift is greatest_extension_lift:
+        assert laws[None] and laws["pointwise-least"]
+    else:
+        assert laws["induced-map-is-an-extension"]
+
+
+def test_minimality_into_the_chain_budget_edge():
+    """With ``K`` extensions a capacity of ``K`` passes, and ``K - 1``
+    raises what the search raises: the count past the budget, or no
+    capacity at all when ``K`` is 1."""
+    for f in maps_into_the_chain(4):
+        count = len(maps._extension_images(f, None, resolve_capacity(None)))
+        assert check_minimality(f, count) is None
+        with pytest.raises((CapacityError, RangeError)) as expected:
+            minimality_by_search(f, count - 1)
+        with pytest.raises(expected.type) as raised:
+            check_minimality(f, count - 1)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_minimality_searches_image_tuples_off_the_chain(monkeypatch):
+    """Maps into the two-element chain are checked on masks; a map into
+    any other target still runs the anchored search once."""
+    targets = []
+    search = maps.anchored_extensions
+
+    def counting(source_order, anchors, target, capacity=None):
+        targets.append(target)
+        return search(source_order, anchors, target, capacity)
+
+    monkeypatch.setattr(maps, "anchored_extensions", counting)
+    assert check_minimality(worked_map()) is None
+    assert targets == []
+    three = chain(3)
+    assert check_minimality(MonotoneMap(vee_poset(), three, (0, 1, 2))) is None
+    assert targets == [build(three).order]
 
 
 def test_anchored_extensions_capacity(vee, chain2):

@@ -99,10 +99,21 @@ def test_order_is_inclusion_on_large_base():
     assert_assembled_order(space)
 
 
-def test_order_is_inclusion_on_every_small_poset():
-    for poset in (p for n in range(1, 6) for p in all_posets(n)):
-        for builder in (build, hat_powerdomain, inverse_powerdomain):
-            assert_assembled_order(builder(poset))
+SMALL_BUILDERS = (build, hat_powerdomain, inverse_powerdomain)
+
+
+@pytest.fixture(scope="module")
+def small_spaces():
+    """Every labeled poset with up to 5 elements, with its space under
+    each of ``SMALL_BUILDERS``, built once for the module."""
+    return [(base, [builder(base) for builder in SMALL_BUILDERS])
+            for n in range(1, 6) for base in all_posets(n)]
+
+
+def test_order_is_inclusion_on_every_small_poset(small_spaces):
+    for _, spaces in small_spaces:
+        for space in spaces:
+            assert_assembled_order(space)
 
 
 def reversed_chain(n):
@@ -254,18 +265,17 @@ def test_dimension_law(poset):
     assert (pd == dimension(poset)) == is_chain(poset)
 
 
-def test_dimension_is_the_longest_cover_chain():
+def test_dimension_is_the_longest_cover_chain(small_spaces):
     """The grading against the longest chain over the order's covers,
     on every labeled poset with up to 5 elements and 20 seeded random
     ones with 6 to 12, under each builder; the hat space gives n."""
     rng = random.Random(27)
-    bases = [p for n in range(1, 6) for p in all_posets(n)]
-    bases += [random_poset(rng.randint(6, 12), seed) for seed in range(20)]
-    for base in bases:
-        for builder, expected in (
-            (build, base.n - 1), (hat_powerdomain, base.n), (inverse_powerdomain, base.n - 1),
-        ):
-            space = builder(base)
+    cases = list(small_spaces)
+    for seed in range(20):
+        base = random_poset(rng.randint(6, 12), seed)
+        cases.append((base, [builder(base) for builder in SMALL_BUILDERS]))
+    for base, spaces in cases:
+        for space, expected in zip(spaces, (base.n - 1, base.n, base.n - 1)):
             assert powerdomain_dimension(space) == dimension(space.order) == expected
 
 

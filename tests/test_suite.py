@@ -5,7 +5,9 @@ import gc
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 import weakref
 from collections import Counter
@@ -47,7 +49,14 @@ from smyth.suite import (
     prop_sup_extension_of_embedding,
 )
 
-from conftest import antichain, boolean_lattice, chain, diamond_poset, vee_poset
+from conftest import (
+    antichain,
+    boolean_lattice,
+    chain,
+    constant_lift,
+    diamond_poset,
+    vee_poset,
+)
 
 
 def test_report_validation():
@@ -256,6 +265,36 @@ def test_extension_minimality_skips_a_wide_antichain():
     assert report.reason == (
         "enumeration over budget: more than 4096 anchored extensions"
     )
+
+
+def test_extension_minimality_skips_the_12_element_antichain_in_bounds():
+    """Over its budget on the 12-element antichain's 4095 points, in a
+    fresh process after the build: the first map's extensions are counted
+    on masks, not searched as image tuples, in under 2 s and 48 MB."""
+    code = (
+        "import resource, time\n"
+        "from smyth import build\n"
+        "from smyth.poset import FinitePoset\n"
+        "from smyth.suite import prop_extension_minimality\n"
+        "build(FinitePoset.from_cover_relations(12, []))\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "start = time.perf_counter()\n"
+        "report = prop_extension_minimality({'n': 12, 'covers': []})\n"
+        "seconds = time.perf_counter() - start\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(report.verdict, report.reason, seconds, grown / 1024, sep='|')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("SPECTRAL_CAPACITY", None)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.stderr == ""
+    verdict, reason, seconds, grown_mb = result.stdout.strip().split("|")
+    assert (verdict, reason) == (
+        SKIPPED, "enumeration over budget: more than 4096 anchored extensions")
+    assert float(seconds) < 2.0
+    assert float(grown_mb) < 48
 
 
 DOWN_SETS_OVER_3 = "more than 3 down-sets on 3 elements"
@@ -584,14 +623,6 @@ def test_passing_sigma_properties_serialize_no_poset(monkeypatch, prop):
     assert read == []
 
 
-def constant_lift(original):
-    """Every induced map replaced by the constant map at the first point."""
-    def lift(f, capacity=None):
-        lifted = original(f, capacity)
-        return MonotoneMap(lifted.source, lifted.target, (0,) * lifted.source.n)
-    return lift
-
-
 def constant_sharp(original):
     """The sup extension replaced by the constant map at the top."""
     def sharp(f):
@@ -632,11 +663,17 @@ def dropping_a_cover(original):
     return build_thin
 
 
-def unanchored(original):
-    """An extension search that drops its anchors."""
-    def search(source_order, anchors, target, capacity=None):
-        return original(source_order, {}, target, capacity)
-    return search
+def over_the_whole_order(original):
+    """A down-set enumeration that drops its carrier: the extensions into
+    the two-element chain ignore the anchors' bounds."""
+    def enumerate_all(poset, carrier, limit):
+        return original(poset, poset.full, limit)
+    return enumerate_all
+
+
+def enumerating_none(original):
+    """A down-set enumeration that finds nothing: no extension at all."""
+    return lambda poset, carrier, limit: []
 
 
 def no_joins(original):
@@ -678,9 +715,9 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("embedding-theorem", ANTICHAIN_2), "unique-maximal-point"),
     (completion, "preserves_sups", lambda original: lambda space, f: False,
      suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
-    (maps, "anchored_extensions", unanchored,
+    (maps, "_down_sets_by_extension", over_the_whole_order,
      suite_check("extension-minimality", VEE), "pointwise-least"),
-    (maps, "anchored_extensions", lambda original: lambda *args: (),
+    (maps, "_down_sets_by_extension", enumerating_none,
      suite_check("extension-minimality", VEE), "induced-map-is-an-extension"),
     (suite, "poset_of_topology", lambda original: lambda *args: order_dual(original(*args)),
      suite_check("topology-round-trip", VEE), "recovers-order"),
@@ -767,7 +804,7 @@ CHAIN_3_RELATIONS = {"n": 3, "covers": [[0, 1], [1, 2], [0, 2]]}
 REBOUND_MUTANTS = {
     "embedding-theorem": (suite, "build", with_phi_index(lambda phi: (phi[0],) * len(phi))),
     "functor-laws": (maps, "_powerdomain_map", constant_lift),
-    "extension-minimality": (maps, "anchored_extensions", lambda original: lambda *args: ()),
+    "extension-minimality": (maps, "_down_sets_by_extension", enumerating_none),
     "sup-extension": (completion, "preserves_sups", lambda original: lambda space, f: False),
     "sup-extension-of-embedding": (
         completion, "preserves_sups", lambda original: lambda space, f: False),
@@ -784,6 +821,21 @@ def test_rebound_failures_report_the_payload(monkeypatch, prop):
     assert (report.property, report.verdict) == (prop, FAIL)
     assert report.instance == instance_text(CHAIN_3_RELATIONS)
     assert report.witness["instance"] == CHAIN_3_RELATIONS
+
+
+@pytest.mark.parametrize("mutant, law", [
+    (over_the_whole_order, "pointwise-least"),
+    (enumerating_none, "induced-map-is-an-extension"),
+])
+@pytest.mark.parametrize("payload", [VEE, CHAIN_3_RELATIONS], ids=["vee", "chain-3-relations"])
+def test_minimality_mask_route_defects_fail_their_law(monkeypatch, payload, mutant, law):
+    """Each seeded defect of the extension enumeration into the
+    two-element chain fails its own law on both payloads, and replays."""
+    assert PROPERTIES["extension-minimality"](payload).verdict == PASS
+    monkeypatch.setattr(maps, "_down_sets_by_extension", mutant(maps._down_sets_by_extension))
+    report = PROPERTIES["extension-minimality"](payload)
+    assert (report.verdict, report.witness["law"]) == (FAIL, law)
+    assert replay(report) == report
 
 
 def test_one_build_per_powerdomain(monkeypatch):
