@@ -356,8 +356,10 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
     join-irreducible ones, those with at most one lower cover
     (Birkhoff's theorem: the down-set of ``x`` covers at most itself
     minus ``x``, and a down-set with several maximal members covers
-    itself minus each of them).  The basic open of a point's member set
-    is read off its certified down row.
+    itself minus each of them).  The pullback is read transposed: the
+    certified up row of ``phi(x)`` must be the membership column of
+    ``x``.  Under it a basic open misses every principal point only when
+    its open is empty, so density fails exactly on an empty point.
     """
     base = space.base
 
@@ -381,20 +383,15 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
             return {"law": "order-is-containment",
                     "left": (wrong & -wrong).bit_length() - 1, "right": i}
 
-    # Each certified down row is the basic open of its point's member
-    # set; a plain space has no empty point, and its empty open is empty.
-    masks = list(zip(space.points, space.order.down))
-    if space.points[0] != 0:
-        masks.insert(0, (0, 0))
-
     if not is_order_embedding(base, space.order, space.phi_index):
         return {"law": "order-embedding"}
-    for omega, members in masks:
-        pulled = mask_of(
-            x for x, i in enumerate(space.phi_index) if members >> i & 1
-        )
-        if pulled != omega:
-            return {"law": "basic-open-pullback", "open": omega}
+    # The points above phi(x) must be the points that hold x.
+    wrong = 0
+    for x, i in enumerate(space.phi_index):
+        wrong |= space.order.up[i] ^ column[x]
+    if wrong:
+        return {"law": "basic-open-pullback",
+                "open": space.points[(wrong & -wrong).bit_length() - 1]}
 
     maximal = [
         i for i in range(len(space.points))
@@ -403,11 +400,10 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
     if len(maximal) != 1 or space.points[maximal[0]] != base.full:
         return {"law": "unique-maximal-point", "maximal": maximal}
 
-    principal = mask_of(space.phi_index)
-    for omega, members in masks:
-        if members and not members & principal:
-            return {"law": "density", "open": omega}
+    if 0 in space.points:
+        return {"law": "density", "open": 0}
 
+    principal = mask_of(space.phi_index)
     for i, covers in enumerate(space.order.lower_covers):
         if bool(principal >> i & 1) != (covers.bit_count() <= 1):
             return {"law": "principal-iff-join-irreducible", "point": i}

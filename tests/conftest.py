@@ -4,7 +4,8 @@ import functools
 import random
 import re
 import sys
-from itertools import combinations, product
+from collections.abc import Iterator
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -20,10 +21,17 @@ from smyth import (
     is_down_set,
     sup,
 )
-from smyth import completion, maps
+from smyth import completion, maps, powerdomain
 from smyth.generators import random_poset
 from smyth.maps import anchored_extensions
-from smyth.poset import _transpose, check_subset, iter_bits, mask_of, resolve_capacity
+from smyth.poset import (
+    _transpose,
+    check_subset,
+    is_order_embedding,
+    iter_bits,
+    mask_of,
+    resolve_capacity,
+)
 
 
 def vee_poset() -> FinitePoset:
@@ -96,6 +104,60 @@ def basic_open_by_scan(space: PowerdomainSpace, omega: int) -> frozenset[int]:
     return frozenset(
         i for i, member in enumerate(space.points) if member & ~omega == 0
     )
+
+
+def embedding_theorem_by_scan(space: PowerdomainSpace) -> dict | None:
+    """``check_embedding_theorem`` with ``basic-open-pullback`` and
+    ``density`` decided point by point: each point's down row is the
+    basic open of its member set, ``phi`` must pull it back to that set,
+    and a nonempty one must hold a principal point; a plain space's
+    empty open is added first.  The oracle of the column reading.
+    """
+    base, column = space.base, space._columns
+    every = (1 << len(space.points)) - 1
+    for i, small in enumerate(space.points):
+        above = every
+        for x in iter_bits(small):
+            above &= column[x]
+        wrong = space.order.up[i] ^ above
+        if wrong:
+            return {"law": "order-is-containment",
+                    "left": i, "right": (wrong & -wrong).bit_length() - 1}
+    for i, small in enumerate(space.points):
+        wrong = space.order.down[i] ^ powerdomain._points_inside(space, small)
+        if wrong:
+            return {"law": "order-is-containment",
+                    "left": (wrong & -wrong).bit_length() - 1, "right": i}
+
+    masks = list(zip(space.points, space.order.down))
+    if space.points[0] != 0:
+        masks.insert(0, (0, 0))
+
+    if not is_order_embedding(base, space.order, space.phi_index):
+        return {"law": "order-embedding"}
+    for omega, members in masks:
+        pulled = mask_of(
+            x for x, i in enumerate(space.phi_index) if members >> i & 1
+        )
+        if pulled != omega:
+            return {"law": "basic-open-pullback", "open": omega}
+
+    maximal = [
+        i for i in range(len(space.points))
+        if space.order.up[i] == 1 << i
+    ]
+    if len(maximal) != 1 or space.points[maximal[0]] != base.full:
+        return {"law": "unique-maximal-point", "maximal": maximal}
+
+    principal = mask_of(space.phi_index)
+    for omega, members in masks:
+        if members and not members & principal:
+            return {"law": "density", "open": omega}
+
+    for i, covers in enumerate(space.order.lower_covers):
+        if bool(principal >> i & 1) != (covers.bit_count() <= 1):
+            return {"law": "principal-iff-join-irreducible", "point": i}
+    return None
 
 
 def irreducible_down_sets_by_scan(poset: FinitePoset) -> tuple[int, ...]:
@@ -433,6 +495,21 @@ def is_order_embedding_by_pairs(
         for x in range(source.n)
         for y in range(source.n)
     )
+
+
+def isomorphisms_by_permutation(
+    left: FinitePoset, right: FinitePoset
+) -> Iterator[tuple[int, ...]]:
+    """Every order-isomorphism ``left -> right`` as an image tuple, each
+    permutation of ``range(n)`` tried in lexicographic order, its moved
+    up rows compared with the target's.  The brute-force oracle of
+    ``find_isomorphism``."""
+    if left.n != right.n:
+        return
+    for image in permutations(range(left.n)):
+        if all(mask_of(image[j] for j in iter_bits(left.up[i])) == right.up[image[i]]
+               for i in range(left.n)):
+            yield image
 
 
 def is_order_isomorphism_by_pairs(f: MonotoneMap) -> bool:

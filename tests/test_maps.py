@@ -381,6 +381,95 @@ def test_minimality_into_the_chain_budget_edge():
         assert str(raised.value) == str(expected.value)
 
 
+def last_extension_lift(original):
+    """Each induced map replaced by the last anchored extension in
+    image-tuple order: an extension, but not the pointwise-least one
+    unless it lies below every other."""
+    def lift(f, capacity):
+        lifted = original(f, capacity)
+        return maps._made(lifted.source, lifted.target, max(anchored_images(f)))
+    return lift
+
+
+def anchored_images(f):
+    """The anchored extensions of ``f``, by a direct call of
+    ``anchored_extensions`` on the principal points."""
+    source, target = build(f.source), build(f.target)
+    anchors = {point: target.phi_index[value]
+               for point, value in zip(source.phi_index, f.image)}
+    return anchored_extensions(source.order, anchors, target.order)
+
+
+@pytest.mark.parametrize("target, count, off, not_least", [
+    (chain(3), 14, 13, 5),
+    (vee_poset(), 11, 10, 4),
+])
+def test_minimality_search_fails_under_a_wrong_lift(monkeypatch, target, count, off,
+                                                    not_least):
+    """Maps from the vee into a 3-chain or into the vee take the search
+    route.  A constant lift is no extension of every map but the
+    constant one; the last extension fails ``pointwise-least`` wherever
+    a smaller one exists, with the first such candidate and point."""
+    fs = [MonotoneMap(vee_poset(), target, image)
+          for image in all_monotone_images(vee_poset(), target)]
+    assert len(fs) == count
+    original = maps._powerdomain_map
+    monkeypatch.setattr(maps, "_powerdomain_map", constant_lift(original))
+    verdicts = [check_minimality(f) for f in fs]
+    assert verdicts.count({"law": "induced-map-is-an-extension"}) == off
+    assert verdicts.count(None) == count - off
+
+    monkeypatch.setattr(maps, "_powerdomain_map", last_extension_lift(original))
+    order = build(target).order
+    failed = 0
+    for f in fs:
+        last, expected = max(anchored_images(f)), None
+        for candidate in anchored_images(f):
+            point = next((p for p, (a, b) in enumerate(zip(last, candidate))
+                          if not order.leq(a, b)), None)
+            if point is not None:
+                expected = {"law": "pointwise-least", "point": point,
+                            "candidate": list(candidate)}
+                break
+        assert check_minimality(f) == expected
+        failed += expected is not None
+    assert failed == not_least
+
+
+def test_functor_laws_fail_composition_under_a_reversing_lift(monkeypatch):
+    """A lift that reverses the image of every map but an identity
+    breaks composition on 56 of the 121 pairs of endomaps of the vee,
+    and the witness is the reversed lifts' composite against the
+    reversed lift of the composite."""
+    vee = vee_poset()
+    original = maps._powerdomain_map
+
+    def reversed_lift(f, capacity):
+        lifted = original(f, capacity)
+        if f == identity(f.source):
+            return lifted
+        return maps._made(lifted.source, lifted.target, lifted.image[::-1])
+
+    monkeypatch.setattr(maps, "_powerdomain_map", reversed_lift)
+    endomaps = [MonotoneMap(vee, vee, image) for image in all_monotone_images(vee, vee)]
+    assert len(endomaps) == 11
+    capacity, failed = resolve_capacity(None), 0
+    for f in endomaps:
+        for g in endomaps:
+            lifted_f = reversed_lift(f, capacity).image
+            lifted_g = reversed_lift(g, capacity).image
+            expected = list(reversed_lift(compose(g, f), capacity).image)
+            got = [lifted_g[value] for value in lifted_f]
+            violation = check_functor_laws(f, g)
+            if expected == got:
+                assert violation is None
+            else:
+                assert violation == {"law": "composition", "expected": expected,
+                                     "got": got}
+                failed += 1
+    assert failed == 56
+
+
 def test_minimality_searches_image_tuples_off_the_chain(monkeypatch):
     """Maps into the two-element chain are checked on masks; a map into
     any other target still runs the anchored search once."""

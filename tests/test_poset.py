@@ -57,6 +57,7 @@ from conftest import (
     heights_by_pairs,
     induced,
     is_order_embedding_by_pairs,
+    isomorphisms_by_permutation,
     is_up_set,
     linear_extension_by_scan,
     lower_covers_by_definition,
@@ -517,6 +518,38 @@ def test_find_isomorphism_matches_relabeling_classes():
             for other in classes.values():
                 if other is not members:
                     assert all(find_isomorphism(members[0], q) is None for q in other)
+
+
+def two_squares() -> FinitePoset:
+    """Two disjoint copies of the complete bipartite order K2,2: bottoms
+    0 and 1 below tops 4 and 5, bottoms 2 and 3 below tops 6 and 7."""
+    return FinitePoset.from_cover_relations(
+        8, [(b, t) for b in range(4) for t in range(4, 8) if b // 2 == (t - 4) // 2])
+
+
+def crown_8() -> FinitePoset:
+    """The bipartite 8-cycle: bottom ``i`` lies below tops ``4 + i`` and
+    ``4 + (i + 1) % 4``."""
+    return FinitePoset.from_cover_relations(
+        8, [(i, 4 + i) for i in range(4)] + [(i, 4 + (i + 1) % 4) for i in range(4)])
+
+
+def test_find_isomorphism_backtracks_to_none():
+    # every element's signature matches, so only the search tells the
+    # two squares from the 8-cycle, after stepping back many times
+    squares, crown = two_squares(), crown_8()
+    assert sorted(_signatures(squares)) == sorted(_signatures(crown))
+    assert next(isomorphisms_by_permutation(squares, crown), None) is None
+    assert find_isomorphism(squares, crown) is None
+
+
+def test_find_isomorphism_backtracks_to_a_map():
+    # early choices fail further down, so the search steps back and
+    # unplaces elements before it finds the map
+    squares = two_squares()
+    moved = relabel(squares, (0, 2, 1, 3, 4, 6, 5, 7))
+    iso = find_isomorphism(squares, moved)
+    assert iso in set(isomorphisms_by_permutation(squares, moved))
 
 
 def test_find_isomorphism_on_a_long_chain(shallow_recursion):

@@ -38,6 +38,7 @@ from conftest import (
     basic_open_by_scan,
     boolean_lattice,
     chain,
+    embedding_theorem_by_scan,
     irreducible_down_sets_by_scan,
     posets,
 )
@@ -385,6 +386,56 @@ def test_embedding_theorem_density_fails_on_hat_space(vee):
     # is no principal point
     witness = check_embedding_theorem(hat_powerdomain(vee))
     assert (witness["law"], witness["open"]) == ("density", 0)
+
+
+def embedding_mutants(space, rng):
+    """``space``, then with seeded wrong ``phi_index`` tuples (reversed,
+    rotated, shuffled, injective, with repeats), then rebuilt on wrong
+    point lists (one end dropped, two points swapped, an empty point
+    added at either end, the last point repeated)."""
+    phi, points, size = space.phi_index, space.points, len(space.points)
+    yield space
+    wrongs = [phi[::-1], phi[1:] + phi[:1]]
+    for _ in range(4):
+        wrongs.append(tuple(rng.sample(phi, len(phi))))
+        wrongs.append(tuple(rng.sample(range(size), len(phi))))
+        wrongs.append(tuple(rng.randrange(size) for _ in phi))
+    for wrong in wrongs:
+        yield PowerdomainSpace(space.base, points, space.order, wrong)
+    swapped = list(points)
+    i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    for wrong in (points[:-1], points[1:], tuple(swapped), (0,) + points,
+                  points + (0,), points + points[-1:]):
+        if wrong:
+            yield powerdomain._assemble(space.base, wrong)
+
+
+def outcome(check, space):
+    """What ``check`` returns on ``space``, or the type it raises."""
+    try:
+        return check(space)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_embedding_theorem_matches_the_point_scan():
+    """``basic-open-pullback`` and ``density``, read off the columns,
+    give the per-point scan's verdict and witness on every labeled
+    poset with n <= 4 and on seeded 5- to 8-element ones, built plain
+    and hatted, under wrong principal maps and wrong point lists."""
+    rng = random.Random(7)
+    bases = [p for n in range(1, 5) for p in all_posets(n)]
+    bases += [random_poset(rng.randint(5, 8), seed) for seed in range(60)]
+    laws = set()
+    for base in bases:
+        for builder in (build, hat_powerdomain):
+            for space in embedding_mutants(builder(base), rng):
+                expected = outcome(embedding_theorem_by_scan, space)
+                assert outcome(check_embedding_theorem, space) == expected
+                if isinstance(expected, dict):
+                    laws.add(expected["law"])
+    assert {"basic-open-pullback", "density"} <= laws
 
 
 def test_embedding_theorem_reads_no_basic_open(monkeypatch, vee):

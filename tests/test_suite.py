@@ -214,6 +214,16 @@ def test_corrupted_expect_fails_and_replays():
     assert again.witness["instance"] == bad[0].witness["instance"]
 
 
+def test_wrong_phi_onto_fails_and_replays():
+    payload = dict(FIXTURE_DOCS[0])
+    onto = payload["expect"]["phi_onto"]
+    payload["expect"] = dict(payload["expect"], phi_onto=not onto)
+    bad = [r for r in check_payload(payload, "all") if r.verdict == "fail"]
+    assert [r.property for r in bad] == ["fixture-expectations"]
+    assert (bad[0].witness["key"], bad[0].witness["actual"]) == ("phi_onto", onto)
+    assert replay(bad[0]) == bad[0]
+
+
 def test_corrupted_cover_fails_and_replays():
     payload = {k: v for k, v in FIXTURE_DOCS[0].items()}
     payload["covers"] = [[0, 1], [1, 2]]
