@@ -24,6 +24,7 @@ from .poset import (
     FinitePoset,
     _down_sets_by_extension,
     _monotonicity_violation,
+    gather,
     is_order_embedding,
     iter_bits,
     linear_extension,
@@ -101,37 +102,41 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
     if inner.target != outer.source:
         raise CompositionMismatchError("middle posets differ")
     return _made(
-        inner.source, outer.target, tuple(outer.image[v] for v in inner.image)
-    )
+        inner.source, outer.target, gather(outer.image, inner.image))
 
 
-@lru_cache
-def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
-    """The induced map, one big-integer OR per point.
+def _lift(
+    source_space: PowerdomainSpace, target_space: PowerdomainSpace, image: tuple[int, ...]
+) -> MonotoneMap:
+    """The induced map of ``image`` between the bases of the two spaces,
+    one big-integer OR per point.
 
-    ``lift[x]`` is the down row of ``f(x)`` in the target, so the down
-    closure of the image of a point is its parent's closure OR ``lift``
-    of the one member the parent lacks (``PowerdomainSpace._parents``),
-    in canonical order, so a parent is always closed first; then one
-    ``point_index`` lookup per point, with no row of either space's
-    order.  The lift is not checked: ``functor-laws``,
-    ``extension-minimality`` and ``lift-round-trip`` certify it.  The
-    cache keeps the 128 most recent lifts (``functor-laws`` keeps its
-    composites' lifts itself).  A lift is
-    read again soon after it is made or not at all: on the exhaustive
-    scopes this cache hits exactly as often as an unbounded one.
+    ``lift[x]`` is the down row of ``image[x]`` in the target base, so
+    the down closure of the image of a point is its parent's closure OR
+    ``lift`` of the one member the parent lacks
+    (``PowerdomainSpace._parents``), in canonical order, so a parent is
+    always closed first; then one ``point_index`` gather over the
+    points, with no row of either space's order.  The lift is not
+    checked: ``functor-laws``, ``extension-minimality`` and
+    ``lift-round-trip`` certify it, each on the spaces it holds.
     """
-    source_space = build(f.source, capacity)
-    target_space = build(f.target, capacity)
-    target_down = f.target.down
-    lift = [target_down[value] for value in f.image]
+    lift = gather(target_space.base.down, image)
     parents, members = source_space._parents
     closed = [0]
     for parent, x in zip(parents, members):
         closed.append(closed[parent] | lift[x])
     del closed[0]
-    image = tuple(map(target_space.point_index.__getitem__, closed))
-    return _made(source_space.order, target_space.order, image)
+    return _made(source_space.order, target_space.order,
+                 gather(target_space.point_index, closed))
+
+
+@lru_cache(maxsize=128)
+def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
+    """``_lift`` on the spaces of ``f``'s source and target, cached for
+    the 128 most recent maps.  It serves ``powerdomain_map``,
+    ``check_functor_laws`` and ``smyth map apply``; the suite lifts on
+    the spaces it already holds and reads no entry here."""
+    return _lift(build(f.source, capacity), build(f.target, capacity), f.image)
 
 
 def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
@@ -152,7 +157,7 @@ def _composition_violation(
     once.  The composite of the lifts is compared with the lifted
     composite as an image tuple, one lookup per point.
     """
-    composite_lifted = tuple(map(lifted_g.image.__getitem__, lifted_f.image))
+    composite_lifted = gather(lifted_g.image, lifted_f.image)
     if (lifted_composite.source != lifted_f.source
             or lifted_composite.target != lifted_g.target
             or lifted_composite.image != composite_lifted):
@@ -161,13 +166,16 @@ def _composition_violation(
     return None
 
 
-def _identity_violation(poset: FinitePoset, capacity: int) -> dict | None:
-    """The details of the identity law if ``poset`` breaks it, or None."""
-    lifted_identity = powerdomain_map(identity(poset), capacity)
-    space = lifted_identity.source
-    if (lifted_identity.target != space
-            or lifted_identity.image != tuple(range(space.n))):
-        return {"law": "identity", "n": poset.n}
+def _identity_violation(space: PowerdomainSpace) -> dict | None:
+    """The details of the identity law if the base of ``space`` breaks
+    it, or None: the identity is lifted on ``space`` itself, so no lift
+    cache keeps it."""
+    n = space.base.n
+    lifted_identity = _lift(space, space, tuple(range(n)))
+    order = lifted_identity.source
+    if (lifted_identity.target != order
+            or lifted_identity.image != tuple(range(order.n))):
+        return {"law": "identity", "n": n}
     return None
 
 
@@ -188,7 +196,7 @@ def check_functor_laws(f: MonotoneMap, g: MonotoneMap) -> dict | None:
     if violation is not None:
         return violation
     for poset in dict.fromkeys((f.source, f.target, g.target)):
-        violation = _identity_violation(poset, capacity)
+        violation = _identity_violation(build(poset, capacity))
         if violation is not None:
             return violation
     return None
@@ -267,21 +275,19 @@ def anchored_extensions(
 
 
 def _extension_images(
-    f: MonotoneMap, capacity: int | None, default: int
+    source_space: PowerdomainSpace,
+    target_space: PowerdomainSpace,
+    image: tuple[int, ...],
+    limit: int,
 ) -> tuple[tuple[int, ...], ...]:
     """Every monotone map of powerdomains sending ``phi(x)`` to
-    ``phi(f(x))``, as sorted image tuples: the one search of the
-    least-extension laws.  Both spaces are built under ``default``, the
-    default capacity the caller resolved; ``capacity`` bounds the search
-    only, and ``default`` bounds it when ``capacity`` is None."""
-    source_space = build(f.source, default)
-    target_space = build(f.target, default)
+    ``phi(image[x])``, as sorted image tuples: the one search of the
+    least-extension laws, on the spaces the caller holds, bounded by
+    ``limit``."""
     anchors = {point: target_space.phi_index[value]
-               for point, value in zip(source_space.phi_index, f.image)}
+               for point, value in zip(source_space.phi_index, image)}
     return anchored_extensions(
-        source_space.order, anchors, target_space.order,
-        default if capacity is None else capacity,
-    )
+        source_space.order, anchors, target_space.order, limit)
 
 
 def enumerate_extensions(
@@ -296,9 +302,10 @@ def enumerate_extensions(
     ``restricts-to-base`` of ``check_sigma_theorem`` is the retraction.
     """
     default = resolve_capacity(None)
-    source, target = build(f.source, default).order, build(f.target, default).order
-    return tuple(_made(source, target, image)
-                 for image in _extension_images(f, capacity, default))
+    source_space, target_space = build(f.source, default), build(f.target, default)
+    limit = default if capacity is None else capacity
+    return tuple(_made(source_space.order, target_space.order, image)
+                 for image in _extension_images(source_space, target_space, f.image, limit))
 
 
 def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None:
@@ -312,16 +319,18 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     other target as the image tuples of ``enumerate_extensions``,
     compared with the induced map on one up row of the target order per
     point.  More than ``capacity`` extensions raise CapacityError before
-    any law is judged.  ``capacity`` bounds the enumeration only: the
-    spaces and the induced map come from the default caches, under the
-    default capacity read once.
+    any law is judged.  ``capacity`` bounds the enumeration only: both
+    spaces are built once, under the default capacity read once, and
+    the induced map is lifted on them.
     """
     default = resolve_capacity(None)
-    induced_map = powerdomain_map(f, default)
+    source_space, target_space = build(f.source, default), build(f.target, default)
+    induced_map = _lift(source_space, target_space, f.image)
     if f.target.n == 2 and f.target.up[0] == 0b11:
         limit = default if capacity is None else resolve_capacity(capacity)
-        return _sierpinski_minimality(f, induced_map, build(f.source, default), limit)
-    extensions = _extension_images(f, capacity, default)
+        return _sierpinski_minimality(f, induced_map, source_space, limit)
+    extensions = _extension_images(
+        source_space, target_space, f.image, default if capacity is None else capacity)
     if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}
     floors = [induced_map.target.up[value] for value in induced_map.image]

@@ -15,7 +15,8 @@ from __future__ import annotations
 import heapq
 import os
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, CycleError, NotAnOrderError, RangeError, _Value
 
@@ -59,6 +60,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def gather(values: Sequence | Mapping, indices: Sequence[int]) -> tuple:
+    """``values[i]`` for each ``i`` of the sequence ``indices``, as a
+    tuple: one ``itemgetter`` call from two indices on.  A missing index
+    raises the ``KeyError`` or ``IndexError`` of ``values``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(values)
+    return (values[indices[0]],) if indices else ()
 
 
 class FinitePoset(_Value):

@@ -20,6 +20,7 @@ from .poset import (
     _minimal,
     _transpose,
     enumerate_down_sets,
+    gather,
     is_down_set,
     is_order_embedding,
     iter_bits,
@@ -192,18 +193,17 @@ def _inclusion_rows(
             # row; negating twice copies it at its own width, so the
             # cached order carries no slack.
             down_of[m] = -(-row)
-    up = tuple(map(up_of.__getitem__, points))
-    return up, tuple(map(down_of.__getitem__, points))
+    return gather(up_of, points), gather(down_of, points)
 
 
 @lru_cache(maxsize=16)
 def _build(base: FinitePoset, include_empty: bool, capacity: int) -> PowerdomainSpace:
     """The space every builder returns, cached for the 16 most recent
     keys: a suite reads four spaces per payload, so this holds four
-    payloads' spaces, and a process keeps no space past them.  It
-    outlasts the 128 lifts ``maps._powerdomain_map`` keeps, so a cached
-    lift is on the order of a cached space, and equal orders compare by
-    identity, not row by row."""
+    payloads' spaces, and a process keeps no space past them.  The suite
+    lifts on the spaces it holds, so no lift of its own pins an older
+    space's order; only the public lift cache of
+    ``maps._powerdomain_map`` keeps lifts, and their orders, past it."""
     masks = enumerate_down_sets(base, include_empty, capacity)
     return _assemble(base, masks)
 

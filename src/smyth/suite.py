@@ -34,16 +34,17 @@ from .maps import (
     MonotoneMap,
     _composition_violation,
     _identity_violation,
+    _lift,
     _made,
     anchored_extensions,
     check_minimality,
     identity,
     lift_homeomorphism,
-    powerdomain_map,
 )
 from .poset import (
     FinitePoset,
     dimension,
+    gather,
     is_chain,
     is_order_embedding,
     iter_bits,
@@ -203,30 +204,35 @@ def _endo_images(poset: FinitePoset, payload: dict, capacity: int) -> list[Monot
 def prop_functor_laws(poset: FinitePoset, payload: dict) -> dict | None:
     """Composition and identity survive the powerdomain construction.
 
-    Each map ``_endo_images`` returns is lifted once, the capacity is
-    resolved once, and the identity law is checked once, on the one
-    poset every map lives on.  Each distinct base composite is lifted
-    once, keyed by its image, since many pairs share one.  No map or
-    lift is validated: the maps are monotone by construction, and these
-    laws are what certify the lifts.  Every pair then compares the
-    composite of its two lifts with that lift as an image tuple.  A
-    composition failure names the images of its pair, the first failing
-    one, as ``f`` and ``g``; an identity failure fails every pair, so it
-    names none.
+    The capacity is resolved once and the space built once; every lift
+    is made on that space, with no lift cache.  The identity law is
+    checked once, on the one poset every map lives on.  Each map
+    ``_endo_images`` returns is lifted once, and each distinct base
+    composite once, keyed by its image, since many pairs share one; a
+    composite equal to a map reuses that map's lift.  No map or lift is
+    validated: the maps are monotone by construction, and these laws
+    are what certify the lifts.  Every pair then compares the composite
+    of its two lifts with that lift as an image tuple.  A composition
+    failure names the images of its pair, the first failing one, as
+    ``f`` and ``g``; an identity failure fails every pair, so it names
+    none.
     """
     capacity = resolve_capacity(None)
     maps = _endo_images(poset, payload, capacity)
-    violation = _identity_violation(poset, capacity) if maps else None
+    if not maps:
+        return None
+    space = build(poset, capacity)
+    violation = _identity_violation(space)
     if violation is not None:
         return violation
-    lifted = [powerdomain_map(f, capacity) for f in maps]
-    lifted_composites: dict[tuple[int, ...], MonotoneMap] = {}
+    lifted = [_lift(space, space, f.image) for f in maps]
+    lifted_composites = {f.image: lifted_f for f, lifted_f in zip(maps, lifted)}
     for f, lifted_f in zip(maps, lifted):
         for g, lifted_g in zip(maps, lifted):
-            composite = tuple(map(g.image.__getitem__, f.image))
+            composite = gather(g.image, f.image)
             lifted_composite = lifted_composites.get(composite)
             if lifted_composite is None:
-                lifted_composite = powerdomain_map(_made(poset, poset, composite), capacity)
+                lifted_composite = _lift(space, space, composite)
                 lifted_composites[composite] = lifted_composite
             violation = _composition_violation(lifted_f, lifted_g, lifted_composite)
             if violation is not None:
@@ -264,16 +270,17 @@ def prop_extension_minimality(poset: FinitePoset, payload: dict) -> dict | str |
 def prop_lift_round_trip(poset: FinitePoset, payload: dict) -> dict | None:
     """Lifting inverts inducing on a relabeled copy of the base.
 
-    The capacity is resolved once, for the induced map and both builds.
+    The capacity is resolved once, for both builds, and the rotation is
+    lifted on the two spaces.
     """
     capacity = resolve_capacity(None)
     rotation = tuple((i + 1) % poset.n for i in range(poset.n))
     other = relabel(poset, rotation)
     sigma = _made(poset, other, rotation)
-    induced_iso = powerdomain_map(sigma, capacity)
+    space, other_space = build(poset, capacity), build(other, capacity)
+    induced_iso = _lift(space, other_space, rotation)
     try:
-        lifted = lift_homeomorphism(
-            build(poset, capacity), build(other, capacity), induced_iso)
+        lifted = lift_homeomorphism(space, other_space, induced_iso)
     except NotIsomorphismError:
         return {"law": "induced-map-is-isomorphism"}
     except IrreducibilityError:

@@ -378,11 +378,13 @@ def sigma_law_by_enumeration(f: MonotoneMap) -> str | None:
 def minimality_by_search(f: MonotoneMap, capacity: int | None = None) -> dict | None:
     """``check_minimality`` by the anchored search over image tuples, on
     any target: the oracle of its route on masks into the two-element
-    chain.  The induced map is read through ``maps``, so that a patched
-    lift is searched against."""
+    chain.  The induced map is read through ``maps._lift``, so that a
+    patched lift is searched against."""
     default = resolve_capacity(None)
-    induced_map = maps.powerdomain_map(f, default)
-    extensions = maps._extension_images(f, capacity, default)
+    source_space, target_space = build(f.source, default), build(f.target, default)
+    induced_map = maps._lift(source_space, target_space, f.image)
+    extensions = maps._extension_images(
+        source_space, target_space, f.image, default if capacity is None else capacity)
     if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}
     for candidate in extensions:
@@ -394,11 +396,25 @@ def minimality_by_search(f: MonotoneMap, capacity: int | None = None) -> dict | 
 
 
 def constant_lift(original):
-    """Every induced map replaced by the constant map at the first point."""
-    def lift(f, capacity=None):
-        lifted = original(f, capacity)
+    """Every induced map replaced by the constant map at the first point,
+    whatever the arguments of the lift it wraps."""
+    def lift(*args):
+        lifted = original(*args)
         return MonotoneMap(lifted.source, lifted.target, (0,) * lifted.source.n)
     return lift
+
+
+def patch_lift(monkeypatch, mutant):
+    """Put ``mutant(maps._lift)`` in place of ``_lift`` in every module of
+    the package that binds it, behind a fresh lift cache, so that no
+    lift the mutant makes outlives the test."""
+    original = maps._lift
+    lift = mutant(original)
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("smyth.") and getattr(module, "_lift", None) is original:
+            monkeypatch.setattr(module, "_lift", lift)
+    monkeypatch.setattr(maps, "_powerdomain_map", functools.lru_cache(
+        maxsize=maps._powerdomain_map.cache_info().maxsize)(maps._powerdomain_map.__wrapped__))
 
 
 def cover_pairs_by_definition(poset: FinitePoset) -> tuple[tuple[int, int], ...]:
@@ -457,7 +473,7 @@ def heights_by_pairs(poset: FinitePoset) -> tuple[int, ...]:
 def powerdomain_image_by_closure(f: MonotoneMap) -> tuple[int, ...]:
     """The induced map's image, each point as the down-closure of its image.
 
-    The oracle for the row fold in ``maps._powerdomain_map``.
+    The oracle for the row fold in ``maps._lift``.
     """
     source_space, target_space = build(f.source), build(f.target)
     return tuple(
@@ -470,7 +486,7 @@ def powerdomain_image_by_member_fold(f: MonotoneMap) -> tuple[int, ...]:
     """The induced map's image, each point's closure an OR of the target's
     down rows over every one of its members.
 
-    The oracle for the one-OR-per-point walk in ``maps._powerdomain_map``.
+    The oracle for the one-OR-per-point walk in ``maps._lift``.
     """
     source_space, target_space = build(f.source), build(f.target)
     lift = [f.target.down[value] for value in f.image]

@@ -41,6 +41,7 @@ from conftest import (
     is_spectral,
     minimality_by_search,
     monotonicity_violation_by_pairs,
+    patch_lift,
     posets,
     powerdomain_image_by_closure,
     powerdomain_image_by_member_fold,
@@ -250,16 +251,18 @@ def test_identity_law_covers_every_poset(monkeypatch, broken):
     trio = (vee_poset(), chain(2), antichain(2))
     f = MonotoneMap(trio[0], trio[1], (0, 0, 1))
     g = MonotoneMap(trio[1], trio[2], (1, 1))
-    original = maps._powerdomain_map
 
-    def breaking(h, capacity):
-        lifted = original(h, capacity)
-        if h != identity(trio[broken]):
-            return lifted
-        return maps._made(lifted.source, lifted.target, lifted.image[::-1])
+    def breaking(original):
+        def lift(source_space, target_space, image):
+            lifted = original(source_space, target_space, image)
+            h = MonotoneMap(source_space.base, target_space.base, image)
+            if h != identity(trio[broken]):
+                return lifted
+            return maps._made(lifted.source, lifted.target, lifted.image[::-1])
+        return lift
 
     assert check_functor_laws(f, g) is None
-    monkeypatch.setattr(maps, "_powerdomain_map", breaking)
+    patch_lift(monkeypatch, breaking)
     violation = check_functor_laws(f, g)
     assert violation["law"] == "identity"
     assert violation["n"] == trio[broken].n
@@ -324,11 +327,11 @@ def maps_into_the_chain(max_n):
 def lift_without_closure(original):
     """The image set of each point looked up as a point, not closed
     downward first; one that is no point goes to the first point."""
-    def lift(f, capacity):
-        source, target = build(f.source, capacity), build(f.target, capacity)
-        image = tuple(target.point_index.get(f.image_mask(member), 0)
-                      for member in source.points)
-        return maps._made(source.order, target.order, image)
+    def lift(source, target, image):
+        f = MonotoneMap(source.base, target.base, image)
+        lifted = tuple(target.point_index.get(f.image_mask(member), 0)
+                       for member in source.points)
+        return maps._made(source.order, target.order, lifted)
     return lift
 
 
@@ -336,12 +339,12 @@ def greatest_extension_lift(original):
     """Each point sent to 0 only when it lies inside a principal down-set
     sent to 0: an extension into the chain, the greatest, so it is
     pointwise-least only where it is the induced map."""
-    def lift(f, capacity):
-        space = build(f.source, capacity)
-        zeros = [f.source.down[x] for x in range(f.source.n) if f.image[x] == 0]
-        image = tuple(0 if any(member & ~down == 0 for down in zeros) else 1
-                      for member in space.points)
-        return maps._made(space.order, build(f.target, capacity).order, image)
+    def lift(space, target, image):
+        base = space.base
+        zeros = [base.down[x] for x in range(base.n) if image[x] == 0]
+        lifted = tuple(0 if any(member & ~down == 0 for down in zeros) else 1
+                       for member in space.points)
+        return maps._made(space.order, target.order, lifted)
     return lift
 
 
@@ -352,7 +355,7 @@ def test_minimality_into_the_chain_matches_the_search(monkeypatch, lift):
     with up to 4 elements: the route on masks returns what the search
     over image tuples returns, under the real lift and seeded wrong ones."""
     if lift is not None:
-        monkeypatch.setattr(maps, "_powerdomain_map", lift(maps._powerdomain_map))
+        patch_lift(monkeypatch, lift)
     laws = Counter()
     for f in maps_into_the_chain(4):
         expected = minimality_by_search(f)
@@ -372,7 +375,8 @@ def test_minimality_into_the_chain_budget_edge():
     raises what the search raises: the count past the budget, or no
     capacity at all when ``K`` is 1."""
     for f in maps_into_the_chain(4):
-        count = len(maps._extension_images(f, None, resolve_capacity(None)))
+        count = len(maps._extension_images(
+            build(f.source), build(f.target), f.image, resolve_capacity(None)))
         assert check_minimality(f, count) is None
         with pytest.raises((CapacityError, RangeError)) as expected:
             minimality_by_search(f, count - 1)
@@ -385,8 +389,9 @@ def last_extension_lift(original):
     """Each induced map replaced by the last anchored extension in
     image-tuple order: an extension, but not the pointwise-least one
     unless it lies below every other."""
-    def lift(f, capacity):
-        lifted = original(f, capacity)
+    def lift(source_space, target_space, image):
+        lifted = original(source_space, target_space, image)
+        f = MonotoneMap(source_space.base, target_space.base, image)
         return maps._made(lifted.source, lifted.target, max(anchored_images(f)))
     return lift
 
@@ -413,13 +418,13 @@ def test_minimality_search_fails_under_a_wrong_lift(monkeypatch, target, count, 
     fs = [MonotoneMap(vee_poset(), target, image)
           for image in all_monotone_images(vee_poset(), target)]
     assert len(fs) == count
-    original = maps._powerdomain_map
-    monkeypatch.setattr(maps, "_powerdomain_map", constant_lift(original))
-    verdicts = [check_minimality(f) for f in fs]
+    with monkeypatch.context() as patched:
+        patch_lift(patched, constant_lift)
+        verdicts = [check_minimality(f) for f in fs]
     assert verdicts.count({"law": "induced-map-is-an-extension"}) == off
     assert verdicts.count(None) == count - off
 
-    monkeypatch.setattr(maps, "_powerdomain_map", last_extension_lift(original))
+    patch_lift(monkeypatch, last_extension_lift)
     order = build(target).order
     failed = 0
     for f in fs:

@@ -17,8 +17,10 @@ function calls itself, so every walk keeps its state on an explicit
 stack and no input depth meets the interpreter's recursion limit.  Every
 ``lru_cache`` of the package has a finite ``maxsize``, so a process
 keeps a bounded number of results, except ``generators.all_posets``,
-whose keys ``MAX_EXHAUSTIVE_N`` caps.  The README names only what the
-code still spells.
+whose keys ``MAX_EXHAUSTIVE_N`` caps.  A tuple of the items at a
+sequence of indices is gathered by ``poset.gather`` alone, in one
+``itemgetter`` call, not one lookup per index.  The README names only
+what the code still spells.
 """
 
 import ast
@@ -239,6 +241,57 @@ def test_package_caches_are_bounded():
         for name, line in unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
     }
     assert list(found) == ["generators.py:all_posets"], f"unbounded caches: {found}"
+
+
+def hand_gathers(tree: ast.Module) -> list[int]:
+    """The lines of every tuple gathered by hand, one lookup per index:
+    ``tuple(map(<x>.__getitem__, ...))`` or ``tuple(<x>[i] for i in ...)``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple" and len(node.args) == 1):
+            continue
+        arg = node.args[0]
+        if (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                and arg.func.id == "map" and arg.args
+                and isinstance(arg.args[0], ast.Attribute)
+                and arg.args[0].attr == "__getitem__"):
+            found.append(node.lineno)
+        elif (isinstance(arg, ast.GeneratorExp) and len(arg.generators) == 1
+                and not arg.generators[0].ifs
+                and isinstance(arg.generators[0].target, ast.Name)
+                and isinstance(arg.elt, ast.Subscript)
+                and isinstance(arg.elt.slice, ast.Name)
+                and arg.elt.slice.id == arg.generators[0].target.id):
+            found.append(node.lineno)
+    return found
+
+
+def test_hand_gathers_finds_each_form():
+    tree = ast.parse(
+        "a = tuple(map(xs.__getitem__, idx))\n"
+        "b = tuple(s.image[v] for v in f.image)\n"
+        "c = tuple(map(f, idx))\n"
+        "d = tuple(xs[i] for i in idx if i)\n"
+        "e = tuple(xs[i + 1] for i in idx)\n"
+        "f = tuple(xs[j] for i in idx)\n"
+        "g = tuple([xs[i] for i in idx])\n"
+        "h = gather(xs, idx)\n"
+    )
+    assert hand_gathers(tree) == [1, 2]
+
+
+def test_package_gathers_in_one_call():
+    """No module of the package gathers a tuple by hand: ``gather`` is
+    the one route."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{line}"
+        for path in sources
+        for line in hand_gathers(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == [], f"tuples gathered by hand: {found}"
 
 
 def identifiers(node: ast.AST) -> list[str]:

@@ -35,6 +35,7 @@ from smyth.poset import (
     _minimal,
     _signatures,
     check_subset,
+    gather,
     heights,
     is_order_embedding,
     iter_bits,
@@ -374,6 +375,42 @@ def test_mask_helpers():
     assert mask_of([0, 2]) == 0b101
     assert list(iter_bits(0b1011)) == [0, 1, 3]
     assert mask_of(iter_bits(0b10110)) == 0b10110
+
+
+@pytest.mark.parametrize("values", [
+    (10, 11, 12, 13), [10, 11, 12, 13], {0: "a", 5: "b", 9: "c", 12: "a"}])
+@pytest.mark.parametrize("indices", [(), (0,), [3], (2, 0), [0, 0, 3, 1, 2]])
+def test_gather_matches_the_generator(values, indices):
+    """Every index count (none, one, many) on a tuple, a list and a dict
+    source gives the tuple the generator gives."""
+    keys = sorted(values) if isinstance(values, dict) else range(len(values))
+    at = [keys[i] for i in indices]
+    assert gather(values, at) == tuple(values[i] for i in at)
+    assert type(gather(values, at)) is tuple
+
+
+def test_gather_seeded():
+    rng = random.Random(45)
+    for _ in range(300):
+        values = tuple(rng.randrange(1 << 40) for _ in range(rng.randrange(1, 30)))
+        source = rng.choice([values, list(values), dict(enumerate(values))])
+        indices = [rng.randrange(len(values)) for _ in range(rng.randrange(30))]
+        assert gather(source, indices) == tuple(source[i] for i in indices)
+
+
+@pytest.mark.parametrize("values, indices, error", [
+    ((7, 8), [5], IndexError),
+    ((7, 8), [0, 5], IndexError),
+    ([7, 8], (1, 0, 2), IndexError),
+    ({1: 7, 2: 8}, [0], KeyError),
+    ({1: 7, 2: 8}, (1, 3, 2), KeyError),
+])
+def test_gather_raises_what_the_generator_raises(values, indices, error):
+    with pytest.raises(error) as expected:
+        tuple(values[i] for i in indices)
+    with pytest.raises(error) as raised:
+        gather(values, indices)
+    assert raised.value.args == expected.value.args
 
 
 def test_check_subset_range(vee):

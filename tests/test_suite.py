@@ -25,6 +25,7 @@ from smyth import (
     PowerdomainSpace,
     RangeError,
     build,
+    check_functor_laws,
     completion,
     hat_powerdomain,
     maps,
@@ -35,7 +36,7 @@ from smyth import (
     suite,
 )
 from smyth.docio import document_of_poset
-from smyth.generators import all_posets, random_poset
+from smyth.generators import all_monotone_images, all_posets, random_poset
 from smyth.poset import iter_bits, mask_of, resolve_capacity
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
@@ -55,6 +56,7 @@ from conftest import (
     chain,
     constant_lift,
     diamond_poset,
+    patch_lift,
     vee_poset,
 )
 
@@ -453,16 +455,15 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
     """With the lifted map of one base map corrupted, the suite files the
     law's violation on the payload; a composition failure also names the
     images of the first failing pair as ``f`` and ``g``."""
-    original = maps._powerdomain_map
+    def corrupting(original):
+        def lift(source_space, target_space, image):
+            lifted = original(source_space, target_space, image)
+            if image != corrupted:
+                return lifted
+            return maps._made(lifted.source, lifted.target, lifted.image[:-1] + (0,))
+        return lift
 
-    def corrupting(f, capacity):
-        lifted = original(f, capacity)
-        if f.image != corrupted:
-            return lifted
-        image = lifted.image[:-1] + (0,)
-        return maps._made(lifted.source, lifted.target, image)
-
-    monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
+    patch_lift(monkeypatch, corrupting)
     payload = {"n": len(corrupted), "covers": []}
     report = prop_functor_laws(payload)
     expected = {"instance": payload, "law": law}
@@ -480,35 +481,39 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
 
 def test_functor_laws_lift_each_composite_once(monkeypatch):
     """``functor-laws`` lifts the identity, each sampled map and each
-    distinct base composite once, not one composite per pair."""
+    distinct base composite that is no sampled map once, not one
+    composite per pair: a composite equal to a map reuses its lift."""
     payload = {"n": 4, "covers": []}
     images = [f.image for f in suite._endo_images(
         antichain(4), payload, resolve_capacity(None))]
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     assert len(composites) < len(images) ** 2  # pairs share composites
+    assert composites & set(images)  # and some composites are maps
     lifted = []
-    uncached = maps._powerdomain_map.__wrapped__
 
-    def recording(f, capacity):
-        lifted.append(f.image)
-        return uncached(f, capacity)
+    def recording(original):
+        def lift(source_space, target_space, image):
+            lifted.append(image)
+            return original(source_space, target_space, image)
+        return lift
 
-    monkeypatch.setattr(maps, "_powerdomain_map", recording)
+    patch_lift(monkeypatch, recording)
     assert prop_functor_laws(payload).verdict == PASS
-    assert sorted(lifted) == sorted([(0, 1, 2, 3), *images, *composites])
+    assert sorted(lifted) == sorted(
+        [(0, 1, 2, 3), *images, *(composites - set(images))])
 
 
 def test_functor_laws_validate_each_map_once(monkeypatch):
     """``functor-laws`` lifts each drawn map, the identity and each
-    distinct composite once, and checks the monotonicity of none: the
-    maps are monotone by construction, and the laws certify the lifts."""
+    distinct composite that is no drawn map once, and checks the
+    monotonicity of none: the maps are monotone by construction, and
+    the laws certify the lifts."""
     payload = {"n": 4, "covers": []}
     images = [f.image for f in suite._endo_images(
         antichain(4), payload, resolve_capacity(None))]
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     drawn, lifted, checked = [], [], []
     draw = suite.random_monotone_map
-    uncached = maps._powerdomain_map.__wrapped__
     check = maps._monotonicity_violation
 
     def drawing(*args):
@@ -516,20 +521,22 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
         drawn.append(f)
         return f
 
-    def lifting(f, capacity):
-        lifted.append(f.image)
-        return uncached(f, capacity)
+    def lifting(original):
+        def lift(source_space, target_space, image):
+            lifted.append(image)
+            return original(source_space, target_space, image)
+        return lift
 
     def checking(*args):
         checked.append(args)
         return check(*args)
 
     monkeypatch.setattr(suite, "random_monotone_map", drawing)
-    monkeypatch.setattr(maps, "_powerdomain_map", lifting)
+    patch_lift(monkeypatch, lifting)
     monkeypatch.setattr(maps, "_monotonicity_violation", checking)
     assert prop_functor_laws(payload).verdict == PASS
     assert None not in drawn and len(drawn) == suite.SAMPLED_MAPS
-    assert len(lifted) == 1 + len(images) + len(composites)
+    assert len(lifted) == 1 + len(images) + len(composites - set(images))
     assert checked == []
 
 
@@ -559,16 +566,17 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
     """With the lifted map of one map into the two-element chain corrupted,
     the suite files the law's violation on the payload and names that
     map's image as ``map``."""
-    original = maps._powerdomain_map
     chain2 = chain(2)
 
-    def corrupting(f, capacity):
-        lifted = original(f, capacity)
-        if f.target != chain2 or f.image != corrupted:
-            return lifted
-        return maps._made(lifted.source, lifted.target, lifted_image)
+    def corrupting(original):
+        def lift(source_space, target_space, image):
+            lifted = original(source_space, target_space, image)
+            if target_space.base != chain2 or image != corrupted:
+                return lifted
+            return maps._made(lifted.source, lifted.target, lifted_image)
+        return lift
 
-    monkeypatch.setattr(maps, "_powerdomain_map", corrupting)
+    patch_lift(monkeypatch, corrupting)
     payload = {"n": 2, "covers": []}
     report = prop_extension_minimality(payload)
     assert (report.property, report.verdict) == ("extension-minimality", FAIL)
@@ -711,7 +719,7 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
      suite_check("phi-onto-iff-chain", CHAIN_2), "onto-gives-isomorphism"),
     (suite, "hat_powerdomain", lambda original: lambda poset, capacity=None: build(poset),
      suite_check("zariski-equals-vietoris", VEE), "empty-open-bottom"),
-    (suite, "powerdomain_map", constant_lift,
+    (suite, "_lift", constant_lift,
      suite_check("lift-round-trip", ANTICHAIN_3), "induced-map-is-isomorphism"),
     (suite, "lift_homeomorphism",
      lambda original: lambda source, target, psi: MonotoneMap(
@@ -813,7 +821,7 @@ CHAIN_3_RELATIONS = {"n": 3, "covers": [[0, 1], [1, 2], [0, 2]]}
 
 REBOUND_MUTANTS = {
     "embedding-theorem": (suite, "build", with_phi_index(lambda phi: (phi[0],) * len(phi))),
-    "functor-laws": (maps, "_powerdomain_map", constant_lift),
+    "functor-laws": (maps, "_lift", constant_lift),
     "extension-minimality": (maps, "_down_sets_by_extension", enumerating_none),
     "sup-extension": (completion, "preserves_sups", lambda original: lambda space, f: False),
     "sup-extension-of-embedding": (
@@ -932,13 +940,31 @@ def test_a_scope_leaves_at_most_the_cached_spaces_alive():
     assert earlier() is None
 
 
+def test_a_scope_leaves_at_most_the_cached_orders_alive():
+    """After ``exhaustive-4``, from a cleared lift cache, no more of the
+    inclusion orders it made are alive than the construction cache holds
+    spaces: no lift the suite makes outlives the space it was made on.
+    Orders alive before the scope, which other tests hold, are held here
+    too, so their ids stay theirs."""
+    def orders():
+        gc.collect()
+        return {id(obj): obj for obj in gc.get_objects()
+                if isinstance(obj, powerdomain._InclusionOrder)}
+
+    maps._powerdomain_map.cache_clear()
+    before = orders()
+    run_suite("exhaustive-4")
+    made = [order for key, order in orders().items() if key not in before]
+    assert len(made) <= powerdomain._build.cache_info().maxsize
+
+
 def test_cached_lifts_stay_on_cached_spaces(monkeypatch):
     """Over ``random:60:5:1``, whose small posets recur, no two distinct
-    inclusion orders are compared: the construction cache outlasts the
-    128 cached lifts, so a lift it serves is on the order of a space
-    still cached, and equal orders are the same object.  Each such
-    comparison would build both orders' rows; a cache of 12 spaces
-    made 15 of them."""
+    inclusion orders are compared, under the shipped construction cache
+    or one of a single space: every lift is made on the spaces its
+    property holds, so equal orders are the same object.  Each such
+    comparison would build both orders' rows; when lifts came from the
+    lift cache, a cache of 12 spaces made 15 of them."""
     compared = []
     equal = FinitePoset.__eq__
 
@@ -949,11 +975,12 @@ def test_cached_lifts_stay_on_cached_spaces(monkeypatch):
         return equal(left, right)
 
     monkeypatch.setattr(FinitePoset, "__eq__", recording)
-    monkeypatch.setattr(powerdomain, "_build", functools.lru_cache(
-        maxsize=powerdomain._build.cache_info().maxsize)(powerdomain._build.__wrapped__))
-    monkeypatch.setattr(maps, "_powerdomain_map", functools.lru_cache(
-        maxsize=maps._powerdomain_map.cache_info().maxsize)(maps._powerdomain_map.__wrapped__))
-    run_suite("random:60:5:1")
+    for maxsize in (powerdomain._build.cache_info().maxsize, 1):
+        monkeypatch.setattr(powerdomain, "_build", functools.lru_cache(
+            maxsize=maxsize)(powerdomain._build.__wrapped__))
+        monkeypatch.setattr(maps, "_powerdomain_map", functools.lru_cache(
+            maxsize=maps._powerdomain_map.cache_info().maxsize)(maps._powerdomain_map.__wrapped__))
+        run_suite("random:60:5:1")
     assert compared == []
 
 
@@ -990,21 +1017,36 @@ def test_property_passes_on_a_4607_point_space(prop):
 
 
 def test_bounded_lift_cache_loses_no_reuse(monkeypatch):
-    """Over ``exhaustive-3`` from an empty cache, the bounded lift cache
+    """Over ``check_functor_laws`` on every pair of endomaps of every
+    labeled 3-element poset, from an empty cache, the bounded lift cache
     evicts, yet hits and misses exactly as an unbounded one over the same
     function does."""
     bounded = maps._powerdomain_map
     assert isinstance(bounded.cache_info().maxsize, int)
     unbounded = functools.lru_cache(maxsize=None)(bounded.__wrapped__)
+    endomaps = [[maps._made(poset, poset, image) for image in all_monotone_images(poset, poset)]
+                for poset in all_posets(3)]
     counts = []
     for cached in (bounded, unbounded):
         monkeypatch.setattr(maps, "_powerdomain_map", cached)
         cached.cache_clear()
-        run_suite("exhaustive-3")
+        for same_poset in endomaps:
+            for f in same_poset:
+                for g in same_poset:
+                    assert check_functor_laws(f, g) is None
         info = cached.cache_info()
         counts.append((info.hits, info.misses))
     assert counts[0][1] > bounded.cache_info().maxsize
     assert counts[0] == counts[1]
+
+
+def test_the_suite_reads_no_lift_cache():
+    """``exhaustive-3`` lifts on the spaces each property holds: from a
+    cleared lift cache it makes no lookup there."""
+    maps._powerdomain_map.cache_clear()
+    run_suite("exhaustive-3")
+    info = maps._powerdomain_map.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 @pytest.mark.parametrize("name, law", [
