@@ -132,15 +132,33 @@ def random_monotone_map(
 ) -> MonotoneMap | None:
     """A random monotone map, or None when the draw strands itself.
 
-    Assigns along the search's linear extension, drawing uniformly from
-    the values its rule allows given what is already placed; a dead end
-    returns None so the caller can redraw.
+    One ``_draw_monotone_image`` on a fresh rule: a caller drawing many
+    maps between the same two posets builds the rule once and calls
+    that helper, with the same draws.
     """
-    rule = MonotoneRule(source, {}, target)
-    image = [0] * source.n
+    image = _draw_monotone_image(MonotoneRule(source, {}, target), {}, rng)
+    return None if image is None else _made(source, target, image)
+
+
+def _draw_monotone_image(
+    rule: MonotoneRule, choices: dict[int, tuple[int, ...]], rng: random.Random
+) -> tuple[int, ...] | None:
+    """The image tuple of one random map through ``rule``, or None when
+    the draw strands itself.
+
+    Assigns along the rule's linear extension, drawing with one
+    ``rng.choice`` from the values the rule allows given what is already
+    placed; a dead end returns None so the caller can redraw.
+    ``choices`` keeps each allowed mask's values as a tuple, so a caller
+    that keeps it across draws on one rule lists each mask once.
+    """
+    image = [0] * len(rule.order)
     for x in rule.order:
-        candidates = list(iter_bits(rule.allowed(x, image)))
+        allowed = rule.allowed(x, image)
+        candidates = choices.get(allowed)
+        if candidates is None:
+            candidates = choices[allowed] = tuple(iter_bits(allowed))
         if not candidates:
             return None
         image[x] = rng.choice(candidates)
-    return _made(source, target, tuple(image))
+    return tuple(image)

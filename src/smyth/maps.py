@@ -314,14 +314,17 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
 
     The induced map is the sup extension of ``phi`` after ``f``, whose
     least-ness ``check_sigma_theorem`` certifies per point with no
-    search.  This check enumerates the extensions instead: into the
-    two-element chain on masks (``_sierpinski_minimality``), into any
-    other target as the image tuples of ``enumerate_extensions``,
-    compared with the induced map on one up row of the target order per
-    point.  More than ``capacity`` extensions raise CapacityError before
-    any law is judged.  ``capacity`` bounds the enumeration only: both
-    spaces are built once, under the default capacity read once, and
-    the induced map is lifted on them.
+    search.  This check reads it off the extensions instead.  Into the
+    two-element chain it is one mask comparison
+    (``_sierpinski_minimality``), which lists the extensions, as
+    down-sets, only to name a failure or when they may be more than
+    ``capacity``; into any other target it enumerates them as the image
+    tuples of ``enumerate_extensions``, compared with the induced map on
+    one up row of the target order per point.  More than ``capacity``
+    extensions raise CapacityError before any law is judged.
+    ``capacity`` bounds the enumeration only: both spaces are built
+    once, under the default capacity read once, and the induced map is
+    lifted on them.
     """
     default = resolve_capacity(None)
     source_space, target_space = build(f.source, default), build(f.target, default)
@@ -352,12 +355,18 @@ def _sierpinski_minimality(
     ``space.order``.  The anchors bound it: it holds ``low``, the down
     rows of the principal points that ``f`` sends to 0, and misses
     ``banned``, the up rows of those sent to 1; ``f`` is monotone, so
-    the two are disjoint.  So the zero sets are ``low | e`` for ``e`` a
-    down-set of the order on the rest, and an extension lies above the
-    induced map exactly when its zero set lies inside the induced map's.
-    The failure witness is the first failing extension as an image
-    tuple, in the order ``enumerate_extensions`` lists them, and its
-    first failing point.
+    the two are disjoint.  An extension lies above the induced map
+    exactly when its zero set lies inside the induced map's, and the
+    largest zero set is the complement of ``banned``, the basic open
+    U(D) of the points inside D, the zero set of ``f``.  So the induced
+    map is the least extension exactly when its image is 0 and 1 alone
+    and its zero set is U(D): one mask comparison.
+
+    The extensions are enumerated, by ``_sierpinski_by_enumeration``,
+    only when that comparison fails, to name the witness, or when the
+    2 ** |rest| zero sets that the points outside ``low`` and ``banned``
+    allow may be more than ``limit``, so that a map over the budget is
+    still reported as over it.
     """
     order = space.order
     low = banned = 0
@@ -366,12 +375,31 @@ def _sierpinski_minimality(
             banned |= order.up[point]
         else:
             low |= order.down[point]
+    image = induced_map.image
+    induced_zeros = mask_of(point for point, value in enumerate(image) if not value)
+    rest = order.full & ~(low | banned)
+    if (induced_zeros == order.full & ~banned and 1 << rest.bit_count() <= limit
+            and image.count(0) + image.count(1) == order.n):
+        return None
+    return _sierpinski_by_enumeration(order, low, rest, image, limit)
+
+
+def _sierpinski_by_enumeration(
+    order: FinitePoset, low: int, rest: int, image: tuple[int, ...], limit: int
+) -> dict | None:
+    """``_sierpinski_minimality`` by listing the extensions.
+
+    The zero sets are ``low | e`` for ``e`` a down-set of the order on
+    ``rest``; more than ``limit`` of them raise CapacityError.  The
+    failure witness is the first failing extension as an image tuple,
+    in the order ``enumerate_extensions`` lists them, and its first
+    failing point.
+    """
     try:
-        found = _down_sets_by_extension(order, order.full & ~(low | banned), limit - 1)
+        found = _down_sets_by_extension(order, rest, limit - 1)
     except CapacityError:
         raise CapacityError(f"more than {limit} anchored extensions") from None
     zero_sets = [low | e for e in found]
-    image = induced_map.image
     induced_zeros = mask_of(point for point, value in enumerate(image) if not value)
     if image.count(0) + image.count(1) != order.n or induced_zeros not in zero_sets:
         return {"law": "induced-map-is-an-extension"}

@@ -360,8 +360,18 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
     certified up row of ``phi(x)`` must be the membership column of
     ``x``.  Under it a basic open misses every principal point only when
     its open is empty, so density fails exactly on an empty point.
+
+    A malformed space fails a law too, at no cost when it holds: points
+    out of canonical order can leave the rows a neighbour's row short,
+    which fails ``order-is-containment`` with that neighbour as
+    ``missing``, and a ``phi_index`` entry past the last point fails
+    ``order-embedding``.
     """
     base = space.base
+    try:
+        up = space.order.up
+    except KeyError as exc:
+        return {"law": "order-is-containment", "missing": exc.args[0]}
 
     # Point i lies below the points that hold all of its members, and
     # above those inside it, its basic open: ANDs of membership columns,
@@ -373,7 +383,7 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
         above = every
         for x in iter_bits(small):
             above &= column[x]
-        wrong = space.order.up[i] ^ above
+        wrong = up[i] ^ above
         if wrong:
             return {"law": "order-is-containment",
                     "left": i, "right": (wrong & -wrong).bit_length() - 1}
@@ -383,19 +393,23 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
             return {"law": "order-is-containment",
                     "left": (wrong & -wrong).bit_length() - 1, "right": i}
 
-    if not is_order_embedding(base, space.order, space.phi_index):
+    try:
+        embeds = is_order_embedding(base, space.order, space.phi_index)
+    except IndexError:
+        embeds = False
+    if not embeds:
         return {"law": "order-embedding"}
     # The points above phi(x) must be the points that hold x.
     wrong = 0
     for x, i in enumerate(space.phi_index):
-        wrong |= space.order.up[i] ^ column[x]
+        wrong |= up[i] ^ column[x]
     if wrong:
         return {"law": "basic-open-pullback",
                 "open": space.points[(wrong & -wrong).bit_length() - 1]}
 
     maximal = [
         i for i in range(len(space.points))
-        if space.order.up[i] == 1 << i
+        if up[i] == 1 << i
     ]
     if len(maximal) != 1 or space.points[maximal[0]] != base.full:
         return {"law": "unique-maximal-point", "maximal": maximal}

@@ -19,6 +19,7 @@ import random
 import zlib
 from collections.abc import Callable
 from functools import lru_cache, wraps
+from operator import itemgetter
 
 from .completion import check_sigma_theorem, lambda_sharp
 from .docio import document_from_payload, document_of_poset, point_lists
@@ -29,9 +30,9 @@ from .errors import (
     RangeError,
     SigmaUndefinedError,
 )
-from .generators import all_monotone_images, all_posets, random_monotone_map, random_poset
+from .generators import _draw_monotone_image, all_posets, random_poset
 from .maps import (
-    MonotoneMap,
+    MonotoneRule,
     _composition_violation,
     _identity_violation,
     _lift,
@@ -52,6 +53,7 @@ from .poset import (
     resolve_capacity,
 )
 from .powerdomain import (
+    PowerdomainSpace,
     _points_below,
     _points_inside,
     build,
@@ -184,20 +186,32 @@ def prop_zariski_equals_vietoris(poset: FinitePoset, payload: dict) -> dict | No
     return None
 
 
-def _endo_images(poset: FinitePoset, payload: dict, capacity: int) -> list[MonotoneMap]:
-    """The endomaps with distinct images to pair up, in first-drawn order."""
+def _endo_images(poset: FinitePoset, payload: dict, capacity: int) -> list[tuple[int, ...]]:
+    """The images of the endomaps to pair up, distinct, in first-drawn
+    order: every endomap up to three elements, else ``SAMPLED_MAPS``
+    draws on one rule, as many ``random_monotone_map`` calls would draw
+    them."""
     if poset.n <= 3:
-        return [_made(poset, poset, image)
-                for image in anchored_extensions(poset, {}, poset, capacity)]
+        return list(anchored_extensions(poset, {}, poset, capacity))
     rng = random.Random(_instance_seed(payload))
-    maps: list[MonotoneMap] = []
+    rule = MonotoneRule(poset, {}, poset)
+    choices: dict[int, tuple[int, ...]] = {}
+    images: list[tuple[int, ...]] = []
     attempts = 0
-    while len(maps) < SAMPLED_MAPS and attempts < 50 * SAMPLED_MAPS:
+    while len(images) < SAMPLED_MAPS and attempts < 50 * SAMPLED_MAPS:
         attempts += 1
-        drawn = random_monotone_map(poset, poset, rng)
+        drawn = _draw_monotone_image(rule, choices, rng)
         if drawn is not None:
-            maps.append(drawn)
-    return list(dict.fromkeys(maps))
+            images.append(drawn)
+    return list(dict.fromkeys(images))
+
+
+def _gatherer(indices: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``gather(values, indices)`` as a function of ``values``: the one
+    ``itemgetter`` from two indices on."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda values: gather(values, indices)
 
 
 @_property("functor-laws")
@@ -206,37 +220,47 @@ def prop_functor_laws(poset: FinitePoset, payload: dict) -> dict | None:
 
     The capacity is resolved once and the space built once; every lift
     is made on that space, with no lift cache.  The identity law is
-    checked once, on the one poset every map lives on.  Each map
-    ``_endo_images`` returns is lifted once, and each distinct base
-    composite once, keyed by its image, since many pairs share one; a
-    composite equal to a map reuses that map's lift.  No map or lift is
-    validated: the maps are monotone by construction, and these laws
-    are what certify the lifts.  Every pair then compares the composite
-    of its two lifts with that lift as an image tuple.  A composition
-    failure names the images of its pair, the first failing one, as
-    ``f`` and ``g``; an identity failure fails every pair, so it names
-    none.
+    checked once, on the one poset every map lives on, even when no map
+    was drawn.  Each image ``_endo_images`` returns is lifted once, and
+    each distinct base composite once, keyed by its image, since many
+    pairs share one; a composite equal to a map reuses that map's lift.
+    No map or lift is validated: the maps are monotone by construction,
+    and these laws are what certify the lifts.  Per map ``f``, the
+    lifted composites of ``f`` with every map and the composites of
+    their lifts are gathered with one ``itemgetter`` each and compared
+    as two lists, and at the end every lift is checked to go from the
+    space's order to itself.  Only when something differs are the pairs
+    scanned in order, by ``_composition_violation``, so a composition
+    failure still names the images of its first failing pair as ``f`` and
+    ``g``; an identity failure fails every pair, so it names none.
     """
     capacity = resolve_capacity(None)
-    maps = _endo_images(poset, payload, capacity)
-    if not maps:
-        return None
+    images = _endo_images(poset, payload, capacity)
     space = build(poset, capacity)
     violation = _identity_violation(space)
     if violation is not None:
         return violation
-    lifted = [_lift(space, space, f.image) for f in maps]
-    lifted_composites = {f.image: lifted_f for f, lifted_f in zip(maps, lifted)}
-    for f, lifted_f in zip(maps, lifted):
-        for g, lifted_g in zip(maps, lifted):
-            composite = gather(g.image, f.image)
-            lifted_composite = lifted_composites.get(composite)
-            if lifted_composite is None:
-                lifted_composite = _lift(space, space, composite)
-                lifted_composites[composite] = lifted_composite
-            violation = _composition_violation(lifted_f, lifted_g, lifted_composite)
+    lifts = {image: _lift(space, space, image) for image in images}
+    lifted_images = [lifts[image].image for image in images]
+    order = space.order
+    for f, lifted_f in zip(images, lifted_images):
+        composites = list(map(_gatherer(f), images))
+        for composite in composites:
+            if composite not in lifts:
+                lifts[composite] = _lift(space, space, composite)
+        if [lifts[c].image for c in composites] != list(
+                map(_gatherer(lifted_f), lifted_images)):
+            break
+    else:
+        if all(lift.source is order and lift.target is order for lift in lifts.values()):
+            return None
+    # Something differs: every lift the scan reads up to its first
+    # failing pair has been made.
+    for f in images:
+        for g in images:
+            violation = _composition_violation(lifts[f], lifts[g], lifts[gather(g, f)])
             if violation is not None:
-                return {**violation, "f": list(f.image), "g": list(g.image)}
+                return {**violation, "f": list(f), "g": list(g)}
     return None
 
 
@@ -245,18 +269,23 @@ def prop_extension_minimality(poset: FinitePoset, payload: dict) -> dict | str |
     """The induced powerdomain map is least among extensions.
 
     Exercised against every monotone map into the two-element chain
-    (the Sierpinski-valued maps), whose extensions ``check_minimality``
-    lists on masks, as down-sets of the points between the anchors'
-    bounds; more than the capacity is reported as skipped, not guessed;
-    the capacity bounds the extensions listed only.  A failure names the
-    image of the first failing map as ``map``.  Each induced map is the
-    sup extension of ``phi`` after the map, whose least-ness
+    (the Sierpinski-valued maps).  Those are the indicators of the
+    down-sets of the base, so they are read off the points of its built
+    powerdomain, plus the empty set, as image tuples in sorted order,
+    the order of ``all_monotone_images``.  ``check_minimality`` judges
+    each with one mask comparison, and lists its extensions on masks,
+    as down-sets of the points between the anchors' bounds, only to
+    name a failure or when they may be more than the capacity; more
+    than the capacity is reported as skipped, not guessed, and so is a
+    powerdomain over the default capacity.  A failure names the image of
+    the first failing map as ``map``.  Each induced map is the sup
+    extension of ``phi`` after the map, whose least-ness
     ``check_sigma_theorem`` certifies per point with no enumeration;
-    this property still counts the extensions, so the 5-element
-    antichain is over its budget.
+    this property still bounds the zero sets it could list, so the
+    5-element antichain is over its budget.
     """
     try:
-        for image in all_monotone_images(poset, CHAIN2):
+        for image in _chain_images(build(poset)):
             violation = check_minimality(
                 _made(poset, CHAIN2, image), MINIMALITY_CAPACITY)
             if violation is not None:
@@ -264,6 +293,15 @@ def prop_extension_minimality(poset: FinitePoset, payload: dict) -> dict | str |
     except CapacityError as exc:
         return f"enumeration over budget: {exc}"
     return None
+
+
+def _chain_images(space: PowerdomainSpace) -> list[tuple[int, ...]]:
+    """The image tuples of the monotone maps of ``space.base`` into
+    ``CHAIN2``, sorted: the indicator of the complement of each point,
+    and of the empty set."""
+    bits = [1 << x for x in range(space.base.n)]
+    return sorted(tuple([0 if zeros & bit else 1 for bit in bits])
+                  for zeros in (0, *space.points))
 
 
 @_property("lift-round-trip")

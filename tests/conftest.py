@@ -114,12 +114,16 @@ def embedding_theorem_by_scan(space: PowerdomainSpace) -> dict | None:
     empty open is added first.  The oracle of the column reading.
     """
     base, column = space.base, space._columns
+    try:
+        up = space.order.up
+    except KeyError as exc:
+        return {"law": "order-is-containment", "missing": exc.args[0]}
     every = (1 << len(space.points)) - 1
     for i, small in enumerate(space.points):
         above = every
         for x in iter_bits(small):
             above &= column[x]
-        wrong = space.order.up[i] ^ above
+        wrong = up[i] ^ above
         if wrong:
             return {"law": "order-is-containment",
                     "left": i, "right": (wrong & -wrong).bit_length() - 1}
@@ -133,7 +137,8 @@ def embedding_theorem_by_scan(space: PowerdomainSpace) -> dict | None:
     if space.points[0] != 0:
         masks.insert(0, (0, 0))
 
-    if not is_order_embedding(base, space.order, space.phi_index):
+    if max(space.phi_index) >= len(space.points) or not is_order_embedding(
+            base, space.order, space.phi_index):
         return {"law": "order-embedding"}
     for omega, members in masks:
         pulled = mask_of(
@@ -401,6 +406,17 @@ def constant_lift(original):
     def lift(*args):
         lifted = original(*args)
         return MonotoneMap(lifted.source, lifted.target, (0,) * lifted.source.n)
+    return lift
+
+
+def lift_without_closure(original):
+    """The image set of each point looked up as a point, not closed
+    downward first; one that is no point goes to the first point."""
+    def lift(source, target, image):
+        f = MonotoneMap(source.base, target.base, image)
+        lifted = tuple(target.point_index.get(f.image_mask(member), 0)
+                       for member in source.points)
+        return maps._made(source.order, target.order, lifted)
     return lift
 
 

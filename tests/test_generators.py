@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smyth import CapacityError, FinitePoset, find_isomorphism
+from smyth.maps import MonotoneRule
 from smyth.generators import (
     MAX_EXHAUSTIVE_N,
+    _draw_monotone_image,
     all_monotone_images,
     all_posets,
     random_monotone_map,
@@ -156,6 +158,14 @@ def test_random_monotone_map_pinned_draws(source, target, seed, expected):
     rng = random.Random(seed)
     draws = [random_monotone_map(source, target, rng) for _ in expected]
     assert [None if f is None else f.image for f in draws] == expected
+
+
+@pytest.mark.parametrize("source, target, seed, expected", PINNED_DRAWS)
+def test_draws_on_one_rule_are_the_pinned_draws(source, target, seed, expected):
+    # one rule and one choice table kept across the draws draw what a
+    # fresh rule per draw draws, dead ends included
+    rule, choices, rng = MonotoneRule(source, {}, target), {}, random.Random(seed)
+    assert [_draw_monotone_image(rule, choices, rng) for _ in expected] == expected
 
 
 def test_random_monotone_map_valid(chain2, vee):

@@ -28,6 +28,7 @@ from smyth.poset import (
     _monotonicity_violation,
     find_isomorphism,
     iter_bits,
+    mask_of,
     relabel,
     resolve_capacity,
 )
@@ -39,6 +40,7 @@ from conftest import (
     induced,
     is_order_isomorphism_by_pairs,
     is_spectral,
+    lift_without_closure,
     minimality_by_search,
     monotonicity_violation_by_pairs,
     patch_lift,
@@ -324,17 +326,6 @@ def maps_into_the_chain(max_n):
             for image in all_monotone_images(source, chain2)]
 
 
-def lift_without_closure(original):
-    """The image set of each point looked up as a point, not closed
-    downward first; one that is no point goes to the first point."""
-    def lift(source, target, image):
-        f = MonotoneMap(source.base, target.base, image)
-        lifted = tuple(target.point_index.get(f.image_mask(member), 0)
-                       for member in source.points)
-        return maps._made(source.order, target.order, lifted)
-    return lift
-
-
 def greatest_extension_lift(original):
     """Each point sent to 0 only when it lies inside a principal down-set
     sent to 0: an extension into the chain, the greatest, so it is
@@ -361,6 +352,42 @@ def test_minimality_into_the_chain_matches_the_search(monkeypatch, lift):
         expected = minimality_by_search(f)
         assert check_minimality(f) == expected, f.image
         laws[None if expected is None else expected["law"]] += 1
+    assert sum(laws.values()) == 1788
+    if lift is None:
+        assert laws == {None: 1788}
+    elif lift is greatest_extension_lift:
+        assert laws[None] and laws["pointwise-least"]
+    else:
+        assert laws["induced-map-is-an-extension"]
+
+
+@pytest.mark.parametrize("lift", [None, constant_lift, lift_without_closure,
+                                  greatest_extension_lift])
+def test_minimality_certificate_matches_the_forced_enumeration(monkeypatch, lift):
+    """Every monotone map into the two-element chain from a labeled poset
+    with up to 4 elements: the mask certificate returns the verdict and
+    witness of listing every extension, under the real lift and seeded
+    wrong ones.  The listing is forced on the anchors' bounds read off
+    the definitions: ``low`` holds the points inside the principal
+    down-set of an element sent to 0, ``rest`` the other points inside
+    the zero set of the map."""
+    if lift is not None:
+        patch_lift(monkeypatch, lift)
+    limit = resolve_capacity(None)
+    laws = Counter()
+    for f in maps_into_the_chain(4):
+        space = build(f.source)
+        down = f.source.down
+        zeros = [x for x, value in enumerate(f.image) if value == 0]
+        low = mask_of(i for i, point in enumerate(space.points)
+                      if any(point & ~down[x] == 0 for x in zeros))
+        inside = mask_of(i for i, point in enumerate(space.points)
+                         if point & ~mask_of(zeros) == 0)
+        lifted = maps._lift(space, build(f.target), f.image)
+        forced = maps._sierpinski_by_enumeration(
+            space.order, low, inside & ~low, lifted.image, limit)
+        assert check_minimality(f) == forced, f.image
+        laws[None if forced is None else forced["law"]] += 1
     assert sum(laws.values()) == 1788
     if lift is None:
         assert laws == {None: 1788}

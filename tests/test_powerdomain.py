@@ -423,7 +423,8 @@ def test_embedding_theorem_matches_the_point_scan():
     """``basic-open-pullback`` and ``density``, read off the columns,
     give the per-point scan's verdict and witness on every labeled
     poset with n <= 4 and on seeded 5- to 8-element ones, built plain
-    and hatted, under wrong principal maps and wrong point lists."""
+    and hatted, under wrong principal maps and wrong point lists; no
+    wrong space makes either raise."""
     rng = random.Random(7)
     bases = [p for n in range(1, 5) for p in all_posets(n)]
     bases += [random_poset(rng.randint(5, 8), seed) for seed in range(60)]
@@ -433,9 +434,25 @@ def test_embedding_theorem_matches_the_point_scan():
             for space in embedding_mutants(builder(base), rng):
                 expected = outcome(embedding_theorem_by_scan, space)
                 assert outcome(check_embedding_theorem, space) == expected
+                assert expected is None or isinstance(expected, dict)
                 if isinstance(expected, dict):
                     laws.add(expected["law"])
     assert {"basic-open-pullback", "density"} <= laws
+
+
+def test_embedding_theorem_names_a_law_on_an_empty_point_appended(vee):
+    # the down row of the empty point needs the row of {a1}, made after
+    # it when the empty point comes last: the rows cannot be read
+    space = build(vee)
+    wrong = powerdomain._assemble(vee, space.points + (0,))
+    assert check_embedding_theorem(wrong) == {"law": "order-is-containment", "missing": 1}
+
+
+def test_embedding_theorem_names_a_law_on_a_principal_point_past_the_end(vee):
+    space = build(vee)
+    wrong = PowerdomainSpace(vee, space.points, space.order,
+                             space.phi_index[:-1] + (len(space.points),))
+    assert check_embedding_theorem(wrong) == {"law": "order-embedding"}
 
 
 def test_embedding_theorem_reads_no_basic_open(monkeypatch, vee):

@@ -38,6 +38,7 @@ from smyth import (
 from smyth.docio import document_of_poset
 from smyth.generators import all_monotone_images, all_posets, random_poset
 from smyth.poset import iter_bits, mask_of, resolve_capacity
+from smyth.generators import random_monotone_map
 from smyth.report import FAIL, PASS, SKIPPED, failed, instance_text, passed, skipped
 from smyth.suite import (
     FIXTURE_DOCS,
@@ -56,6 +57,7 @@ from conftest import (
     chain,
     constant_lift,
     diamond_poset,
+    lift_without_closure,
     patch_lift,
     vee_poset,
 )
@@ -318,7 +320,7 @@ OVER_CAPACITY_ON_VEE = {
     "phi-onto-iff-chain": (CapacityError, DOWN_SETS_OVER_3),
     "zariski-equals-vietoris": (CapacityError, DOWN_SETS_OVER_3),
     "functor-laws": (CapacityError, EXTENSIONS_OVER_3),
-    "extension-minimality": (SKIPPED, f"enumeration over budget: {EXTENSIONS_OVER_3}"),
+    "extension-minimality": (SKIPPED, f"enumeration over budget: {DOWN_SETS_OVER_3}"),
     "lift-round-trip": (CapacityError, DOWN_SETS_OVER_3),
     "sup-extension": (SKIPPED, f"enumeration over budget: {DOWN_SETS_OVER_3}"),
     "sup-extension-of-embedding": (SKIPPED, f"enumeration over budget: {DOWN_SETS_OVER_3}"),
@@ -329,8 +331,9 @@ OVER_CAPACITY_ON_VEE = {
 @pytest.mark.parametrize("name", PROPERTIES)
 def test_every_property_over_capacity(monkeypatch, name):
     """With a capacity of 3 the four-point powerdomain of the vee is over
-    budget.  ``extension-minimality`` and the sigma properties report a
-    skip; every other property that builds lets CapacityError escape,
+    budget.  ``extension-minimality``, which reads its maps off that
+    powerdomain, and the sigma properties report a skip; every other
+    property that builds lets CapacityError escape,
     which keeps ``smyth check`` at exit 2; the vee records no
     expectations."""
     monkeypatch.setenv("SPECTRAL_CAPACITY", "3")
@@ -411,6 +414,28 @@ def test_sweep_matches_its_benchmark_pin():
     assert summary == pins["sweep"]["0/720"]
 
 
+# The seed-7919 ``sweep``: 720 five-element posets, the benchmark's
+# held-out seed, with the verdict totals and digest it gave when every
+# map into the chain was still found by the anchored search and judged
+# by listing its extensions.
+HELD_OUT_SWEEP = {
+    "verdicts": {"pass": 6640, "skipped": 560, "fail": 0},
+    "digest": "b3654f0ba66b8dc4453924f8ab1810a1d2a50651e8813b080897b44790077f96",
+}
+
+
+def test_sweep_matches_its_held_out_pin():
+    """The benchmark's held-out seed-7919 ``sweep`` gives the verdict
+    totals and digest pinned here."""
+    workloads = _bench_workloads()
+    posets = workloads.sweep_setup(7919, 20)
+    ok, summary = workloads.sweep_check(
+        [workloads.sweep_operation(poset) for poset in posets]
+    )
+    assert len(posets) == 720 and all(ok)
+    assert summary == HELD_OUT_SWEEP
+
+
 def test_build_bases_match_their_pin():
     """The benchmark's seed-0 ``build`` set-up at one second picks the
     same nine (bucket, builder, base) jobs, so that its ``setup_s`` times
@@ -479,13 +504,38 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
     assert replay(report) == report
 
 
+def test_functor_laws_check_each_lifts_source(monkeypatch):
+    """A lift with the right image but the wrong source order fails
+    composition at the first pair, in order, that reads it as ``f`` or
+    as the composite, though every image tuple agrees."""
+    payload = ANTICHAIN_3
+    images = suite._endo_images(antichain(3), payload, resolve_capacity(None))
+    wrong = (0, 0, 0)
+    other = build(chain(7)).order
+
+    def misplacing(original):
+        def lift(source_space, target_space, image):
+            lifted = original(source_space, target_space, image)
+            if image != wrong:
+                return lifted
+            return maps._made(other, lifted.target, lifted.image)
+        return lift
+
+    patch_lift(monkeypatch, misplacing)
+    f, g = next((f, g) for f in images for g in images
+                if wrong in (f, tuple(g[v] for v in f)) and f != tuple(g[v] for v in f))
+    report = prop_functor_laws(payload)
+    assert (report.verdict, report.witness["law"]) == (FAIL, "composition")
+    assert (report.witness["f"], report.witness["g"]) == (list(f), list(g))
+    assert report.witness["expected"] == report.witness["got"]
+
+
 def test_functor_laws_lift_each_composite_once(monkeypatch):
     """``functor-laws`` lifts the identity, each sampled map and each
     distinct base composite that is no sampled map once, not one
     composite per pair: a composite equal to a map reuses its lift."""
     payload = {"n": 4, "covers": []}
-    images = [f.image for f in suite._endo_images(
-        antichain(4), payload, resolve_capacity(None))]
+    images = suite._endo_images(antichain(4), payload, resolve_capacity(None))
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     assert len(composites) < len(images) ** 2  # pairs share composites
     assert composites & set(images)  # and some composites are maps
@@ -504,16 +554,15 @@ def test_functor_laws_lift_each_composite_once(monkeypatch):
 
 
 def test_functor_laws_validate_each_map_once(monkeypatch):
-    """``functor-laws`` lifts each drawn map, the identity and each
-    distinct composite that is no drawn map once, and checks the
-    monotonicity of none: the maps are monotone by construction, and
-    the laws certify the lifts."""
+    """``functor-laws`` draws its maps with the draw helper, lifts each
+    drawn map, the identity and each distinct composite that is no drawn
+    map once, and checks the monotonicity of none: the maps are monotone
+    by construction, and the laws certify the lifts."""
     payload = {"n": 4, "covers": []}
-    images = [f.image for f in suite._endo_images(
-        antichain(4), payload, resolve_capacity(None))]
+    images = suite._endo_images(antichain(4), payload, resolve_capacity(None))
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     drawn, lifted, checked = [], [], []
-    draw = suite.random_monotone_map
+    draw = suite._draw_monotone_image
     check = maps._monotonicity_violation
 
     def drawing(*args):
@@ -531,13 +580,61 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
         checked.append(args)
         return check(*args)
 
-    monkeypatch.setattr(suite, "random_monotone_map", drawing)
+    monkeypatch.setattr(suite, "_draw_monotone_image", drawing)
     patch_lift(monkeypatch, lifting)
     monkeypatch.setattr(maps, "_monotonicity_violation", checking)
     assert prop_functor_laws(payload).verdict == PASS
     assert None not in drawn and len(drawn) == suite.SAMPLED_MAPS
     assert len(lifted) == 1 + len(images) + len(composites - set(images))
     assert checked == []
+
+
+def reversing_lift(original):
+    """Every induced map with its image tuple reversed."""
+    def lift(source_space, target_space, image):
+        lifted = original(source_space, target_space, image)
+        return maps._made(lifted.source, lifted.target, lifted.image[::-1])
+    return lift
+
+
+def test_functor_laws_check_the_identity_with_no_map_drawn(monkeypatch):
+    """Under a lift that reverses images, ``functor-laws`` fails the
+    identity law on the 4-element antichain both with its own draws and
+    when every draw dead-ends, so that no map is left to pair."""
+    patch_lift(monkeypatch, reversing_lift)
+    expected = {"instance": ANTICHAIN_4, "law": "identity", "n": 4}
+    assert prop_functor_laws(ANTICHAIN_4).witness == expected
+    monkeypatch.setattr(suite, "_draw_monotone_image", lambda rule, choices, rng: None)
+    assert suite._endo_images(antichain(4), ANTICHAIN_4, resolve_capacity(None)) == []
+    report = prop_functor_laws(ANTICHAIN_4)
+    assert (report.verdict, report.witness) == (FAIL, expected)
+    assert replay(report) == report
+
+
+def endo_images_by_fresh_rules(poset, payload):
+    """The images ``functor-laws`` pairs on four or more elements, drawn
+    by one ``random_monotone_map`` call, on a fresh rule, per draw."""
+    rng = random.Random(suite._instance_seed(payload))
+    images, attempts = [], 0
+    while len(images) < suite.SAMPLED_MAPS and attempts < 50 * suite.SAMPLED_MAPS:
+        attempts += 1
+        drawn = random_monotone_map(poset, poset, rng)
+        if drawn is not None:
+            images.append(drawn.image)
+    return list(dict.fromkeys(images))
+
+
+def test_endo_images_are_the_fresh_rule_draws():
+    """On every labeled 4-element poset and every fifth 5-element one,
+    the draws on one rule, with its choice table kept, are the images
+    that a fresh rule per draw gives, dead ends included."""
+    dead_ends = 0
+    for poset in all_posets(4) + all_posets(5)[::5]:
+        payload = document_of_poset(poset).to_payload()
+        images = suite._endo_images(poset, payload, resolve_capacity(None))
+        assert images == endo_images_by_fresh_rules(poset, payload)
+        dead_ends += len(images) < suite.SAMPLED_MAPS
+    assert dead_ends
 
 
 @pytest.mark.parametrize(
@@ -710,6 +807,15 @@ CHAIN_2 = {"n": 2, "covers": [[0, 1]]}
 ANTICHAIN_2 = {"n": 2, "covers": []}
 ANTICHAIN_3 = {"n": 3, "covers": []}
 ANTICHAIN_4 = {"n": 4, "covers": []}
+# The vee 2, 3 < 4 and the points 0 and 1, all under the top 5.  The map
+# that sends only the top to 1 leaves 13 points of the powerdomain
+# between its anchors' bounds: 2 ** 13 zero sets may be more than the
+# shipped minimality capacity, so the enumeration judges that map.
+UNDER_A_TOP = {"n": 6, "covers": [[0, 5], [1, 5], [2, 4], [3, 4], [4, 5]]}
+# The 4-element antichain under a top: 11 points between the bounds of
+# the map that sends only the top to 1, so a capacity below 2 ** 11
+# makes the enumeration judge it.
+FAN_4 = {"n": 5, "covers": [[0, 4], [1, 4], [2, 4], [3, 4]]}
 
 
 @pytest.mark.parametrize("module, name, mutant, check, law", [
@@ -734,9 +840,9 @@ ANTICHAIN_4 = {"n": 4, "covers": []}
     (completion, "preserves_sups", lambda original: lambda space, f: False,
      suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
     (maps, "_down_sets_by_extension", over_the_whole_order,
-     suite_check("extension-minimality", VEE), "pointwise-least"),
+     suite_check("extension-minimality", UNDER_A_TOP), "pointwise-least"),
     (maps, "_down_sets_by_extension", enumerating_none,
-     suite_check("extension-minimality", VEE), "induced-map-is-an-extension"),
+     suite_check("extension-minimality", UNDER_A_TOP), "induced-map-is-an-extension"),
     (suite, "poset_of_topology", lambda original: lambda *args: order_dual(original(*args)),
      suite_check("topology-round-trip", VEE), "recovers-order"),
     (suite, "is_phi_surjective", lambda original: lambda space: True,
@@ -822,7 +928,7 @@ CHAIN_3_RELATIONS = {"n": 3, "covers": [[0, 1], [1, 2], [0, 2]]}
 REBOUND_MUTANTS = {
     "embedding-theorem": (suite, "build", with_phi_index(lambda phi: (phi[0],) * len(phi))),
     "functor-laws": (maps, "_lift", constant_lift),
-    "extension-minimality": (maps, "_down_sets_by_extension", enumerating_none),
+    "extension-minimality": (maps, "_lift", constant_lift),
     "sup-extension": (completion, "preserves_sups", lambda original: lambda space, f: False),
     "sup-extension-of-embedding": (
         completion, "preserves_sups", lambda original: lambda space, f: False),
@@ -845,14 +951,64 @@ def test_rebound_failures_report_the_payload(monkeypatch, prop):
     (over_the_whole_order, "pointwise-least"),
     (enumerating_none, "induced-map-is-an-extension"),
 ])
-@pytest.mark.parametrize("payload", [VEE, CHAIN_3_RELATIONS], ids=["vee", "chain-3-relations"])
-def test_minimality_mask_route_defects_fail_their_law(monkeypatch, payload, mutant, law):
+@pytest.mark.parametrize("payload, capacity", [
+    (FAN_4, 1024),
+    ({**UNDER_A_TOP, "covers": UNDER_A_TOP["covers"] + [[2, 5], [3, 5]]},
+     suite.MINIMALITY_CAPACITY),
+], ids=["fan-4-at-capacity-1024", "under-a-top-relations"])
+def test_minimality_mask_route_defects_fail_their_law(
+    monkeypatch, payload, capacity, mutant, law
+):
     """Each seeded defect of the extension enumeration into the
-    two-element chain fails its own law on both payloads, and replays."""
+    two-element chain fails its own law, and replays, on payloads where
+    the enumeration judges a map: the capacity is below the 2 ** |rest|
+    zero sets its anchors' bounds allow.  The second payload is given by
+    relations, not covers."""
+    monkeypatch.setattr(suite, "MINIMALITY_CAPACITY", capacity)
     assert PROPERTIES["extension-minimality"](payload).verdict == PASS
     monkeypatch.setattr(maps, "_down_sets_by_extension", mutant(maps._down_sets_by_extension))
     report = PROPERTIES["extension-minimality"](payload)
     assert (report.verdict, report.witness["law"]) == (FAIL, law)
+    assert replay(report) == report
+
+
+def test_chain_maps_are_the_monotone_images():
+    """The maps into the two-element chain read off the points are the
+    images ``all_monotone_images`` finds, in its order, on every labeled
+    poset with at most 4 elements and on the posets of
+    ``random:60:9:2024``."""
+    bases = [p for n in range(1, 5) for p in all_posets(n)]
+    bases += [random_poset(1 + k % 9, 2024 + k) for k in range(60)]
+    for base in bases:
+        assert suite._chain_images(build(base)) == list(
+            all_monotone_images(base, suite.CHAIN2))
+
+
+@pytest.mark.parametrize("payload, first_failing", [
+    (ANTICHAIN_2, [0, 1]), (VEE, [0, 1, 1]), (ANTICHAIN_3, [0, 0, 1]),
+], ids=["antichain-2", "vee", "antichain-3"])
+def test_minimality_certificate_fails_a_lift_without_down_closure(
+    monkeypatch, payload, first_failing
+):
+    """On these payloads the mask certificate passes every map into the
+    chain with no extension listed; with the lift's down closure left
+    out, it fails, and the extensions of the first failing map are
+    listed once, to name the law."""
+    listed = []
+    enumerate_down_sets = maps._down_sets_by_extension
+
+    def recording(order, carrier, limit):
+        listed.append(carrier)
+        return enumerate_down_sets(order, carrier, limit)
+
+    monkeypatch.setattr(maps, "_down_sets_by_extension", recording)
+    assert PROPERTIES["extension-minimality"](payload).verdict == PASS
+    assert listed == []
+    patch_lift(monkeypatch, lift_without_closure)
+    report = PROPERTIES["extension-minimality"](payload)
+    assert (report.verdict, report.witness["law"], report.witness["map"]) == (
+        FAIL, "induced-map-is-an-extension", first_failing)
+    assert len(listed) == 1
     assert replay(report) == report
 
 
