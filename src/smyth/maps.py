@@ -65,16 +65,6 @@ class MonotoneMap(_Value):
                 f"{x} <= {y} in the source but the images are unordered"
             )
 
-    # Written out, not the _Value forms: maps key the lift cache.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.target, self.image) == (
-            other.source, other.target, other.image)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.image))
-
     def __call__(self, element: int) -> int:
         return self.image[element]
 
@@ -329,11 +319,10 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     default = resolve_capacity(None)
     source_space, target_space = build(f.source, default), build(f.target, default)
     induced_map = _lift(source_space, target_space, f.image)
+    limit = default if capacity is None else resolve_capacity(capacity)
     if f.target.n == 2 and f.target.up[0] == 0b11:
-        limit = default if capacity is None else resolve_capacity(capacity)
         return _sierpinski_minimality(f, induced_map, source_space, limit)
-    extensions = _extension_images(
-        source_space, target_space, f.image, default if capacity is None else capacity)
+    extensions = _extension_images(source_space, target_space, f.image, limit)
     if induced_map.image not in extensions:
         return {"law": "induced-map-is-an-extension"}
     floors = [induced_map.target.up[value] for value in induced_map.image]
@@ -377,15 +366,16 @@ def _sierpinski_minimality(
             low |= order.down[point]
     image = induced_map.image
     induced_zeros = mask_of(point for point, value in enumerate(image) if not value)
+    zero_one = image.count(0) + image.count(1) == order.n
     rest = order.full & ~(low | banned)
-    if (induced_zeros == order.full & ~banned and 1 << rest.bit_count() <= limit
-            and image.count(0) + image.count(1) == order.n):
+    if (zero_one and induced_zeros == order.full & ~banned
+            and 1 << rest.bit_count() <= limit):
         return None
-    return _sierpinski_by_enumeration(order, low, rest, image, limit)
+    return _sierpinski_by_enumeration(order, low, rest, induced_zeros, zero_one, limit)
 
 
 def _sierpinski_by_enumeration(
-    order: FinitePoset, low: int, rest: int, image: tuple[int, ...], limit: int
+    order: FinitePoset, low: int, rest: int, induced_zeros: int, zero_one: bool, limit: int
 ) -> dict | None:
     """``_sierpinski_minimality`` by listing the extensions.
 
@@ -400,8 +390,7 @@ def _sierpinski_by_enumeration(
     except CapacityError:
         raise CapacityError(f"more than {limit} anchored extensions") from None
     zero_sets = [low | e for e in found]
-    induced_zeros = mask_of(point for point, value in enumerate(image) if not value)
-    if image.count(0) + image.count(1) != order.n or induced_zeros not in zero_sets:
+    if not zero_one or induced_zeros not in zero_sets:
         return {"law": "induced-map-is-an-extension"}
     ones = ~induced_zeros
     failing = [zeros for zeros in zero_sets if zeros & ones]

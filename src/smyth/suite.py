@@ -4,11 +4,11 @@ Every property is a total function from a JSON-ready payload to a
 CheckReport and is registered by name, so a failing report can always
 be replayed: feed ``witness["instance"]`` back to the property that
 produced it.  Only this module makes reports, and only in one place.
-Each property is written as a law function of the parsed poset and its
-payload that, like each public ``check_*``, returns ``None`` when its
-laws hold, the first violation it finds, or a skip reason;
-``_property`` registers it by name and, on each call, parses the
-payload once, runs the law and files the outcome on that payload.
+Each property is written as a law function of a payload's ``_Case``
+that, like each public ``check_*``, returns ``None`` when its laws
+hold, the first violation it finds, or a skip reason; ``_property``
+registers it by name and files the outcome on that payload.  A payload
+is validated, parsed and its capacity read once, as its case is made.
 Suites are deterministic: the same scope and seed produce the same
 report list, byte for byte.
 """
@@ -70,15 +70,22 @@ MINIMALITY_CAPACITY = 4096
 CHAIN2 = FinitePoset.from_cover_relations(2, [(0, 1)])
 
 
-def _poset_of(payload: dict) -> FinitePoset:
-    """The payload's poset; the payload is validated on every call.
+class _Case:
+    """A validated payload, its poset and the default capacity, read once.
 
     The poset comes from a small cache keyed by the validated document,
     so the properties run on one payload share one immutable poset,
-    with its covers, linear extension and hash computed once.
+    with its covers, linear extension and hash computed once.  A case
+    holds no space: each law builds what it reads.
     """
-    doc = document_from_payload(payload)
-    return _poset_from(doc.n, doc.covers, doc.labels)
+
+    __slots__ = ("payload", "poset", "capacity")
+
+    def __init__(self, payload: dict) -> None:
+        doc = document_from_payload(payload)
+        self.payload = payload
+        self.poset = _poset_from(doc.n, doc.covers, doc.labels)
+        self.capacity = resolve_capacity(None)
 
 
 @lru_cache(maxsize=16)
@@ -88,9 +95,8 @@ def _poset_from(
     return FinitePoset.from_cover_relations(n, covers, labels)
 
 
-def _instance_seed(payload: dict) -> int:
-    return zlib.crc32(instance_text(payload).encode())
-
+# The case of the payload that ``_reports`` runs, None outside it.
+_entered: _Case | None = None
 
 PROPERTIES: dict[str, Callable[[dict], CheckReport]] = {}
 
@@ -98,15 +104,19 @@ PROPERTIES: dict[str, Callable[[dict], CheckReport]] = {}
 def _property(name: str):
     """Register a law function as the property ``name``.
 
-    A law takes ``(poset, payload)`` and returns ``None`` when it holds,
-    the violation dict of the first law it finds broken, or a skip
-    reason as a ``str``.  The registered property parses its payload
-    once, runs the law, and files its outcome as that payload's report.
+    A law takes a ``_Case`` and returns ``None`` when it holds, the
+    violation dict of the first law it finds broken, or a skip reason as
+    a ``str``.  The registered property runs the law on the case that
+    ``_reports`` holds for its very payload, else on a new one, and files
+    its outcome as that payload's report.
     """
     def register(law):
         @wraps(law)
         def prop(payload: dict) -> CheckReport:
-            outcome = law(_poset_of(payload), payload)
+            case = _entered
+            if case is None or case.payload is not payload:
+                case = _Case(payload)
+            outcome = law(case)
             if outcome is None:
                 return passed(name, payload)
             if isinstance(outcome, str):
@@ -118,8 +128,9 @@ def _property(name: str):
 
 
 @_property("topology-round-trip")
-def prop_topology_round_trip(poset: FinitePoset, payload: dict) -> dict | None:
+def prop_topology_round_trip(case: _Case) -> dict | None:
     """Opens determine the order: rebuilding from the topology is exact."""
+    poset = case.poset
     recovered = poset_of_topology(poset.n, open_sets(poset), poset.labels)
     if recovered != poset:
         return {"law": "recovers-order",
@@ -128,13 +139,13 @@ def prop_topology_round_trip(poset: FinitePoset, payload: dict) -> dict | None:
 
 
 @_property("embedding-theorem")
-def prop_embedding_theorem(poset: FinitePoset, payload: dict) -> dict | None:
+def prop_embedding_theorem(case: _Case) -> dict | None:
     """The laws of ``check_embedding_theorem`` on the built powerdomain."""
-    return check_embedding_theorem(build(poset))
+    return check_embedding_theorem(build(case.poset, case.capacity))
 
 
 @_property("powerdomain-dimension")
-def prop_powerdomain_dimension(poset: FinitePoset, payload: dict) -> dict | None:
+def prop_powerdomain_dimension(case: _Case) -> dict | None:
     """dim of the powerdomain is n - 1.
 
     Measured over the built order's covers, not the grading that
@@ -143,37 +154,35 @@ def prop_powerdomain_dimension(poset: FinitePoset, payload: dict) -> dict | None
     has at most n elements, so its dimension is at most n - 1, and
     ``is_chain`` is the test that it equals n - 1.
     """
-    pd_dim = dimension(build(poset).order)
-    if pd_dim != poset.n - 1:
+    pd_dim = dimension(build(case.poset, case.capacity).order)
+    if pd_dim != case.poset.n - 1:
         return {"law": "n-minus-one", "got": pd_dim}
     return None
 
 
 @_property("phi-onto-iff-chain")
-def prop_phi_onto_iff_chain(poset: FinitePoset, payload: dict) -> dict | None:
+def prop_phi_onto_iff_chain(case: _Case) -> dict | None:
     """The principal-point map is onto exactly over a linear base, and
     then an order-embedding, so an isomorphism: no search is run."""
-    space = build(poset)
+    space = build(case.poset, case.capacity)
     onto = is_phi_surjective(space)
-    if onto != is_chain(poset):
+    if onto != is_chain(case.poset):
         return {"law": "onto-iff-chain", "onto": onto}
-    if onto and not is_order_embedding(poset, space.order, space.phi_index):
+    if onto and not is_order_embedding(case.poset, space.order, space.phi_index):
         return {"law": "onto-gives-isomorphism"}
     return None
 
 
 @_property("zariski-equals-vietoris")
-def prop_zariski_equals_vietoris(poset: FinitePoset, payload: dict) -> dict | None:
+def prop_zariski_equals_vietoris(case: _Case) -> dict | None:
     """Containment opens and order-principal opens agree on every open.
 
-    The capacity is resolved once, for both builds.  The hat space's
-    points are the opens of the base, as a build derives them, so no
-    open is validated again; each pair of opens is compared as point
-    masks.
+    The hat space's points are the opens of the base, as a build derives
+    them, so no open is validated again; each pair of opens is compared
+    as point masks.
     """
-    capacity = resolve_capacity(None)
-    space = build(poset, capacity)
-    hat = hat_powerdomain(poset, capacity)
+    space = build(case.poset, case.capacity)
+    hat = hat_powerdomain(case.poset, case.capacity)
     for omega in hat.points:
         direct = _points_inside(space, omega)
         via_order = _points_below(space, omega)
@@ -186,14 +195,15 @@ def prop_zariski_equals_vietoris(poset: FinitePoset, payload: dict) -> dict | No
     return None
 
 
-def _endo_images(poset: FinitePoset, payload: dict, capacity: int) -> list[tuple[int, ...]]:
-    """The images of the endomaps to pair up, distinct, in first-drawn
-    order: every endomap up to three elements, else ``SAMPLED_MAPS``
-    draws on one rule, as many ``random_monotone_map`` calls would draw
-    them."""
+def _endo_images(case: _Case) -> list[tuple[int, ...]]:
+    """The images of the endomaps of the case's poset to pair up,
+    distinct, in first-drawn order: every endomap up to three elements,
+    else ``SAMPLED_MAPS`` draws on one rule, seeded by the payload's
+    text, as many ``random_monotone_map`` calls would draw them."""
+    poset = case.poset
     if poset.n <= 3:
-        return list(anchored_extensions(poset, {}, poset, capacity))
-    rng = random.Random(_instance_seed(payload))
+        return list(anchored_extensions(poset, {}, poset, case.capacity))
+    rng = random.Random(zlib.crc32(instance_text(case.payload).encode()))
     rule = MonotoneRule(poset, {}, poset)
     choices: dict[int, tuple[int, ...]] = {}
     images: list[tuple[int, ...]] = []
@@ -215,15 +225,15 @@ def _gatherer(indices: tuple[int, ...]) -> Callable[[tuple], tuple]:
 
 
 @_property("functor-laws")
-def prop_functor_laws(poset: FinitePoset, payload: dict) -> dict | None:
+def prop_functor_laws(case: _Case) -> dict | None:
     """Composition and identity survive the powerdomain construction.
 
-    The capacity is resolved once and the space built once; every lift
-    is made on that space, with no lift cache.  The identity law is
-    checked once, on the one poset every map lives on, even when no map
-    was drawn.  Each image ``_endo_images`` returns is lifted once, and
-    each distinct base composite once, keyed by its image, since many
-    pairs share one; a composite equal to a map reuses that map's lift.
+    The space is built once; every lift is made on that space, with no
+    lift cache.  The identity law is checked once, on the one poset
+    every map lives on, even when no map was drawn.  Each image
+    ``_endo_images`` returns is lifted once, and each distinct base
+    composite once, keyed by its image, since many pairs share one; a
+    composite equal to a map reuses that map's lift.
     No map or lift is validated: the maps are monotone by construction,
     and these laws are what certify the lifts.  Per map ``f``, the
     lifted composites of ``f`` with every map and the composites of
@@ -234,9 +244,8 @@ def prop_functor_laws(poset: FinitePoset, payload: dict) -> dict | None:
     failure still names the images of its first failing pair as ``f`` and
     ``g``; an identity failure fails every pair, so it names none.
     """
-    capacity = resolve_capacity(None)
-    images = _endo_images(poset, payload, capacity)
-    space = build(poset, capacity)
+    images = _endo_images(case)
+    space = build(case.poset, case.capacity)
     violation = _identity_violation(space)
     if violation is not None:
         return violation
@@ -265,7 +274,7 @@ def prop_functor_laws(poset: FinitePoset, payload: dict) -> dict | None:
 
 
 @_property("extension-minimality")
-def prop_extension_minimality(poset: FinitePoset, payload: dict) -> dict | str | None:
+def prop_extension_minimality(case: _Case) -> dict | str | None:
     """The induced powerdomain map is least among extensions.
 
     Exercised against every monotone map into the two-element chain
@@ -285,9 +294,9 @@ def prop_extension_minimality(poset: FinitePoset, payload: dict) -> dict | str |
     5-element antichain is over its budget.
     """
     try:
-        for image in _chain_images(build(poset)):
+        for image in _chain_images(build(case.poset, case.capacity)):
             violation = check_minimality(
-                _made(poset, CHAIN2, image), MINIMALITY_CAPACITY)
+                _made(case.poset, CHAIN2, image), MINIMALITY_CAPACITY)
             if violation is not None:
                 return {**violation, "map": list(image)}
     except CapacityError as exc:
@@ -305,13 +314,12 @@ def _chain_images(space: PowerdomainSpace) -> list[tuple[int, ...]]:
 
 
 @_property("lift-round-trip")
-def prop_lift_round_trip(poset: FinitePoset, payload: dict) -> dict | None:
+def prop_lift_round_trip(case: _Case) -> dict | None:
     """Lifting inverts inducing on a relabeled copy of the base.
 
-    The capacity is resolved once, for both builds, and the rotation is
-    lifted on the two spaces.
+    The rotation is lifted on the two spaces.
     """
-    capacity = resolve_capacity(None)
+    poset, capacity = case.poset, case.capacity
     rotation = tuple((i + 1) % poset.n for i in range(poset.n))
     other = relabel(poset, rotation)
     sigma = _made(poset, other, rotation)
@@ -329,10 +337,10 @@ def prop_lift_round_trip(poset: FinitePoset, payload: dict) -> dict | None:
 
 
 @_property("sup-extension")
-def prop_sup_extension(poset: FinitePoset, payload: dict) -> dict | str | None:
+def prop_sup_extension(case: _Case) -> dict | str | None:
     """Sup-extension laws for the identity map, where sups allow it."""
     try:
-        base_map = identity(poset)
+        base_map = identity(case.poset)
         return check_sigma_theorem(base_map, lambda_sharp(base_map))
     except SigmaUndefinedError as exc:
         return f"not sup-complete: {exc}"
@@ -341,9 +349,7 @@ def prop_sup_extension(poset: FinitePoset, payload: dict) -> dict | str | None:
 
 
 @_property("sup-extension-of-embedding")
-def prop_sup_extension_of_embedding(
-    poset: FinitePoset, payload: dict
-) -> dict | str | None:
+def prop_sup_extension_of_embedding(case: _Case) -> dict | str | None:
     """Extending the principal embedding along sups is the identity.
 
     Then the laws of ``check_sigma_theorem``, on the one ``sharp``
@@ -357,8 +363,8 @@ def prop_sup_extension_of_embedding(
     as skipped.
     """
     try:
-        space = build(poset)
-        into_points = _made(poset, space.order, space.phi_index)
+        space = build(case.poset, case.capacity)
+        into_points = _made(case.poset, space.order, space.phi_index)
         sharp = lambda_sharp(into_points)
         if sharp.image != tuple(range(space.order.n)):
             return {"law": "sharp-is-identity", "got": list(sharp.image)}
@@ -370,13 +376,13 @@ def prop_sup_extension_of_embedding(
 
 
 @_property("fixture-expectations")
-def prop_fixture_expectations(poset: FinitePoset, payload: dict) -> dict | str | None:
+def prop_fixture_expectations(case: _Case) -> dict | str | None:
     """Pinned powerdomain facts recorded in a document's expect block,
-    which the filer has already validated."""
-    expect = payload.get("expect")
+    which making the case has already validated."""
+    expect = case.payload.get("expect")
     if expect is None:
         return "no expectations recorded"
-    space = build(poset)
+    space = build(case.poset, case.capacity)
     if "points" in expect and point_lists(space) != expect["points"]:
         return {"key": "points", "actual": point_lists(space)}
     if "point_count" in expect and len(space.points) != expect["point_count"]:
@@ -458,9 +464,15 @@ FIXTURE_DOCS = (
 )
 
 
-def _per_poset(payload: dict) -> list[CheckReport]:
-    """Every per-poset property on one payload, in registry order."""
-    return [PROPERTIES[name](payload) for name in PER_POSET_PROPERTIES]
+def _reports(case: _Case, names: tuple[str, ...]) -> list[CheckReport]:
+    """The properties ``names`` on the case's payload, each through
+    ``PROPERTIES`` and on the case in ``_entered`` until they end."""
+    global _entered
+    _entered = case
+    try:
+        return [PROPERTIES[name](case.payload) for name in names]
+    finally:
+        _entered = None
 
 
 def run_suite(scope: str) -> list[CheckReport]:
@@ -471,21 +483,17 @@ def run_suite(scope: str) -> list[CheckReport]:
     and ``fixture-expectations``),
     and ``random:COUNT:SIZE:SEED`` (reproducible random posets).
     """
-    reports: list[CheckReport] = []
+    names = PER_POSET_PROPERTIES
     if scope.startswith("exhaustive-"):
         try:
             n = int(scope.split("-", 1)[1])
         except ValueError as exc:
             raise RangeError(f"bad scope {scope!r}") from exc
-        for poset in all_posets(n):
-            reports += _per_poset(document_of_poset(poset).to_payload())
-        return reports
-    if scope == "fixtures":
-        for payload in FIXTURE_DOCS:
-            reports += _per_poset(payload)
-            reports.append(PROPERTIES["fixture-expectations"](payload))
-        return reports
-    if scope.startswith("random:"):
+        payloads = (document_of_poset(poset).to_payload() for poset in all_posets(n))
+    elif scope == "fixtures":
+        payloads = FIXTURE_DOCS
+        names += ("fixture-expectations",)
+    elif scope.startswith("random:"):
         parts = scope.split(":")
         if len(parts) != 4:
             raise RangeError(f"bad scope {scope!r}; want random:COUNT:SIZE:SEED")
@@ -495,11 +503,11 @@ def run_suite(scope: str) -> list[CheckReport]:
             raise RangeError(f"bad scope {scope!r}") from exc
         if count < 0 or size < 1:
             raise RangeError(f"bad scope {scope!r}; want COUNT >= 0 and SIZE >= 1")
-        for k in range(count):
-            poset = random_poset(1 + (k % size), seed + k)
-            reports += _per_poset(document_of_poset(poset).to_payload())
-        return reports
-    raise RangeError(f"unknown scope {scope!r}")
+        payloads = (document_of_poset(random_poset(1 + (k % size), seed + k)).to_payload()
+                    for k in range(count))
+    else:
+        raise RangeError(f"unknown scope {scope!r}")
+    return [report for payload in payloads for report in _reports(_Case(payload), names)]
 
 
 def replay(report: CheckReport) -> CheckReport:
@@ -514,12 +522,11 @@ def replay(report: CheckReport) -> CheckReport:
 def check_payload(payload: dict, suite: str) -> list[CheckReport]:
     """Run one suite group against a single document payload.
 
-    The payload is validated first, so a malformed one raises
-    DocumentError before any property runs.
+    The payload is validated once, as its case is made, so a malformed
+    one raises DocumentError before any property runs.
     """
     if suite not in SUITE_GROUPS:
         raise RangeError(f"unknown suite {suite!r}")
-    names = list(SUITE_GROUPS[suite])
-    if document_from_payload(payload).expect is not None:
-        names.append("fixture-expectations")
-    return [PROPERTIES[name](payload) for name in names]
+    case = _Case(payload)
+    expect = ("fixture-expectations",) if payload.get("expect") is not None else ()
+    return _reports(case, SUITE_GROUPS[suite] + expect)

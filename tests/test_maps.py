@@ -370,7 +370,8 @@ def test_minimality_certificate_matches_the_forced_enumeration(monkeypatch, lift
     wrong ones.  The listing is forced on the anchors' bounds read off
     the definitions: ``low`` holds the points inside the principal
     down-set of an element sent to 0, ``rest`` the other points inside
-    the zero set of the map."""
+    the zero set of the map; the lift's zero set and its 0/1 test are
+    read off its image."""
     if lift is not None:
         patch_lift(monkeypatch, lift)
     limit = resolve_capacity(None)
@@ -383,9 +384,10 @@ def test_minimality_certificate_matches_the_forced_enumeration(monkeypatch, lift
                       if any(point & ~down[x] == 0 for x in zeros))
         inside = mask_of(i for i, point in enumerate(space.points)
                          if point & ~mask_of(zeros) == 0)
-        lifted = maps._lift(space, build(f.target), f.image)
+        lifted = maps._lift(space, build(f.target), f.image).image
+        lifted_zeros = mask_of(i for i, value in enumerate(lifted) if value == 0)
         forced = maps._sierpinski_by_enumeration(
-            space.order, low, inside & ~low, lifted.image, limit)
+            space.order, low, inside & ~low, lifted_zeros, set(lifted) <= {0, 1}, limit)
         assert check_minimality(f) == forced, f.image
         laws[None if forced is None else forced["law"]] += 1
     assert sum(laws.values()) == 1788

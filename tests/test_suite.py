@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import weakref
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -157,7 +158,23 @@ def test_report_lists_are_pinned(scope, digest, count):
     text = "\n".join(r.to_json() for r in reports)
     assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(reports)) == (
         digest, count
-    )
+    ), verdict_counts(reports)
+
+
+def verdict_counts(reports):
+    """Each property's pass, fail and skipped counts, a line each, in
+    the order the properties first report."""
+    counts = Counter((r.property, r.verdict) for r in reports)
+    return "\n".join(
+        f"{name}: " + ", ".join(f"{counts[name, verdict]} {verdict}"
+                                for verdict in (PASS, FAIL, SKIPPED))
+        for name in dict.fromkeys(r.property for r in reports))
+
+
+def test_verdict_counts_name_each_property():
+    reports = [passed("p", {}), skipped("q", {}, "why"), failed("p", {}, law="x")]
+    assert verdict_counts(reports) == (
+        "p: 1 pass, 1 fail, 0 skipped\nq: 0 pass, 0 fail, 1 skipped")
 
 
 def test_random_scope_deterministic():
@@ -350,20 +367,55 @@ def test_every_property_over_capacity(monkeypatch, name):
 def test_each_property_validates_its_payload_once(monkeypatch):
     """The filer validates a payload once per property call, and no law
     validates it again, on a payload with an expect block."""
-    validate = suite.document_from_payload
-    calls = []
-
-    def counting(payload):
-        calls.append(payload)
-        return validate(payload)
-
-    monkeypatch.setattr(suite, "document_from_payload", counting)
+    calls = counting_entry(monkeypatch, "document_from_payload")
     counts = {}
     for name, prop in PROPERTIES.items():
         calls.clear()
         assert prop(FIXTURE_DOCS[0]).ok, name
         counts[name] = len(calls)
     assert counts == dict.fromkeys(PROPERTIES, 1)
+
+
+def counting_entry(monkeypatch, name):
+    """The arguments of every call of ``suite.<name>``, recorded."""
+    original, calls = getattr(suite, name), []
+
+    def counting(argument):
+        calls.append(argument)
+        return original(argument)
+
+    monkeypatch.setattr(suite, name, counting)
+    return calls
+
+
+def test_a_payload_enters_a_scope_or_a_check_once(monkeypatch):
+    """``fixtures`` and ``check_payload`` validate each payload and read
+    the default capacity once for all of its properties, with or without
+    an expect block."""
+    validated = counting_entry(monkeypatch, "document_from_payload")
+    reads = counting_entry(monkeypatch, "resolve_capacity")
+    assert len(run_suite("fixtures")) == 44
+    assert list(map(id, validated)) == list(map(id, FIXTURE_DOCS))
+    assert reads == [None] * len(FIXTURE_DOCS)
+    for payload in (FIXTURE_DOCS[0], VEE):
+        validated.clear()
+        reads.clear()
+        assert all(report.ok for report in check_payload(payload, "all"))
+        assert (validated, reads) == ([payload], [None])
+
+
+def test_a_raising_law_leaves_no_case_behind(monkeypatch):
+    """A law that raises inside ``check_payload`` leaves no case for a
+    later direct call on the same payload object: that call validates
+    the payload again and reads the capacity of its own time."""
+    payload = dict(VEE)
+    monkeypatch.setenv("SPECTRAL_CAPACITY", "3")
+    with pytest.raises(CapacityError):
+        check_payload(payload, "embedding")
+    monkeypatch.delenv("SPECTRAL_CAPACITY")
+    validated = counting_entry(monkeypatch, "document_from_payload")
+    assert PROPERTIES["embedding-theorem"](payload).verdict == PASS
+    assert validated == [payload]
 
 
 def test_sigma_properties_search_no_extensions(monkeypatch):
@@ -509,7 +561,7 @@ def test_functor_laws_check_each_lifts_source(monkeypatch):
     composition at the first pair, in order, that reads it as ``f`` or
     as the composite, though every image tuple agrees."""
     payload = ANTICHAIN_3
-    images = suite._endo_images(antichain(3), payload, resolve_capacity(None))
+    images = suite._endo_images(suite._Case(payload))
     wrong = (0, 0, 0)
     other = build(chain(7)).order
 
@@ -535,7 +587,7 @@ def test_functor_laws_lift_each_composite_once(monkeypatch):
     distinct base composite that is no sampled map once, not one
     composite per pair: a composite equal to a map reuses its lift."""
     payload = {"n": 4, "covers": []}
-    images = suite._endo_images(antichain(4), payload, resolve_capacity(None))
+    images = suite._endo_images(suite._Case(payload))
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     assert len(composites) < len(images) ** 2  # pairs share composites
     assert composites & set(images)  # and some composites are maps
@@ -559,7 +611,7 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
     map once, and checks the monotonicity of none: the maps are monotone
     by construction, and the laws certify the lifts."""
     payload = {"n": 4, "covers": []}
-    images = suite._endo_images(antichain(4), payload, resolve_capacity(None))
+    images = suite._endo_images(suite._Case(payload))
     composites = {tuple(g[v] for v in f) for f in images for g in images}
     drawn, lifted, checked = [], [], []
     draw = suite._draw_monotone_image
@@ -605,7 +657,7 @@ def test_functor_laws_check_the_identity_with_no_map_drawn(monkeypatch):
     expected = {"instance": ANTICHAIN_4, "law": "identity", "n": 4}
     assert prop_functor_laws(ANTICHAIN_4).witness == expected
     monkeypatch.setattr(suite, "_draw_monotone_image", lambda rule, choices, rng: None)
-    assert suite._endo_images(antichain(4), ANTICHAIN_4, resolve_capacity(None)) == []
+    assert suite._endo_images(suite._Case(ANTICHAIN_4)) == []
     report = prop_functor_laws(ANTICHAIN_4)
     assert (report.verdict, report.witness) == (FAIL, expected)
     assert replay(report) == report
@@ -614,7 +666,7 @@ def test_functor_laws_check_the_identity_with_no_map_drawn(monkeypatch):
 def endo_images_by_fresh_rules(poset, payload):
     """The images ``functor-laws`` pairs on four or more elements, drawn
     by one ``random_monotone_map`` call, on a fresh rule, per draw."""
-    rng = random.Random(suite._instance_seed(payload))
+    rng = random.Random(zlib.crc32(instance_text(payload).encode()))
     images, attempts = [], 0
     while len(images) < suite.SAMPLED_MAPS and attempts < 50 * suite.SAMPLED_MAPS:
         attempts += 1
@@ -631,7 +683,7 @@ def test_endo_images_are_the_fresh_rule_draws():
     dead_ends = 0
     for poset in all_posets(4) + all_posets(5)[::5]:
         payload = document_of_poset(poset).to_payload()
-        images = suite._endo_images(poset, payload, resolve_capacity(None))
+        images = suite._endo_images(suite._Case(payload))
         assert images == endo_images_by_fresh_rules(poset, payload)
         dead_ends += len(images) < suite.SAMPLED_MAPS
     assert dead_ends
@@ -1167,7 +1219,7 @@ def test_property_passes_on_a_4607_point_space(prop):
     """13 elements with two covers: 3 * 3 * 2**9 - 1 points, and the
     rotation is not an automorphism of the base."""
     payload = {"n": 13, "covers": [[0, 1], [2, 5]]}
-    assert len(build(suite._poset_of(payload)).points) == 4607
+    assert len(build(suite._Case(payload).poset).points) == 4607
     report = PROPERTIES[prop](payload)
     assert report.verdict == PASS
 
