@@ -51,14 +51,14 @@ class MonotoneMap(_Value):
     ) -> None:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "image", tuple(image))
         if len(self.image) != self.source.n:
             raise RangeError("image tuple does not match the source size")
         target_n = self.target.n
         for value in self.image:
             if not 0 <= value < target_n:
                 raise RangeError(f"image value {value} is out of range")
-        violation = _monotonicity_violation(source, target, image)
+        violation = _monotonicity_violation(source, target, self.image)
         if violation is not None:
             x, y = violation
             raise NotSpectralError(
@@ -97,16 +97,19 @@ def compose(outer: MonotoneMap, inner: MonotoneMap) -> MonotoneMap:
 
 def _lift(
     source_space: PowerdomainSpace, target_space: PowerdomainSpace, image: tuple[int, ...]
-) -> MonotoneMap:
-    """The induced map of ``image`` between the bases of the two spaces,
-    one big-integer OR per point.
+) -> tuple[int, ...]:
+    """The image tuple of the induced map of ``image`` between the bases
+    of the two spaces, one big-integer OR per point.
 
     ``lift[x]`` is the down row of ``image[x]`` in the target base, so
     the down closure of the image of a point is its parent's closure OR
     ``lift`` of the one member the parent lacks
     (``PowerdomainSpace._parents``), in canonical order, so a parent is
     always closed first; then one ``point_index`` gather over the
-    points, with no row of either space's order.  The lift is not
+    points, with no row of either space's order.  The induced map goes
+    from ``source_space.order`` to ``target_space.order`` by
+    construction, so inside the package it is this tuple alone; it is
+    made a ``MonotoneMap`` only where it leaves the package.  It is not
     checked: ``functor-laws``, ``extension-minimality`` and
     ``lift-round-trip`` certify it, each on the spaces it holds.
     """
@@ -116,17 +119,19 @@ def _lift(
     for parent, x in zip(parents, members):
         closed.append(closed[parent] | lift[x])
     del closed[0]
-    return _made(source_space.order, target_space.order,
-                 gather(target_space.point_index, closed))
+    return gather(target_space.point_index, closed)
 
 
 @lru_cache(maxsize=128)
 def _powerdomain_map(f: MonotoneMap, capacity: int) -> MonotoneMap:
-    """``_lift`` on the spaces of ``f``'s source and target, cached for
-    the 128 most recent maps.  It serves ``powerdomain_map``,
-    ``check_functor_laws`` and ``smyth map apply``; the suite lifts on
-    the spaces it already holds and reads no entry here."""
-    return _lift(build(f.source, capacity), build(f.target, capacity), f.image)
+    """``_lift`` on the spaces of ``f``'s source and target, as a map
+    between their orders, cached for the 128 most recent maps.  It
+    serves ``powerdomain_map``, ``check_functor_laws`` and ``smyth map
+    apply``; the suite lifts on the spaces it already holds and reads no
+    entry here."""
+    source_space, target_space = build(f.source, capacity), build(f.target, capacity)
+    return _made(source_space.order, target_space.order,
+                 _lift(source_space, target_space, f.image))
 
 
 def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
@@ -134,37 +139,12 @@ def powerdomain_map(f: MonotoneMap, capacity: int | None = None) -> MonotoneMap:
     return _powerdomain_map(f, resolve_capacity(capacity))
 
 
-def _composition_violation(
-    lifted_f: MonotoneMap,
-    lifted_g: MonotoneMap,
-    lifted_composite: MonotoneMap,
-) -> dict | None:
-    """The details of the composition law if the lifts of ``f``, ``g``
-    break it, or None.
-
-    Takes the induced maps of ``f``, ``g`` and ``compose(g, f)``, so a
-    caller pairing many maps lifts each map and each distinct composite
-    once.  The composite of the lifts is compared with the lifted
-    composite as an image tuple, one lookup per point.
-    """
-    composite_lifted = gather(lifted_g.image, lifted_f.image)
-    if (lifted_composite.source != lifted_f.source
-            or lifted_composite.target != lifted_g.target
-            or lifted_composite.image != composite_lifted):
-        return {"law": "composition", "expected": list(lifted_composite.image),
-                "got": list(composite_lifted)}
-    return None
-
-
 def _identity_violation(space: PowerdomainSpace) -> dict | None:
     """The details of the identity law if the base of ``space`` breaks
     it, or None: the identity is lifted on ``space`` itself, so no lift
-    cache keeps it."""
+    cache keeps it, and its image must be every point in order."""
     n = space.base.n
-    lifted_identity = _lift(space, space, tuple(range(n)))
-    order = lifted_identity.source
-    if (lifted_identity.target != order
-            or lifted_identity.image != tuple(range(order.n))):
+    if _lift(space, space, tuple(range(n))) != tuple(range(len(space.points))):
         return {"law": "identity", "n": n}
     return None
 
@@ -173,18 +153,20 @@ def check_functor_laws(f: MonotoneMap, g: MonotoneMap) -> dict | None:
     """The first law of the powerdomain functor that ``f``, ``g`` break,
     as a dict of its name and witness, or None.
 
-    Composition first, then identity on the source, middle and target.
+    Composition first: the composite of the images of the induced maps
+    of ``f`` and ``g`` against the image of the induced map of
+    ``compose(g, f)``, one lookup per point.  Then identity on the
+    source, middle and target.
     """
     if f.target != g.source:
         raise CompositionMismatchError("maps do not compose")
     capacity = resolve_capacity(None)
-    violation = _composition_violation(
-        powerdomain_map(f, capacity),
-        powerdomain_map(g, capacity),
-        powerdomain_map(compose(g, f), capacity),
-    )
-    if violation is not None:
-        return violation
+    lifted_f, lifted_g, lifted_composite = (
+        powerdomain_map(h, capacity).image for h in (f, g, compose(g, f)))
+    composite_lifted = gather(lifted_g, lifted_f)
+    if lifted_composite != composite_lifted:
+        return {"law": "composition", "expected": list(lifted_composite),
+                "got": list(composite_lifted)}
     for poset in dict.fromkeys((f.source, f.target, g.target)):
         violation = _identity_violation(build(poset, capacity))
         if violation is not None:
@@ -304,28 +286,28 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
 
     The induced map is the sup extension of ``phi`` after ``f``, whose
     least-ness ``check_sigma_theorem`` certifies per point with no
-    search.  This check reads it off the extensions instead.  Into the
+    search.  This check reads it off the extensions instead.  Both
+    spaces are built once, under the default capacity read once, and the
+    induced map is lifted on them as its image tuple.  Into the
     two-element chain it is one mask comparison
     (``_sierpinski_minimality``), which lists the extensions, as
     down-sets, only to name a failure or when they may be more than
     ``capacity``; into any other target it enumerates them as the image
-    tuples of ``enumerate_extensions``, compared with the induced map on
-    one up row of the target order per point.  More than ``capacity``
-    extensions raise CapacityError before any law is judged.
-    ``capacity`` bounds the enumeration only: both spaces are built
-    once, under the default capacity read once, and the induced map is
-    lifted on them.
+    tuples of ``enumerate_extensions``, compared with the induced image
+    on one up row of ``target_space.order`` per point.  More than
+    ``capacity`` extensions raise CapacityError before any law is
+    judged.  ``capacity`` bounds the enumeration only.
     """
     default = resolve_capacity(None)
     source_space, target_space = build(f.source, default), build(f.target, default)
-    induced_map = _lift(source_space, target_space, f.image)
+    induced = _lift(source_space, target_space, f.image)
     limit = default if capacity is None else resolve_capacity(capacity)
     if f.target.n == 2 and f.target.up[0] == 0b11:
-        return _sierpinski_minimality(f, induced_map, source_space, limit)
+        return _sierpinski_minimality(f, induced, source_space, limit)
     extensions = _extension_images(source_space, target_space, f.image, limit)
-    if induced_map.image not in extensions:
+    if induced not in extensions:
         return {"law": "induced-map-is-an-extension"}
-    floors = [induced_map.target.up[value] for value in induced_map.image]
+    floors = gather(target_space.order.up, induced)
     for candidate in extensions:
         for point, value in enumerate(candidate):
             if not floors[point] >> value & 1:
@@ -335,9 +317,10 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
 
 
 def _sierpinski_minimality(
-    f: MonotoneMap, induced_map: MonotoneMap, space: PowerdomainSpace, limit: int
+    f: MonotoneMap, induced: tuple[int, ...], space: PowerdomainSpace, limit: int
 ) -> dict | None:
-    """``check_minimality`` for ``f`` into the chain ``0 < 1``.
+    """``check_minimality`` for ``f`` into the chain ``0 < 1``, whose
+    induced map on ``space`` has the image tuple ``induced``.
 
     The powerdomain of the chain is the chain of its points ``{0}`` and
     ``{0, 1}``, so an extension is fixed by its zero set, a down-set of
@@ -364,9 +347,8 @@ def _sierpinski_minimality(
             banned |= order.up[point]
         else:
             low |= order.down[point]
-    image = induced_map.image
-    induced_zeros = mask_of(point for point, value in enumerate(image) if not value)
-    zero_one = image.count(0) + image.count(1) == order.n
+    induced_zeros = mask_of(point for point, value in enumerate(induced) if not value)
+    zero_one = induced.count(0) + induced.count(1) == order.n
     rest = order.full & ~(low | banned)
     if (zero_one and induced_zeros == order.full & ~banned
             and 1 << rest.bit_count() <= limit):

@@ -108,6 +108,9 @@ class FinitePoset(_Value):
         down: tuple[int, ...],
         labels: tuple[str, ...] | None = None,
     ) -> None:
+        up, down = tuple(up), tuple(down)
+        if labels is not None:
+            labels = tuple(labels)
         if n < 1:
             raise RangeError(f"a poset needs at least one element, got n={n}")
         if len(up) != n or len(down) != n:
@@ -168,7 +171,7 @@ class FinitePoset(_Value):
         return cls(n, tuple(up), _transpose(up, n), label_tuple)
 
     # Equality and hashing are written out, not the _Value forms: posets
-    # are lru_cache keys and are compared on every compose and lift.
+    # are lru_cache keys and are compared on every compose.
     def __eq__(self, other: object) -> bool:
         if other is self:
             return True
@@ -453,8 +456,10 @@ def linear_extension(poset: FinitePoset) -> tuple[int, ...]:
 
 
 def is_chain(poset: FinitePoset) -> bool:
-    """Whether every two elements are comparable."""
-    return dimension(poset) == poset.n - 1
+    """Whether every two elements are comparable: each element's up and
+    down rows together cover the whole poset."""
+    full = poset.full
+    return all(u | d == full for u, d in zip(poset.up, poset.down))
 
 
 def _signatures(poset: FinitePoset) -> tuple[tuple[int, int, int, int], ...]:

@@ -33,7 +33,6 @@ from .errors import (
 from .generators import _draw_monotone_image, all_posets, random_poset
 from .maps import (
     MonotoneRule,
-    _composition_violation,
     _identity_violation,
     _lift,
     _made,
@@ -151,8 +150,9 @@ def prop_powerdomain_dimension(case: _Case) -> dict | None:
     Measured over the built order's covers, not the grading that
     ``powerdomain_dimension`` reads.  The paper's "at least dim of the
     base, with equality exactly for chains" follows: a chain of the base
-    has at most n elements, so its dimension is at most n - 1, and
-    ``is_chain`` is the test that it equals n - 1.
+    has at most n elements, so its dimension is at most n - 1, with
+    equality exactly when every two elements are comparable, which
+    ``is_chain`` reads off the rows.
     """
     pd_dim = dimension(build(case.poset, case.capacity).order)
     if pd_dim != case.poset.n - 1:
@@ -229,20 +229,20 @@ def prop_functor_laws(case: _Case) -> dict | None:
     """Composition and identity survive the powerdomain construction.
 
     The space is built once; every lift is made on that space, with no
-    lift cache.  The identity law is checked once, on the one poset
-    every map lives on, even when no map was drawn.  Each image
+    lift cache, as the image tuple of a map from the space's order to
+    itself.  The identity law is checked once, on the one poset every
+    map lives on, even when no map was drawn.  Each image
     ``_endo_images`` returns is lifted once, and each distinct base
     composite once, keyed by its image, since many pairs share one; a
     composite equal to a map reuses that map's lift.
     No map or lift is validated: the maps are monotone by construction,
-    and these laws are what certify the lifts.  Per map ``f``, the
-    lifted composites of ``f`` with every map and the composites of
-    their lifts are gathered with one ``itemgetter`` each and compared
-    as two lists, and at the end every lift is checked to go from the
-    space's order to itself.  Only when something differs are the pairs
-    scanned in order, by ``_composition_violation``, so a composition
-    failure still names the images of its first failing pair as ``f`` and
-    ``g``; an identity failure fails every pair, so it names none.
+    and these laws are what certify the lifts.  In one pass over the
+    maps ``f``, the lifted composites of ``f`` with every map ``g`` and
+    the composites of their lifts are gathered with one ``itemgetter``
+    each and compared as two lists; the first index where the lists of
+    the first such ``f`` differ is the first failing pair in (f, g)
+    order, named by the images of ``f`` and ``g``.  An identity failure
+    fails every pair, so it names none.
     """
     images = _endo_images(case)
     space = build(case.poset, case.capacity)
@@ -250,26 +250,19 @@ def prop_functor_laws(case: _Case) -> dict | None:
     if violation is not None:
         return violation
     lifts = {image: _lift(space, space, image) for image in images}
-    lifted_images = [lifts[image].image for image in images]
-    order = space.order
+    lifted_images = [lifts[image] for image in images]
     for f, lifted_f in zip(images, lifted_images):
         composites = list(map(_gatherer(f), images))
         for composite in composites:
             if composite not in lifts:
                 lifts[composite] = _lift(space, space, composite)
-        if [lifts[c].image for c in composites] != list(
-                map(_gatherer(lifted_f), lifted_images)):
-            break
-    else:
-        if all(lift.source is order and lift.target is order for lift in lifts.values()):
-            return None
-    # Something differs: every lift the scan reads up to its first
-    # failing pair has been made.
-    for f in images:
-        for g in images:
-            violation = _composition_violation(lifts[f], lifts[g], lifts[gather(g, f)])
-            if violation is not None:
-                return {**violation, "f": list(f), "g": list(g)}
+        expected = [lifts[composite] for composite in composites]
+        got = list(map(_gatherer(lifted_f), lifted_images))
+        if expected != got:
+            k = next(k for k, (lifted, composed) in enumerate(zip(expected, got))
+                     if lifted != composed)
+            return {"law": "composition", "expected": list(expected[k]),
+                    "got": list(got[k]), "f": list(f), "g": list(images[k])}
     return None
 
 
@@ -317,14 +310,16 @@ def _chain_images(space: PowerdomainSpace) -> list[tuple[int, ...]]:
 def prop_lift_round_trip(case: _Case) -> dict | None:
     """Lifting inverts inducing on a relabeled copy of the base.
 
-    The rotation is lifted on the two spaces.
+    The rotation is lifted on the two spaces and made a map between
+    their orders, the one lift of the suite that leaves it, for
+    ``lift_homeomorphism``.
     """
     poset, capacity = case.poset, case.capacity
     rotation = tuple((i + 1) % poset.n for i in range(poset.n))
     other = relabel(poset, rotation)
     sigma = _made(poset, other, rotation)
     space, other_space = build(poset, capacity), build(other, capacity)
-    induced_iso = _lift(space, other_space, rotation)
+    induced_iso = _made(space.order, other_space.order, _lift(space, other_space, rotation))
     try:
         lifted = lift_homeomorphism(space, other_space, induced_iso)
     except NotIsomorphismError:

@@ -523,6 +523,15 @@ def test_is_chain_iff_dimension(poset):
     assert is_chain(poset) == (dimension(poset) == poset.n - 1)
 
 
+def test_is_chain_matches_the_dimension_on_every_small_poset():
+    """``is_chain`` reads comparability off the rows; on every labeled
+    poset with at most 5 elements it is the test that the dimension is
+    n - 1."""
+    for n in range(1, 6):
+        for poset in all_posets(n):
+            assert is_chain(poset) == (dimension(poset) == poset.n - 1)
+
+
 def test_relabel_and_isomorphism(vee):
     moved = relabel(vee, (2, 0, 1))
     iso = find_isomorphism(vee, moved)

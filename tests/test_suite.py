@@ -3,7 +3,6 @@
 import functools
 import gc
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -52,12 +51,14 @@ from smyth.suite import (
     prop_sup_extension_of_embedding,
 )
 
+from pins import ledger
 from conftest import (
     antichain,
     boolean_lattice,
     chain,
     constant_lift,
     diamond_poset,
+    functor_laws_by_pair_scan,
     lift_without_closure,
     patch_lift,
     vee_poset,
@@ -144,6 +145,26 @@ PINNED_SCOPES = [
 ]
 
 
+@pytest.fixture(scope="module")
+def suite_run():
+    """``run_suite`` of a scope, run once per module and kept as the
+    sha256 prefix and count of its report lines and its ledger."""
+    @functools.cache
+    def run(scope):
+        reports = run_suite(scope)
+        text = "\n".join(r.to_json() for r in reports)
+        return (hashlib.sha256(text.encode()).hexdigest()[:16], len(reports),
+                ledger.ledger_lines(reports))
+    return run
+
+
+def assert_ledger_holds(run, lines):
+    """The ledger of ``run`` is the one in ``tests/pins``; a mismatch
+    names each property that moved."""
+    pinned = ledger.ledger_path(run).read_text().splitlines()
+    assert lines == pinned, f"{run}: moved {ledger.moved(pinned, lines)}"
+
+
 # exhaustive-5 (39 143 pass, 3 167 skipped) and the random scope, the
 # suite's path through random_poset (560 pass, 40 skipped), are pinned
 # here alone: the other tests over PINNED_SCOPES would run them again
@@ -151,30 +172,28 @@ PINNED_SCOPES = [
     ("exhaustive-5", "4c8d6b2287f293cd", 42310),
     ("random:60:9:2024", "23e6718b9f23a0b1", 600),
 ])
-def test_report_lists_are_pinned(scope, digest, count):
+def test_report_lists_are_pinned(suite_run, scope, digest, count):
     # a sha256 prefix of every report line: a change meant to keep each
     # verdict, witness and skip reason must leave these bytes alone
-    reports = run_suite(scope)
-    text = "\n".join(r.to_json() for r in reports)
-    assert (hashlib.sha256(text.encode()).hexdigest()[:16], len(reports)) == (
-        digest, count
-    ), verdict_counts(reports)
+    found, length, lines = suite_run(scope)
+    assert (found, length) == (digest, count), "\n".join(lines)
 
 
-def verdict_counts(reports):
-    """Each property's pass, fail and skipped counts, a line each, in
-    the order the properties first report."""
-    counts = Counter((r.property, r.verdict) for r in reports)
-    return "\n".join(
-        f"{name}: " + ", ".join(f"{counts[name, verdict]} {verdict}"
-                                for verdict in (PASS, FAIL, SKIPPED))
-        for name in dict.fromkeys(r.property for r in reports))
+@pytest.mark.parametrize("scope", ledger.SCOPES)
+def test_scope_ledgers_are_pinned(suite_run, scope):
+    assert_ledger_holds(scope, suite_run(scope)[2])
 
 
-def test_verdict_counts_name_each_property():
-    reports = [passed("p", {}), skipped("q", {}, "why"), failed("p", {}, law="x")]
-    assert verdict_counts(reports) == (
-        "p: 1 pass, 1 fail, 0 skipped\nq: 0 pass, 0 fail, 1 skipped")
+def test_ledger_lines_name_each_property():
+    reports = [passed("p", {}), skipped("q", {}, "why: x"), skipped("q", {"n": 1}, "why"),
+               failed("p", {}, law="x")]
+    lines = ledger.ledger_lines(reports)
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        "p: 1 pass, 1 fail, 0 skipped; skipped by reason: none; lines",
+        "q: 0 pass, 0 fail, 2 skipped; skipped by reason: why 2; lines"]
+    moved_q = lines[:1] + [lines[1].replace("2 skipped", "3 skipped")]
+    assert ledger.moved(lines, moved_q) == ["q"]
+    assert ledger.moved(lines, lines[:1]) == ["q"]
 
 
 def test_random_scope_deterministic():
@@ -439,31 +458,29 @@ def test_sigma_properties_search_no_extensions(monkeypatch):
     assert sigma_reports() == expected
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+@pytest.fixture(scope="module")
+def seed_0_sweep():
+    """The benchmark's seed-0 ``sweep``, run once per module and kept as
+    its poset count, its check and its ledger."""
+    workloads = ledger.bench_workloads()
+    outputs = ledger.sweep_outputs(workloads)
+    ok, summary = workloads.sweep_check(outputs)
+    return (len(outputs), all(ok), summary,
+            ledger.ledger_lines(r for reports in outputs for r in reports))
 
 
-def _bench_workloads():
-    """``bench/workloads.py``, imported from its file."""
-    spec = importlib.util.spec_from_file_location(
-        "suite_bench_workloads", BENCH / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-def test_sweep_matches_its_benchmark_pin():
+def test_sweep_matches_its_benchmark_pin(seed_0_sweep):
     """The benchmark's seed-0 ``sweep`` of 720 five-element posets gives
     the verdict totals and digest pinned in ``bench/pins.json``, which
     ``python3 bench/run.py --check`` requires."""
-    workloads = _bench_workloads()
-    posets = workloads.sweep_setup(0, 20)
-    ok, summary = workloads.sweep_check(
-        [workloads.sweep_operation(poset) for poset in posets]
-    )
-    assert len(posets) == 720 and all(ok)
-    pins = json.loads((BENCH / "pins.json").read_text())
+    count, ok, summary, _ = seed_0_sweep
+    assert count == 720 and ok
+    pins = json.loads((ledger.BENCH / "pins.json").read_text())
     assert summary == pins["sweep"]["0/720"]
+
+
+def test_sweep_ledger_is_pinned(seed_0_sweep):
+    assert_ledger_holds(ledger.SWEEP, seed_0_sweep[3])
 
 
 # The seed-7919 ``sweep``: 720 five-element posets, the benchmark's
@@ -479,7 +496,7 @@ HELD_OUT_SWEEP = {
 def test_sweep_matches_its_held_out_pin():
     """The benchmark's held-out seed-7919 ``sweep`` gives the verdict
     totals and digest pinned here."""
-    workloads = _bench_workloads()
+    workloads = ledger.bench_workloads()
     posets = workloads.sweep_setup(7919, 20)
     ok, summary = workloads.sweep_check(
         [workloads.sweep_operation(poset) for poset in posets]
@@ -492,7 +509,7 @@ def test_build_bases_match_their_pin():
     """The benchmark's seed-0 ``build`` set-up at one second picks the
     same nine (bucket, builder, base) jobs, so that its ``setup_s`` times
     the same bucket search on either side of a change."""
-    workloads = _bench_workloads()
+    workloads = ledger.bench_workloads()
     digest = hashlib.sha256()
     jobs = workloads.build_setup(0, 1)
     for bucket, builder, base in jobs:
@@ -505,7 +522,7 @@ def test_build_jobs_pass_their_benchmark_check():
     that the benchmark's check accepts: canonical distinct down-sets,
     a ``phi_index`` of principal down-sets and a ``leq`` of containment.
     The rng draws the sampled ``leq`` pairs, as the benchmark seeds it."""
-    workloads = _bench_workloads()
+    workloads = ledger.bench_workloads()
     rng = random.Random(0)
     for job in workloads.build_setup(0, 1):
         assert workloads.build_check(job, workloads.build_operation(job), rng) == []
@@ -537,7 +554,7 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
             lifted = original(source_space, target_space, image)
             if image != corrupted:
                 return lifted
-            return maps._made(lifted.source, lifted.target, lifted.image[:-1] + (0,))
+            return lifted[:-1] + (0,)
         return lift
 
     patch_lift(monkeypatch, corrupting)
@@ -556,30 +573,38 @@ def test_functor_law_failure_witness(monkeypatch, corrupted, f_image, g_image, l
     assert replay(report) == report
 
 
-def test_functor_laws_check_each_lifts_source(monkeypatch):
-    """A lift with the right image but the wrong source order fails
-    composition at the first pair, in order, that reads it as ``f`` or
-    as the composite, though every image tuple agrees."""
-    payload = ANTICHAIN_3
-    images = suite._endo_images(suite._Case(payload))
-    wrong = (0, 0, 0)
-    other = build(chain(7)).order
+def reversing_all_but_the_identity(original):
+    """Every induced map but the identity's with its image tuple reversed."""
+    def lift(source_space, target_space, image):
+        lifted = original(source_space, target_space, image)
+        if image == tuple(range(len(image))):
+            return lifted
+        return lifted[::-1]
+    return lift
 
-    def misplacing(original):
-        def lift(source_space, target_space, image):
-            lifted = original(source_space, target_space, image)
-            if image != wrong:
-                return lifted
-            return maps._made(other, lifted.target, lifted.image)
-        return lift
 
-    patch_lift(monkeypatch, misplacing)
-    f, g = next((f, g) for f in images for g in images
-                if wrong in (f, tuple(g[v] for v in f)) and f != tuple(g[v] for v in f))
-    report = prop_functor_laws(payload)
-    assert (report.verdict, report.witness["law"]) == (FAIL, "composition")
-    assert (report.witness["f"], report.witness["g"]) == (list(f), list(g))
-    assert report.witness["expected"] == report.witness["got"]
+@pytest.mark.parametrize("lift, laws", [
+    (None, {None: 79}),
+    (constant_lift, {None: 7, "identity": 72}),
+    (lift_without_closure, {None: 40, "composition": 39}),
+    (reversing_all_but_the_identity, {None: 9, "composition": 70}),
+], ids=["real", "constant", "without-closure", "reversing"])
+def test_functor_laws_match_the_pair_scan(monkeypatch, lift, laws):
+    """On every payload of ``exhaustive-3`` and ``random:60:9:2024``, the
+    one-pass law of ``functor-laws`` returns the None or the witness of
+    the ordered scan over every pair, under the real lift and seeded
+    wrong ones that return image tuples."""
+    if lift is not None:
+        patch_lift(monkeypatch, lift)
+    payloads = [document_of_poset(poset).to_payload() for poset in all_posets(3)]
+    payloads += [document_of_poset(random_poset(1 + k % 9, 2024 + k)).to_payload()
+                 for k in range(60)]
+    found = Counter()
+    for payload in payloads:
+        expected = functor_laws_by_pair_scan(payload)
+        assert prop_functor_laws.__wrapped__(suite._Case(payload)) == expected, payload
+        found[None if expected is None else expected["law"]] += 1
+    assert found == laws
 
 
 def test_functor_laws_lift_each_composite_once(monkeypatch):
@@ -643,9 +668,8 @@ def test_functor_laws_validate_each_map_once(monkeypatch):
 
 def reversing_lift(original):
     """Every induced map with its image tuple reversed."""
-    def lift(source_space, target_space, image):
-        lifted = original(source_space, target_space, image)
-        return maps._made(lifted.source, lifted.target, lifted.image[::-1])
+    def lift(*args):
+        return original(*args)[::-1]
     return lift
 
 
@@ -722,7 +746,7 @@ def test_extension_minimality_failure_witness(monkeypatch, corrupted, lifted_ima
             lifted = original(source_space, target_space, image)
             if target_space.base != chain2 or image != corrupted:
                 return lifted
-            return maps._made(lifted.source, lifted.target, lifted_image)
+            return lifted_image
         return lift
 
     patch_lift(monkeypatch, corrupting)
