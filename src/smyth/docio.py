@@ -25,14 +25,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DocumentError, _Value
-from .poset import FinitePoset, iter_bits
+from .poset import FinitePoset, _is_int, iter_bits
 
 if TYPE_CHECKING:
     from .powerdomain import PowerdomainSpace
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _EXPECT_TYPES = {

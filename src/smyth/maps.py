@@ -23,6 +23,7 @@ from .errors import (
 from .poset import (
     FinitePoset,
     _down_sets_by_extension,
+    _is_int,
     _monotonicity_violation,
     gather,
     is_order_embedding,
@@ -38,8 +39,9 @@ class MonotoneMap(_Value):
     """A map ``source -> target`` given by its image tuple.
 
     The constructor validates an image that comes from outside the
-    package: its length and range, then monotonicity on each cover edge
-    of the source, the cover test ``is_order_embedding`` also runs.
+    package: its length, each value an ``int`` index of the target,
+    then monotonicity on each cover edge of the source, the cover test
+    ``is_order_embedding`` also runs.
     Every map the package derives is made by ``_made`` with no check,
     and certified by the law that covers it.
     """
@@ -56,8 +58,8 @@ class MonotoneMap(_Value):
             raise RangeError("image tuple does not match the source size")
         target_n = self.target.n
         for value in self.image:
-            if not 0 <= value < target_n:
-                raise RangeError(f"image value {value} is out of range")
+            if not _is_int(value) or not 0 <= value < target_n:
+                raise RangeError(f"image value {value!r} is out of range")
         violation = _monotonicity_violation(source, target, self.image)
         if violation is not None:
             x, y = violation
@@ -284,26 +286,26 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     """The first law of the induced map of ``f`` being its pointwise-least
     extension that breaks, as a dict of its name and witness, or None.
 
-    The induced map is the sup extension of ``phi`` after ``f``, whose
-    least-ness ``check_sigma_theorem`` certifies per point with no
-    search.  This check reads it off the extensions instead.  Both
-    spaces are built once, under the default capacity read once, and the
-    induced map is lifted on them as its image tuple.  Into the
-    two-element chain it is one mask comparison
-    (``_sierpinski_minimality``), which lists the extensions, as
-    down-sets, only to name a failure or when they may be more than
-    ``capacity``; into any other target it enumerates them as the image
-    tuples of ``enumerate_extensions``, compared with the induced image
-    on one up row of ``target_space.order`` per point.  More than
-    ``capacity`` extensions raise CapacityError before any law is
-    judged.  ``capacity`` bounds the enumeration only.
+    Both spaces are built once, under the default capacity, and the
+    induced map is lifted on them as its image tuple.  A map into the
+    two-element chain that ``_least_into_the_chain`` certifies passes
+    with no search.  Every other map lists its extensions as the image
+    tuples of ``enumerate_extensions``: the induced map must be one
+    (``induced-map-is-an-extension``) and lie below each, on one up row
+    of ``target_space.order`` per point (``pointwise-least``, naming the
+    first failing candidate and point).  More than ``capacity``
+    extensions raise CapacityError before any law is judged;
+    ``capacity`` bounds the enumeration only.  The induced map is the
+    sup extension of ``phi`` after ``f``, whose least-ness
+    ``check_sigma_theorem`` certifies per point with no search.
     """
     default = resolve_capacity(None)
     source_space, target_space = build(f.source, default), build(f.target, default)
     induced = _lift(source_space, target_space, f.image)
     limit = default if capacity is None else resolve_capacity(capacity)
-    if f.target.n == 2 and f.target.up[0] == 0b11:
-        return _sierpinski_minimality(f, induced, source_space, limit)
+    if (f.target.n == 2 and f.target.up[0] == 0b11
+            and _least_into_the_chain(f.image, induced, source_space, limit)):
+        return None
     extensions = _extension_images(source_space, target_space, f.image, limit)
     if induced not in extensions:
         return {"law": "induced-map-is-an-extension"}
@@ -316,74 +318,40 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     return None
 
 
-def _sierpinski_minimality(
-    f: MonotoneMap, induced: tuple[int, ...], space: PowerdomainSpace, limit: int
-) -> dict | None:
-    """``check_minimality`` for ``f`` into the chain ``0 < 1``, whose
-    induced map on ``space`` has the image tuple ``induced``.
+def _least_into_the_chain(
+    image: tuple[int, ...], induced: tuple[int, ...], space: PowerdomainSpace, limit: int
+) -> bool:
+    """Whether ``induced``, the lift on ``space`` of the map ``image``
+    into the chain ``0 < 1``, is certified its least extension.
 
-    The powerdomain of the chain is the chain of its points ``{0}`` and
-    ``{0, 1}``, so an extension is fixed by its zero set, a down-set of
-    ``space.order``.  The anchors bound it: it holds ``low``, the down
-    rows of the principal points that ``f`` sends to 0, and misses
-    ``banned``, the up rows of those sent to 1; ``f`` is monotone, so
-    the two are disjoint.  An extension lies above the induced map
-    exactly when its zero set lies inside the induced map's, and the
-    largest zero set is the complement of ``banned``, the basic open
-    U(D) of the points inside D, the zero set of ``f``.  So the induced
-    map is the least extension exactly when its image is 0 and 1 alone
-    and its zero set is U(D): one mask comparison.
-
-    The extensions are enumerated, by ``_sierpinski_by_enumeration``,
-    only when that comparison fails, to name the witness, or when the
-    2 ** |rest| zero sets that the points outside ``low`` and ``banned``
-    allow may be more than ``limit``, so that a map over the budget is
-    still reported as over it.
+    An extension is fixed by its zero set, a down-set of ``space.order``
+    that holds ``low``, the down rows of the principal points sent to 0,
+    and misses ``banned``, the up rows of those sent to 1.  The largest
+    is the complement of ``banned``, the basic open U(D) of the zero set
+    D of ``image``, so the lift is least exactly when its image is 0 and
+    1 alone and its zero set is U(D).  The extensions are the ``low | e``
+    for ``e`` a down-set of the points in neither bound, ``rest``; when
+    2 ** |rest| may be more than ``limit`` they are counted, not judged,
+    so that a certified map over the budget still raises CapacityError.
     """
     order = space.order
     low = banned = 0
-    for point, value in zip(space.phi_index, f.image):
+    for point, value in zip(space.phi_index, image):
         if value:
             banned |= order.up[point]
         else:
             low |= order.down[point]
-    induced_zeros = mask_of(point for point, value in enumerate(induced) if not value)
-    zero_one = induced.count(0) + induced.count(1) == order.n
-    rest = order.full & ~(low | banned)
-    if (zero_one and induced_zeros == order.full & ~banned
-            and 1 << rest.bit_count() <= limit):
-        return None
-    return _sierpinski_by_enumeration(order, low, rest, induced_zeros, zero_one, limit)
-
-
-def _sierpinski_by_enumeration(
-    order: FinitePoset, low: int, rest: int, induced_zeros: int, zero_one: bool, limit: int
-) -> dict | None:
-    """``_sierpinski_minimality`` by listing the extensions.
-
-    The zero sets are ``low | e`` for ``e`` a down-set of the order on
-    ``rest``; more than ``limit`` of them raise CapacityError.  The
-    failure witness is the first failing extension as an image tuple,
-    in the order ``enumerate_extensions`` lists them, and its first
-    failing point.
-    """
-    try:
-        found = _down_sets_by_extension(order, rest, limit - 1)
-    except CapacityError:
-        raise CapacityError(f"more than {limit} anchored extensions") from None
-    zero_sets = [low | e for e in found]
-    if not zero_one or induced_zeros not in zero_sets:
-        return {"law": "induced-map-is-an-extension"}
-    ones = ~induced_zeros
-    failing = [zeros for zeros in zero_sets if zeros & ones]
-    if not failing:
-        return None
-    candidate, zeros = min(
-        (tuple(0 if zeros >> point & 1 else 1 for point in range(order.n)), zeros)
-        for zeros in failing)
-    below = zeros & ones
-    return {"law": "pointwise-least", "point": (below & -below).bit_length() - 1,
-            "candidate": list(candidate)}
+    zeros = mask_of(point for point, value in enumerate(induced) if not value)
+    if (induced.count(0) + induced.count(1) != order.n
+            or zeros != order.full & ~banned):
+        return False
+    rest = zeros & ~low
+    if 1 << rest.bit_count() > limit:
+        try:
+            _down_sets_by_extension(order, rest, limit - 1)
+        except CapacityError:
+            raise CapacityError(f"more than {limit} anchored extensions") from None
+    return True
 
 
 def is_order_isomorphism(f: MonotoneMap) -> bool:

@@ -46,6 +46,11 @@ def resolve_capacity(capacity: int | None) -> int:
     return value
 
 
+def _is_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool``: an index or mask from outside."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def mask_of(indices: Iterable[int]) -> int:
     """Bit mask with the given element indices set."""
     mask = 0
@@ -79,10 +84,12 @@ class FinitePoset(_Value):
     makes the two closure operators plain OR-folds over rows.
 
     The constructor is the entry check, for rows that come from outside
-    the package.  It accepts exactly the rows where ``up`` is a partial
-    order and ``down`` is its transpose: every row stays within
-    ``range(n)``, ``up`` is reflexive, ``up[i] & down[i]`` is ``{i}``
-    alone (antisymmetry, else CycleError), and one pass of
+    the package.  It accepts an ``int`` count, ``int`` rows and ``str``
+    labels (a ``bool`` is no ``int`` here), else RangeError, and exactly
+    the rows where ``up`` is a partial order and ``down`` is its
+    transpose: every row stays within ``range(n)``, ``up`` is reflexive,
+    ``up[i] & down[i]`` is ``{i}`` alone (antisymmetry, else
+    CycleError), and one pass of
     ``_check_rows`` rebuilds each down row from the down rows of a few
     picked members, then each up row from the up rows of the elements
     that picked it (transitivity and the transpose, else
@@ -111,14 +118,17 @@ class FinitePoset(_Value):
         up, down = tuple(up), tuple(down)
         if labels is not None:
             labels = tuple(labels)
-        if n < 1:
-            raise RangeError(f"a poset needs at least one element, got n={n}")
+        if not _is_int(n) or n < 1:
+            raise RangeError(f"n must be a positive integer, got {n!r}")
         if len(up) != n or len(down) != n:
             raise RangeError("relation rows do not match the element count")
-        if labels is not None and len(labels) != n:
-            raise RangeError("labels do not match the element count")
+        if labels is not None and (
+                len(labels) != n or not all(isinstance(label, str) for label in labels)):
+            raise RangeError("labels must be n strings")
         for i in range(n):
             above, below = up[i], down[i]
+            if not (_is_int(above) and _is_int(below)):
+                raise RangeError(f"row {i} is not an integer mask")
             if (above < 0 or below < 0
                     or above.bit_length() > n or below.bit_length() > n):
                 raise RangeError(f"row {i} mentions elements outside range(n)")
@@ -154,12 +164,12 @@ class FinitePoset(_Value):
         may pick more than the covers.  Cyclic input raises CycleError
         from its antisymmetry check.
         """
-        if n < 1:
-            raise RangeError(f"a poset needs at least one element, got n={n}")
+        if not _is_int(n) or n < 1:
+            raise RangeError(f"n must be a positive integer, got {n!r}")
         up = [1 << i for i in range(n)]
         for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise RangeError(f"relation ({i}, {j}) is out of range for n={n}")
+            if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
+                raise RangeError(f"relation ({i!r}, {j!r}) is out of range for n={n}")
             up[i] |= 1 << j
         for k in range(n):
             row_k = up[k]

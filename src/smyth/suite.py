@@ -274,17 +274,17 @@ def prop_extension_minimality(case: _Case) -> dict | str | None:
     (the Sierpinski-valued maps).  Those are the indicators of the
     down-sets of the base, so they are read off the points of its built
     powerdomain, plus the empty set, as image tuples in sorted order,
-    the order of ``all_monotone_images``.  ``check_minimality`` judges
-    each with one mask comparison, and lists its extensions on masks,
-    as down-sets of the points between the anchors' bounds, only to
-    name a failure or when they may be more than the capacity; more
-    than the capacity is reported as skipped, not guessed, and so is a
-    powerdomain over the default capacity.  A failure names the image of
-    the first failing map as ``map``.  Each induced map is the sup
-    extension of ``phi`` after the map, whose least-ness
-    ``check_sigma_theorem`` certifies per point with no enumeration;
-    this property still bounds the zero sets it could list, so the
-    5-element antichain is over its budget.
+    the order of ``all_monotone_images``.  ``check_minimality``
+    certifies each with one mask comparison and counts its extensions,
+    as down-sets, only when they may be more than the capacity; a map it
+    does not certify is judged on the searched extensions, which name
+    the law and witness.  More than the capacity is reported as
+    skipped, not guessed, and so is a powerdomain over the default
+    capacity.  A failure names the image of the first failing map as
+    ``map``.  Each induced map is the sup extension of ``phi`` after the
+    map, whose least-ness ``check_sigma_theorem`` certifies per point
+    with no enumeration; this property still bounds the extensions it
+    counts, so the 5-element antichain is over its budget.
     """
     try:
         for image in _chain_images(build(case.poset, case.capacity)):

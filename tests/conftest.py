@@ -419,6 +419,18 @@ def lift_without_closure(original):
     return lift
 
 
+def greatest_extension_lift(original):
+    """Each point sent to 0 only when it lies inside a principal down-set
+    sent to 0: an extension into the chain, the greatest, so it is
+    pointwise-least only where it is the induced map."""
+    def lift(space, target, image):
+        base = space.base
+        zeros = [base.down[x] for x in range(base.n) if image[x] == 0]
+        return tuple(0 if any(member & ~down == 0 for down in zeros) else 1
+                     for member in space.points)
+    return lift
+
+
 def patch_lift(monkeypatch, mutant):
     """Put ``mutant(maps._lift)`` in place of ``_lift`` in every module of
     the package that binds it, behind a fresh lift cache, so that no

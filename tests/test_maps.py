@@ -29,7 +29,6 @@ from smyth.poset import (
     _monotonicity_violation,
     find_isomorphism,
     iter_bits,
-    mask_of,
     relabel,
     resolve_capacity,
 )
@@ -38,6 +37,7 @@ from conftest import (
     antichain,
     chain,
     constant_lift,
+    greatest_extension_lift,
     induced,
     is_order_isomorphism_by_pairs,
     is_spectral,
@@ -340,18 +340,6 @@ def maps_into_the_chain(max_n):
             for image in all_monotone_images(source, chain2)]
 
 
-def greatest_extension_lift(original):
-    """Each point sent to 0 only when it lies inside a principal down-set
-    sent to 0: an extension into the chain, the greatest, so it is
-    pointwise-least only where it is the induced map."""
-    def lift(space, target, image):
-        base = space.base
-        zeros = [base.down[x] for x in range(base.n) if image[x] == 0]
-        return tuple(0 if any(member & ~down == 0 for down in zeros) else 1
-                     for member in space.points)
-    return lift
-
-
 @pytest.mark.parametrize("lift", [None, constant_lift, lift_without_closure,
                                   greatest_extension_lift])
 def test_minimality_into_the_chain_matches_the_search(monkeypatch, lift):
@@ -365,44 +353,6 @@ def test_minimality_into_the_chain_matches_the_search(monkeypatch, lift):
         expected = minimality_by_search(f)
         assert check_minimality(f) == expected, f.image
         laws[None if expected is None else expected["law"]] += 1
-    assert sum(laws.values()) == 1788
-    if lift is None:
-        assert laws == {None: 1788}
-    elif lift is greatest_extension_lift:
-        assert laws[None] and laws["pointwise-least"]
-    else:
-        assert laws["induced-map-is-an-extension"]
-
-
-@pytest.mark.parametrize("lift", [None, constant_lift, lift_without_closure,
-                                  greatest_extension_lift])
-def test_minimality_certificate_matches_the_forced_enumeration(monkeypatch, lift):
-    """Every monotone map into the two-element chain from a labeled poset
-    with up to 4 elements: the mask certificate returns the verdict and
-    witness of listing every extension, under the real lift and seeded
-    wrong ones.  The listing is forced on the anchors' bounds read off
-    the definitions: ``low`` holds the points inside the principal
-    down-set of an element sent to 0, ``rest`` the other points inside
-    the zero set of the map; the lift's zero set and its 0/1 test are
-    read off its image."""
-    if lift is not None:
-        patch_lift(monkeypatch, lift)
-    limit = resolve_capacity(None)
-    laws = Counter()
-    for f in maps_into_the_chain(4):
-        space = build(f.source)
-        down = f.source.down
-        zeros = [x for x, value in enumerate(f.image) if value == 0]
-        low = mask_of(i for i, point in enumerate(space.points)
-                      if any(point & ~down[x] == 0 for x in zeros))
-        inside = mask_of(i for i, point in enumerate(space.points)
-                         if point & ~mask_of(zeros) == 0)
-        lifted = maps._lift(space, build(f.target), f.image)
-        lifted_zeros = mask_of(i for i, value in enumerate(lifted) if value == 0)
-        forced = maps._sierpinski_by_enumeration(
-            space.order, low, inside & ~low, lifted_zeros, set(lifted) <= {0, 1}, limit)
-        assert check_minimality(f) == forced, f.image
-        laws[None if forced is None else forced["law"]] += 1
     assert sum(laws.values()) == 1788
     if lift is None:
         assert laws == {None: 1788}

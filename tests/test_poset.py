@@ -11,6 +11,7 @@ from smyth import (
     CapacityError,
     CycleError,
     FinitePoset,
+    MonotoneMap,
     NotAnOrderError,
     RangeError,
     SmythError,
@@ -128,6 +129,25 @@ def test_direct_construction_validation():
     with pytest.raises(ValueError):
         # up is the antichain but down says 0 <= 1
         FinitePoset(2, up=(0b01, 0b10), down=(0b01, 0b11))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FinitePoset(2, ("a", 2), (1, 3)),
+    lambda: FinitePoset(2.0, (3, 2), (1, 3)),
+    lambda: FinitePoset(1, (True,), (True,)),
+    lambda: FinitePoset(2, (3, 2), (1, 3), labels=(1, 2)),
+    lambda: FinitePoset.from_cover_relations(2.0, [(0, 1)]),
+    lambda: FinitePoset.from_cover_relations(2, [("0", 1)]),
+    lambda: MonotoneMap(chain(2), chain(2), ("0", 1)),
+    lambda: MonotoneMap(chain(2), chain(2), (0.0, 1)),
+    lambda: MonotoneMap(chain(2), chain(2), (False, True)),
+], ids=["str-row", "float-n", "bool-rows", "int-labels", "float-n-from-covers",
+        "str-cover", "str-image", "float-image", "bool-image"])
+def test_entry_checks_reject_values_of_the_wrong_type(make):
+    """The entry checks take ``int`` counts, rows and images (a ``bool``
+    is not one) and ``str`` labels; any other value is a RangeError."""
+    with pytest.raises(RangeError):
+        make()
 
 
 def test_validation_matches_definition():

@@ -59,7 +59,9 @@ from conftest import (
     constant_lift,
     diamond_poset,
     functor_laws_by_pair_scan,
+    greatest_extension_lift,
     lift_without_closure,
+    minimality_by_search,
     patch_lift,
     vee_poset,
 )
@@ -856,7 +858,7 @@ def dropping_a_cover(original):
 
 def over_the_whole_order(original):
     """A down-set enumeration that drops its carrier: the extensions into
-    the two-element chain ignore the anchors' bounds."""
+    the two-element chain are counted past the anchors' bounds."""
     def enumerate_all(poset, carrier, limit):
         return original(poset, poset.full, limit)
     return enumerate_all
@@ -883,15 +885,17 @@ CHAIN_2 = {"n": 2, "covers": [[0, 1]]}
 ANTICHAIN_2 = {"n": 2, "covers": []}
 ANTICHAIN_3 = {"n": 3, "covers": []}
 ANTICHAIN_4 = {"n": 4, "covers": []}
+ANTICHAIN_5 = {"n": 5, "covers": []}
 # The vee 2, 3 < 4 and the points 0 and 1, all under the top 5.  The map
 # that sends only the top to 1 leaves 13 points of the powerdomain
 # between its anchors' bounds: 2 ** 13 zero sets may be more than the
-# shipped minimality capacity, so the enumeration judges that map.
+# shipped minimality capacity, so the chain route counts its extensions.
 UNDER_A_TOP = {"n": 6, "covers": [[0, 5], [1, 5], [2, 4], [3, 4], [4, 5]]}
 # The 4-element antichain under a top: 11 points between the bounds of
 # the map that sends only the top to 1, so a capacity below 2 ** 11
-# makes the enumeration judge it.
+# makes the chain route count its extensions.
 FAN_4 = {"n": 5, "covers": [[0, 4], [1, 4], [2, 4], [3, 4]]}
+UNDER_A_TOP_RELATIONS = {**UNDER_A_TOP, "covers": UNDER_A_TOP["covers"] + [[2, 5], [3, 5]]}
 
 
 @pytest.mark.parametrize("module, name, mutant, check, law", [
@@ -915,10 +919,10 @@ FAN_4 = {"n": 5, "covers": [[0, 4], [1, 4], [2, 4], [3, 4]]}
      suite_check("embedding-theorem", ANTICHAIN_2), "unique-maximal-point"),
     (completion, "preserves_sups", lambda original: lambda space, f: False,
      suite_check("sup-extension-of-embedding", ANTICHAIN_4), "sup-preserving"),
-    (maps, "_down_sets_by_extension", over_the_whole_order,
-     suite_check("extension-minimality", UNDER_A_TOP), "pointwise-least"),
-    (maps, "_down_sets_by_extension", enumerating_none,
-     suite_check("extension-minimality", UNDER_A_TOP), "induced-map-is-an-extension"),
+    (maps, "_lift", greatest_extension_lift,
+     suite_check("extension-minimality", VEE), "pointwise-least"),
+    (maps, "_lift", lift_without_closure,
+     suite_check("extension-minimality", VEE), "induced-map-is-an-extension"),
     (suite, "poset_of_topology", lambda original: lambda *args: order_dual(original(*args)),
      suite_check("topology-round-trip", VEE), "recovers-order"),
     (suite, "is_phi_surjective", lambda original: lambda space: True,
@@ -1023,29 +1027,64 @@ def test_rebound_failures_report_the_payload(monkeypatch, prop):
     assert report.witness["instance"] == CHAIN_3_RELATIONS
 
 
-@pytest.mark.parametrize("mutant, law", [
-    (over_the_whole_order, "pointwise-least"),
-    (enumerating_none, "induced-map-is-an-extension"),
-])
-@pytest.mark.parametrize("payload, capacity", [
-    (FAN_4, 1024),
-    ({**UNDER_A_TOP, "covers": UNDER_A_TOP["covers"] + [[2, 5], [3, 5]]},
-     suite.MINIMALITY_CAPACITY),
-], ids=["fan-4-at-capacity-1024", "under-a-top-relations"])
-def test_minimality_mask_route_defects_fail_their_law(
-    monkeypatch, payload, capacity, mutant, law
+@pytest.mark.parametrize("mutant, payload, capacity, before, after", [
+    (over_the_whole_order, FAN_4, 128, PASS, SKIPPED),
+    (enumerating_none, ANTICHAIN_5, suite.MINIMALITY_CAPACITY, SKIPPED, PASS),
+    (over_the_whole_order, UNDER_A_TOP_RELATIONS, 128, PASS, SKIPPED),
+    (enumerating_none, UNDER_A_TOP_RELATIONS, 64, SKIPPED, PASS),
+], ids=["fan-4-at-capacity-128-over_the_whole_order", "antichain-5-enumerating_none",
+        "under-a-top-relations-at-capacity-128-over_the_whole_order",
+        "under-a-top-relations-at-capacity-64-enumerating_none"])
+def test_minimality_count_defects_flip_the_verdict(
+    monkeypatch, mutant, payload, capacity, before, after
 ):
-    """Each seeded defect of the extension enumeration into the
-    two-element chain fails its own law, and replays, on payloads where
-    the enumeration judges a map: the capacity is below the 2 ** |rest|
-    zero sets its anchors' bounds allow.  The second payload is given by
-    relations, not covers."""
+    """The chain route lists down-sets only to count the extensions of a
+    certified map against the budget, so a seeded defect of that listing
+    names no law: it moves the verdict between pass and skip.  A map of
+    ``FAN_4`` has at most 114 extensions and its whole order 168
+    down-sets; ``UNDER_A_TOP_RELATIONS`` is given by relations, not
+    covers."""
     monkeypatch.setattr(suite, "MINIMALITY_CAPACITY", capacity)
-    assert PROPERTIES["extension-minimality"](payload).verdict == PASS
+    assert PROPERTIES["extension-minimality"](payload).verdict == before
     monkeypatch.setattr(maps, "_down_sets_by_extension", mutant(maps._down_sets_by_extension))
     report = PROPERTIES["extension-minimality"](payload)
-    assert (report.verdict, report.witness["law"]) == (FAIL, law)
-    assert replay(report) == report
+    assert report.verdict == after
+    if after == SKIPPED:
+        assert report.reason == f"enumeration over budget: more than {capacity} anchored extensions"
+
+
+@pytest.mark.parametrize("lift", [None, constant_lift, lift_without_closure,
+                                  greatest_extension_lift])
+def test_minimality_count_path_matches_the_search(monkeypatch, lift):
+    """Every map into the chain from ``FAN_4`` and ``UNDER_A_TOP``, at
+    capacities on both sides of their extension counts: the route that
+    certifies and counts gives the dict of the search over image tuples,
+    or raises its CapacityError text, under the real lift and seeded
+    wrong ones."""
+    if lift is not None:
+        patch_lift(monkeypatch, lift)
+    chain2 = suite.CHAIN2
+    outcomes = Counter()
+    for payload in (FAN_4, UNDER_A_TOP):
+        poset = FinitePoset.from_cover_relations(payload["n"], payload["covers"])
+        for image in all_monotone_images(poset, chain2):
+            f = MonotoneMap(poset, chain2, image)
+            for capacity in (16, 64, 128, 1024, 4096):
+                try:
+                    expected = minimality_by_search(f, capacity)
+                except CapacityError as exc:
+                    with pytest.raises(CapacityError) as raised:
+                        maps.check_minimality(f, capacity)
+                    assert str(raised.value) == str(exc)
+                    outcomes["over budget"] += 1
+                    continue
+                assert maps.check_minimality(f, capacity) == expected, (image, capacity)
+                outcomes[None if expected is None else expected["law"]] += 1
+    assert outcomes["over budget"]
+    if lift is None:
+        assert set(outcomes) == {None, "over budget"}
+    else:
+        assert outcomes.keys() - {None, "over budget"}
 
 
 def test_chain_maps_are_the_monotone_images():
@@ -1067,17 +1106,17 @@ def test_minimality_certificate_fails_a_lift_without_down_closure(
     monkeypatch, payload, first_failing
 ):
     """On these payloads the mask certificate passes every map into the
-    chain with no extension listed; with the lift's down closure left
+    chain with no extension searched; with the lift's down closure left
     out, it fails, and the extensions of the first failing map are
-    listed once, to name the law."""
+    searched once, as image tuples, to name the law."""
     listed = []
-    enumerate_down_sets = maps._down_sets_by_extension
+    search = maps.anchored_extensions
 
-    def recording(order, carrier, limit):
-        listed.append(carrier)
-        return enumerate_down_sets(order, carrier, limit)
+    def recording(source_order, anchors, target, capacity=None):
+        listed.append(anchors)
+        return search(source_order, anchors, target, capacity)
 
-    monkeypatch.setattr(maps, "_down_sets_by_extension", recording)
+    monkeypatch.setattr(maps, "anchored_extensions", recording)
     assert PROPERTIES["extension-minimality"](payload).verdict == PASS
     assert listed == []
     patch_lift(monkeypatch, lift_without_closure)
