@@ -12,7 +12,6 @@ capacity, not the mask width.
 
 from __future__ import annotations
 
-import heapq
 import os
 from functools import cached_property
 from operator import itemgetter
@@ -31,8 +30,8 @@ CAPACITY_ENV_VAR = "SPECTRAL_CAPACITY"
 def resolve_capacity(capacity: int | None) -> int:
     """Explicit argument, else the SPECTRAL_CAPACITY variable, else 2**16."""
     if capacity is not None:
-        if capacity < 1:
-            raise RangeError(f"capacity must be positive, got {capacity}")
+        if not _is_int(capacity) or capacity < 1:
+            raise RangeError(f"capacity must be a positive integer, got {capacity!r}")
         return capacity
     raw = os.environ.get(CAPACITY_ENV_VAR)
     if raw is None:
@@ -243,24 +242,11 @@ class FinitePoset(_Value):
 
     @cached_property
     def _linear_extension(self) -> tuple[int, ...]:
-        """``pending[j]`` counts the lower covers of ``j`` not yet output;
-        ``j`` joins the heap of eligible indices when it reaches 0."""
-        pending = [mask.bit_count() for mask in self.lower_covers]
-        eligible = [i for i, count in enumerate(pending) if not count]
-        covers = self.upper_covers
-        out = []
-        while eligible:
-            i = heapq.heappop(eligible)
-            out.append(i)
-            mask = covers[i]
-            while mask:
-                low = mask & -mask
-                j = low.bit_length() - 1
-                pending[j] -= 1
-                if not pending[j]:
-                    heapq.heappush(eligible, j)
-                mask ^= low
-        return tuple(out)
+        """The indices sorted by the highest index in each down row, then
+        by its size, read off ``down`` alone."""
+        down = self.down
+        return tuple(sorted(
+            range(self.n), key=lambda i: (down[i].bit_length(), down[i].bit_count())))
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """The covering pairs ``(i, j)``: ``i < j`` with nothing between.
@@ -456,11 +442,14 @@ def _least(poset: FinitePoset, bounds: int) -> int | None:
 
 
 def linear_extension(poset: FinitePoset) -> tuple[int, ...]:
-    """A linear order refining the poset, smallest eligible index first.
+    """A linear order refining the poset: the indices stably sorted by
+    the highest index in each down row and then by the row's size.
 
-    Every prefix of the result is a down-set.  Computed once per poset
-    and cached on it, in O(E + N log N) for N elements and E cover
-    edges: a min-heap holds the indices whose lower covers are all out.
+    If ``y < x`` then ``down[y]`` is a proper subset of ``down[x]``, so
+    the key strictly increases along the order and every prefix of the
+    result is a down-set.  When index order is already a linear
+    extension, the highest index in ``down[i]`` is ``i``, so the result
+    is ``range(n)``.  Computed once per poset and cached on it.
     """
     return poset._linear_extension
 
@@ -612,8 +601,9 @@ def _down_sets_by_extension(poset: FinitePoset, carrier: int, limit: int) -> lis
     extension, which extends the induced order.  ``levels[k]`` holds the
     down-sets of ``k`` members.  Only those at least as large as ``need``,
     the rest of ``x``'s down-set, can hold it; they are scanned top down,
-    each ``d | x`` joining the level above, already scanned.  Each level
-    is one sorted run when the extension is index order.
+    each ``d | x`` joining the level above, already scanned.  Whenever
+    index order is a linear extension, the extension is index order and
+    each level is one sorted run.
     """
     levels: list[list[int]] = [[0]]
     count = 1

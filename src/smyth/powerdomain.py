@@ -17,6 +17,7 @@ from .errors import CapacityError, NotOpenError, RangeError, _Value
 from .poset import (
     FinitePoset,
     _canonical_key,
+    _is_int,
     _minimal,
     _transpose,
     enumerate_down_sets,
@@ -107,11 +108,12 @@ class _InclusionOrder(FinitePoset):
 
     The points are the down-sets of ``base`` (nonempty, or every one in
     the hat space), so the masks alone fix the order: ``leq`` is
-    containment, and canonical order is a linear extension.  Both rows
-    are built by ``_inclusion_rows`` on the first read of either, with
-    no check: the ``order-is-containment`` law of
-    ``check_embedding_theorem`` certifies them.  The covers are read off
-    them as usual.
+    containment.  Both rows are built by ``_inclusion_rows`` on the
+    first read of either, with no check: the ``order-is-containment``
+    law of ``check_embedding_theorem`` certifies them.  The covers and
+    the linear extension are read off them as usual; canonical order
+    puts every proper subset first, so index order is a linear
+    extension and the extension's sort returns it.
     """
 
     def __init__(self, base: FinitePoset, points: tuple[int, ...]) -> None:
@@ -135,11 +137,6 @@ class _InclusionOrder(FinitePoset):
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise RangeError(f"({i}, {j}) is out of range for n={self.n}")
         return self.points[i] & ~self.points[j] == 0
-
-    @cached_property
-    def _linear_extension(self) -> tuple[int, ...]:
-        """The index order: canonical order puts every proper subset first."""
-        return tuple(range(self.n))
 
 
 def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
@@ -325,8 +322,8 @@ def iterate_sizes(
     at the last finished stage, so fewer than ``k + 1`` entries mean the
     iteration was cut short.
     """
-    if k < 0:
-        raise RangeError(f"iteration count must be nonnegative, got {k}")
+    if not _is_int(k) or k < 0:
+        raise RangeError(f"iteration count must be a nonnegative integer, got {k!r}")
     limit = resolve_capacity(capacity)
     sizes = [base.n]
     current = base

@@ -11,7 +11,7 @@ called inverse-closed throughout.
 from __future__ import annotations
 
 from .errors import CapacityError, MalformedFamilyError, RangeError
-from .poset import FinitePoset, _transpose, enumerate_down_sets
+from .poset import FinitePoset, _is_int, _transpose, enumerate_down_sets
 
 
 def open_sets(poset: FinitePoset) -> tuple[int, ...]:
@@ -35,8 +35,8 @@ def poset_of_topology(
     that is not T0 raises CycleError, even one that is not a topology
     either.
     """
-    if n < 1:
-        raise RangeError(f"a poset needs at least one element, got n={n}")
+    if not _is_int(n) or n < 1:
+        raise RangeError(f"n must be a positive integer, got {n!r}")
     full = (1 << n) - 1
     for candidate in opens:
         if candidate < 0 or candidate & ~full:

@@ -1,6 +1,7 @@
 """Core order structure: construction, closures, sups, enumeration."""
 
 import random
+import re
 from collections import defaultdict
 from itertools import combinations, permutations, product
 
@@ -24,8 +25,10 @@ from smyth import (
     inverse_powerdomain,
     is_chain,
     is_down_set,
+    iterate_sizes,
     linear_extension,
     order_dual,
+    poset_of_topology,
     random_poset,
     sup,
 )
@@ -147,6 +150,29 @@ def test_entry_checks_reject_values_of_the_wrong_type(make):
     """The entry checks take ``int`` counts, rows and images (a ``bool``
     is not one) and ``str`` labels; any other value is a RangeError."""
     with pytest.raises(RangeError):
+        make()
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda: resolve_capacity(2.5), 2.5),
+    (lambda: resolve_capacity(True), True),
+    (lambda: resolve_capacity("3"), "3"),
+    (lambda: build(chain(3), 2.5), 2.5),
+    (lambda: all_posets(2.0), 2.0),
+    (lambda: all_posets(True), True),
+    (lambda: random_poset(3.0, 1), 3.0),
+    (lambda: iterate_sizes(chain(2), 2.0), 2.0),
+    (lambda: iterate_sizes(chain(2), True), True),
+    (lambda: poset_of_topology(2.0, (0, 1, 3)), 2.0),
+], ids=["float-capacity", "bool-capacity", "str-capacity", "float-build-capacity",
+        "float-all-posets", "bool-all-posets", "float-random-poset", "float-iterations",
+        "bool-iterations", "float-topology-n"])
+def test_budgets_and_counts_reject_values_of_the_wrong_type(make, value):
+    """A capacity, an element count or an iteration count must be an
+    ``int`` (a ``bool`` is not one), else a RangeError naming the value.
+    ``all_posets(1)`` is cached first, so ``True`` must not be served it."""
+    all_posets(1)
+    with pytest.raises(RangeError, match=f"got {re.escape(repr(value))}$"):
         make()
 
 
@@ -278,16 +304,29 @@ def test_cover_pairs_match_definition():
         assert poset.lower_covers == lower_covers_by_definition(poset)
 
 
-def test_linear_extension_matches_scan():
-    """The cached extension equals the uncached scan, and is computed once.
-    The duals put the smallest eligible index near the end of the scan."""
+def test_linear_extension_keeps_index_order_when_it_extends():
+    """Every prefix of the cached extension is a down-set, it is index
+    order whenever index order is a linear extension (the scan, smallest
+    eligible index first, then returns index order too), and it is
+    computed once.  The duals of the two large orders are not indexed
+    along a linear extension, and neither is the shuffled order."""
     cases = [p for n in range(1, 6) for p in all_posets(n)]
     large = build(random_poset(13, 28)).order
     shuffled = _shuffled_order()
     cases += [large, shuffled, order_dual(large), order_dual(shuffled)]
+    cases += [random_poset(n, seed) for n in (1, 9, 17) for seed in range(5)]
     for poset in cases:
-        assert linear_extension(poset) == linear_extension_by_scan(poset)
-        assert linear_extension(poset) is linear_extension(poset)
+        order = linear_extension(poset)
+        assert sorted(order) == list(range(poset.n))
+        seen = 0
+        for x in order:
+            seen |= 1 << x
+            assert poset.down[x] & ~seen == 0
+        index_order = tuple(range(poset.n))
+        assert (order == index_order) == (linear_extension_by_scan(poset) == index_order)
+        assert order is linear_extension(poset)
+    assert linear_extension(large) == tuple(range(large.n))
+    assert linear_extension(order_dual(large)) != tuple(range(large.n))
 
 
 def test_minimal_finds_a_minimal_and_a_maximal_member():

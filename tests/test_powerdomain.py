@@ -533,6 +533,16 @@ def test_build_makes_no_point_index(fresh_builds, builder):
         assert "point_index" not in vars(space)
 
 
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_build_reads_no_covers_of_its_base(fresh_builds, builder):
+    """A build orders its enumeration by the base's down rows alone, so
+    a fresh base keeps its extension and no covers."""
+    space = builder(random_poset(11, 5))
+    kept = vars(space.base)
+    assert "_linear_extension" in kept
+    assert "upper_covers" not in kept and "lower_covers" not in kept
+
+
 def test_point_index_is_made_on_first_lookup(fresh_builds, vee):
     """The first lift or ``vietoris_open`` makes the index of each space
     it looks points up in, and it is each point's mask to its index."""
@@ -567,11 +577,12 @@ def test_parents_remove_one_maximal_member():
 
 def assert_lazy_order_is_eager(space, rng):
     """The space's order against ``FinitePoset`` on ``_inclusion_rows``:
-    extension and ``leq`` first, then the rows it builds on first read,
-    the covers read off them, and equality and hash both ways."""
+    ``leq`` first, then the rows it builds on first read, the extension
+    and covers read off them, and equality and hash both ways.  Both
+    extensions come from one rule, so the order's must also be index
+    order, which canonical order extends."""
     order = space.order
     eager = FinitePoset(len(space.points), *powerdomain._inclusion_rows(space.base, space.points))
-    assert linear_extension(order) == linear_extension(eager)
     n = order.n
     if n <= 64:
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -579,6 +590,7 @@ def assert_lazy_order_is_eager(space, rng):
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
     assert [order.leq(i, j) for i, j in pairs] == [eager.leq(i, j) for i, j in pairs]
     assert (order.up, order.down) == (eager.up, eager.down)
+    assert linear_extension(order) == linear_extension(eager) == tuple(range(n))
     assert order.upper_covers == eager.upper_covers
     assert order.lower_covers == eager.lower_covers
     assert order == eager and eager == order
