@@ -6,8 +6,8 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CapacityError, RangeError
-from .poset import FinitePoset, _is_int, _made_poset, iter_bits
+from .errors import CapacityError
+from .poset import FinitePoset, _checked, _made_poset, iter_bits
 from .maps import MonotoneMap, MonotoneRule, _made, anchored_extensions
 
 MAX_EXHAUSTIVE_N = 5
@@ -30,8 +30,7 @@ def all_posets(n: int) -> tuple[FinitePoset, ...]:
     the elements below ``i``.  A pruned branch holds no poset, so the
     order is that of filtering every assignment.
     """
-    if not _is_int(n) or n < 1:
-        raise RangeError(f"n must be a positive integer, got {n!r}")
+    _checked(n, "n", 1)
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"exhaustive enumeration is capped at n={MAX_EXHAUSTIVE_N}")
     pairs = list(combinations(range(n), 2))
@@ -86,8 +85,7 @@ def random_poset(n: int, seed: int) -> FinitePoset:
     of its nearest edge not yet reached and drops every edge that row
     reaches, about one OR per cover edge.
     """
-    if not _is_int(n) or n < 1:
-        raise RangeError(f"n must be a positive integer, got {n!r}")
+    _checked(n, "n", 1)
     rng = random.Random(seed)
     density = rng.random()
     draw = rng.random

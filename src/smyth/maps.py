@@ -22,8 +22,8 @@ from .errors import (
 )
 from .poset import (
     FinitePoset,
+    _checked,
     _down_sets_by_extension,
-    _is_int,
     _monotonicity_violation,
     gather,
     is_order_embedding,
@@ -39,7 +39,7 @@ class MonotoneMap(_Value):
     """A map ``source -> target`` given by its image tuple.
 
     The constructor validates an image that comes from outside the
-    package: its length, each value an ``int`` index of the target,
+    package: its length, each value an element of the target (``_checked``),
     then monotonicity on each cover edge of the source, the cover test
     ``is_order_embedding`` also runs.
     Every map the package derives is made by ``_made`` with no check,
@@ -58,8 +58,7 @@ class MonotoneMap(_Value):
             raise RangeError("image tuple does not match the source size")
         target_n = self.target.n
         for value in self.image:
-            if not _is_int(value) or not 0 <= value < target_n:
-                raise RangeError(f"image value {value!r} is out of range")
+            _checked(value, "image value", 0, target_n)
         violation = _monotonicity_violation(source, target, self.image)
         if violation is not None:
             x, y = violation
@@ -275,9 +274,9 @@ def enumerate_extensions(
     construct.  ``capacity`` bounds the search only.  For the identity,
     ``restricts-to-base`` of ``check_sigma_theorem`` is the retraction.
     """
-    default = resolve_capacity(None)
+    limit = resolve_capacity(capacity)
+    default = limit if capacity is None else resolve_capacity(None)
     source_space, target_space = build(f.source, default), build(f.target, default)
-    limit = default if capacity is None else capacity
     return tuple(_made(source_space.order, target_space.order, image)
                  for image in _extension_images(source_space, target_space, f.image, limit))
 
@@ -299,10 +298,10 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     sup extension of ``phi`` after ``f``, whose least-ness
     ``check_sigma_theorem`` certifies per point with no search.
     """
-    default = resolve_capacity(None)
+    limit = resolve_capacity(capacity)
+    default = limit if capacity is None else resolve_capacity(None)
     source_space, target_space = build(f.source, default), build(f.target, default)
     induced = _lift(source_space, target_space, f.image)
-    limit = default if capacity is None else resolve_capacity(capacity)
     if (f.target.n == 2 and f.target.up[0] == 0b11
             and _least_into_the_chain(f.image, induced, source_space, limit)):
         return None

@@ -30,9 +30,7 @@ CAPACITY_ENV_VAR = "SPECTRAL_CAPACITY"
 def resolve_capacity(capacity: int | None) -> int:
     """Explicit argument, else the SPECTRAL_CAPACITY variable, else 2**16."""
     if capacity is not None:
-        if not _is_int(capacity) or capacity < 1:
-            raise RangeError(f"capacity must be a positive integer, got {capacity!r}")
-        return capacity
+        return _checked(capacity, "capacity", 1)
     raw = os.environ.get(CAPACITY_ENV_VAR)
     if raw is None:
         return DEFAULT_CAPACITY
@@ -40,14 +38,24 @@ def resolve_capacity(capacity: int | None) -> int:
         value = int(raw)
     except ValueError as exc:
         raise RangeError(f"{CAPACITY_ENV_VAR} is not an integer: {raw!r}") from exc
-    if value < 1:
-        raise RangeError(f"{CAPACITY_ENV_VAR} must be positive, got {value}")
-    return value
+    return _checked(value, CAPACITY_ENV_VAR, 1)
 
 
 def _is_int(value: object) -> bool:
-    """An ``int`` that is not a ``bool``: an index or mask from outside."""
+    """An ``int`` that is not a ``bool``: a value a document holds."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(value: object, what: str, low: int, high: int | None = None) -> int:
+    """``value`` when it is an ``int`` (a ``bool`` is not one) with
+    ``low <= value``, and ``value < high`` when ``high`` is given, else
+    RangeError naming ``what``: the entry check of every count, element
+    index and mask a public function takes."""
+    if (isinstance(value, int) and not isinstance(value, bool) and low <= value
+            and (high is None or value < high)):
+        return value
+    bounds = f">= {low}" if high is None else f"in range({low}, {high})"
+    raise RangeError(f"{what} must be an int {bounds}, got {value!r}")
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -83,10 +91,10 @@ class FinitePoset(_Value):
     makes the two closure operators plain OR-folds over rows.
 
     The constructor is the entry check, for rows that come from outside
-    the package.  It accepts an ``int`` count, ``int`` rows and ``str``
-    labels (a ``bool`` is no ``int`` here), else RangeError, and exactly
-    the rows where ``up`` is a partial order and ``down`` is its
-    transpose: every row stays within ``range(n)``, ``up`` is reflexive,
+    the package.  It accepts an ``int`` count and rows, masks within
+    ``range(n)`` (``_checked``: a ``bool`` is no ``int``), and ``str``
+    labels, else RangeError, and exactly the rows where ``up`` is a
+    partial order and ``down`` is its transpose: ``up`` is reflexive,
     ``up[i] & down[i]`` is ``{i}`` alone (antisymmetry, else
     CycleError), and one pass of
     ``_check_rows`` rebuilds each down row from the down rows of a few
@@ -117,21 +125,16 @@ class FinitePoset(_Value):
         up, down = tuple(up), tuple(down)
         if labels is not None:
             labels = tuple(labels)
-        if not _is_int(n) or n < 1:
-            raise RangeError(f"n must be a positive integer, got {n!r}")
+        _checked(n, "n", 1)
         if len(up) != n or len(down) != n:
             raise RangeError("relation rows do not match the element count")
         if labels is not None and (
                 len(labels) != n or not all(isinstance(label, str) for label in labels)):
             raise RangeError("labels must be n strings")
+        high = 1 << n
         for i in range(n):
-            above, below = up[i], down[i]
-            if not (_is_int(above) and _is_int(below)):
-                raise RangeError(f"row {i} is not an integer mask")
-            if (above < 0 or below < 0
-                    or above.bit_length() > n or below.bit_length() > n):
-                raise RangeError(f"row {i} mentions elements outside range(n)")
-            if not above >> i & 1:
+            _checked(down[i], f"down row {i}", 0, high)
+            if not _checked(up[i], f"up row {i}", 0, high) >> i & 1:
                 raise RangeError(f"relation is not reflexive at {i}")
         for i in range(n):
             meet = up[i] & down[i]
@@ -163,12 +166,9 @@ class FinitePoset(_Value):
         may pick more than the covers.  Cyclic input raises CycleError
         from its antisymmetry check.
         """
-        if not _is_int(n) or n < 1:
-            raise RangeError(f"n must be a positive integer, got {n!r}")
-        up = [1 << i for i in range(n)]
+        up = [1 << i for i in range(_checked(n, "n", 1))]
         for i, j in pairs:
-            if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
-                raise RangeError(f"relation ({i!r}, {j!r}) is out of range for n={n}")
+            i, j = _checked(i, "relation index", 0, n), _checked(j, "relation index", 0, n)
             up[i] |= 1 << j
         for k in range(n):
             row_k = up[k]
@@ -203,9 +203,8 @@ class FinitePoset(_Value):
         return (1 << self.n) - 1
 
     def leq(self, i: int, j: int) -> bool:
-        """Whether ``i <= j``."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise RangeError(f"({i}, {j}) is out of range for n={self.n}")
+        """Whether ``i <= j``, for elements ``i`` and ``j`` (``_checked``)."""
+        i, j = _checked(i, "element", 0, self.n), _checked(j, "element", 0, self.n)
         return bool(self.up[i] >> j & 1)
 
     @cached_property
@@ -353,10 +352,8 @@ def _minimal(down: tuple[int, ...], mask: int) -> int:
 
 
 def check_subset(poset: FinitePoset, subset: int) -> int:
-    """Validate that ``subset`` only mentions elements of ``poset``."""
-    if subset < 0 or subset & ~poset.full:
-        raise RangeError(f"mask {subset:#x} is not a subset of range({poset.n})")
-    return subset
+    """``subset`` when it is a mask of elements of ``poset``, else RangeError."""
+    return _checked(subset, "mask", 0, 1 << poset.n)
 
 
 def down_closure(poset: FinitePoset, subset: int) -> int:

@@ -13,11 +13,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property, lru_cache
 
-from .errors import CapacityError, NotOpenError, RangeError, _Value
+from .errors import CapacityError, NotOpenError, _Value
 from .poset import (
     FinitePoset,
     _canonical_key,
-    _is_int,
+    _checked,
     _minimal,
     _transpose,
     enumerate_down_sets,
@@ -133,9 +133,8 @@ class _InclusionOrder(FinitePoset):
         return up if name == "up" else down
 
     def leq(self, i: int, j: int) -> bool:
-        """Whether point ``i`` is contained in point ``j``."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise RangeError(f"({i}, {j}) is out of range for n={self.n}")
+        """Whether point ``i`` is contained in point ``j`` (``_checked``)."""
+        i, j = _checked(i, "point", 0, self.n), _checked(j, "point", 0, self.n)
         return self.points[i] & ~self.points[j] == 0
 
 
@@ -232,15 +231,13 @@ def inverse_powerdomain(base: FinitePoset, capacity: int | None = None) -> Power
 
 def phi(space: PowerdomainSpace, element: int) -> int:
     """Index of the point that is the principal down-set of ``element``."""
-    if not 0 <= element < space.base.n:
-        raise RangeError(f"element {element} is out of range")
-    return space.phi_index[element]
+    return space.phi_index[_checked(element, "element", 0, space.base.n)]
 
 
 def _check_open(space: PowerdomainSpace, omega: int) -> None:
     """Raise unless ``omega`` is an open of the base: a down-set mask.
 
-    ``is_down_set`` raises RangeError first on a mask outside the base.
+    ``is_down_set`` raises RangeError first on what ``check_subset`` rejects.
     """
     if not is_down_set(space.base, omega):
         raise NotOpenError(f"mask {omega:#x} is not a down-set of the base")
@@ -322,8 +319,7 @@ def iterate_sizes(
     at the last finished stage, so fewer than ``k + 1`` entries mean the
     iteration was cut short.
     """
-    if not _is_int(k) or k < 0:
-        raise RangeError(f"iteration count must be a nonnegative integer, got {k!r}")
+    _checked(k, "iteration count", 0)
     limit = resolve_capacity(capacity)
     sizes = [base.n]
     current = base

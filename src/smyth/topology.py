@@ -10,8 +10,8 @@ called inverse-closed throughout.
 
 from __future__ import annotations
 
-from .errors import CapacityError, MalformedFamilyError, RangeError
-from .poset import FinitePoset, _is_int, _transpose, enumerate_down_sets
+from .errors import CapacityError, MalformedFamilyError
+from .poset import FinitePoset, _checked, _transpose, enumerate_down_sets
 
 
 def open_sets(poset: FinitePoset) -> tuple[int, ...]:
@@ -29,18 +29,16 @@ def poset_of_topology(
     ``x <= y`` exactly when every open containing ``y`` contains ``x``.
     Every member is a down-set of that order, so the family is its
     topology when the order has no more down-sets than the family has
-    members.  An ``n`` below 1, or a mask outside ``range(n)``, raises
+    members.  An ``n`` or a mask that ``_checked`` rejects raises
     RangeError; a family without the empty and full sets, or not closed
     under union and intersection, raises MalformedFamilyError.  A family
     that is not T0 raises CycleError, even one that is not a topology
     either.
     """
-    if not _is_int(n) or n < 1:
-        raise RangeError(f"n must be a positive integer, got {n!r}")
-    full = (1 << n) - 1
+    high = 1 << _checked(n, "n", 1)
     for candidate in opens:
-        if candidate < 0 or candidate & ~full:
-            raise RangeError(f"mask {candidate:#x} is not a subset of range({n})")
+        _checked(candidate, "mask", 0, high)
+    full = high - 1
     members = set(opens)
     if 0 not in members or full not in members:
         raise MalformedFamilyError("a topology contains the empty and full sets")

@@ -323,6 +323,22 @@ def test_minimality_reads_the_capacity_once(monkeypatch, capacity):
     assert reads.count(None) == 1
 
 
+@pytest.mark.parametrize("check", [check_minimality, enumerate_extensions])
+def test_extension_checks_reject_a_capacity_before_building(monkeypatch, check):
+    """A wrong ``capacity`` raises at entry, before either space is built."""
+    builds = []
+    real_build = maps.build
+
+    def counting(base, capacity=None):
+        builds.append(base)
+        return real_build(base, capacity)
+
+    monkeypatch.setattr(maps, "build", counting)
+    with pytest.raises(RangeError, match=r"got 2\.5$"):
+        check(worked_map(), 2.5)
+    assert builds == []
+
+
 @given(posets(max_n=3), posets(max_n=3), st.integers(0, 2**31))
 def test_minimality_random(source, target, seed):
     f = random_monotone_map(source, target, random.Random(seed))
