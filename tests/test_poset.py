@@ -1,6 +1,7 @@
 """Core order structure: construction, closures, sups, enumeration."""
 
 import random
+import re
 from collections import defaultdict
 from itertools import combinations, permutations, product
 
@@ -11,6 +12,7 @@ from smyth import (
     CapacityError,
     CycleError,
     FinitePoset,
+    MonotoneMap,
     NotAnOrderError,
     RangeError,
     SmythError,
@@ -23,8 +25,10 @@ from smyth import (
     inverse_powerdomain,
     is_chain,
     is_down_set,
+    iterate_sizes,
     linear_extension,
     order_dual,
+    poset_of_topology,
     random_poset,
     sup,
 )
@@ -130,11 +134,46 @@ def test_direct_construction_validation():
         FinitePoset(2, up=(0b01, 0b10), down=(0b01, 0b11))
 
 
-def test_labels_must_be_strings():
-    """Labels are ``str``; the counts, rows and images beside them are
-    the integer parameters of ``test_entry_checks``."""
-    with pytest.raises(RangeError, match="labels must be n strings"):
-        FinitePoset(2, (3, 2), (1, 3), labels=(1, 2))
+@pytest.mark.parametrize("make", [
+    lambda: FinitePoset(2, ("a", 2), (1, 3)),
+    lambda: FinitePoset(2.0, (3, 2), (1, 3)),
+    lambda: FinitePoset(1, (True,), (True,)),
+    lambda: FinitePoset(2, (3, 2), (1, 3), labels=(1, 2)),
+    lambda: FinitePoset.from_cover_relations(2.0, [(0, 1)]),
+    lambda: FinitePoset.from_cover_relations(2, [("0", 1)]),
+    lambda: MonotoneMap(chain(2), chain(2), ("0", 1)),
+    lambda: MonotoneMap(chain(2), chain(2), (0.0, 1)),
+    lambda: MonotoneMap(chain(2), chain(2), (False, True)),
+], ids=["str-row", "float-n", "bool-rows", "int-labels", "float-n-from-covers",
+        "str-cover", "str-image", "float-image", "bool-image"])
+def test_entry_checks_reject_values_of_the_wrong_type(make):
+    """The entry checks take ``int`` counts, rows and images (a ``bool``
+    is not one) and ``str`` labels; any other value is a RangeError."""
+    with pytest.raises(RangeError):
+        make()
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda: resolve_capacity(2.5), 2.5),
+    (lambda: resolve_capacity(True), True),
+    (lambda: resolve_capacity("3"), "3"),
+    (lambda: build(chain(3), 2.5), 2.5),
+    (lambda: all_posets(2.0), 2.0),
+    (lambda: all_posets(True), True),
+    (lambda: random_poset(3.0, 1), 3.0),
+    (lambda: iterate_sizes(chain(2), 2.0), 2.0),
+    (lambda: iterate_sizes(chain(2), True), True),
+    (lambda: poset_of_topology(2.0, (0, 1, 3)), 2.0),
+], ids=["float-capacity", "bool-capacity", "str-capacity", "float-build-capacity",
+        "float-all-posets", "bool-all-posets", "float-random-poset", "float-iterations",
+        "bool-iterations", "float-topology-n"])
+def test_budgets_and_counts_reject_values_of_the_wrong_type(make, value):
+    """A capacity, an element count or an iteration count must be an
+    ``int`` (a ``bool`` is not one), else a RangeError naming the value.
+    ``all_posets(1)`` is cached first, so ``True`` must not be served it."""
+    all_posets(1)
+    with pytest.raises(RangeError, match=f"got {re.escape(repr(value))}$"):
+        make()
 
 
 def test_validation_matches_definition():
