@@ -31,6 +31,7 @@ from .poset import (
     linear_extension,
     mask_of,
     resolve_capacity,
+    sup,
 )
 from .powerdomain import PowerdomainSpace, build
 
@@ -247,38 +248,29 @@ def anchored_extensions(
     return tuple(sorted(found))
 
 
-def _extension_images(
-    source_space: PowerdomainSpace,
-    target_space: PowerdomainSpace,
-    image: tuple[int, ...],
-    limit: int,
-) -> tuple[tuple[int, ...], ...]:
-    """Every monotone map of powerdomains sending ``phi(x)`` to
-    ``phi(image[x])``, as sorted image tuples: the one search of the
-    least-extension laws, on the spaces the caller holds, bounded by
-    ``limit``."""
-    anchors = {point: target_space.phi_index[value]
-               for point, value in zip(source_space.phi_index, image)}
-    return anchored_extensions(
-        source_space.order, anchors, target_space.order, limit)
-
-
 def enumerate_extensions(
     f: MonotoneMap, capacity: int | None = None
 ) -> tuple[MonotoneMap, ...]:
-    """Every monotone powerdomain map agreeing with ``f`` on principals.
+    """Every monotone powerdomain map agreeing with ``f`` on principals,
+    sorted by image tuple.
 
     The anchors are the principal points: ``phi(x)`` must go to
     ``phi(f(x))``.  The induced map of ``f`` is always among the
-    extensions and is the pointwise least; enumerate to verify, not to
-    construct.  ``capacity`` bounds the search only.  For the identity,
-    ``restricts-to-base`` of ``check_sigma_theorem`` is the retraction.
+    extensions and is the pointwise least, the first in sorted order;
+    ``check_minimality`` certifies that with no enumeration, so list
+    them to inspect, not to check.  Both spaces are built under the
+    default capacity; ``capacity`` bounds the search only.  For the
+    identity, ``restricts-to-base`` of ``check_sigma_theorem`` is the
+    retraction.
     """
     limit = resolve_capacity(capacity)
     default = limit if capacity is None else resolve_capacity(None)
     source_space, target_space = build(f.source, default), build(f.target, default)
+    anchors = {point: target_space.phi_index[value]
+               for point, value in zip(source_space.phi_index, f.image)}
     return tuple(_made(source_space.order, target_space.order, image)
-                 for image in _extension_images(source_space, target_space, f.image, limit))
+                 for image in anchored_extensions(
+                     source_space.order, anchors, target_space.order, limit))
 
 
 def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None:
@@ -287,16 +279,16 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
 
     Both spaces are built once, under the default capacity, and the
     induced map is lifted on them as its image tuple.  A map into the
-    two-element chain that ``_least_into_the_chain`` certifies passes
-    with no search.  Every other map lists its extensions as the image
-    tuples of ``enumerate_extensions``: the induced map must be one
-    (``induced-map-is-an-extension``) and lie below each, on one up row
-    of ``target_space.order`` per point (``pointwise-least``, naming the
-    first failing candidate and point).  More than ``capacity``
-    extensions raise CapacityError before any law is judged;
-    ``capacity`` bounds the enumeration only.  The induced map is the
-    sup extension of ``phi`` after ``f``, whose least-ness
-    ``check_sigma_theorem`` certifies per point with no search.
+    two-element chain that ``_least_into_the_chain`` certifies passes on
+    one mask; ``capacity`` bounds only the count of its extensions.  Any
+    other map is judged against ``least``, the sup extension of ``phi``
+    after ``f``, one ``sup`` of principal points per point: by the
+    argument of ``check_sigma_theorem`` it is the least extension, so the
+    first in sorted order.  An induced map off it that does not send
+    ``phi(x)`` to ``phi(f(x))``, or is not monotone, breaks
+    ``induced-map-is-an-extension``; any other breaks ``pointwise-least``
+    at the first point where the two differ, with ``least`` as
+    ``candidate``.
     """
     limit = resolve_capacity(capacity)
     default = limit if capacity is None else resolve_capacity(None)
@@ -305,16 +297,17 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     if (f.target.n == 2 and f.target.up[0] == 0b11
             and _least_into_the_chain(f.image, induced, source_space, limit)):
         return None
-    extensions = _extension_images(source_space, target_space, f.image, limit)
-    if induced not in extensions:
+    order = target_space.order
+    principal = gather(target_space.phi_index, f.image)
+    least = tuple(sup(order, mask_of(principal[x] for x in iter_bits(member)))
+                  for member in source_space.points)
+    if induced == least:
+        return None
+    if (gather(induced, source_space.phi_index) != principal
+            or _monotonicity_violation(source_space.order, order, induced) is not None):
         return {"law": "induced-map-is-an-extension"}
-    floors = gather(target_space.order.up, induced)
-    for candidate in extensions:
-        for point, value in enumerate(candidate):
-            if not floors[point] >> value & 1:
-                return {"law": "pointwise-least", "point": point,
-                        "candidate": list(candidate)}
-    return None
+    point = next(p for p, (a, b) in enumerate(zip(induced, least)) if a != b)
+    return {"law": "pointwise-least", "point": point, "candidate": list(least)}
 
 
 def _least_into_the_chain(
@@ -330,8 +323,10 @@ def _least_into_the_chain(
     D of ``image``, so the lift is least exactly when its image is 0 and
     1 alone and its zero set is U(D).  The extensions are the ``low | e``
     for ``e`` a down-set of the points in neither bound, ``rest``; when
-    2 ** |rest| may be more than ``limit`` they are counted, not judged,
-    so that a certified map over the budget still raises CapacityError.
+    2 ** |rest| may be more than ``limit`` they are counted, so that a
+    certified map with more than ``limit`` raises CapacityError.  A map
+    it does not certify is judged by ``check_minimality`` on its sup
+    extension, which names the law.
     """
     order = space.order
     low = banned = 0

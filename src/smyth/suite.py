@@ -277,14 +277,11 @@ def prop_extension_minimality(case: _Case) -> dict | str | None:
     the order of ``all_monotone_images``.  ``check_minimality``
     certifies each with one mask comparison and counts its extensions,
     as down-sets, only when they may be more than the capacity; a map it
-    does not certify is judged on the searched extensions, which name
+    does not certify is judged against its sup extension, which names
     the law and witness.  More than the capacity is reported as
     skipped, not guessed, and so is a powerdomain over the default
-    capacity.  A failure names the image of the first failing map as
-    ``map``.  Each induced map is the sup extension of ``phi`` after the
-    map, whose least-ness ``check_sigma_theorem`` certifies per point
-    with no enumeration; this property still bounds the extensions it
-    counts, so the 5-element antichain is over its budget.
+    capacity; the 5-element antichain is over the budget.  A failure
+    names the image of the first failing map as ``map``.
     """
     try:
         for image in _chain_images(build(case.poset, case.capacity)):

@@ -31,7 +31,6 @@ from smyth.poset import (
     is_order_embedding,
     iter_bits,
     mask_of,
-    resolve_capacity,
 )
 
 
@@ -381,16 +380,26 @@ def sigma_law_by_enumeration(f: MonotoneMap) -> str | None:
     return None
 
 
+def anchored_images(f: MonotoneMap, capacity: int | None = None) -> tuple:
+    """The anchored extensions of ``f``, as sorted image tuples, by a
+    direct call of ``anchored_extensions`` on the principal points:
+    ``phi(x)`` must go to ``phi(f(x))``.  Both spaces are built under
+    the default capacity; ``capacity`` bounds the search only."""
+    source, target = build(f.source), build(f.target)
+    anchors = {point: target.phi_index[value]
+               for point, value in zip(source.phi_index, f.image)}
+    return anchored_extensions(source.order, anchors, target.order, capacity)
+
+
 def minimality_by_search(f: MonotoneMap, capacity: int | None = None) -> dict | None:
     """``check_minimality`` by the anchored search over image tuples, on
-    any target: the oracle of its route on masks into the two-element
-    chain.  The induced map is read through ``maps._lift``, so that a
-    patched lift is searched against."""
-    default = resolve_capacity(None)
-    source_space, target_space = build(f.source, default), build(f.target, default)
+    any target: the oracle of both its routes, the mask certificate into
+    the two-element chain and the judge against the sup extension.  The
+    induced map is read through ``maps._lift``, so that a patched lift
+    is searched against; more than ``capacity`` extensions raise."""
+    source_space, target_space = build(f.source), build(f.target)
     induced = maps._lift(source_space, target_space, f.image)
-    extensions = maps._extension_images(
-        source_space, target_space, f.image, default if capacity is None else capacity)
+    extensions = anchored_images(f, capacity)
     if induced not in extensions:
         return {"law": "induced-map-is-an-extension"}
     for candidate in extensions:

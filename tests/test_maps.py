@@ -34,6 +34,7 @@ from smyth.poset import (
 )
 
 from conftest import (
+    anchored_images,
     antichain,
     chain,
     constant_lift,
@@ -53,6 +54,7 @@ from conftest import (
 )
 
 import random
+import time
 from collections import Counter
 from itertools import permutations, product
 
@@ -356,22 +358,34 @@ def maps_into_the_chain(max_n):
             for image in all_monotone_images(source, chain2)]
 
 
+def maps_between_small_posets(max_n):
+    """Every monotone map between labeled posets with up to ``max_n``
+    elements, into the two-element chain or any other target."""
+    posets_up_to = [p for n in range(1, max_n + 1) for p in all_posets(n)]
+    return [MonotoneMap(source, target, image)
+            for source in posets_up_to for target in posets_up_to
+            for image in all_monotone_images(source, target)]
+
+
 @pytest.mark.parametrize("lift", [None, constant_lift, lift_without_closure,
                                   greatest_extension_lift])
 def test_minimality_into_the_chain_matches_the_search(monkeypatch, lift):
     """Every monotone map into the two-element chain from a labeled poset
-    with up to 4 elements: the route on masks returns what the search
-    over image tuples returns, under the real lift and seeded wrong ones."""
+    with up to 4 elements, and every map between labeled posets with up
+    to 3: the mask certificate and the judge against the sup extension
+    return what the search over image tuples returns, witnesses
+    included, under the real lift and seeded wrong ones."""
     if lift is not None:
         patch_lift(monkeypatch, lift)
     laws = Counter()
-    for f in maps_into_the_chain(4):
-        expected = minimality_by_search(f)
-        assert check_minimality(f) == expected, f.image
-        laws[None if expected is None else expected["law"]] += 1
-    assert sum(laws.values()) == 1788
+    for maps_of in (maps_into_the_chain(4), maps_between_small_posets(3)):
+        for f in maps_of:
+            expected = minimality_by_search(f)
+            assert check_minimality(f) == expected, (f.source, f.target, f.image)
+            laws[None if expected is None else expected["law"]] += 1
+    assert sum(laws.values()) == 1788 + 4818
     if lift is None:
-        assert laws == {None: 1788}
+        assert laws == {None: 1788 + 4818}
     elif lift is greatest_extension_lift:
         assert laws[None] and laws["pointwise-least"]
     else:
@@ -383,8 +397,7 @@ def test_minimality_into_the_chain_budget_edge():
     raises what the search raises: the count past the budget, or no
     capacity at all when ``K`` is 1."""
     for f in maps_into_the_chain(4):
-        count = len(maps._extension_images(
-            build(f.source), build(f.target), f.image, resolve_capacity(None)))
+        count = len(anchored_images(f))
         assert check_minimality(f, count) is None
         with pytest.raises((CapacityError, RangeError)) as expected:
             minimality_by_search(f, count - 1)
@@ -403,25 +416,17 @@ def last_extension_lift(original):
     return lift
 
 
-def anchored_images(f):
-    """The anchored extensions of ``f``, by a direct call of
-    ``anchored_extensions`` on the principal points."""
-    source, target = build(f.source), build(f.target)
-    anchors = {point: target.phi_index[value]
-               for point, value in zip(source.phi_index, f.image)}
-    return anchored_extensions(source.order, anchors, target.order)
-
-
 @pytest.mark.parametrize("target, count, off, not_least", [
     (chain(3), 14, 13, 5),
     (vee_poset(), 11, 10, 4),
 ])
 def test_minimality_search_fails_under_a_wrong_lift(monkeypatch, target, count, off,
                                                     not_least):
-    """Maps from the vee into a 3-chain or into the vee take the search
-    route.  A constant lift is no extension of every map but the
-    constant one; the last extension fails ``pointwise-least`` wherever
-    a smaller one exists, with the first such candidate and point."""
+    """Maps from the vee into a 3-chain or into the vee are judged
+    against their sup extensions.  A constant lift is no extension of
+    every map but the constant one; the last extension fails
+    ``pointwise-least`` wherever a smaller one exists, with the first
+    such candidate and point, as the search over image tuples names."""
     fs = [MonotoneMap(vee_poset(), target, image)
           for image in all_monotone_images(vee_poset(), target)]
     assert len(fs) == count
@@ -482,9 +487,13 @@ def test_functor_laws_fail_composition_under_a_reversing_lift(monkeypatch):
     assert failed == 56
 
 
-def test_minimality_searches_image_tuples_off_the_chain(monkeypatch):
-    """Maps into the two-element chain are checked on masks; a map into
-    any other target still runs the anchored search once."""
+def test_minimality_searches_nothing_off_the_chain(monkeypatch):
+    """Maps into the two-element chain are checked on masks, and a map
+    into any other target on its sup extension: neither runs the
+    anchored search, so no capacity bounds a map off the chain.  The
+    8-element antichain into the 3-chain, whose search lists more than
+    2 ** 16 extensions, passes within a second, and the vee into the
+    3-chain passes at capacity 1."""
     targets = []
     search = maps.anchored_extensions
 
@@ -495,9 +504,13 @@ def test_minimality_searches_image_tuples_off_the_chain(monkeypatch):
     monkeypatch.setattr(maps, "anchored_extensions", counting)
     assert check_minimality(worked_map()) is None
     assert targets == []
-    three = chain(3)
-    assert check_minimality(MonotoneMap(vee_poset(), three, (0, 1, 2))) is None
-    assert targets == [build(three).order]
+    vee_map = MonotoneMap(vee_poset(), chain(3), (0, 1, 2))
+    assert check_minimality(vee_map) is None
+    assert check_minimality(vee_map, 1) is None
+    start = time.perf_counter()
+    assert check_minimality(MonotoneMap(antichain(8), chain(3), (0, 1, 2, 1, 0, 2, 1, 0))) is None
+    assert time.perf_counter() - start < 1
+    assert targets == []
 
 
 def test_anchored_extensions_capacity(vee, chain2):
