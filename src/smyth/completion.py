@@ -9,15 +9,15 @@ other monotone extension, and is the only sup-preserving one.
 
 from __future__ import annotations
 
-from .errors import CapacityError, RangeError, SigmaUndefinedError
+from .errors import RangeError, SigmaUndefinedError
 from .maps import MonotoneMap, _made
 from .poset import (
     FinitePoset,
     _down_sets_by_extension,
-    _least,
+    _sups,
     check_subset,
+    gather,
     resolve_capacity,
-    sup,
 )
 from .powerdomain import PowerdomainSpace, build
 
@@ -31,7 +31,8 @@ def sigma_map(ambient: FinitePoset, carrier: int) -> dict[int, int | None]:
     such bound exists: partiality stays in-band.  The domain is grown
     on ambient masks, with no sub-poset built, and comes in canonical
     order as it is grown, one size level at a time; more down-sets than
-    the capacity raise CapacityError.
+    the capacity raise CapacityError.  The values are one ``_sups``
+    fold on the ambient up rows.
     ``test_sigma_map_monotone_and_agrees_with_fold`` checks, over every
     labeled poset on at most four elements, that the defined values
     agree with a binary-sup fold and grow with the down-set.
@@ -39,14 +40,15 @@ def sigma_map(ambient: FinitePoset, carrier: int) -> dict[int, int | None]:
     check_subset(ambient, carrier)
     if carrier == 0:
         raise RangeError("the carrier must be nonempty")
-    found = _down_sets_by_extension(ambient, carrier, resolve_capacity(None))
-    return {member: sup(ambient, member) for member in found[1:]}
+    found = _down_sets_by_extension(ambient, carrier, resolve_capacity(None))[1:]
+    return dict(zip(found, _sups(ambient, ambient.up, found)))
 
 
 def lambda_sharp(f: MonotoneMap) -> MonotoneMap:
     """The sup extension of ``f`` to the powerdomain of its source.
 
-    Each point maps to the sup of its image.  Defined when every
+    Each point maps to the sup of its image: one ``_sups`` fold of the
+    target up rows of the images over the points.  Defined when every
     inverse-closed subset E of the image has a sup, which is when every
     point's image has one: E is the image of the point of all that maps
     into E, and a point's image has the upper bounds of its down-closure
@@ -57,15 +59,10 @@ def lambda_sharp(f: MonotoneMap) -> MonotoneMap:
     """
     space = build(f.source)
     target = f.target
-    values = []
-    for member in space.points:
-        image = f.image_mask(member)
-        value = sup(target, image)
-        if value is None:
-            raise SigmaUndefinedError(
-                f"no sup for image subset {image:#x}", member_mask=image
-            )
-        values.append(value)
+    values = _sups(target, gather(target.up, f.image), space.points)
+    if None in values:
+        image = f.image_mask(space.points[values.index(None)])
+        raise SigmaUndefinedError(f"no sup for image subset {image:#x}", member_mask=image)
     return _made(space.order, target, tuple(values))
 
 
@@ -73,42 +70,25 @@ def is_sup_preserving(f: MonotoneMap, capacity: int | None = None) -> bool:
     """Whether ``f`` carries existing finite sups to sups of the images.
 
     Quantifies over every nonempty subset of the source that has a least
-    upper bound.  A subset and its set of maximal elements share upper
-    bounds, and their images share upper bounds too since ``f`` is
-    monotone, so only antichains are enumerated; that covers all subsets.
+    upper bound.  A subset has the upper bounds of its down-closure, and
+    its image has those of the down-closure's image since ``f`` is
+    monotone, so only the nonempty down-sets are enumerated; that covers
+    all subsets.  Two ``_sups`` folds over them, the source sups and the
+    target sups of the images, are then compared.
 
     This is the definition, valid for any source; ``preserves_sups`` is
-    the per-point test for maps out of a powerdomain.  The walk is depth
-    first, a branch's children before its later siblings.  A stack entry
-    holds the next index to try, the elements the chosen antichain
-    blocks, and the upper-bound masks of the antichain and of its image,
-    so each antichain costs one AND per side plus a ``_least`` on each.
-    More than ``capacity`` antichains raise CapacityError.
+    the per-point test for maps out of a powerdomain.  The down-sets are
+    all listed before any is compared, so a source with more than
+    ``capacity`` nonempty down-sets raises CapacityError, as "more than
+    {capacity} down-sets on {n} elements", even when a small one
+    already breaks the law.
     """
-    limit = resolve_capacity(capacity)
-    source, target, image = f.source, f.target, f.image
-    n = source.n
-    count = 0
-    stack = [(0, 0, source.full, target.full)]
-    while stack:
-        start, blocked, bounds, image_bounds = stack.pop()
-        i = start
-        while i < n and blocked >> i & 1:
-            i += 1
-        if i == n:
-            continue
-        stack.append((i + 1, blocked, bounds, image_bounds))
-        count += 1
-        if count > limit:
-            raise CapacityError(f"more than {limit} antichains")
-        bounds &= source.up[i]
-        image_bounds &= target.up[image[i]]
-        bound = _least(source, bounds)
-        if bound is not None and _least(target, image_bounds) != image[bound]:
-            return False
-        blocked |= source.up[i] | source.down[i]
-        stack.append((i + 1, blocked, bounds, image_bounds))
-    return True
+    source, target = f.source, f.target
+    found = _down_sets_by_extension(source, source.full, resolve_capacity(capacity))[1:]
+    sups = _sups(source, source.up, found)
+    image_sups = _sups(target, gather(target.up, f.image), found)
+    return all(bound is None or image_sup == f.image[bound]
+               for bound, image_sup in zip(sups, image_sups))
 
 
 def preserves_sups(space: PowerdomainSpace, f: MonotoneMap) -> bool:
@@ -117,27 +97,18 @@ def preserves_sups(space: PowerdomainSpace, f: MonotoneMap) -> bool:
     Each point I is the union of the principal points of its members,
     and principal points are join-prime among the down-sets.  So ``f``
     preserves every nonempty sup exactly when ``f(I)`` is the least
-    upper bound of the ``f(phi(x))`` for x in I, at every point I.  The
-    empty point of a hat space is skipped: it is no nonempty sup.  That
-    is one AND of a target up row per member and one ``_least`` per
-    point, with no enumeration, so no capacity applies.  Any other
-    source raises RangeError; ``is_sup_preserving`` tests those.
+    upper bound of the ``f(phi(x))`` for x in I, at every point I: one
+    ``_sups`` fold of the target up rows of those images over the
+    points.  The empty point of a hat space is skipped: it is no
+    nonempty sup.  Nothing is enumerated, so no capacity applies.  Any
+    other source raises RangeError; ``is_sup_preserving`` tests those.
     """
     if f.source != space.order:
         raise RangeError("the map's source is not the order of the given space")
     target = f.target
-    principal_up = [target.up[f.image[p]] for p in space.phi_index]
-    for point, member in enumerate(space.points):
-        if not member:
-            continue
-        bounds = target.full
-        while member:
-            low = member & -member
-            bounds &= principal_up[low.bit_length() - 1]
-            member ^= low
-        if _least(target, bounds) != f.image[point]:
-            return False
-    return True
+    rows = gather(target.up, gather(f.image, space.phi_index))
+    return all(value == found for member, value, found in zip(
+        space.points, f.image, _sups(target, rows, space.points)) if member)
 
 
 def check_sigma_theorem(f: MonotoneMap, sharp: MonotoneMap) -> dict | None:

@@ -25,13 +25,13 @@ from .poset import (
     _checked,
     _down_sets_by_extension,
     _monotonicity_violation,
+    _sups,
     gather,
     is_order_embedding,
     iter_bits,
     linear_extension,
     mask_of,
     resolve_capacity,
-    sup,
 )
 from .powerdomain import PowerdomainSpace, build
 
@@ -282,9 +282,10 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
     two-element chain that ``_least_into_the_chain`` certifies passes on
     one mask; ``capacity`` bounds only the count of its extensions.  Any
     other map is judged against ``least``, the sup extension of ``phi``
-    after ``f``, one ``sup`` of principal points per point: by the
-    argument of ``check_sigma_theorem`` it is the least extension, so the
-    first in sorted order.  An induced map off it that does not send
+    after ``f``: one ``_sups`` fold over the points of the up rows of
+    the principal points ``phi(f(x))``.  By the argument of
+    ``check_sigma_theorem`` it is the least extension, so the first in
+    sorted order.  An induced map off it that does not send
     ``phi(x)`` to ``phi(f(x))``, or is not monotone, breaks
     ``induced-map-is-an-extension``; any other breaks ``pointwise-least``
     at the first point where the two differ, with ``least`` as
@@ -299,8 +300,7 @@ def check_minimality(f: MonotoneMap, capacity: int | None = None) -> dict | None
         return None
     order = target_space.order
     principal = gather(target_space.phi_index, f.image)
-    least = tuple(sup(order, mask_of(principal[x] for x in iter_bits(member)))
-                  for member in source_space.points)
+    least = tuple(_sups(order, gather(order.up, principal), source_space.points))
     if induced == least:
         return None
     if (gather(induced, source_space.phi_index) != principal

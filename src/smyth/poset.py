@@ -411,19 +411,30 @@ def dimension(poset: FinitePoset) -> int:
 def sup(poset: FinitePoset, subset: int) -> int | None:
     """Least upper bound of ``subset``, or None when there is none.
 
-    One AND of an up row per member gives the common upper bounds, and
-    ``_least`` picks their minimum; None covers both failure modes (no
-    upper bound at all and no least one).  The empty subset always
-    yields None here; callers wanting a bottom element must ask for it
-    explicitly.
+    One mask through ``_sups`` on the poset's own up rows; None covers
+    both failure modes (no upper bound at all and no least one).  The
+    empty subset always yields None here; callers wanting a bottom
+    element must ask for it explicitly.
     """
     check_subset(poset, subset)
-    if subset == 0:
-        return None
-    bounds = poset.full
-    for i in iter_bits(subset):
-        bounds &= poset.up[i]
-    return _least(poset, bounds)
+    return _sups(poset, poset.up, (subset,))[0] if subset else None
+
+
+def _sups(target: FinitePoset, rows: Sequence[int], masks: Iterable[int]) -> list[int | None]:
+    """For each mask, the ``_least`` of the AND of ``rows[x]`` over its
+    members, or None: with ``rows`` ``target.up``, the mask's sup; with
+    ``gather(target.up, values)``, the sup of its image under ``values``.
+    The empty mask gives the least element of ``target``, if any."""
+    full = target.full
+    found = []
+    for mask in masks:
+        bounds = full
+        while mask:
+            low = mask & -mask
+            bounds &= rows[low.bit_length() - 1]
+            mask ^= low
+        found.append(_least(target, bounds))
+    return found
 
 
 def _least(poset: FinitePoset, bounds: int) -> int | None:

@@ -318,18 +318,29 @@ def iterate_sizes(
     powerdomain.  When a stage would exceed the capacity, the sizes stop
     at the last finished stage, so fewer than ``k + 1`` entries mean the
     iteration was cut short.
+
+    A stage's growth is its count of antichains of two or more members.
+    Growth of at most one means at most one incomparable pair, which
+    the construction keeps, so once a stage grows by at most one every
+    later stage grows by that same amount: those sizes are counted on,
+    and nothing past that stage is built.
     """
     _checked(k, "iteration count", 0)
     limit = resolve_capacity(capacity)
     sizes = [base.n]
     current = base
     for _ in range(k):
-        try:
-            space = build(current, limit)
-        except CapacityError:
+        if len(sizes) > 1 and sizes[-1] - sizes[-2] <= 1:
+            size = 2 * sizes[-1] - sizes[-2]
+        else:
+            try:
+                space = build(current, limit)
+            except CapacityError:
+                break
+            size, current = len(space.points), space.order
+        if size > limit:
             break
-        sizes.append(len(space.points))
-        current = space.order
+        sizes.append(size)
     return tuple(sizes)
 
 

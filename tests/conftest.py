@@ -358,7 +358,7 @@ def sigma_law_by_enumeration(f: MonotoneMap) -> str | None:
 
     ``is-an-extension``: the sup extension agrees with the base map on
     principal points.  ``pointwise-least``: it lies below every
-    extension.  ``unique-sup-preserving``: the antichain walk
+    extension.  ``unique-sup-preserving``: the down-set check
     ``is_sup_preserving`` holds of it and of no other extension.  The
     brute-force oracle of the per-point ``check_sigma_theorem``; the sup
     extension is read through ``completion`` so that a patched one is
@@ -438,6 +438,14 @@ def greatest_extension_lift(original):
         return tuple(0 if any(member & ~down == 0 for down in zeros) else 1
                      for member in space.points)
     return lift
+
+
+def no_joins(original):
+    """A ``_sups`` fold that finds no bound for a mask of two or more members."""
+    def sups(target, rows, masks):
+        return [None if mask & (mask - 1) else found
+                for mask, found in zip(masks, original(target, rows, masks))]
+    return sups
 
 
 def patch_lift(monkeypatch, mutant):

@@ -16,7 +16,7 @@ from smyth.docio import point_lists
 from smyth.poset import iter_bits
 from smyth.suite import FIXTURE_DOCS
 
-from conftest import assert_valid_dot
+from conftest import assert_valid_dot, no_joins
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -192,9 +192,7 @@ def test_check_files_an_undefined_sharp_as_a_failure(monkeypatch, tmp_path, caps
     identity's missing sup stays a skip of ``sup-extension``."""
     from smyth import completion
 
-    sup = completion.sup
-    monkeypatch.setattr(completion, "sup", lambda poset, mask: (
-        None if mask & (mask - 1) else sup(poset, mask)))
+    monkeypatch.setattr(completion, "_sups", no_joins(completion._sups))
     path = write_payload(tmp_path, {"n": 2, "covers": []})
     assert main(["check", path, "--suite", "sigma"]) == 1
     captured = capsys.readouterr()
@@ -246,6 +244,15 @@ def test_enumerate_posets_over_cap(capsys):
 def test_iterate(tmp_path, capsys):
     assert main(["iterate", vee_file(tmp_path), "--k", "2"]) == 0
     assert capsys.readouterr().out == "sizes: 3 4 5\n"
+
+
+def test_iterate_counts_on_to_the_capacity(capsys):
+    """The vee grows by one point per stage, so its sizes are counted on
+    to the default capacity, with no build past the first stage."""
+    assert main(["iterate", str(FIXTURES / "vee.json"), "--k", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "sizes: " + " ".join(map(str, range(3, 65537))) + "\n"
+    assert captured.err == "capacity reached before the requested depth\n"
 
 
 def test_iterate_truncated(tmp_path, capsys):

@@ -228,7 +228,7 @@ SMALL_POSETS = [p for n in range(1, 4) for p in all_posets(n)]
     (hat_powerdomain, 2, 640, 584),
 ])
 def test_sup_tests_agree_on_powerdomain_sources(make, max_base, maps, preserving):
-    """The per-point test, the antichain walk and the all-subsets oracle
+    """The per-point test, the down-set check and the all-subsets oracle
     agree on every monotone map from the order of ``build(P)``, |P| <= 3,
     or ``hat_powerdomain(P)``, |P| <= 2, into every poset on at most 3
     elements.  The hat spaces exercise the skipped empty point."""
@@ -247,7 +247,7 @@ def test_sup_tests_agree_on_powerdomain_sources(make, max_base, maps, preserving
 
 
 def test_is_sup_preserving_agrees_on_general_sources():
-    """The antichain walk matches the all-subsets oracle on every monotone
+    """The down-set check matches the all-subsets oracle on every monotone
     map between posets on at most 3 elements, the bowtie and the diamond.
     In the bowtie, two elements have two minimal upper bounds and no sup."""
     bowtie = FinitePoset.from_cover_relations(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
@@ -295,6 +295,18 @@ def test_sigma_theorem_random(source, target, seed):
 def test_is_sup_preserving_capacity_on_a_wide_antichain(shallow_recursion):
     with pytest.raises(CapacityError):
         is_sup_preserving(identity(antichain(400)), capacity=1000)
+
+
+def test_is_sup_preserving_capacity_counts_every_down_set(vee):
+    """The vee has 4 nonempty down-sets, and its pair {a1, a2} has the
+    sup b but two minimal upper bounds in the bowtie: the map breaks
+    the law at its second down-set, yet capacity 3 raises, since every
+    down-set is listed before any is compared."""
+    bowtie = FinitePoset.from_cover_relations(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    f = MonotoneMap(vee, bowtie, (0, 1, 2))
+    assert not is_sup_preserving(f, capacity=4)
+    with pytest.raises(CapacityError, match=r"^more than 3 down-sets on 3 elements$"):
+        is_sup_preserving(f, capacity=3)
 
 
 def test_retraction_on_chain():

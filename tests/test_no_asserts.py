@@ -19,8 +19,9 @@ stack and no input depth meets the interpreter's recursion limit.  Every
 keeps a bounded number of results, except ``generators.all_posets``,
 whose keys ``MAX_EXHAUSTIVE_N`` caps.  A tuple of the items at a
 sequence of indices is gathered by ``poset.gather`` alone, in one
-``itemgetter`` call, not one lookup per index.  The README names only
-what the code still spells.
+``itemgetter`` call, not one lookup per index.  Only ``poset._sups``
+reads ``_least``, so every least upper bound goes through one fold.
+The README names only what the code still spells.
 """
 
 import ast
@@ -348,6 +349,23 @@ def test_posets_are_validated_only_where_they_enter():
             found += [f"{path.name}:{node.lineno}:_validate"
                       for name in identifiers(node) if name == "_validate"]
     assert found == [], f"posets validated off their entry points: {found}"
+
+
+def test_least_is_read_only_by_the_sup_fold():
+    """``_least`` is read once, by the call inside ``poset._sups``: every
+    least upper bound of the package goes through the one fold."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fold = set()
+        for node in tree.body:
+            if (path.name == "poset.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "_sups"):
+                fold = {id(inner) for inner in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno}:{'_sups' if id(node) in fold else 'outside'}"
+                  for node in ast.walk(tree)
+                  if not isinstance(node, ast.FunctionDef) and "_least" in identifiers(node)]
+    assert [entry.rpartition(":")[2] for entry in found] == ["_sups"], found
 
 
 def test_readme_names_only_what_exists():

@@ -38,6 +38,7 @@ from smyth.poset import (
     _down_sets_by_extension,
     _minimal,
     _signatures,
+    _sups,
     check_subset,
     gather,
     heights,
@@ -51,6 +52,7 @@ from smyth.poset import (
 from smyth.generators import all_posets
 
 from conftest import (
+    _sup_by_scan,
     antichain,
     binary_sup,
     canonical_sort,
@@ -554,6 +556,26 @@ def test_sup_is_least_upper_bound(case):
     else:
         assert value in uppers
         assert all(poset.leq(value, w) for w in uppers)
+
+
+def test_sups_on_remapped_rows_match_the_scan():
+    """Every labeled target on at most 3 elements, every value tuple of
+    length at most 3 into it and every mask of the tuple's indices: the
+    fold on the up rows of the values is the scanned sup of the image
+    mask, and the empty mask gives the target's least element."""
+    seen = 0
+    for target in (p for n in range(1, 4) for p in all_posets(n)):
+        least = next((x for x in range(target.n) if target.up[x] == target.full), None)
+        for length in range(4):
+            for values in product(range(target.n), repeat=length):
+                masks = range(1 << length)
+                found = _sups(target, gather(target.up, values), masks)
+                assert found == [
+                    _sup_by_scan(target, mask_of(values[x] for x in iter_bits(mask)))
+                    for mask in masks], (target, values)
+                assert found[0] == least
+                seen += len(masks)
+    assert seen == 5191
 
 
 def test_linear_extension_vee(vee):

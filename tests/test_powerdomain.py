@@ -306,6 +306,30 @@ def test_iterate_truncation():
     assert at_cap == (3, 7, 18)
 
 
+def test_iterate_counts_on_past_growth_of_one(monkeypatch, vee):
+    """On every labeled poset with n <= 4, five stages match five built
+    ones under a capacity that cuts some short; 60 of the 219 posets on
+    4 elements grow by at most one (24 chains, 36 with one incomparable
+    pair).  The vee is built once for 300 stages."""
+    short = 0
+    for base in (p for n in range(1, 5) for p in all_posets(n)):
+        built, current = [base.n], base
+        while len(built) < 6:
+            try:
+                current = build(current, 300).order
+            except CapacityError:
+                break
+            built.append(current.n)
+        assert iterate_sizes(base, 5, capacity=300) == tuple(built), base
+        short += base.n == 4 and built[1] - built[0] <= 1
+    assert short == 60
+    builds = []
+    monkeypatch.setattr(powerdomain, "build", lambda base, capacity=None: (
+        builds.append(base.n) or build(base, capacity)))
+    assert iterate_sizes(vee, 300) == tuple(range(3, 304))
+    assert builds == [3]
+
+
 def test_iterate_zero_rounds(vee):
     result = iterate_sizes(vee, 0)
     assert result == (3,)

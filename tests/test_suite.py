@@ -62,6 +62,7 @@ from conftest import (
     greatest_extension_lift,
     lift_without_closure,
     minimality_by_search,
+    no_joins,
     patch_lift,
     vee_poset,
 )
@@ -441,7 +442,7 @@ def test_a_raising_law_leaves_no_case_behind(monkeypatch):
 
 def test_sigma_properties_search_no_extensions(monkeypatch):
     """The ``sigma`` group certifies the sup extension per point: with the
-    extension search and the antichain walk made to raise, it reports
+    extension search and ``is_sup_preserving`` made to raise, it reports
     exactly as before over ``exhaustive-4`` and the shipped documents."""
     payloads = [document_of_poset(p).to_payload() for p in all_posets(4)]
     payloads += FIXTURE_DOCS
@@ -869,13 +870,6 @@ def enumerating_none(original):
     return lambda poset, carrier, limit: []
 
 
-def no_joins(original):
-    """A ``sup`` that finds no bound for two or more members."""
-    def sup(poset, mask):
-        return None if mask & (mask - 1) else original(poset, mask)
-    return sup
-
-
 def suite_check(name, payload):
     return functools.partial(PROPERTIES[name], payload)
 
@@ -935,9 +929,10 @@ UNDER_A_TOP_RELATIONS = {**UNDER_A_TOP, "covers": UNDER_A_TOP["covers"] + [[2, 5
      suite_check("sup-extension-of-embedding", ANTICHAIN_2), "sharp-is-identity"),
     (suite, "build", with_phi_index(lambda phi: tuple(i + 1 for i in phi)),
      suite_check("lift-round-trip", ANTICHAIN_3), "principal-to-principal"),
-    (completion, "sup", lambda original: lambda poset, mask: poset.n - 1 - original(poset, mask),
+    (completion, "_sups", lambda original: lambda target, rows, masks: [
+        target.n - 1 - found for found in original(target, rows, masks)],
      suite_check("sup-extension", CHAIN_2), "restricts-to-base"),
-    (completion, "sup", no_joins,
+    (completion, "_sups", no_joins,
      suite_check("sup-extension-of-embedding", ANTICHAIN_2), "sharp-is-defined"),
     # injective, and monotone since an antichain has no covers, but
     # {0} <= {0, 1} in the space: only the pair count catches it
