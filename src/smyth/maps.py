@@ -26,6 +26,7 @@ from .poset import (
     _down_sets_by_extension,
     _monotonicity_violation,
     _sups,
+    check_subset,
     gather,
     is_order_embedding,
     iter_bits,
@@ -68,11 +69,12 @@ class MonotoneMap(_Value):
             )
 
     def __call__(self, element: int) -> int:
-        return self.image[element]
+        """The image of a source element (``_checked``)."""
+        return self.image[_checked(element, "element", 0, self.source.n)]
 
     def image_mask(self, subset: int) -> int:
-        """Mask of images of the members of ``subset``."""
-        return mask_of(self.image[x] for x in iter_bits(subset))
+        """Mask of images of the members of ``subset`` (``check_subset``)."""
+        return mask_of(self.image[x] for x in iter_bits(check_subset(self.source, subset)))
 
 
 def _made(source: FinitePoset, target: FinitePoset, image: tuple[int, ...]) -> MonotoneMap:

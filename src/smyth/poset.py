@@ -257,6 +257,8 @@ class FinitePoset(_Value):
         )
 
     def label_of(self, i: int) -> str:
+        """The label of element ``i`` (``_checked``), else ``str(i)``."""
+        i = _checked(i, "element", 0, self.n)
         return self.labels[i] if self.labels is not None else str(i)
 
 

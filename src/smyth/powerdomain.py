@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .errors import CapacityError, NotOpenError, _Value
 from .poset import (
@@ -37,8 +38,8 @@ class PowerdomainSpace(_Value):
     ``points`` lists the member masks in canonical order (size, then
     mask value), ``order`` is the inclusion order on point indices, and
     ``phi_index[x]`` locates the principal down-set of element ``x``.
-    The order answers ``leq`` from the point masks and builds its rows,
-    which its covers are read off, only when they are read, and
+    The order answers ``leq`` from the point masks and builds each row
+    family, which its covers are read off, on its first read, and
     ``point_index``, the dict from each point's mask to its index, is
     made on its first lookup.  The plain construction has no empty
     point; the hatted variant adds mask 0 as a bottom point.  Spaces
@@ -98,9 +99,11 @@ class PowerdomainSpace(_Value):
         return tuple(parents), tuple(members)
 
     def point_label(self, index: int) -> str:
-        """Brace rendering of a point's member set, e.g. ``{a,b}``."""
-        names = (self.base.label_of(i) for i in iter_bits(self.points[index]))
-        return "{" + ",".join(names) + "}"
+        """Brace rendering of a point's member set, e.g. ``{a,b}``, named
+        as ``label_of`` names them; only the index is checked (``_checked``)."""
+        members = tuple(iter_bits(self.points[_checked(index, "point", 0, len(self.points))]))
+        names = gather(self.base.labels or range(self.base.n), members)
+        return "{" + ",".join(map(str, names)) + "}"
 
 
 class _InclusionOrder(FinitePoset):
@@ -108,12 +111,12 @@ class _InclusionOrder(FinitePoset):
 
     The points are the down-sets of ``base`` (nonempty, or every one in
     the hat space), so the masks alone fix the order: ``leq`` is
-    containment.  Both rows are built by ``_inclusion_rows`` on the
-    first read of either, with no check: the ``order-is-containment``
-    law of ``check_embedding_theorem`` certifies them.  The covers and
-    the linear extension are read off them as usual; canonical order
-    puts every proper subset first, so index order is a linear
-    extension and the extension's sort returns it.
+    containment.  Each row family is made on its first read, unchecked,
+    by ``_up_rows`` or ``_down_rows`` over the points' membership
+    columns, and kept; ``check_embedding_theorem`` certifies the rows
+    against the same two routines.  The covers and the linear extension
+    are read off them as usual; canonical order puts every proper subset
+    first, so index order is a linear extension and the sort returns it.
     """
 
     def __init__(self, base: FinitePoset, points: tuple[int, ...]) -> None:
@@ -122,20 +125,51 @@ class _InclusionOrder(FinitePoset):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "points", points)
 
-    def __getattr__(self, name: str) -> tuple[int, ...]:
-        """Build and keep both rows on the first read of either."""
-        if name != "up" and name != "down":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        up, down = _inclusion_rows(self.base, self.points)
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-        return up if name == "up" else down
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """The membership columns of the points, made on the first read
+        of either row family, so a second family transposes nothing."""
+        return _transpose(self.points, self.base.n)
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        """Each point's up row, made on first read."""
+        return tuple(_up_rows(self._columns, self.points))
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Each point's down row, made on first read."""
+        return tuple(_down_rows(self._columns, self.points))
 
     def leq(self, i: int, j: int) -> bool:
         """Whether point ``i`` is contained in point ``j`` (``_checked``)."""
         i, j = _checked(i, "point", 0, self.n), _checked(j, "point", 0, self.n)
         return self.points[i] & ~self.points[j] == 0
+
+
+def _up_rows(columns: tuple[int, ...], points: tuple[int, ...]) -> Iterator[int]:
+    """Each point's up row, in point order: the points that hold all of
+    its members, the AND of their membership columns ``columns``."""
+    every = (1 << len(points)) - 1
+    for point in points:
+        row = every
+        for x in iter_bits(point):
+            row &= columns[x]
+        yield row
+
+
+def _down_rows(columns: tuple[int, ...], points: tuple[int, ...]) -> Iterator[int]:
+    """Each point's down row, in point order: the points inside it, its
+    basic open, the complement of the OR of its non-members' columns."""
+    every, full = (1 << len(points)) - 1, (1 << len(columns)) - 1
+    for point in points:
+        hit = 0
+        for y in iter_bits(full ^ point):
+            hit |= columns[y]
+        # The XOR keeps the allocation of the full-width ``every``;
+        # negating twice copies the row at its own width, so a kept row
+        # carries no slack.
+        yield -(-(every ^ hit))
 
 
 def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
@@ -145,51 +179,15 @@ def _assemble(base: FinitePoset, points: tuple[int, ...]) -> PowerdomainSpace:
     value), as ``enumerate_down_sets`` returns them, with every
     principal down-set among them.  Each ``phi_index`` entry is then a
     binary search on that order, so a build is the enumeration and n
-    searches of log N steps.  The order's rows cost N**2 / 4 bytes and
-    the point index a dict entry per point, and most callers of a large
-    build read neither.
+    searches of log N steps.  The order's up rows and down rows, each
+    made on its first read from the membership columns, cost N**2 / 8
+    bytes apiece and the point index a dict entry per point, and most
+    callers of a large build read none of them.
     """
     order = _InclusionOrder(base, points)
     phi = tuple(bisect_left(points, _canonical_key(m), key=_canonical_key)
                 for m in base.down)
     return PowerdomainSpace(base, points, order, phi)
-
-
-def _inclusion_rows(
-    base: FinitePoset, points: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The up and down rows of the inclusion order on ``points``.
-
-    ``points`` are down-sets in canonical order, so a proper subset
-    always comes first.  A point ``m`` minus a maximal member ``x``, or
-    plus a minimal non-member ``y``, is a down-set as well; ``_minimal``
-    finds ``x`` on the base's up rows and ``y`` on its down rows.  With
-    ``column[x]`` the points that contain ``x``, the lattice recurrences
-
-        up[m] = up[m - {x}] & column[x]      up[{}] = every point
-        down[m] = down[m | {y}] & ~column[y]   down[base] = every point
-
-    fill the up rows in canonical order and the down rows in reverse.
-    """
-    column = _transpose(points, base.n)
-    every = (1 << len(points)) - 1
-    up_of = {0: every}
-    for m in points:
-        if m:
-            x = _minimal(base.up, m)
-            up_of[m] = up_of[m ^ (1 << x)] & column[x]
-    outside = [every ^ c for c in column]
-    full = base.full
-    down_of = {full: every}
-    for m in reversed(points):
-        if m != full:
-            y = _minimal(base.down, full ^ m)
-            row = down_of[m | (1 << y)] & outside[y]
-            # The AND result keeps the allocation of the neighbour's wider
-            # row; negating twice copies it at its own width, so the
-            # cached order carries no slack.
-            down_of[m] = -(-row)
-    return gather(up_of, points), gather(down_of, points)
 
 
 @lru_cache(maxsize=16)
@@ -365,34 +363,30 @@ def check_embedding_theorem(space: PowerdomainSpace) -> dict | None:
     ``x``.  Under it a basic open misses every principal point only when
     its open is empty, so density fails exactly on an empty point.
 
-    A malformed space fails a law too, at no cost when it holds: points
-    out of canonical order can leave the rows a neighbour's row short,
-    which fails ``order-is-containment`` with that neighbour as
-    ``missing``, and a ``phi_index`` entry past the last point fails
-    ``order-embedding``.
+    A built order's rows come from the same two routines, so there the
+    law certifies that the stored rows are still theirs, and elsewhere a
+    foreign order's rows against them; the tests compare the routines
+    with an independent route, the lattice recurrence.
+
+    A malformed space fails a law too, rather than raising: every row
+    can be computed from any point list, so points out of canonical
+    order reach a later law, and a ``phi_index`` entry past the last
+    point fails ``order-embedding``.
     """
     base = space.base
-    try:
-        up = space.order.up
-    except KeyError as exc:
-        return {"law": "order-is-containment", "missing": exc.args[0]}
-
+    up, column = space.order.up, space._columns
     # Point i lies below the points that hold all of its members, and
-    # above those inside it, its basic open: ANDs of membership columns,
-    # an independent route to _inclusion_rows.  A witness is a pair
-    # (left, right) whose "left <= right" the rows misread.
-    column = space._columns
-    every = (1 << len(space.points)) - 1
-    for i, small in enumerate(space.points):
-        above = every
-        for x in iter_bits(small):
-            above &= column[x]
+    # above those inside it, its basic open: the rows ``_up_rows`` and
+    # ``_down_rows`` make from the membership columns, compared one at a
+    # time.  A witness is a pair (left, right) whose "left <= right" the
+    # stored rows misread.
+    for i, above in enumerate(_up_rows(column, space.points)):
         wrong = up[i] ^ above
         if wrong:
             return {"law": "order-is-containment",
                     "left": i, "right": (wrong & -wrong).bit_length() - 1}
-    for i, small in enumerate(space.points):
-        wrong = space.order.down[i] ^ _points_inside(space, small)
+    for i, inside in enumerate(_down_rows(column, space.points)):
+        wrong = space.order.down[i] ^ inside
         if wrong:
             return {"law": "order-is-containment",
                     "left": (wrong & -wrong).bit_length() - 1, "right": i}

@@ -25,6 +25,7 @@ from smyth import completion, maps, powerdomain, suite
 from smyth.generators import random_poset
 from smyth.maps import anchored_extensions
 from smyth.poset import (
+    _minimal,
     _transpose,
     check_subset,
     gather,
@@ -113,11 +114,7 @@ def embedding_theorem_by_scan(space: PowerdomainSpace) -> dict | None:
     and a nonempty one must hold a principal point; a plain space's
     empty open is added first.  The oracle of the column reading.
     """
-    base, column = space.base, space._columns
-    try:
-        up = space.order.up
-    except KeyError as exc:
-        return {"law": "order-is-containment", "missing": exc.args[0]}
+    base, column, up = space.base, space._columns, space.order.up
     every = (1 << len(space.points)) - 1
     for i, small in enumerate(space.points):
         above = every
@@ -163,6 +160,40 @@ def embedding_theorem_by_scan(space: PowerdomainSpace) -> dict | None:
         if bool(principal >> i & 1) != (covers.bit_count() <= 1):
             return {"law": "principal-iff-join-irreducible", "point": i}
     return None
+
+
+def inclusion_rows_by_recurrence(
+    base: FinitePoset, points: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The up and down rows of the inclusion order on ``points``, by the
+    lattice recurrence: the oracle of the rows a built order reads off
+    the membership columns.
+
+    ``points`` are down-sets in canonical order, so a proper subset
+    always comes first.  A point ``m`` minus a maximal member ``x``, or
+    plus a minimal non-member ``y``, is a down-set as well; ``_minimal``
+    finds ``x`` on the base's up rows and ``y`` on its down rows.  With
+    ``column[x]`` the points that contain ``x``, the recurrences
+
+        up[m] = up[m - {x}] & column[x]      up[{}] = every point
+        down[m] = down[m | {y}] & ~column[y]   down[base] = every point
+
+    fill the up rows in canonical order and the down rows in reverse.
+    """
+    column = _transpose(points, base.n)
+    every = (1 << len(points)) - 1
+    up_of = {0: every}
+    for m in points:
+        if m:
+            x = _minimal(base.up, m)
+            up_of[m] = up_of[m ^ (1 << x)] & column[x]
+    full = base.full
+    down_of = {full: every}
+    for m in reversed(points):
+        if m != full:
+            y = _minimal(base.down, full ^ m)
+            down_of[m] = down_of[m | (1 << y)] & (every ^ column[y])
+    return gather(up_of, points), gather(down_of, points)
 
 
 def irreducible_down_sets_by_scan(poset: FinitePoset) -> tuple[int, ...]:

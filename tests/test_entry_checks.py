@@ -2,6 +2,7 @@
 mask a public callable takes is an ``int`` (a ``bool`` is not one) in
 range, or RangeError names it and ends with the offending value."""
 
+import inspect
 import re
 
 import pytest
@@ -43,7 +44,9 @@ BASE = chain(3)
 # ``call(value)`` passes ``value`` as that parameter and valid values
 # elsewhere, and ``edge`` is the nearest out-of-range value that -1 does
 # not already probe: n or 1 << n past an index or a mask, 0 below a
-# count of at least 1, None below a count of at least 0.
+# count of at least 1, None below a count of at least 0.  A class's rows
+# include one named "<method> <parameter>" for each parameter annotated
+# ``int`` of each of its public methods and ``__call__``.
 INTEGER_PARAMETERS = {
     "CapacityError": (),
     "CheckReport": (),
@@ -61,10 +64,15 @@ INTEGER_PARAMETERS = {
          lambda v: FinitePoset.from_cover_relations(2, [(0, v)])),
         ("leq i", 3, lambda v: BASE.leq(v, 0)),
         ("leq j", 3, lambda v: BASE.leq(0, v)),
+        ("label_of i", 3, lambda v: BASE.label_of(v)),
     ),
     "IrreducibilityError": (),
     "MalformedFamilyError": (),
-    "MonotoneMap": (("image value", 3, lambda v: MonotoneMap(BASE, BASE, (0, 0, v))),),
+    "MonotoneMap": (
+        ("image value", 3, lambda v: MonotoneMap(BASE, BASE, (0, 0, v))),
+        ("__call__ element", 3, lambda v: identity(BASE)(v)),
+        ("image_mask subset", 8, lambda v: identity(BASE).image_mask(v)),
+    ),
     "NotAnOrderError": (),
     "NotIsomorphismError": (),
     "NotOpenError": (),
@@ -72,6 +80,7 @@ INTEGER_PARAMETERS = {
     "PowerdomainSpace": (
         ("order.leq i", 3, lambda v: build(BASE).order.leq(v, 0)),
         ("order.leq j", 3, lambda v: build(BASE).order.leq(0, v)),
+        ("point_label index", 3, lambda v: build(BASE).point_label(v)),
     ),
     "RangeError": (),
     # ``member_mask`` is filled in by the package from a mask it derived.
@@ -127,8 +136,37 @@ INTEGER_PARAMETERS = {
 WRONG_VALUES = (1.0, True, "1", -1)
 
 
+def int_method_parameters() -> list[tuple[str, str]]:
+    """Each public class of ``smyth.__all__`` with the "<method>
+    <parameter>" of every parameter annotated ``int`` of its public
+    methods, ``__call__`` included, inherited ones too."""
+    found = []
+    for name in smyth.__all__:
+        cls = getattr(smyth, name)
+        if not inspect.isclass(cls):
+            continue
+        for attribute in dir(cls):
+            method = getattr(cls, attribute)
+            if (attribute.startswith("_") and attribute != "__call__") or not callable(method):
+                continue
+            try:
+                parameters = inspect.signature(method).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            found += [(name, f"{attribute} {p.name}") for p in parameters
+                      if p.annotation in ("int", int)]
+    return found
+
+
 def test_every_public_name_has_a_row():
+    """Every public name has a row, and so does every parameter
+    annotated ``int`` of a public method of a public class."""
     assert sorted(INTEGER_PARAMETERS) == smyth.__all__
+    methods = int_method_parameters()
+    assert ("PowerdomainSpace", "point_label index") in methods
+    rowless = [(name, method) for name, method in methods
+               if method not in {row[0] for row in INTEGER_PARAMETERS[name]}]
+    assert rowless == [], f"public methods with no row: {rowless}"
 
 
 @pytest.mark.parametrize("name", smyth.__all__)

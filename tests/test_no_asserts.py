@@ -21,7 +21,12 @@ whose keys ``MAX_EXHAUSTIVE_N`` caps.  A tuple of the items at a
 sequence of indices is gathered by ``poset.gather`` alone, in one
 ``itemgetter`` call, not one lookup per index.  Only ``poset._sups``
 reads ``_least``, so every least upper bound goes through one fold.
-The README names only what the code still spells.
+Only ``_InclusionOrder`` and ``check_embedding_theorem`` call the row
+routines ``_up_rows`` and ``_down_rows``, so a built order's rows and
+the law that certifies them are made one way, and no class defines
+``__getattr__``, so no attribute is made by a hook (the module-level
+one of ``__init__.py`` loads submodules).  The README names only what
+the code still spells.
 """
 
 import ast
@@ -366,6 +371,42 @@ def test_least_is_read_only_by_the_sup_fold():
                   for node in ast.walk(tree)
                   if not isinstance(node, ast.FunctionDef) and "_least" in identifiers(node)]
     assert [entry.rpartition(":")[2] for entry in found] == ["_sups"], found
+
+
+def test_rows_are_made_by_one_route():
+    """The row routines are read once each by ``_InclusionOrder``, to
+    build a row family, and once each by ``check_embedding_theorem``, to
+    certify it, and by nothing else."""
+    routines = ("_up_rows", "_down_rows")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in tree.body:
+            if (path.name == "powerdomain.py"
+                    and identifiers(node) in (["_InclusionOrder"], ["check_embedding_theorem"])):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        found += [f"{owner.get(id(node), f'{path.name}:{node.lineno}')}:{name}"
+                  for node in ast.walk(tree)
+                  if not isinstance(node, ast.FunctionDef)
+                  for name in identifiers(node) if name in routines]
+    assert sorted(found) == [
+        "_InclusionOrder:_down_rows", "_InclusionOrder:_up_rows",
+        "check_embedding_theorem:_down_rows", "check_embedding_theorem:_up_rows"], found
+
+
+def test_no_class_defines_getattr():
+    """No class of the package makes attributes through ``__getattr__``;
+    the module-level one of ``__init__.py`` belongs to no class."""
+    found = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and "__getattr__" in [item.name for item in node.body
+                              if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    ]
+    assert found == [], f"classes that define __getattr__: {found}"
 
 
 def test_readme_names_only_what_exists():

@@ -84,26 +84,34 @@ def test_uncached_build_enumerates_down_sets_once(monkeypatch):
         assert len(space.points) == len(enumerate_down_sets(base, include_empty))
 
 
+def count_row_builds(monkeypatch) -> list[tuple[str, int]]:
+    """Record each call of the up-row and down-row routines, as the row
+    family and its point count."""
+    row_builds = []
+    for name in ("_up_rows", "_down_rows"):
+        def counting(columns, points, rows=getattr(powerdomain, name), name=name):
+            row_builds.append((name, len(points)))
+            return rows(columns, points)
+
+        monkeypatch.setattr(powerdomain, name, counting)
+    return row_builds
+
+
 def test_uncached_build_validates_once(monkeypatch):
     # a build makes no rows, nor does its dimension: its order builds
-    # them once, on the first read of up or down, and never again, not
-    # for its covers either; neither the build nor that read constructs
-    # a validated FinitePoset
-    validations, row_builds = [], []
+    # each row family once, on its first read, and never again, not for
+    # its covers either; neither the build nor that read constructs a
+    # validated FinitePoset
+    validations = []
     init = FinitePoset.__init__
-    inclusion_rows = powerdomain._inclusion_rows
 
     def counting_init(self, n, up, down, labels=None):
         validations.append(n)
         init(self, n, up, down, labels)
 
-    def counting_rows(base, points):
-        row_builds.append(len(points))
-        return inclusion_rows(base, points)
-
     base = generators.random_poset(9, 2024)
     monkeypatch.setattr(FinitePoset, "__init__", counting_init)
-    monkeypatch.setattr(powerdomain, "_inclusion_rows", counting_rows)
+    row_builds = count_row_builds(monkeypatch)
     for include_empty, first, second in ((False, "up", "down"), (True, "down", "up")):
         row_builds.clear()
         space = powerdomain._build.__wrapped__(base, include_empty, 1 << 20)
@@ -112,25 +120,18 @@ def test_uncached_build_validates_once(monkeypatch):
         assert powerdomain.powerdomain_dimension(space) == base.n - 1 + include_empty
         assert row_builds == []
         getattr(order, first)
-        assert row_builds == [order.n]
+        assert row_builds == [(f"_{first}_rows", order.n)]
         getattr(order, second)
         getattr(order, first)
         assert order.upper_covers[0] and order.lower_covers[-1]
-        assert row_builds == [order.n]
+        assert row_builds == [(f"_{first}_rows", order.n), (f"_{second}_rows", order.n)]
     assert validations == []
 
 
 def test_comparing_an_order_with_itself_makes_no_rows(monkeypatch):
     # a map's source or target compared with the same poset, as in
     # compose and the functor laws, reads no rows of a built order
-    row_builds = []
-    inclusion_rows = powerdomain._inclusion_rows
-
-    def counting_rows(base, points):
-        row_builds.append(len(points))
-        return inclusion_rows(base, points)
-
-    monkeypatch.setattr(powerdomain, "_inclusion_rows", counting_rows)
+    row_builds = count_row_builds(monkeypatch)
     base = generators.random_poset(9, 2024)
     order = powerdomain._build.__wrapped__(base, False, 1 << 20).order
     assert order == order and not order != order
@@ -140,14 +141,7 @@ def test_comparing_an_order_with_itself_makes_no_rows(monkeypatch):
 def test_lifting_out_of_a_large_space_makes_no_rows(monkeypatch):
     # the traced maps.powerdomain_map metrics of a large lift count no
     # row builds: a lift reads point masks, never the rows of an order
-    row_builds = []
-    inclusion_rows = powerdomain._inclusion_rows
-
-    def counting_rows(base, points):
-        row_builds.append(len(points))
-        return inclusion_rows(base, points)
-
-    monkeypatch.setattr(powerdomain, "_inclusion_rows", counting_rows)
+    row_builds = count_row_builds(monkeypatch)
     monkeypatch.setattr(powerdomain, "_build",
                         functools.lru_cache(maxsize=None)(powerdomain._build.__wrapped__))
     source = FinitePoset.from_cover_relations(12, [])
